@@ -13,7 +13,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -207,11 +207,11 @@ def build_problem(cfg: RunConfig, enforce_feller: bool = True):
                               sigma_const=v["sigma"],
                               gamma_const=v["gamma"], rho_const=v["rho"])
             m = make_ou_model(params)
+        make = zero_claim if cfg.phi == "zero" else bond_claim
+        claims = [make(q) for q in cfg.q_list]
+        pref = Preferences(alpha=cfg.alpha, horizon_T=cfg.horizon)
     except ModelError as exc:
         raise ConfigError(str(exc)) from exc
-    make = zero_claim if cfg.phi == "zero" else bond_claim
-    claims = [make(q) for q in cfg.q_list]
-    pref = Preferences(alpha=cfg.alpha, horizon_T=cfg.horizon)
     return m, claims, pref
 
 
@@ -221,8 +221,11 @@ def make_grid(cfg: RunConfig, m, pref, nx=None, nt=None) -> GridSpec:
         lo = cfg.x_min
     if cfg.x_max is not None:
         hi = cfg.x_max
-    return GridSpec(x_min=lo, x_max=hi, n_space=nx or cfg.nx,
-                    n_time=nt or cfg.nt, t_start=0.0, t_end=pref.horizon_T)
+    try:
+        return GridSpec(x_min=lo, x_max=hi, n_space=nx or cfg.nx,
+                        n_time=nt or cfg.nt, t_start=0.0, t_end=pref.horizon_T)
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
 
 
 def _default_x0(cfg: RunConfig, m) -> float:
@@ -239,9 +242,7 @@ def _out(cfg: RunConfig, name: str) -> str:
 def _solve_mode(cfg: RunConfig, m, claim, pref, grid) -> Surface:
     if cfg.mode == "local":
         loc = build_localization(m, cfg.local_n)
-        lgrid = GridSpec(x_min=loc.outer[0], x_max=loc.outer[1],
-                         n_space=grid.n_space, n_time=grid.n_time,
-                         t_start=grid.t_start, t_end=grid.t_end)
+        lgrid = replace(grid, x_min=loc.outer[0], x_max=loc.outer[1])
         return solve_local(m, claim, pref, loc, lgrid)
     if cfg.mode == "protected":
         G = solve_full(m, zero_claim(), pref, grid)
@@ -264,17 +265,23 @@ def cmd_solve(cfg: RunConfig) -> int:
         fh.write(f"max_abs_residual = {float(np.max(np.abs(res))):.17g}\n")
         fh.write(f"mean_abs_residual = {float(np.mean(np.abs(res))):.17g}\n")
 
-    # self-convergence at three refinement levels, probed at (t=0, x0)
+    # self-convergence at (t=0, x0); the finest level is G itself
     x0 = _default_x0(cfg, m)
     levels, values = [], []
     for div in (4, 2, 1):
         nx, nt = max(cfg.nx // div, 16), max(cfg.nt // div, 16)
-        g = _solve_mode(cfg, m, claims[0], pref,
-                        make_grid(cfg, m, pref, nx=nx, nt=nt))
+        g = G if div == 1 else _solve_mode(
+            cfg, m, claims[0], pref, make_grid(cfg, m, pref, nx=nx, nt=nt))
         levels.append((nx, nt))
         values.append(float(g.at(0.0, np.atleast_1d(x0))[0]))
+    lo, hi = G.grid.x_min, G.grid.x_max
+    notes = [] if lo <= x0 <= hi else [
+        f"probe x0 = {x0:.17g} lies outside the grid [{lo:.17g}, {hi:.17g}]; "
+        "value is clamped to the edge"]
+    for note in notes:
+        print(f"solve: warning: {note}", file=sys.stderr)
     with open(_out(cfg, "convergence.csv"), "w") as fh:
-        for line in header:
+        for line in header + notes:
             fh.write(f"# {line}\n")
         fh.write("nx,nt,value_at_x0,diff_from_previous\n")
         prev = None
@@ -340,17 +347,20 @@ def cmd_verify(cfg: RunConfig) -> int:
     claim = claims[0]
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
+    x0 = _default_x0(cfg, m)
+    try:
+        sim = mc.SimConfig(n_paths=cfg.paths, n_steps=cfg.steps, seed=cfg.seed,
+                           x0=x0)
+    except ValueError as exc:
+        raise ConfigError(f"bad [mc] settings: {exc}") from exc
     G = solve_full(m, claim, pref, grid)
     if cfg.debug:
         # intentionally wrong surface: the martingale-mass check must fail
         G = Surface(grid=grid, values=G.values + 0.2, boundary=G.boundary)
     pol = pricing.optimal_policy(G, m, pref)
     pol_surface = Surface(grid=grid, values=pol.values, boundary=G.boundary)
-    x0 = _default_x0(cfg, m)
     g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
 
-    sim = mc.SimConfig(n_paths=cfg.paths, n_steps=cfg.steps, seed=cfg.seed,
-                       x0=x0)
     bundle = mc.simulate_factor(m, sim, pref.horizon_T)
     mc.simulate_default(m, bundle)
     mc.replay_policy(m, pol_surface, bundle, pref)

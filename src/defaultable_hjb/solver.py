@@ -1,7 +1,7 @@
 """Backward-in-time solver for the certainty-equivalent HJB equation.
 
-Three modes share one Crank-Nicolson / Newton stepper on a uniform
-(time x space) grid:
+Three modes share one backward marcher, a Crank-Nicolson / Newton stepper
+on a uniform (time x space) grid:
 
 * full      -- the semilinear equation with the product-log source,
 * local     -- the mollified equation with zero lateral Dirichlet data,
@@ -11,11 +11,17 @@ Three modes share one Crank-Nicolson / Newton stepper on a uniform
 The nonlinear source is treated fully implicitly; the Newton Jacobian is
 tridiagonal, with the product-log derivatives obtained from the identity
 y * theta'(y) * (1 + theta(y)) = theta(y).
+
+The marcher carries the last operator evaluation (F, Jacobian) along:
+an accepted line-search trial's serves the next Newton iterate, and a
+converged row's serves the next step as its explicit half and, in full
+and local modes, as its first iterate.  Each reuse stands for an
+evaluation of identical inputs, so no value changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -196,30 +202,25 @@ def _source_protected(coef: _Coeffs, G, Gx, f_row):
 
 
 def _spatial_operator(coef: _Coeffs, G: np.ndarray, dx: float, boundary: str,
-                      chi=None, f_row=None, protected=False,
-                      want_jacobian=True):
+                      chi=None, f_row=None, want_jacobian=True):
     """F(G) = (1/2) A G_xx + b G_x + N(G, G_x) with the boundary closure.
 
-    Returns (F, (sub, diag, sup)) where the tridiagonal block is dF/dG,
+    The source N is the protected one when the rate row f_row is given,
+    otherwise the full/local one with cutoff chi.  Returns
+    (F, (sub, diag, sup)) where the tridiagonal block is dF/dG,
     or (F, None) when want_jacobian is False.
     """
     n = G.shape[0]
-    Gx = np.empty(n)
-    Gx[1:-1] = (G[2:] - G[:-2]) / (2.0 * dx)
-    if boundary == "neumann":
-        Gx[0] = 0.0
-        Gx[-1] = 0.0
-    else:  # extrapolation or dirichlet (edge rows are overwritten for dirichlet)
-        Gx[0] = (G[1] - G[0]) / dx
-        Gx[-1] = (G[-1] - G[-2]) / dx
+    Gx = central_gradient(G, dx)  # dirichlet: edge rows are overwritten
     Gxx = np.zeros(n)
     Gxx[1:-1] = (G[2:] - 2.0 * G[1:-1] + G[:-2]) / (dx * dx)
     if boundary == "neumann":
+        Gx[0] = Gx[-1] = 0.0
         Gxx[0] = 2.0 * (G[1] - G[0]) / (dx * dx)
         Gxx[-1] = 2.0 * (G[-2] - G[-1]) / (dx * dx)
     # extrapolation: zero second derivative at the edges (Gxx stays 0)
 
-    if protected:
+    if f_row is not None:
         N, nG, nGx = _source_protected(coef, G, Gx, f_row)
     else:
         N, nG, nGx = _source_full(coef, G, Gx, chi)
@@ -251,6 +252,13 @@ def _spatial_operator(coef: _Coeffs, G: np.ndarray, dx: float, boundary: str,
     return F, (sub, diag, sup)
 
 
+def _weights(scheme: str, dt: float) -> tuple[float, float]:
+    """(implicit, explicit) weights of the operator in one time step."""
+    if scheme == "crank-nicolson":
+        return 0.5 * dt, 0.5 * dt
+    return dt, 0.0
+
+
 def _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet):
     R = U - G_next - w_impl * F_U - w_expl * F_next
     if dirichlet:
@@ -259,33 +267,21 @@ def _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet):
     return R
 
 
-def _solve_step(coef: _Coeffs, G_next: np.ndarray, dx: float, dt: float,
-                opt: SolverOptions, step_index: int, chi=None,
-                f_row=None, f_row_next=None, protected=False) -> np.ndarray:
+def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray, ev,
+                w_impl: float, w_expl: float, opt: SolverOptions,
+                step_index: int):
+    """Damped Newton from U, given ev = evaluate(U) or None; returns (U, ev)."""
     dirichlet = opt.boundary == "dirichlet"
-    if opt.scheme == "crank-nicolson":
-        w_impl = w_expl = 0.5 * dt
-    else:
-        w_impl, w_expl = dt, 0.0
-    if w_expl > 0.0:
-        F_next, _ = _spatial_operator(coef, G_next, dx, opt.boundary, chi=chi,
-                                      f_row=f_row_next, protected=protected,
-                                      want_jacobian=False)
-    else:
-        F_next = 0.0
-
-    U = G_next.copy()
-    if dirichlet:
-        U[0] = 0.0
-        U[-1] = 0.0
-    for _ in range(opt.newton_max_iter):
-        F_U, (sub, diag, sup) = _spatial_operator(
-            coef, U, dx, opt.boundary, chi=chi, f_row=f_row,
-            protected=protected)
+    for it in range(opt.newton_max_iter + 1):
+        if ev is None:
+            ev = evaluate(U)
+        F_U, (sub, diag, sup) = ev
         R = _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet)
         rnorm = float(np.max(np.abs(R)))
         if rnorm <= opt.newton_tol:
-            return U
+            return U, ev
+        if it == opt.newton_max_iter:
+            raise NewtonDivergence(step_index, rnorm)
         jd = 1.0 - w_impl * diag
         jsub = -w_impl * sub
         jsup = -w_impl * sup
@@ -294,26 +290,54 @@ def _solve_step(coef: _Coeffs, G_next: np.ndarray, dx: float, dt: float,
             jsup[0] = 0.0
             jsub[-1] = 0.0
         delta = backends.tridiag_solve(jsub, jd, jsup, -R)
-        # damped line search: halve up to 10 times on residual increase
+        # damped line search; an accepted trial's evaluation is reused
         s = 1.0
         for _ in range(10):
             trial = U + s * delta
-            F_t, _ = _spatial_operator(coef, trial, dx, opt.boundary, chi=chi,
-                                       f_row=f_row, protected=protected,
-                                       want_jacobian=False)
-            R_t = _step_residual(trial, G_next, F_t, F_next, w_impl, w_expl,
+            ev = evaluate(trial)
+            R_t = _step_residual(trial, G_next, ev[0], F_next, w_impl, w_expl,
                                  dirichlet)
             if float(np.max(np.abs(R_t))) < rnorm:
+                U = trial
                 break
             s *= 0.5
-        U = U + s * delta
-    F_U, _ = _spatial_operator(coef, U, dx, opt.boundary, chi=chi, f_row=f_row,
-                               protected=protected, want_jacobian=False)
-    R = _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet)
-    rnorm = float(np.max(np.abs(R)))
-    if rnorm > opt.newton_tol:
-        raise NewtonDivergence(step_index, rnorm)
-    return U
+        else:
+            U = U + s * delta  # a point no trial evaluated
+            ev = None
+
+
+def _march(coef: _Coeffs, grid: GridSpec, terminal: np.ndarray,
+           opt: SolverOptions, chi=None, f_surface=None) -> np.ndarray:
+    """Surface values marched backward from the terminal row.
+
+    The source is the protected one if f_surface is given, else the
+    full/local one with cutoff chi.
+    """
+    dirichlet = opt.boundary == "dirichlet"
+    w_impl, w_expl = _weights(opt.scheme, grid.dt)
+
+    def evaluator(i):
+        f_row = None if f_surface is None else f_surface[i]
+        return lambda G: _spatial_operator(coef, G, grid.dx, opt.boundary,
+                                           chi=chi, f_row=f_row)
+
+    values = np.empty((grid.n_time + 1, grid.n_space + 1))
+    values[-1] = terminal
+    ev = evaluator(grid.n_time)(values[-1])  # evaluation at values[i + 1]
+    for i in range(grid.n_time - 1, -1, -1):
+        G_next = values[i + 1]
+        F_next = ev[0] if w_expl > 0.0 else 0.0
+        U = G_next.copy()
+        if dirichlet:
+            U[0] = U[-1] = 0.0
+        # G_next's evaluation is also the first iterate's, unless the
+        # source row changes (protected) or the edge reset changed a bit
+        if f_surface is not None or (dirichlet and
+                                     U.tobytes() != G_next.tobytes()):
+            ev = None
+        values[i], ev = _solve_step(evaluator(i), G_next, F_next, U, ev,
+                                    w_impl, w_expl, opt, step_index=i)
+    return values
 
 
 def hjb_rhs(m: ModelSpec, g: float, gx: float, x: float, alpha: float) -> float:
@@ -329,12 +353,8 @@ def solve_full(m: ModelSpec, c: ClaimSpec, pref: Preferences, grid: GridSpec,
     """Solve the full equation backward from G(T, .) = q * phi."""
     xs = grid.xs
     coef = _Coeffs(m, xs, pref.alpha)
-    chi = np.ones_like(xs)
-    values = np.empty((grid.n_time + 1, grid.n_space + 1))
-    values[-1] = c.q * np.asarray(c.phi(xs), dtype=float)
-    for i in range(grid.n_time - 1, -1, -1):
-        values[i] = _solve_step(coef, values[i + 1], grid.dx, grid.dt, opt,
-                                step_index=i, chi=chi)
+    values = _march(coef, grid, c.q * np.asarray(c.phi(xs), dtype=float), opt,
+                    chi=np.ones_like(xs))
     return Surface(grid=grid, values=values, mode="full", boundary=opt.boundary)
 
 
@@ -345,19 +365,7 @@ def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
     if not (np.isclose(grid.x_min, loc.outer[0]) and
             np.isclose(grid.x_max, loc.outer[1])):
         raise ValueError("grid must coincide with the localization interval E_n")
-    opt = SolverOptions(newton_tol=opt.newton_tol,
-                        newton_max_iter=opt.newton_max_iter,
-                        scheme=opt.scheme, boundary="dirichlet")
-    xs = grid.xs
-    coef = _Coeffs(m, xs, pref.alpha)
-    chi = np.asarray(loc.chi(xs), dtype=float)
-    values = np.empty((grid.n_time + 1, grid.n_space + 1))
-    values[-1] = chi * c.q * np.asarray(c.phi(xs), dtype=float)
-    for i in range(grid.n_time - 1, -1, -1):
-        values[i] = _solve_step(coef, values[i + 1], grid.dx, grid.dt, opt,
-                                step_index=i, chi=chi)
-    return Surface(grid=grid, values=values, mode="local", chi=chi,
-                   boundary="dirichlet")
+    return solve_local_chi(m, c, pref, loc.chi(grid.xs), grid, opt)
 
 
 def solve_local_chi(m: ModelSpec, c: ClaimSpec, pref: Preferences,
@@ -367,14 +375,8 @@ def solve_local_chi(m: ModelSpec, c: ClaimSpec, pref: Preferences,
     xs = grid.xs
     coef = _Coeffs(m, xs, pref.alpha)
     chi = np.asarray(chi_values, dtype=float)
-    opt = SolverOptions(newton_tol=opt.newton_tol,
-                        newton_max_iter=opt.newton_max_iter,
-                        scheme=opt.scheme, boundary="dirichlet")
-    values = np.empty((grid.n_time + 1, grid.n_space + 1))
-    values[-1] = chi * c.q * np.asarray(c.phi(xs), dtype=float)
-    for i in range(grid.n_time - 1, -1, -1):
-        values[i] = _solve_step(coef, values[i + 1], grid.dx, grid.dt, opt,
-                                step_index=i, chi=chi)
+    values = _march(coef, grid, chi * c.q * np.asarray(c.phi(xs), dtype=float),
+                    replace(opt, boundary="dirichlet"), chi=chi)
     return Surface(grid=grid, values=values, mode="local", chi=chi,
                    boundary="dirichlet")
 
@@ -389,14 +391,9 @@ def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
     f_surface = np.asarray(f_surface, dtype=float)
     if f_surface.shape != (grid.n_time + 1, grid.n_space + 1):
         raise ValueError("rate field not aligned with the grid")
-    xs = grid.xs
-    coef = _Coeffs(m, xs, pref.alpha)
-    values = np.empty((grid.n_time + 1, grid.n_space + 1))
-    values[-1] = 0.0
-    for i in range(grid.n_time - 1, -1, -1):
-        values[i] = _solve_step(coef, values[i + 1], grid.dx, grid.dt, opt,
-                                step_index=i, protected=True,
-                                f_row=f_surface[i], f_row_next=f_surface[i + 1])
+    coef = _Coeffs(m, grid.xs, pref.alpha)
+    values = _march(coef, grid, np.zeros(grid.n_space + 1), opt,
+                    f_surface=f_surface)
     return Surface(grid=grid, values=values, mode="protected",
                    rate_field=f_surface, boundary=opt.boundary)
 
@@ -411,31 +408,22 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
     For protected-mode evaluation of a full-mode surface, pass rate_field.
     """
     grid = surface.grid
+    values = surface.values
     coef = _Coeffs(m, grid.xs, pref.alpha)
     protected = surface.mode == "protected" or rate_field is not None
     chi = surface.chi if surface.chi is not None else np.ones_like(grid.xs)
     f_field = rate_field if rate_field is not None else surface.rate_field
-    boundary = surface.boundary
-    dirichlet = boundary == "dirichlet"
-    if opt.scheme == "crank-nicolson":
-        w_impl = w_expl = 0.5 * grid.dt
-    else:
-        w_impl, w_expl = grid.dt, 0.0
+    w_impl, w_expl = _weights(opt.scheme, grid.dt)
+    # each row is evaluated once: row i + 1 is also the explicit half of row i
+    F = [_spatial_operator(coef, row, grid.dx, surface.boundary, chi=chi,
+                           f_row=f_field[i] if protected else None,
+                           want_jacobian=False)[0]
+         for i, row in enumerate(values)]
     out = np.empty((grid.n_time, grid.n_space + 1))
     for i in range(grid.n_time):
-        f_row = f_field[i] if protected else None
-        f_next = f_field[i + 1] if protected else None
-        F_i, _ = _spatial_operator(coef, surface.values[i], grid.dx, boundary,
-                                   chi=chi, f_row=f_row, protected=protected,
-                                   want_jacobian=False)
-        if w_expl > 0:
-            F_n, _ = _spatial_operator(coef, surface.values[i + 1], grid.dx,
-                                       boundary, chi=chi, f_row=f_next,
-                                       protected=protected, want_jacobian=False)
-        else:
-            F_n = 0.0
-        out[i] = _step_residual(surface.values[i], surface.values[i + 1],
-                                F_i, F_n, w_impl, w_expl, dirichlet)
+        F_next = F[i + 1] if w_expl > 0.0 else 0.0
+        out[i] = _step_residual(values[i], values[i + 1], F[i], F_next,
+                                w_impl, w_expl, surface.boundary == "dirichlet")
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from defaultable_hjb.cli import main, parse_config
+from defaultable_hjb.solver import bilinear_interp
 
 
 PAPER_INI = """\
@@ -45,11 +46,12 @@ def _write(tmp_path, **kw):
     return str(p)
 
 
-def test_solve_writes_outputs(tmp_path):
+def test_solve_writes_outputs(tmp_path, capsys):
     cfgp = _write(tmp_path)
     out = tmp_path / "out"
     rc = main(["solve", "--config", cfgp, "--out", str(out)])
     assert rc == 0
+    assert "warning" not in capsys.readouterr().err
     for name in ("surface.csv", "residual_summary.txt", "convergence.csv"):
         assert (out / name).exists()
     lines = (out / "surface.csv").read_text().splitlines()
@@ -64,13 +66,27 @@ def test_solve_writes_outputs(tmp_path):
     conv = (out / "convergence.csv").read_text().splitlines()
     assert conv[-3].split(",")[0] == "16"  # nx/4
     assert conv[-1].split(",")[0] == "64"
+    assert not any("lies outside the grid" in ln for ln in conv)
+    # the finest level is the written surface itself, probed at x0 = theta
+    table = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    xs = np.array(table[0][1:], dtype=float)
+    rows = np.array(table[1:], dtype=float)
+    ts, values = rows[:, 0], rows[:, 1:]
+    probe = bilinear_interp(ts, xs, values, 0.0, np.array([0.06]))[0]
+    assert float(conv[-1].split(",")[2]) == probe
 
 
-def test_solve_local_and_protected_modes(tmp_path):
+def test_solve_local_and_protected_modes(tmp_path, capsys):
     cfgp = _write(tmp_path, nx=48, nt=32)
     out1 = tmp_path / "loc"
     assert main(["solve", "--config", cfgp, "--out", str(out1),
                  "--mode", "local:4"]) == 0
+    # x0 = theta = 0.06 lies outside E_4 = (0.25, 4): the probe is clamped
+    # to the Dirichlet edge, and both the file and stderr say so
+    note = [ln for ln in (out1 / "convergence.csv").read_text().splitlines()
+            if ln.startswith("# probe x0 = ")]
+    assert len(note) == 1 and "value is clamped to the edge" in note[0]
+    assert "lies outside the grid" in capsys.readouterr().err
     lines = [ln for ln in (out1 / "surface.csv").read_text().splitlines()
              if not ln.startswith("#")]
     # cutoff boundary: the time-zero row vanishes at both edges
@@ -179,6 +195,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", good, "--grid", "64"]) == 2
     assert main(["solve", "--config", good, "--mode", "bogus"]) == 2
     assert main(["solve", "--config", good, "--mode", "local:x"]) == 2
+
+
+@pytest.mark.parametrize("cmd, ini", [
+    ("solve", "[model]\nkind = cir\n[preferences]\nalpha = -1\n"),
+    ("solve", "[model]\nkind = cir\n[grid]\nnx = 8\n"),
+    ("verify", "[model]\nkind = cir\n[mc]\npaths = 0\n"),
+], ids=["alpha-negative", "nx-too-small", "paths-zero"])
+def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini):
+    # model, grid and Monte Carlo validation errors are config errors too
+    p = tmp_path / "bad.ini"
+    p.write_text(ini)
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_parse_config_defaults_without_file():

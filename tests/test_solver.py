@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import defaultable_hjb as dh
+from defaultable_hjb import solver
 from defaultable_hjb.lambertw import theta_of_log
 from defaultable_hjb.solver import NewtonDivergence, SolverOptions, bilinear_interp
 
@@ -181,3 +182,26 @@ def test_protected_rejects_misaligned_rate(paper_model, paper_pref,
     with pytest.raises(ValueError):
         dh.solve_protected(paper_model, paper_pref,
                            np.zeros((3, 3)), paper_grid)
+
+
+def test_marcher_reuses_operator_evaluations(monkeypatch, paper_model,
+                                             paper_pref):
+    # Each step needs one product-log evaluation per line-search trial;
+    # re-evaluating a known point (explicit half, first iterate, accepted
+    # trial) would cost about 6 per step instead of 2.
+    grid = dh.default_grid(paper_model, paper_pref, 64, 64)
+    G = dh.solve_full(paper_model, dh.zero_claim(), paper_pref, grid)
+    rate = dh.insurance_rate(G, paper_model, paper_pref)
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return theta_of_log(u)
+
+    monkeypatch.setattr(solver, "theta_of_log", counting)
+    dh.solve_full(paper_model, dh.zero_claim(), paper_pref, grid)
+    assert len(calls) <= 2 * grid.n_time + 8
+    calls.clear()
+    # the protected source goes through exp, never the product-log
+    dh.solve_protected(paper_model, paper_pref, rate, grid)
+    assert calls == []
