@@ -1,0 +1,159 @@
+"""Stage times of the ``verify`` subcommand, in process, best of N.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 benchmarks/bench_verify.py [--repeat 3]
+        [--label NAME --out FILE.json]
+
+It runs ``verify`` on perfbench/reference.ini at grid 200x200 with 10^4
+paths x 1000 steps and seed 3 (the benchmark's mc-verify call), --repeat
+times in this process.  Each Monte Carlo stage is timed by wrapping the
+montecarlo functions the CLI calls; a stage function called from another
+is booked to the outer one.  Stages: simulate_factor, simulate_default,
+replay, dual_density and estimators; "other" is the rest of the call (the
+200x200 solve, the policy and the CSV).  Each stage reports the best of
+the runs, and the record carries the process's peak RSS.
+
+With --out the record is merged under --label into that JSON file, so a
+second checkout can be measured on the same machine by the same script:
+point PYTHONPATH at that checkout's src/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import hashlib
+import io
+import json
+import os
+import platform
+import resource
+import subprocess
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from defaultable_hjb import backends, cli
+from defaultable_hjb import montecarlo as mc
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "perfbench" / "reference.ini"
+ARGS = ["--grid", "200,200", "--seed", "3"]
+
+STAGES = {
+    "simulate_factor": "simulate_factor",
+    "simulate_default": "simulate_default",
+    "replay_policy": "replay",
+    "replay_policies": "replay",
+    "simulate_dual_density": "dual_density",
+    "dual_density_terminal": "dual_density",
+    "estimate_certainty_equivalent": "estimators",
+    "estimate_martingale_mass": "estimators",
+    "estimate_dual_value": "estimators",
+}
+
+
+class StageTimer:
+    """Wraps the montecarlo stage functions; books outermost calls only."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._depth = 0
+
+    def install(self) -> None:
+        for name, stage in STAGES.items():
+            fn = getattr(mc, name, None)
+            if fn is not None:
+                setattr(mc, name, self._wrap(stage, fn))
+
+    def _wrap(self, stage, fn):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            self._depth += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._depth -= 1
+                if self._depth == 0:
+                    self.seconds[stage] = (self.seconds.get(stage, 0.0)
+                                           + time.perf_counter() - start)
+        return timed
+
+
+def revision(src: Path) -> dict:
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args],
+                              capture_output=True, text=True).stdout.strip()
+    return {"revision": git("rev-parse", "HEAD") or None,
+            "dirty": bool(git("status", "--porcelain", "--", "."))}
+
+
+def run_once(timer: StageTimer, out_dir: str) -> dict:
+    args = cli.build_parser().parse_args(
+        ["verify", "--config", str(CONFIG), "--out", out_dir] + ARGS)
+    cfg = cli.parse_config(args.config, args)
+    timer.seconds = {}
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.cmd_verify(cfg)
+    total = time.perf_counter() - start
+    if rc != 0:
+        raise SystemExit(f"verify exited {rc}")
+    stages = dict(timer.seconds)
+    stages["other"] = total - sum(stages.values())
+    return {"total": total, "stages": stages}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--label", default="change")
+    ap.add_argument("--out", default=None, help="JSON file to merge into")
+    args = ap.parse_args()
+
+    timer = StageTimer()
+    timer.install()
+    runs = []
+    with tempfile.TemporaryDirectory() as out_dir:
+        for _ in range(args.repeat):
+            runs.append(run_once(timer, out_dir))
+            csv = Path(out_dir, "verify.csv").read_bytes()
+    names = sorted({s for r in runs for s in r["stages"]})
+    best = {s: min(r["stages"].get(s, 0.0) for r in runs) for s in names}
+    record = {
+        **revision(Path(mc.__file__).parent),
+        "backend": backends.backend_name(),
+        "repeat": args.repeat,
+        "total_best_s": min(r["total"] for r in runs),
+        "total_runs_s": [r["total"] for r in runs],
+        "stages_best_s": best,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0,
+        "verify_csv_sha256": hashlib.sha256(csv).hexdigest(),
+    }
+    print(f"{args.label}: verify best {record['total_best_s']:.3f} s of "
+          f"{args.repeat}, peak RSS {record['peak_rss_mb']:.0f} MB")
+    for s in names:
+        print(f"  {s:<18s} {best[s]:8.3f} s")
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {
+            "script": "benchmarks/bench_verify.py",
+            "workload": f"verify --config perfbench/reference.ini "
+                        f"{' '.join(ARGS)} (10^4 paths x 1000 steps)",
+            "host": {"machine": platform.machine(),
+                     "cpus": os.cpu_count(),
+                     "python": platform.python_version(),
+                     "numpy": np.__version__},
+            "records": {}}
+        doc["records"][args.label] = record
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

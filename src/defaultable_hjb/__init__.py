@@ -36,7 +36,8 @@ from .montecarlo import (MCEstimate, PathBundle, SimConfig,
                          dual_density_terminal,
                          estimate_certainty_equivalent, estimate_dual_value,
                          estimate_martingale_mass, mc_exponential_functional,
-                         pool_estimates, replay_policy, simulate_default,
-                         simulate_dual_density, simulate_factor)
+                         pool_estimates, replay_policies, replay_policy,
+                         simulate_default, simulate_dual_density,
+                         simulate_factor)
 
 __version__ = "0.1.0"

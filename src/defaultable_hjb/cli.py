@@ -89,9 +89,12 @@ class RunConfig:
         return lines
 
 
-_CIR_DEFAULTS = {"kappa": 0.25, "theta": 0.06, "xi": 0.1, "mu1": 0.0,
-                 "mu2": 1.3608, "sigma": 1.2247, "gamma1": 0.0,
-                 "gamma2": 0.4145, "rho": -0.53}
+# config key -> CIRParams field; the defaults are the paper's parameters
+_CIR_FIELDS = {"kappa": "kappa", "theta": "theta_lr", "xi": "xi",
+               "mu1": "mu1", "mu2": "mu2", "sigma": "sigma_scale",
+               "gamma1": "gamma1", "gamma2": "gamma2", "rho": "rho_const"}
+_CIR_DEFAULTS = {key: getattr(paper_cir_params(), name)
+                 for key, name in _CIR_FIELDS.items()}
 _OU_DEFAULTS = {"b": 1.0, "mu1": 0.0, "mu2": 1.0, "sigma": 1.0,
                 "gamma": 0.5, "rho": 0.0}
 
@@ -197,10 +200,8 @@ def build_problem(cfg: RunConfig, enforce_feller: bool = True):
     v = cfg.model_values
     try:
         if cfg.kind == "cir":
-            params = CIRParams(kappa=v["kappa"], theta_lr=v["theta"],
-                               xi=v["xi"], mu1=v["mu1"], mu2=v["mu2"],
-                               sigma_scale=v["sigma"], gamma1=v["gamma1"],
-                               gamma2=v["gamma2"], rho_const=v["rho"])
+            params = CIRParams(**{name: v[key]
+                                  for key, name in _CIR_FIELDS.items()})
             m = make_cir_model(params, enforce_feller=enforce_feller)
         else:
             params = OUParams(b_mr=v["b"], mu1=v["mu1"], mu2=v["mu2"],
@@ -221,6 +222,11 @@ def make_grid(cfg: RunConfig, m, pref, nx=None, nt=None) -> GridSpec:
         lo = cfg.x_min
     if cfg.x_max is not None:
         hi = cfg.x_max
+    # the solver samples the coefficients on every node, edges included
+    if lo < m.domain.lower or hi > m.domain.upper:
+        raise ConfigError(
+            f"bad grid: [{lo:.17g}, {hi:.17g}] leaves the model domain "
+            f"({m.domain.lower:g}, {m.domain.upper:g})")
     try:
         return GridSpec(x_min=lo, x_max=hi, n_space=nx or cfg.nx,
                         n_time=nt or cfg.nt, t_start=0.0, t_end=pref.horizon_T)
@@ -241,7 +247,11 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 def _solve_mode(cfg: RunConfig, m, claim, pref, grid) -> Surface:
     if cfg.mode == "local":
-        loc = build_localization(m, cfg.local_n)
+        try:
+            loc = build_localization(m, cfg.local_n)
+        except ModelError as exc:
+            raise ConfigError(f"bad --mode local:{cfg.local_n}: {exc}") \
+                from exc
         lgrid = replace(grid, x_min=loc.outer[0], x_max=loc.outer[1])
         return solve_local(m, claim, pref, loc, lgrid)
     if cfg.mode == "protected":
@@ -353,6 +363,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                            x0=x0)
     except ValueError as exc:
         raise ConfigError(f"bad [mc] settings: {exc}") from exc
+    if not m.domain.contains(x0):
+        raise ConfigError(f"model.x0 = {x0:g} lies outside the model domain")
     G = solve_full(m, claim, pref, grid)
     if cfg.debug:
         # intentionally wrong surface: the martingale-mass check must fail
@@ -361,19 +373,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     pol_surface = Surface(grid=grid, values=pol.values, boundary=G.boundary)
     g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
 
+    # one path bundle: the perturbed policy rides the same paths as the
+    # optimal one (common random numbers)
+    pert = Surface(grid=grid, values=pol.values + 0.5, boundary=G.boundary)
     bundle = mc.simulate_factor(m, sim, pref.horizon_T)
     mc.simulate_default(m, bundle)
-    mc.replay_policy(m, pol_surface, bundle, pref)
-    ce = mc.estimate_certainty_equivalent(bundle, claim, pref, label="ce")
-    mc.simulate_dual_density(m, G, pol_surface, bundle, pref)
-    mass = mc.estimate_martingale_mass(bundle)
-    dual = mc.estimate_dual_value(bundle, claim, pref)
-
-    pert = Surface(grid=grid, values=pol.values + 0.5, boundary=G.boundary)
-    bundle2 = mc.simulate_factor(m, sim, pref.horizon_T)
-    mc.simulate_default(m, bundle2)
-    mc.replay_policy(m, pert, bundle2, pref)
-    ce_pert = mc.estimate_certainty_equivalent(bundle2, claim, pref,
+    opt, perturbed = mc.replay_policies(m, [pol_surface, pert], bundle, pref)
+    ce = mc.estimate_certainty_equivalent(opt, claim, pref, label="ce")
+    mc.dual_density_terminal(G, opt, pref)
+    mass = mc.estimate_martingale_mass(opt)
+    dual = mc.estimate_dual_value(opt, claim, pref)
+    ce_pert = mc.estimate_certainty_equivalent(perturbed, claim, pref,
                                                label="ce-perturbed")
 
     checks = [

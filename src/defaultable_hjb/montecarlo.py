@@ -9,14 +9,14 @@ seed reproduces estimates bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import backends
 from .model import ClaimSpec, ModelSpec, Preferences
-from .solver import Surface
+from .solver import Surface, bilinear_cell, bilinear_gather
 
 
 @dataclass(frozen=True)
@@ -152,23 +152,52 @@ def _field_at(f, t, x):
 def replay_policy(m: ModelSpec, pi_field, bundle: PathBundle,
                   pref: Preferences, rate_field=None,
                   protected: bool = False) -> PathBundle:
-    """Drive the wealth recursion under the given policy.
+    """Drive the wealth recursion under one policy; fills bundle.wealth.
+
+    See replay_policies, which this runs with the single field.
+    """
+    (replayed,) = replay_policies(m, [pi_field], bundle, pref, rate_field,
+                                  protected)
+    bundle.wealth = replayed.wealth
+    bundle.protected = protected
+    return bundle
+
+
+def replay_policies(m: ModelSpec, pi_fields, bundle: PathBundle,
+                    pref: Preferences, rate_field=None,
+                    protected: bool = False) -> list:
+    """Drive the wealth recursion under each policy on the same paths.
 
     Unprotected: pre-default increment pi*(mu dt + sigma(rho dW
     + sqrt(1-rho^2) dW0)) (the default compensator cancels the -gamma
     drift), a jump of -pi at default, frozen afterwards.  Protected:
     drift pi*(mu - gamma - f) dt plus the same diffusion, no jump.
+
+    The policies share one time loop (common random numbers): each step
+    evaluates the coefficients, the diffusion increment, the default
+    masks and, for Surface fields on one grid, the bilinear cell once.
+    Returns one bundle per field, sharing the paths of ``bundle`` and
+    carrying that policy's wealth; each is what replay_policy would give.
     """
     if bundle.delta is None:
         raise ValueError("simulate_default must run before replay_policy")
     n_paths, n_steps = bundle.dW.shape
     dt = bundle.dt
-    W = np.zeros((n_paths, n_steps + 1))
     ds = bundle.default_step
+    fields = list(pi_fields) + ([rate_field] if protected else [])
+    grids = {f.grid: (f.grid.ts, f.grid.xs) for f in fields
+             if isinstance(f, Surface)}
+    # time-major wealth, so that each step writes one contiguous row; path
+    # columns are read once per step, since strided reads dominate the loop
+    wealth = [np.zeros((n_steps + 1, n_paths)) for _ in pi_fields]
     for k in range(n_steps):
         t_k = bundle.ts[k]
-        xk = bundle.x[:, k]
-        pi_k = _field_at(pi_field, t_k, xk)
+        xk = bundle.x[:, k].copy()
+        cells = {g: bilinear_cell(ts, xs, t_k, xk)
+                 for g, (ts, xs) in grids.items()}
+        values = [bilinear_gather(f.values, cells[f.grid])
+                  if isinstance(f, Surface) else _field_at(f, t_k, xk)
+                  for f in fields]
         mu = np.asarray(m.mu(xk), dtype=float)
         sig = np.asarray(m.sigma(xk), dtype=float)
         rho = np.asarray(m.rho(xk), dtype=float)
@@ -177,24 +206,24 @@ def replay_policy(m: ModelSpec, pi_field, bundle: PathBundle,
                       * bundle.dW0[:, k])
         if protected:
             gam = np.asarray(m.gamma(xk), dtype=float)
-            f_k = _field_at(rate_field, t_k, xk)
-            drift = mu - gam - f_k
+            drift = mu - gam - values.pop()  # the rate field, listed last
         else:
             drift = mu
+        step = drift * dt + diff
         alive = ds > k
-        inc = np.where(alive, pi_k * (drift * dt + diff), 0.0)
         defaulting = ds == k
-        if defaulting.any():
-            part = np.clip(bundle.delta - t_k, 0.0, dt)
-            if protected:
+        part = np.clip(bundle.delta - t_k, 0.0, dt) \
+            if defaulting.any() else None
+        for W, pi_k in zip(wealth, values):
+            inc = np.where(alive, pi_k * step, 0.0)
+            if part is not None:
                 jump_inc = pi_k * drift * part
-            else:
-                jump_inc = pi_k * drift * part - pi_k
-            inc = np.where(defaulting, jump_inc, inc)
-        W[:, k + 1] = W[:, k] + inc
-    bundle.wealth = W
-    bundle.protected = protected
-    return bundle
+                if not protected:
+                    jump_inc = jump_inc - pi_k
+                inc = np.where(defaulting, jump_inc, inc)
+            np.add(W[k], inc, out=W[k + 1])
+    return [replace(bundle, wealth=W.T, protected=protected)
+            for W in wealth]
 
 
 def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
@@ -220,13 +249,14 @@ def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
 
 def simulate_dual_density(m: ModelSpec, G: Surface, pi_field,
                           bundle: PathBundle, pref: Preferences) -> PathBundle:
-    """Fill the candidate dual density along each path.
+    """Fill the candidate dual density along each path (a cross-check).
 
     Closed form: Z_s = exp(-alpha (W_s - G(t0,x0) + 1_{delta>s} G(s,X_s))).
     A log-Euler stochastic-exponential trajectory with loadings
     A = -alpha (pi sigma rho + a G_x), B = -alpha pi sigma sqrt(1-rho^2),
     jump factor exp(alpha (pi + G)) at default, is stored as a
-    discretization cross-check.
+    discretization cross-check.  The tests use both full trajectories;
+    the estimators read only Z_T, which dual_density_terminal gives alone.
     """
     if bundle.wealth is None:
         raise ValueError("replay_policy must run before the dual density")
@@ -275,20 +305,21 @@ def simulate_dual_density(m: ModelSpec, G: Surface, pi_field,
 
 def dual_density_terminal(G: Surface, bundle: PathBundle,
                           pref: Preferences) -> PathBundle:
-    """Fill only the terminal dual density Z_T (memory-lean variant).
+    """Fill only the terminal dual density Z_T, all the estimators read.
 
-    Equivalent to the last column of simulate_dual_density's closed form;
-    use it for large path counts where the full (n_paths, n_steps+1)
-    trajectory (and its stochastic-exponential cross-check) would not fit
-    in memory.  Stores a single-column zhat so the estimators that read
+    Bit-identical to the last column of simulate_dual_density's closed
+    form, without its (n_paths, n_steps+1) trajectories: both evaluate at
+    the last simulation time ts[-1], which can differ from the horizon by
+    an ulp.  Stores a single-column zhat so the estimators that read
     zhat[:, -1] work unchanged.
     """
     if bundle.wealth is None:
         raise ValueError("replay_policy must run before the dual density")
     al = pref.alpha
     g00 = float(G.at(bundle.cfg.t0, np.atleast_1d(bundle.cfg.x0))[0])
-    surv = bundle.survived(bundle.horizon)
-    g_T = np.where(surv, G.at(bundle.horizon, bundle.x[:, -1]), 0.0)
+    t_T = bundle.ts[-1]
+    surv = bundle.survived(t_T)
+    g_T = np.where(surv, G.at(t_T, bundle.x[:, -1]), 0.0)
     zT = np.exp(-al * (bundle.wealth[:, -1] - g00 + g_T))
     bundle.zhat = zT[:, None]
     return bundle

@@ -101,20 +101,44 @@ def central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
     return grad
 
 
-def bilinear_interp(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
-                    t: float, x: np.ndarray) -> np.ndarray:
-    """Bilinear lookup in (t, x), clamped to the grid edges."""
+def bilinear_cell(ts: np.ndarray, xs: np.ndarray, t: float, x) -> tuple:
+    """Cell indices and weights of a bilinear lookup at (t, x).
+
+    The point is clamped to the grid edges.  On the uniform x nodes the
+    index is floor((x - x_min) / dx), corrected by one comparison with the
+    node on each side, so that it equals
+    clip(searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2) exactly.
+    """
     x = np.asarray(x, dtype=float)
     t = min(max(float(t), ts[0]), ts[-1])
     i = min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
     i = max(i, 0)
     wt = (t - ts[i]) / (ts[i + 1] - ts[i])
     xc = np.clip(x, xs[0], xs[-1])
-    j = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, len(xs) - 2)
-    wx = (xc - xs[j]) / (xs[j + 1] - xs[j])
-    row0 = values[i, j] * (1 - wx) + values[i, j + 1] * wx
-    row1 = values[i + 1, j] * (1 - wx) + values[i + 1, j + 1] * wx
+    last = len(xs) - 2
+    dx = (xs[-1] - xs[0]) / (last + 1)
+    j = np.clip(((xc - xs[0]) / dx).astype(np.intp), 0, last)
+    j -= xs[j] > xc
+    j += (j < last) & (xs[j + 1] <= xc)
+    j1 = j + 1
+    wx = (xc - xs[j]) / (xs[j1] - xs[j])
+    return i, wt, j, j1, wx
+
+
+def bilinear_gather(values: np.ndarray, cell: tuple) -> np.ndarray:
+    """Bilinear combination of the grid values around a bilinear_cell."""
+    i, wt, j, j1, wx = cell
+    lo, hi = values[i], values[i + 1]
+    vx = 1 - wx
+    row0 = lo[j] * vx + lo[j1] * wx
+    row1 = hi[j] * vx + hi[j1] * wx
     return row0 * (1 - wt) + row1 * wt
+
+
+def bilinear_interp(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
+                    t: float, x: np.ndarray) -> np.ndarray:
+    """Bilinear lookup in (t, x) on a uniform grid, clamped to the edges."""
+    return bilinear_gather(values, bilinear_cell(ts, xs, t, x))
 
 
 @dataclass

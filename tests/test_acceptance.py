@@ -255,21 +255,24 @@ def mc_battery(paper_model, paper_pref, G_zero):
                                seed=seed * 100 + j, x0=0.06)
             b = mc.simulate_factor(paper_model, cfg, 1.0)
             mc.simulate_default(paper_model, b)
-            mc.replay_policy(paper_model, pol, b, paper_pref)
-            ces.append(mc.estimate_certainty_equivalent(b, claim, paper_pref))
-            mc.dual_density_terminal(G_zero, b, paper_pref)
-            masses.append(mc.estimate_martingale_mass(b))
-            duals.append(mc.estimate_dual_value(b, claim, paper_pref))
+            # seed 0 also replays the perturbed policy, in the same loop
+            fields = [pol, pert] if seed == 0 else [pol]
+            opt, *perturbed = mc.replay_policies(paper_model, fields, b,
+                                                 paper_pref)
+            ces.append(mc.estimate_certainty_equivalent(opt, claim,
+                                                        paper_pref))
+            mc.dual_density_terminal(G_zero, opt, paper_pref)
+            masses.append(mc.estimate_martingale_mass(opt))
+            duals.append(mc.estimate_dual_value(opt, claim, paper_pref))
             bc = _coarsen(b, paper_model)
             mc.simulate_default(paper_model, bc)
             mc.replay_policy(paper_model, pol, bc, paper_pref)
             ces_half.append(
                 mc.estimate_certainty_equivalent(bc, claim, paper_pref))
-            if seed == 0:
-                mc.replay_policy(paper_model, pert, b, paper_pref)
+            for bp in perturbed:
                 ces_pert.append(mc.estimate_certainty_equivalent(
-                    b, claim, paper_pref, label="ce-perturbed"))
-            del b, bc
+                    bp, claim, paper_pref, label="ce-perturbed"))
+            del b, bc, opt, perturbed
     paired = np.array([h.mean - f.mean for h, f in zip(ces_half, ces)])
     return {
         "g0": float(G_zero.at(0.0, np.atleast_1d(0.06))[0]),

@@ -197,16 +197,31 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", good, "--mode", "local:x"]) == 2
 
 
-@pytest.mark.parametrize("cmd, ini", [
-    ("solve", "[model]\nkind = cir\n[preferences]\nalpha = -1\n"),
-    ("solve", "[model]\nkind = cir\n[grid]\nnx = 8\n"),
-    ("verify", "[model]\nkind = cir\n[mc]\npaths = 0\n"),
-], ids=["alpha-negative", "nx-too-small", "paths-zero"])
-def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini):
+_X_MIN_OUTSIDE = "[model]\nkind = cir\nx_min = -1\n"
+
+
+@pytest.mark.parametrize("cmd, ini, extra", [
+    ("solve", "[model]\nkind = cir\n[preferences]\nalpha = -1\n", []),
+    ("solve", "[model]\nkind = cir\n[grid]\nnx = 8\n", []),
+    ("verify", "[model]\nkind = cir\n[mc]\npaths = 0\n", []),
+    ("solve", _X_MIN_OUTSIDE, []),
+    ("price-bond", _X_MIN_OUTSIDE, []),
+    ("price-insurance", _X_MIN_OUTSIDE, []),
+    ("verify", _X_MIN_OUTSIDE, []),
+    ("solve", "[model]\nkind = cir\n", ["--mode", "local:0"]),
+    ("solve", "[model]\nkind = cir\n", ["--mode", "local:1"]),
+    ("verify", "[model]\nkind = cir\nx0 = -1\n", []),
+], ids=["alpha-negative", "nx-too-small", "paths-zero",
+        "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
+        "x-min-outside-domain-price-insurance",
+        "x-min-outside-domain-verify", "local-0", "local-1",
+        "x0-outside-domain-verify"])
+def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra):
     # model, grid and Monte Carlo validation errors are config errors too
     p = tmp_path / "bad.ini"
     p.write_text(ini)
-    assert main([cmd, "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert main([cmd, "--config", str(p), "--out", str(tmp_path)]
+                + extra) == 2
     assert "config error" in capsys.readouterr().err
 
 

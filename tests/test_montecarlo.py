@@ -3,13 +3,14 @@ import pytest
 
 import defaultable_hjb as dh
 from defaultable_hjb.montecarlo import (MCEstimate, SimConfig,
+                                        dual_density_terminal,
                                         estimate_certainty_equivalent,
                                         estimate_dual_value,
                                         estimate_martingale_mass,
                                         estimates_to_csv,
                                         mc_exponential_functional,
-                                        pool_estimates, replay_policy,
-                                        simulate_default,
+                                        pool_estimates, replay_policies,
+                                        replay_policy, simulate_default,
                                         simulate_dual_density,
                                         simulate_factor)
 
@@ -196,6 +197,53 @@ def test_dual_expform_gap_shrinks_with_steps(paper_model, paper_pref, G_zero):
         gaps.append(np.mean(np.abs(b.zhat[:, -1] - b.zhat_expform[:, -1])))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 1e-3
+
+
+def test_replay_policies_match_separate_replays(paper_model, paper_pref,
+                                                G_zero):
+    # one loop over one bundle gives each policy the wealth that its own
+    # replay on a freshly simulated bundle of the same seed gives
+    pol = dh.Surface(grid=G_zero.grid,
+                     values=dh.optimal_policy(G_zero, paper_model,
+                                              paper_pref).values)
+    pert = dh.Surface(grid=G_zero.grid, values=pol.values + 0.5)
+    rate = dh.Surface(grid=G_zero.grid,
+                      values=dh.insurance_rate(G_zero, paper_model,
+                                               paper_pref))
+    cfg = SimConfig(n_paths=2000, n_steps=60, seed=8, x0=0.06)
+
+    def fresh():
+        return simulate_default(paper_model,
+                                simulate_factor(paper_model, cfg, 1.0))
+
+    fields = [pol, pert, lambda t, x: 0.4 + t * x]
+    for kw in ({}, {"rate_field": rate, "protected": True}):
+        shared = fresh()
+        replayed = replay_policies(paper_model, fields, shared, paper_pref,
+                                   **kw)
+        assert shared.wealth is None and len(replayed) == len(fields)
+        for f, b in zip(fields, replayed):
+            want = replay_policy(paper_model, f, fresh(), paper_pref, **kw)
+            assert b.x is shared.x and b.protected == want.protected
+            assert np.array_equal(b.wealth[:, -1], want.wealth[:, -1])
+            assert np.array_equal(b.wealth, want.wealth)
+
+
+@pytest.mark.parametrize("n_steps", [49, 200])
+def test_dual_density_terminal_is_last_closed_form_column(
+        paper_model, paper_pref, G_zero, n_steps):
+    # 49 steps: the last simulation time falls one ulp short of T = 1
+    pol = dh.Surface(grid=G_zero.grid,
+                     values=dh.optimal_policy(G_zero, paper_model,
+                                              paper_pref).values)
+    cfg = SimConfig(n_paths=2000, n_steps=n_steps, seed=13, x0=0.06)
+    b = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
+    replay_policy(paper_model, pol, b, paper_pref)
+    simulate_dual_density(paper_model, G_zero, pol, b, paper_pref)
+    full = b.zhat[:, -1].copy()
+    dual_density_terminal(G_zero, b, paper_pref)
+    assert b.zhat.shape == (cfg.n_paths, 1)
+    assert b.zhat[:, -1].tobytes() == full.tobytes()
 
 
 def test_estimate_guards(paper_model, paper_pref):

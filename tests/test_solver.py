@@ -154,6 +154,52 @@ def test_bilinear_interp_exact_on_bilinear_function():
     assert edge[0] == pytest.approx(vals[0, -1])
 
 
+def _searchsorted_interp(ts, xs, values, t, x):
+    """The binary-search lookup that bilinear_cell's index arithmetic replaces."""
+    t = min(max(float(t), ts[0]), ts[-1])
+    i = max(min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2), 0)
+    wt = (t - ts[i]) / (ts[i + 1] - ts[i])
+    xc = np.clip(x, xs[0], xs[-1])
+    j = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, len(xs) - 2)
+    wx = (xc - xs[j]) / (xs[j + 1] - xs[j])
+    row0 = values[i, j] * (1 - wx) + values[i, j + 1] * wx
+    row1 = values[i + 1, j] * (1 - wx) + values[i + 1, j + 1] * wx
+    return row0 * (1 - wt) + row1 * wt
+
+
+def _cli_grids(paper_model, paper_pref):
+    """The x grids the CLI builds: cir 200 and 400, local E_4, OU."""
+    ou = dh.make_ou_model(dh.OUParams(1.0, 0.0, 1.0, 1.0, 0.5, 0.0))
+    loc = dh.build_localization(paper_model, 4)
+    return [dh.default_grid(paper_model, paper_pref, 200, 200),
+            dh.default_grid(paper_model, paper_pref, 400, 400),
+            dh.GridSpec(loc.outer[0], loc.outer[1], 400, 400),
+            dh.default_grid(ou, paper_pref, 400, 400)]
+
+
+def test_bilinear_cell_index_matches_searchsorted(paper_model, paper_pref):
+    rng = np.random.default_rng(5)
+    for grid in _cli_grids(paper_model, paper_pref):
+        xs, ts = grid.xs, grid.ts
+        span = xs[-1] - xs[0]
+        x = np.concatenate([
+            xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+            rng.uniform(xs[0], xs[-1], 50_000),
+            rng.uniform(xs[0] - span, xs[0], 100),     # clamped to x_min
+            rng.uniform(xs[-1], xs[-1] + span, 100)])  # clamped to x_max
+        xc = np.clip(x, xs[0], xs[-1])
+        want = np.clip(np.searchsorted(xs, xc, side="right") - 1,
+                       0, len(xs) - 2)
+        _, _, j, j1, _ = solver.bilinear_cell(ts, xs, 0.5, x)
+        assert np.array_equal(j, want)
+        assert np.array_equal(j1, want + 1)
+        values = rng.standard_normal((len(ts), len(xs)))
+        for t in (-1.0, 0.0, 0.3, grid.ts[7], 1.0, 2.0):
+            got = bilinear_interp(ts, xs, values, t, x)
+            assert got.tobytes() == \
+                _searchsorted_interp(ts, xs, values, t, x).tobytes()
+
+
 def test_surface_interp_and_csv(tmp_path, G_zero):
     x0 = np.array([0.06])
     v = G_zero.at(0.0, x0)
