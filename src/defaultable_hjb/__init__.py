@@ -1,30 +1,45 @@
 """Optimal investment with a defaultable asset.
 
-Numerical engine for the certainty-equivalent HJB equation, defaultable
-bond indifference prices, dynamic default-insurance rates, assumption
-certification, and an independent Monte Carlo verification oracle.
+Numerical engine for the paper's named quantities; the exports are
+grouped by the quantity they serve.
+
+* The product-log theta, the nonlinearity of the certainty-equivalent
+  equation: ``theta``, ``theta_of_log``, ``theta_derivative``.
+* The model (factor, asset coefficients, claims, preferences, the
+  localization E_n and chi_n): ``make_cir_model``, ``make_ou_model``,
+  ``make_custom_model``, ``paper_cir_params``, ``bond_claim``, ...
+* The certainty equivalent G, solved in full, local and protected
+  modes: ``solve_full``, ``solve_local``, ``solve_protected``, with
+  ``Surface``, ``GridSpec``, ``default_grid`` and the stepping
+  ``residual``.
+* Indifference prices of defaultable bonds, the optimal position, and
+  the dynamic insurance rate with its upper bound and sign indicator:
+  ``indifference_price``, ``optimal_policy``, ``insurance_rate``,
+  ``insurance_bounds``, ``protected_policy``, ``short_horizon_curve``.
+* The standing assumptions, certified in closed form with Monte Carlo
+  probes: ``check_model`` and the checks it runs.
+* The Monte Carlo verification of G through the primal certainty
+  equivalent and the dual density Z: ``simulate_factor``,
+  ``simulate_default``, ``replay_policies``, ``dual_density_terminal``
+  and the estimators; ``simulate_dual_density`` is the full-trajectory
+  reference the tests compare Z_T against.
 """
 
-from .backends import backend_name
-from .lambertw import (ThetaCompositeArgs, ThetaDomainError, theta,
-                       theta_composite, theta_composite_args,
-                       theta_derivative, theta_of_log)
+from .lambertw import ThetaDomainError, theta, theta_derivative, theta_of_log
 from .model import (CIRParams, ClaimSpec, Domain1D, LocalizationSpec,
                     ModelError, ModelSpec, OUParams, Preferences, bond_claim,
                     build_localization, default_truncation, invariant_band,
                     make_cir_model, make_custom_model, make_ou_model,
-                    make_tabulated_model, market_price_of_risk,
-                    nested_subdomain, paper_cir_params, table_claim,
-                    zero_claim)
+                    market_price_of_risk, nested_subdomain, paper_cir_params,
+                    table_claim, zero_claim)
 from .solver import (GridSpec, NewtonDivergence, SolverOptions, Surface,
                      bilinear_interp, central_gradient, default_grid,
                      hjb_rhs, residual, solve_full, solve_local,
-                     solve_local_chi, solve_protected)
-from .pricing import (Policy, PricingResult, RadicandNegative,
-                      indifference_price, insurance_bounds, insurance_rate,
-                      insurance_rate_h_form, insurance_rate_short_horizon,
+                     solve_protected)
+from .pricing import (Policy, RadicandNegative, indifference_price,
+                      insurance_bounds, insurance_rate, insurance_rate_h_form,
                       insurance_rate_upper_branch, optimal_policy,
-                      pricing_result, protected_policy, short_horizon_curve,
+                      protected_policy, short_horizon_curve,
                       zero_rate_position)
 from .assumptions import (AssumptionEntry, AssumptionReport, CIRMomentBound,
                           DriftChangedCIR, WindowViolation,

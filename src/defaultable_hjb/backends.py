@@ -1,17 +1,11 @@
-"""Numeric kernel backends.
+"""Numeric kernels, vectorised with numpy.
 
-Every hot kernel exists twice: a vectorised pure-numpy implementation
-(``*_np``) and a numba-jitted loop implementation (``*_nb``).  The public
-names are bound to the numba versions when numba imports cleanly and the
-environment variable ``DEFAULTABLE_HJB_NUMBA`` is not set to a falsy value
-(``0``, ``false``, ``no``, ``off``); otherwise the numpy versions are used.
-
-``benchmarks/bench_backends.py`` times both paths side by side.
+The hot loops of the engine: the product-log on arrays, the tridiagonal
+solve of a Newton step, factor-path recursions and default-time
+crossings.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -20,16 +14,7 @@ _THETA_TOL = 1e-12
 _MAX_HALLEY = 50
 
 
-def _flag_enabled() -> bool:
-    flag = os.environ.get("DEFAULTABLE_HJB_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def theta_array_np(y: np.ndarray) -> np.ndarray:
+def theta_array(y: np.ndarray) -> np.ndarray:
     """Solve w * exp(w) = y elementwise for y > 0 (principal Lambert-W).
 
     Halley iteration; initial guess y for y < 1, log-based for y >= e,
@@ -71,7 +56,7 @@ def theta_array_np(y: np.ndarray) -> np.ndarray:
     return w[0] if scalar else w
 
 
-def theta_from_log_array_np(u: np.ndarray) -> np.ndarray:
+def theta_from_log_array(u: np.ndarray) -> np.ndarray:
     """Solve w + log(w) = u elementwise, i.e. theta(exp(u)) without exp(u).
 
     Valid for u >= 1 (used when exp(u) would overflow).
@@ -88,8 +73,8 @@ def theta_from_log_array_np(u: np.ndarray) -> np.ndarray:
     return w[0] if scalar else w
 
 
-def tridiag_solve_np(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                     rhs: np.ndarray) -> np.ndarray:
+def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system; dl/du are the sub/super diagonals (len n-1)."""
     n = d.shape[0]
     ab = np.zeros((3, n))
@@ -99,8 +84,8 @@ def tridiag_solve_np(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     return solve_banded((1, 1), ab, rhs)
 
 
-def cir_paths_np(x0: float, kappa: float, theta_lr: float, xi: float,
-                 dt: float, normals: np.ndarray) -> np.ndarray:
+def cir_paths(x0: float, kappa: float, theta_lr: float, xi: float,
+              dt: float, normals: np.ndarray) -> np.ndarray:
     """Full-truncation Euler paths of dX = kappa(theta - X)dt + xi sqrt(X) dW.
 
     Returns the floored process max(x_tilde, 0); the auxiliary x_tilde is
@@ -118,25 +103,22 @@ def cir_paths_np(x0: float, kappa: float, theta_lr: float, xi: float,
     return out
 
 
-def ou_paths_np(x0: float, b_mr: float, dt: float,
-                normals: np.ndarray) -> np.ndarray:
-    """Exact Gaussian transition paths of dX = -b X dt + dW."""
-    n_paths, n_steps = normals.shape
-    if b_mr == 0.0:
-        decay = 1.0
-        sd = np.sqrt(dt)
-    else:
-        decay = np.exp(-b_mr * dt)
-        sd = np.sqrt((1.0 - decay * decay) / (2.0 * b_mr))
+def ou_paths(x0: float, decay: float, dW: np.ndarray) -> np.ndarray:
+    """Paths of the linear recursion X_{k+1} = decay * X_k + dW_k.
+
+    With decay = exp(-b dt) and Gaussian increments of the transition s.d.
+    this is the exact transition of dX = -b X dt + dW.
+    """
+    n_paths, n_steps = dW.shape
     out = np.empty((n_paths, n_steps + 1))
     out[:, 0] = x0
     for k in range(n_steps):
-        out[:, k + 1] = decay * out[:, k] + sd * normals[:, k]
+        out[:, k + 1] = decay * out[:, k] + dW[:, k]
     return out
 
 
-def crossing_times_np(intensity: np.ndarray, dt: float,
-                      exp_draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def crossing_times(intensity: np.ndarray, dt: float,
+                   exp_draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First time the trapezoidal cumulative intensity crosses exp_draws.
 
     Returns (delta, step): delta is the crossing time offset (inf if no
@@ -163,183 +145,6 @@ def crossing_times_np(intensity: np.ndarray, dt: float,
     return delta, step
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _theta_scalar_nb(y: float) -> float:
-        if y < 1.0:
-            w = y
-        elif y < np.e:
-            w = np.log1p(y)
-        else:
-            ly = np.log(y)
-            w = ly - np.log(ly)
-        tol = _THETA_TOL * max(1.0, y)
-        for _ in range(_MAX_HALLEY):
-            ew = np.exp(w)
-            f = w * ew - y
-            if abs(f) <= tol:
-                return w
-            w = w - f / (ew * (w + 1.0) - f * (w + 2.0) / (2.0 * w + 2.0))
-        if abs(w * np.exp(w) - y) > tol:
-            lo = 0.0
-            hi = max(1.0, np.log(y) + 1.0)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid * np.exp(mid) < y:
-                    lo = mid
-                else:
-                    hi = mid
-            w = 0.5 * (lo + hi)
-        return w
-
-    @numba.njit(cache=True)
-    def _theta_array_nb(y: np.ndarray) -> np.ndarray:
-        out = np.empty(y.shape[0])
-        for i in range(y.shape[0]):
-            out[i] = _theta_scalar_nb(y[i])
-        return out
-
-    def theta_array_nb(y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim == 0:
-            return _theta_scalar_nb(float(y))
-        return _theta_array_nb(np.ascontiguousarray(y.ravel())).reshape(y.shape)
-
-    @numba.njit(cache=True)
-    def _theta_from_log_scalar_nb(u: float) -> float:
-        w = max(u - np.log(max(u, 1.0)), 0.5)
-        tol = 1e-13 * max(1.0, abs(u))
-        for _ in range(_MAX_HALLEY):
-            f = w + np.log(w) - u
-            if abs(f) <= tol:
-                return w
-            w = w - f * w / (w + 1.0)
-        return w
-
-    @numba.njit(cache=True)
-    def _theta_from_log_array_nb(u: np.ndarray) -> np.ndarray:
-        out = np.empty(u.shape[0])
-        for i in range(u.shape[0]):
-            out[i] = _theta_from_log_scalar_nb(u[i])
-        return out
-
-    def theta_from_log_array_nb(u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.ndim == 0:
-            return _theta_from_log_scalar_nb(float(u))
-        return _theta_from_log_array_nb(np.ascontiguousarray(u.ravel())).reshape(u.shape)
-
-    @numba.njit(cache=True)
-    def tridiag_solve_nb(dl, d, du, rhs):
-        n = d.shape[0]
-        cp = np.empty(n)
-        dp = np.empty(n)
-        cp[0] = du[0] / d[0] if n > 1 else 0.0
-        dp[0] = rhs[0] / d[0]
-        for i in range(1, n):
-            m = d[i] - dl[i - 1] * cp[i - 1]
-            cp[i] = du[i] / m if i < n - 1 else 0.0
-            dp[i] = (rhs[i] - dl[i - 1] * dp[i - 1]) / m
-        x = np.empty(n)
-        x[n - 1] = dp[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = dp[i] - cp[i] * x[i + 1]
-        return x
-
-    @numba.njit(cache=True)
-    def cir_paths_nb(x0, kappa, theta_lr, xi, dt, normals):
-        n_paths, n_steps = normals.shape
-        sq = np.sqrt(dt)
-        out = np.empty((n_paths, n_steps + 1))
-        for p in range(n_paths):
-            xt = x0
-            out[p, 0] = x0
-            for k in range(n_steps):
-                xp = max(xt, 0.0)
-                xt = xt + kappa * (theta_lr - xp) * dt + xi * np.sqrt(xp) * sq * normals[p, k]
-                out[p, k + 1] = max(xt, 0.0)
-        return out
-
-    @numba.njit(cache=True)
-    def ou_paths_nb(x0, b_mr, dt, normals):
-        n_paths, n_steps = normals.shape
-        if b_mr == 0.0:
-            decay = 1.0
-            sd = np.sqrt(dt)
-        else:
-            decay = np.exp(-b_mr * dt)
-            sd = np.sqrt((1.0 - decay * decay) / (2.0 * b_mr))
-        out = np.empty((n_paths, n_steps + 1))
-        for p in range(n_paths):
-            out[p, 0] = x0
-            for k in range(n_steps):
-                out[p, k + 1] = decay * out[p, k] + sd * normals[p, k]
-        return out
-
-    @numba.njit(cache=True)
-    def crossing_times_nb(intensity, dt, exp_draws):
-        n_paths, n_cols = intensity.shape
-        n_steps = n_cols - 1
-        delta = np.full(n_paths, np.inf)
-        step = np.full(n_paths, n_steps, dtype=np.int64)
-        for p in range(n_paths):
-            e = exp_draws[p]
-            cum = 0.0
-            for k in range(n_steps):
-                inc = 0.5 * (intensity[p, k] + intensity[p, k + 1]) * dt
-                nxt = cum + inc
-                if nxt >= e:
-                    denom = inc if inc > 0.0 else 1.0
-                    frac = (e - cum) / denom
-                    if frac < 0.0:
-                        frac = 0.0
-                    elif frac > 1.0:
-                        frac = 1.0
-                    delta[p] = dt * (k + frac)
-                    step[p] = k
-                    break
-                cum = nxt
-        return delta, step
-
-else:  # pragma: no cover
-    theta_array_nb = None
-    theta_from_log_array_nb = None
-    tridiag_solve_nb = None
-    cir_paths_nb = None
-    ou_paths_nb = None
-    crossing_times_nb = None
-
-
-USE_NUMBA = HAVE_NUMBA and _flag_enabled()
-
-if USE_NUMBA:
-    theta_array = theta_array_nb
-    theta_from_log_array = theta_from_log_array_nb
-    tridiag_solve = tridiag_solve_nb
-    cir_paths = cir_paths_nb
-    ou_paths = ou_paths_nb
-    crossing_times = crossing_times_nb
-else:
-    theta_array = theta_array_np
-    theta_from_log_array = theta_from_log_array_np
-    tridiag_solve = tridiag_solve_np
-    cir_paths = cir_paths_np
-    ou_paths = ou_paths_np
-    crossing_times = crossing_times_np
-
-
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """The kernel backend, recorded in run and benchmark metadata."""
+    return "numpy"

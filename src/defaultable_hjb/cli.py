@@ -4,7 +4,7 @@ Subcommands: solve | price-bond | price-insurance | verify |
 check-assumptions.  Configuration is a flat INI file with sections
 model / claim / preferences / grid / mc / output; unknown keys are hard
 errors.  Exit codes: 0 success, 1 verification/check failure,
-2 configuration error.
+2 configuration error or a solve that does not converge.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .model import (ClaimSpec, ModelError, OUParams, CIRParams, Preferences,
                     bond_claim, build_localization, default_truncation,
                     invariant_band, make_cir_model, make_ou_model,
                     paper_cir_params, zero_claim)
-from .solver import (GridSpec, SolverOptions, Surface, residual, solve_full,
-                     solve_local, solve_protected)
+from .solver import (GridSpec, NewtonDivergence, Surface, residual,
+                     solve_full, solve_local, solve_protected)
 
 
 class ConfigError(ValueError):
@@ -455,6 +455,10 @@ def main(argv=None) -> int:
         return args.func(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NewtonDivergence as exc:
+        # the values admit no converged solve on this grid
+        print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)

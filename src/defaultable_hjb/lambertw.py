@@ -1,15 +1,12 @@
 """Product-log evaluation on the positive real axis.
 
 ``theta(y)`` is the unique positive solution of w * exp(w) = y; it drives
-the nonlinearity of the certainty-equivalent PDE.  ``theta_composite``
-evaluates the composite term theta((gamma/sigma^2) * exp(mu/sigma^2
-+ alpha*f - grad_term)) in an overflow-safe way: for large exponents the
+the nonlinearity of the certainty-equivalent PDE.  ``theta_of_log``
+evaluates theta(exp(u)) in an overflow-safe way: for large exponents the
 equation w + log(w) = u is solved directly instead of exponentiating.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +20,6 @@ _LOG_SWITCH_LO = -30.0
 
 class ThetaDomainError(ValueError):
     """Raised when theta is evaluated outside (0, inf) or on non-finite input."""
-
-
-@dataclass(frozen=True)
-class ThetaCompositeArgs:
-    """Arguments of the composite theta term at a single point."""
-
-    gamma_over_sigma2: float
-    mu_over_sigma2: float
-    alpha: float
-    f_value: float = 0.0
-    grad_term: float = 0.0
-
-    def __post_init__(self):
-        if not self.gamma_over_sigma2 > 0:
-            raise ThetaDomainError("gamma_over_sigma2 must be positive")
-        if not self.alpha > 0:
-            raise ThetaDomainError("alpha must be positive")
 
 
 def theta(y):
@@ -78,25 +58,3 @@ def theta_of_log(u):
     if mid.any():
         out[mid] = backends.theta_array(np.exp(arr[mid]))
     return out[0] if scalar else out
-
-
-def theta_composite(gamma_over_sigma2, mu_over_sigma2, alpha,
-                    f_value=0.0, grad_term=0.0):
-    """Composite theta term theta((g/s2) * exp(m/s2 + alpha*f - grad_term))."""
-    g = np.asarray(gamma_over_sigma2, dtype=np.float64)
-    pieces = [np.asarray(v, dtype=np.float64)
-              for v in (g, mu_over_sigma2, alpha, f_value, grad_term)]
-    if not all(np.all(np.isfinite(p)) for p in pieces):
-        raise ThetaDomainError("theta_composite requires finite inputs")
-    if np.any(g <= 0.0):
-        raise ThetaDomainError("gamma_over_sigma2 must be positive")
-    if np.any(np.asarray(alpha, dtype=np.float64) <= 0.0):
-        raise ThetaDomainError("alpha must be positive")
-    u = (np.log(g) + pieces[1] + pieces[2] * pieces[3] - pieces[4])
-    return theta_of_log(u)
-
-
-def theta_composite_args(args: ThetaCompositeArgs):
-    """theta_composite from a ThetaCompositeArgs record."""
-    return theta_composite(args.gamma_over_sigma2, args.mu_over_sigma2,
-                           args.alpha, args.f_value, args.grad_term)

@@ -4,7 +4,7 @@ A ModelSpec bundles the factor drift b, squared diffusion A, pre-default
 return mu, volatility sigma, correlation rho and default intensity gamma
 as vectorized evaluators on an open interval E.  Built-ins cover the
 mean-reverting Gaussian (OU) and square-root (CIR) examples; a Custom
-kind accepts arbitrary callables or tabulated coefficients.
+kind accepts arbitrary vectorized callables.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.stats import gamma as gamma_dist
+from scipy.stats import norm
 
 
 class ModelError(ValueError):
@@ -209,19 +210,6 @@ def make_custom_model(domain: Domain1D, b, A, mu, sigma, rho, gamma) -> ModelSpe
                      gamma=gamma, kind="custom")
 
 
-def make_tabulated_model(domain: Domain1D, xs, b, A, mu, sigma, rho, gamma) -> ModelSpec:
-    """Custom coefficients given by tables, interpolated with cubic splines."""
-    xs = np.asarray(xs, dtype=float)
-
-    def interp(vals):
-        spline = CubicSpline(xs, np.asarray(vals, dtype=float))
-        return lambda x: spline(np.clip(np.asarray(x, dtype=float), xs[0], xs[-1]))
-
-    return ModelSpec(domain=domain, b=interp(b), A=interp(A), mu=interp(mu),
-                     sigma=interp(sigma), rho=interp(rho), gamma=interp(gamma),
-                     kind="custom")
-
-
 def paper_cir_params() -> CIRParams:
     """The worked numerical configuration of the square-root example."""
     return CIRParams(kappa=0.25, theta_lr=0.06, xi=0.1,
@@ -237,41 +225,43 @@ def market_price_of_risk(m: ModelSpec, x):
     return (m.mu(x) - m.gamma(x)) / m.sigma(x)
 
 
-def default_truncation(m: ModelSpec) -> tuple[float, float]:
-    """Truncated computational interval insulating the band of interest.
+def _stationary_law(m: ModelSpec):
+    """Stationary law of a built-in factor, as a frozen scipy distribution.
 
-    CIR: the [0.001, 0.999] quantile band of the stationary Gamma law,
-    widened by a factor 1.5.  OU: stationary mean +/- 6 standard deviations.
+    CIR: Gamma with shape 2 kappa theta / xi^2 and rate 2 kappa / xi^2.
+    OU: centred normal with s.d. 1 / sqrt(2 b) (3 when b = 0).
     """
     if m.kind == "cir":
         p: CIRParams = m.params
         shape = 2.0 * p.kappa * p.theta_lr / p.xi ** 2
         rate = 2.0 * p.kappa / p.xi ** 2
-        q_lo, q_hi = gamma_dist.ppf([0.001, 0.999], a=shape, scale=1.0 / rate)
-        return q_lo / 1.5, q_hi * 1.5
+        return gamma_dist(a=shape, scale=1.0 / rate)
     if m.kind == "ou":
         p: OUParams = m.params
         sd = 1.0 / np.sqrt(2.0 * p.b_mr) if p.b_mr > 0 else 3.0
-        return -6.0 * sd, 6.0 * sd
-    raise ModelError("default truncation is only defined for built-in kinds")
+        return norm(loc=0.0, scale=sd)
+    raise ModelError("the stationary law is only defined for built-in kinds")
+
+
+def default_truncation(m: ModelSpec) -> tuple[float, float]:
+    """Truncated computational interval insulating the band of interest.
+
+    CIR: the [0.001, 0.999] quantile band of the stationary law, widened
+    by a factor 1.5.  OU: stationary mean +/- 6 standard deviations.
+    """
+    law = _stationary_law(m)
+    if m.kind == "cir":
+        q_lo, q_hi = law.ppf([0.001, 0.999])
+        return q_lo / 1.5, q_hi * 1.5
+    sd = law.std()
+    return -6.0 * sd, 6.0 * sd
 
 
 def invariant_band(m: ModelSpec, lo_q: float = 0.025, hi_q: float = 0.975
                    ) -> tuple[float, float]:
     """Quantile band of the stationary law, used as the reporting band."""
-    if m.kind == "cir":
-        p: CIRParams = m.params
-        shape = 2.0 * p.kappa * p.theta_lr / p.xi ** 2
-        rate = 2.0 * p.kappa / p.xi ** 2
-        lo, hi = gamma_dist.ppf([lo_q, hi_q], a=shape, scale=1.0 / rate)
-        return float(lo), float(hi)
-    if m.kind == "ou":
-        p: OUParams = m.params
-        from scipy.stats import norm
-        sd = 1.0 / np.sqrt(2.0 * p.b_mr) if p.b_mr > 0 else 3.0
-        lo, hi = norm.ppf([lo_q, hi_q], loc=0.0, scale=sd)
-        return float(lo), float(hi)
-    raise ModelError("invariant band is only defined for built-in kinds")
+    lo, hi = _stationary_law(m).ppf([lo_q, hi_q])
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------

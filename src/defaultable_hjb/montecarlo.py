@@ -25,15 +25,11 @@ class SimConfig:
     n_steps: int
     seed: int
     x0: float
-    scheme: str = "auto"  # auto | exact-ou | full-truncation-cir | euler
     t0: float = 0.0
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("need n_paths >= 1 and n_steps >= 1")
-        if self.scheme not in ("auto", "exact-ou", "full-truncation-cir",
-                               "euler"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -73,19 +69,13 @@ class PathBundle:
         return self.delta > t
 
 
-def _resolve_scheme(m: ModelSpec, cfg: SimConfig) -> str:
-    if cfg.scheme == "auto":
-        return {"ou": "exact-ou", "cir": "full-truncation-cir"}.get(
-            m.kind, "euler")
-    if cfg.scheme == "exact-ou" and m.kind != "ou":
-        raise ValueError("exact-ou scheme requires an OU model")
-    if cfg.scheme == "full-truncation-cir" and m.kind != "cir":
-        raise ValueError("full-truncation-cir scheme requires a CIR model")
-    return cfg.scheme
-
-
 def simulate_factor(m: ModelSpec, cfg: SimConfig, horizon: float) -> PathBundle:
-    """Simulate the factor and draw all noise; default time not yet set."""
+    """Simulate the factor and draw all noise; default time not yet set.
+
+    The scheme follows the model kind: the exact Gaussian transition for
+    OU, full-truncation Euler for CIR, and for a custom model Euler
+    clamped just inside the domain.
+    """
     if horizon <= cfg.t0:
         raise ValueError("horizon must exceed the start time t0")
     if not bool(m.domain.contains(cfg.x0)):
@@ -98,17 +88,17 @@ def simulate_factor(m: ModelSpec, cfg: SimConfig, horizon: float) -> PathBundle:
     u = np.where(u <= 0.0, np.nextafter(0.0, 1.0), u)  # open interval (0,1)
     exp_draws = -np.log1p(-u)
 
-    scheme = _resolve_scheme(m, cfg)
-    if scheme == "exact-ou":
+    if m.kind == "ou":
+        # exact Gaussian transition of dX = -b X dt + dW
         b_mr = m.params.b_mr
-        x = backends.ou_paths(cfg.x0, b_mr, dt, z)
         if b_mr == 0.0:
-            sd = np.sqrt(dt)
+            decay, sd = 1.0, np.sqrt(dt)
         else:
             decay = np.exp(-b_mr * dt)
             sd = np.sqrt((1.0 - decay * decay) / (2.0 * b_mr))
         dW = sd * z
-    elif scheme == "full-truncation-cir":
+        x = backends.ou_paths(cfg.x0, decay, dW)
+    elif m.kind == "cir":
         p = m.params
         x = backends.cir_paths(cfg.x0, p.kappa, p.theta_lr, p.xi, dt, z)
         dW = np.sqrt(dt) * z

@@ -15,7 +15,7 @@ import numpy as np
 
 from .lambertw import theta_of_log
 from .model import ModelSpec, Preferences
-from .solver import Surface
+from .solver import Surface, _Coeffs
 
 
 class RadicandNegative(RuntimeError):
@@ -44,37 +44,28 @@ class Policy:
             raise ValueError("policy must be finite on the grid")
 
 
-@dataclass
-class PricingResult:
-    indiff_price: np.ndarray
-    insurance_rate: np.ndarray
-    upper_bound: np.ndarray
-    physical_intensity: np.ndarray
-    policy: Policy
-    protected_policy: np.ndarray
+def _gradient_term(coef: _Coeffs, G: Surface) -> np.ndarray:
+    """(alpha / sigma) * a * rho * G_x, the hedging term of the positions.
+
+    coef.c is the same loading multiplied in the solver's order, which can
+    differ in the last bit; the pricing maps keep theirs.
+    """
+    return (coef.alpha / coef.sig) * coef.a * coef.rho * G.gradient
 
 
 def _node_fields(G: Surface, m: ModelSpec, pref: Preferences):
-    """Per-node x-tilde, theta, and coefficient arrays shared by the maps."""
-    xs = G.grid.xs
-    mu = np.asarray(m.mu(xs), dtype=float)
-    sig = np.asarray(m.sigma(xs), dtype=float)
-    gam = np.asarray(m.gamma(xs), dtype=float)
-    rho = np.asarray(m.rho(xs), dtype=float)
-    a = np.asarray(m.a(xs), dtype=float)
-    s2 = sig ** 2
-    al = pref.alpha
-    grad_term = (al / sig) * a * rho * G.gradient
-    x_tilde = mu / s2 - grad_term
-    log_y = np.log(gam / s2) + al * G.values
+    """Node coefficients, x-tilde, theta and log y shared by the maps."""
+    coef = _Coeffs(m, G.grid.xs, pref.alpha)
+    x_tilde = coef.m_ratio - _gradient_term(coef, G)
+    log_y = coef.log_g_ratio + coef.alpha * G.values
     theta_g = theta_of_log(log_y + x_tilde)
-    return x_tilde, theta_g, s2, gam, log_y, al
+    return coef, x_tilde, theta_g, log_y
 
 
 def optimal_policy(G: Surface, m: ModelSpec, pref: Preferences) -> Policy:
     """pi-hat = (x-tilde - theta_G) / alpha, nodewise on the surface grid."""
-    x_tilde, theta_g, _, _, _, al = _node_fields(G, m, pref)
-    return Policy(values=(x_tilde - theta_g) / al)
+    coef, x_tilde, theta_g, _ = _node_fields(G, m, pref)
+    return Policy(values=(x_tilde - theta_g) / coef.alpha)
 
 
 def indifference_price(G_q: Surface, G_0: Surface, q: float) -> np.ndarray:
@@ -105,13 +96,13 @@ def insurance_rate_upper_branch(G: Surface, m: ModelSpec,
 
 
 def _radicand(G: Surface, m: ModelSpec, pref: Preferences):
-    x_tilde, theta_g, s2, gam, log_y, _ = _node_fields(G, m, pref)
+    coef, x_tilde, theta_g, log_y = _node_fields(G, m, pref)
     rad = x_tilde ** 2 - (theta_g ** 2 + 2.0 * theta_g - 2.0 * np.exp(log_y))
     bad = rad < -_RADICAND_CLAMP
     if bad.any():
         idx = tuple(int(k[0]) for k in np.nonzero(bad))
         raise RadicandNegative(idx, float(rad[idx]))
-    return np.maximum(rad, 0.0), x_tilde, s2
+    return np.maximum(rad, 0.0), x_tilde, coef.s2
 
 
 def insurance_rate_h_form(pi_hat: float, y: float):
@@ -126,11 +117,6 @@ def insurance_rate_h_form(pi_hat: float, y: float):
     el = np.exp(l)
     rad = l * l + 2.0 * y * (l * el + 1.0 - el)
     return l + y * el - np.sqrt(np.maximum(rad, 0.0))
-
-
-def insurance_rate_short_horizon(pi_hat_alpha, gamma_over_sigma2):
-    """Short-horizon rate f/sigma^2 = h(alpha pi-hat, gamma/sigma^2) (G ~ 0)."""
-    return insurance_rate_h_form(pi_hat_alpha, gamma_over_sigma2)
 
 
 def zero_rate_position(y: float) -> float:
@@ -150,10 +136,8 @@ def insurance_bounds(G: Surface, policy: Policy, m: ModelSpec,
     sign_indicator = gamma e^{alpha (2 pi-hat + G)} / (2 sigma^2)
     + e^{alpha pi-hat} - 1 shares the sign of the rate.
     """
-    xs = G.grid.xs
-    gam = np.asarray(m.gamma(xs), dtype=float)
-    s2 = np.asarray(m.sigma(xs), dtype=float) ** 2
-    al = pref.alpha
+    coef = _Coeffs(m, G.grid.xs, pref.alpha)
+    gam, s2, al = coef.gam, coef.s2, coef.alpha
     p = policy.values
     upper = gam * np.exp(al * (G.values + p))
     sign_ind = (gam * np.exp(al * (2.0 * p + G.values)) / (2.0 * s2)
@@ -164,30 +148,9 @@ def insurance_bounds(G: Surface, policy: Policy, m: ModelSpec,
 def protected_policy(G_d: Surface, f: np.ndarray, m: ModelSpec,
                      pref: Preferences) -> np.ndarray:
     """Optimal position with insurance: ((mu - f)/sigma^2 - gradient term)/alpha."""
-    xs = G_d.grid.xs
-    mu = np.asarray(m.mu(xs), dtype=float)
-    sig = np.asarray(m.sigma(xs), dtype=float)
-    rho = np.asarray(m.rho(xs), dtype=float)
-    a = np.asarray(m.a(xs), dtype=float)
-    al = pref.alpha
-    grad_term = (al / sig) * a * rho * G_d.gradient
-    return ((mu - np.asarray(f, dtype=float)) / sig ** 2 - grad_term) / al
-
-
-def pricing_result(G_q: Surface, G_0: Surface, q: float, G_d: Surface,
-                   m: ModelSpec, pref: Preferences) -> PricingResult:
-    """Bundle every pricing output for aligned surfaces."""
-    pol = optimal_policy(G_0, m, pref)
-    f = insurance_rate(G_0, m, pref)
-    upper, _ = insurance_bounds(G_0, pol, m, pref)
-    return PricingResult(
-        indiff_price=indifference_price(G_q, G_0, q),
-        insurance_rate=f,
-        upper_bound=upper,
-        physical_intensity=np.asarray(m.gamma(G_0.grid.xs), dtype=float),
-        policy=pol,
-        protected_policy=protected_policy(G_d, f, m, pref),
-    )
+    coef = _Coeffs(m, G_d.grid.xs, pref.alpha)
+    return ((coef.mu - np.asarray(f, dtype=float)) / coef.s2
+            - _gradient_term(coef, G_d)) / coef.alpha
 
 
 def short_horizon_curve(y: float = 2.0 / 3.0, lo: float = -2.0,
@@ -199,7 +162,7 @@ def short_horizon_curve(y: float = 2.0 / 3.0, lo: float = -2.0,
     """
     n = int(round((hi - lo) / step))
     ls = lo + step * np.arange(n + 1)
-    curve = insurance_rate_short_horizon(ls, y)
+    curve = insurance_rate_h_form(ls, y)
     upper = y * np.exp(ls)
     return ls, curve, upper
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import backends
 from .lambertw import theta_of_log
-from .model import ClaimSpec, LocalizationSpec, ModelSpec, Preferences
+from .model import (ClaimSpec, LocalizationSpec, ModelSpec, Preferences,
+                    default_truncation)
 
 
 class NewtonDivergence(RuntimeError):
@@ -174,7 +175,11 @@ class Surface:
 
 
 class _Coeffs:
-    """Model coefficients sampled once on the spatial nodes."""
+    """Model coefficients sampled once on the spatial nodes.
+
+    The one place that samples a model on a grid: the marcher, the
+    residual and the pricing maps all read their coefficients from here.
+    """
 
     def __init__(self, m: ModelSpec, xs: np.ndarray, alpha: float):
         # grid endpoints may sit on the closure of the open domain
@@ -192,12 +197,13 @@ class _Coeffs:
         if np.any(np.abs(rho) > 1 + 1e-14):
             raise ValueError("rho must lie in [-1, 1]")
         self.rho = rho
+        self.a = np.sqrt(self.A)
         self.s2 = self.sig ** 2
         self.m_ratio = self.mu / self.s2
         self.g_ratio = self.gam / self.s2
         self.log_g_ratio = np.log(self.g_ratio)
         # gradient loading (alpha / sigma) * a * rho
-        self.c = alpha * np.sqrt(self.A) * rho / self.sig
+        self.c = alpha * self.a * rho / self.sig
         self.alpha = alpha
 
 
@@ -313,7 +319,10 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray, ev,
             jd[0] = jd[-1] = 1.0
             jsup[0] = 0.0
             jsub[-1] = 0.0
-        delta = backends.tridiag_solve(jsub, jd, jsup, -R)
+        try:
+            delta = backends.tridiag_solve(jsub, jd, jsup, -R)
+        except np.linalg.LinAlgError:  # a singular Newton Jacobian
+            raise NewtonDivergence(step_index, rnorm) from None
         # damped line search; an accepted trial's evaluation is reused
         s = 1.0
         for _ in range(10):
@@ -389,16 +398,9 @@ def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
     if not (np.isclose(grid.x_min, loc.outer[0]) and
             np.isclose(grid.x_max, loc.outer[1])):
         raise ValueError("grid must coincide with the localization interval E_n")
-    return solve_local_chi(m, c, pref, loc.chi(grid.xs), grid, opt)
-
-
-def solve_local_chi(m: ModelSpec, c: ClaimSpec, pref: Preferences,
-                    chi_values: np.ndarray, grid: GridSpec,
-                    opt: SolverOptions = SolverOptions()) -> Surface:
-    """Local-mode solve with an explicit cutoff sampled on the grid nodes."""
     xs = grid.xs
     coef = _Coeffs(m, xs, pref.alpha)
-    chi = np.asarray(chi_values, dtype=float)
+    chi = np.asarray(loc.chi(xs), dtype=float)
     values = _march(coef, grid, chi * c.q * np.asarray(c.phi(xs), dtype=float),
                     replace(opt, boundary="dirichlet"), chi=chi)
     return Surface(grid=grid, values=values, mode="local", chi=chi,
@@ -454,7 +456,6 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
 def default_grid(m: ModelSpec, pref: Preferences, n_space: int = 200,
                  n_time: int = 200, t_start: float = 0.0) -> GridSpec:
     """Grid on the model's default truncation interval, ending at the horizon."""
-    from .model import default_truncation
     lo, hi = default_truncation(m)
     return GridSpec(x_min=lo, x_max=hi, n_space=n_space, n_time=n_time,
                     t_start=t_start, t_end=pref.horizon_T)

@@ -4,25 +4,21 @@ import pytest
 from defaultable_hjb import backends
 
 
-needs_numba = pytest.mark.skipif(not backends.HAVE_NUMBA,
-                                 reason="numba not available")
-
-
 def test_backend_name():
-    assert backends.backend_name() in ("numpy", "numba")
+    assert backends.backend_name() == "numpy"
 
 
 def test_theta_array_np_scalar_and_array():
-    w = backends.theta_array_np(1.0)
+    w = backends.theta_array(1.0)
     assert np.isscalar(w) or w.ndim == 0
     ys = np.logspace(-6, 6, 100)
-    ws = backends.theta_array_np(ys)
+    ws = backends.theta_array(ys)
     assert np.all(np.abs(ws * np.exp(ws) - ys) <= 1e-12 * np.maximum(1, ys))
 
 
 def test_theta_from_log_np():
     us = np.linspace(1.0, 1000.0, 50)
-    ws = backends.theta_from_log_array_np(us)
+    ws = backends.theta_from_log_array(us)
     assert np.allclose(ws + np.log(ws), us, rtol=1e-12)
 
 
@@ -34,14 +30,16 @@ def test_tridiag_np_vs_dense():
     du = rng.random(n - 1)
     rhs = rng.random(n)
     A = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-    x = backends.tridiag_solve_np(dl, d, du, rhs)
+    x = backends.tridiag_solve(dl, d, du, rhs)
     assert np.allclose(A @ x, rhs, atol=1e-12)
 
 
 def test_ou_paths_np_moments():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((20000, 50))
-    x = backends.ou_paths_np(1.0, 2.0, 0.02, z)
+    decay = np.exp(-2.0 * 0.02)
+    sd = np.sqrt((1.0 - decay * decay) / 4.0)
+    x = backends.ou_paths(1.0, decay, sd * z)
     # exact scheme: X_T mean e^{-bT}, variance (1-e^{-2bT})/(2b)
     T = 1.0
     mean, var = np.exp(-2.0 * T), (1 - np.exp(-4.0 * T)) / 4.0
@@ -52,7 +50,7 @@ def test_ou_paths_np_moments():
 def test_cir_paths_np_stay_nonnegative():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((2000, 200))
-    x = backends.cir_paths_np(0.06, 0.25, 0.06, 0.1, 1.0 / 200, z)
+    x = backends.cir_paths(0.06, 0.25, 0.06, 0.1, 1.0 / 200, z)
     assert np.all(x >= 0)
     assert x.shape == (2000, 201)
 
@@ -61,52 +59,7 @@ def test_crossing_times_np_constant_intensity():
     # gamma = 2 constant: crossing at delta = e / 2
     intensity = np.full((3, 101), 2.0)
     draws = np.array([0.5, 1.0, 500.0])
-    delta, step = backends.crossing_times_np(intensity, 0.01, draws)
+    delta, step = backends.crossing_times(intensity, 0.01, draws)
     assert delta[0] == pytest.approx(0.25, abs=1e-12)
     assert delta[1] == pytest.approx(0.5, abs=1e-12)
     assert np.isinf(delta[2]) and step[2] == 100
-
-
-@needs_numba
-def test_numba_matches_numpy_theta():
-    ys = np.logspace(-8, 8, 5000)
-    assert np.allclose(backends.theta_array_nb(ys),
-                       backends.theta_array_np(ys), rtol=1e-12)
-    us = np.linspace(1.0, 2000.0, 500)
-    assert np.allclose(backends.theta_from_log_array_nb(us),
-                       backends.theta_from_log_array_np(us), rtol=1e-12)
-
-
-@needs_numba
-def test_numba_matches_numpy_tridiag():
-    rng = np.random.default_rng(5)
-    n = 64
-    d = 4.0 + rng.random(n)
-    dl, du, rhs = rng.random(n - 1), rng.random(n - 1), rng.random(n)
-    assert np.allclose(backends.tridiag_solve_nb(dl, d, du, rhs),
-                       backends.tridiag_solve_np(dl, d, du, rhs),
-                       rtol=1e-10, atol=1e-12)
-
-
-@needs_numba
-def test_numba_matches_numpy_paths_and_crossings():
-    rng = np.random.default_rng(9)
-    z = rng.standard_normal((100, 64))
-    assert np.allclose(backends.cir_paths_nb(0.06, 0.25, 0.06, 0.1, 1 / 64, z),
-                       backends.cir_paths_np(0.06, 0.25, 0.06, 0.1, 1 / 64, z),
-                       rtol=1e-13)
-    assert np.allclose(backends.ou_paths_nb(0.5, 1.3, 1 / 64, z),
-                       backends.ou_paths_np(0.5, 1.3, 1 / 64, z), rtol=1e-13)
-    intensity = 0.1 + rng.random((100, 65))
-    draws = rng.exponential(size=100) * 0.2
-    d1, s1 = backends.crossing_times_nb(intensity, 1 / 64, draws)
-    d2, s2 = backends.crossing_times_np(intensity, 1 / 64, draws)
-    assert np.allclose(d1, d2, equal_nan=False)
-    assert np.array_equal(s1, s2)
-
-
-def test_flag_selection(monkeypatch):
-    monkeypatch.setenv("DEFAULTABLE_HJB_NUMBA", "off")
-    assert not backends._flag_enabled()
-    monkeypatch.setenv("DEFAULTABLE_HJB_NUMBA", "1")
-    assert backends._flag_enabled()

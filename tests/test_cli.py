@@ -198,31 +198,40 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 _X_MIN_OUTSIDE = "[model]\nkind = cir\nx_min = -1\n"
+# the Newton Jacobian of the first step is singular
+_SINGULAR = ("[model]\nkind = cir\n[claim]\nphi = one\nq = 1e8\n"
+             "[preferences]\nalpha = 1e5\n[grid]\nnx = 32\nnt = 16\n")
 
 
-@pytest.mark.parametrize("cmd, ini, extra", [
-    ("solve", "[model]\nkind = cir\n[preferences]\nalpha = -1\n", []),
-    ("solve", "[model]\nkind = cir\n[grid]\nnx = 8\n", []),
-    ("verify", "[model]\nkind = cir\n[mc]\npaths = 0\n", []),
-    ("solve", _X_MIN_OUTSIDE, []),
-    ("price-bond", _X_MIN_OUTSIDE, []),
-    ("price-insurance", _X_MIN_OUTSIDE, []),
-    ("verify", _X_MIN_OUTSIDE, []),
-    ("solve", "[model]\nkind = cir\n", ["--mode", "local:0"]),
-    ("solve", "[model]\nkind = cir\n", ["--mode", "local:1"]),
-    ("verify", "[model]\nkind = cir\nx0 = -1\n", []),
+@pytest.mark.parametrize("cmd, ini, extra, message", [
+    ("solve", "[model]\nkind = cir\n[preferences]\nalpha = -1\n", [],
+     "config error"),
+    ("solve", "[model]\nkind = cir\n[grid]\nnx = 8\n", [], "config error"),
+    ("verify", "[model]\nkind = cir\n[mc]\npaths = 0\n", [], "config error"),
+    ("solve", _X_MIN_OUTSIDE, [], "config error"),
+    ("price-bond", _X_MIN_OUTSIDE, [], "config error"),
+    ("price-insurance", _X_MIN_OUTSIDE, [], "config error"),
+    ("verify", _X_MIN_OUTSIDE, [], "config error"),
+    ("solve", "[model]\nkind = cir\n", ["--mode", "local:0"], "config error"),
+    ("solve", "[model]\nkind = cir\n", ["--mode", "local:1"], "config error"),
+    ("verify", "[model]\nkind = cir\nx0 = -1\n", [], "config error"),
+    ("solve", _SINGULAR, [], "solver error: Newton diverged at time step"),
 ], ids=["alpha-negative", "nx-too-small", "paths-zero",
         "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
         "x-min-outside-domain-price-insurance",
         "x-min-outside-domain-verify", "local-0", "local-1",
-        "x0-outside-domain-verify"])
-def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra):
-    # model, grid and Monte Carlo validation errors are config errors too
+        "x0-outside-domain-verify", "newton-divergence"])
+def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
+    # model, grid and Monte Carlo validation errors are config errors too;
+    # a solve that fails exits 2 with one line naming step and residual
     p = tmp_path / "bad.ini"
     p.write_text(ini)
     assert main([cmd, "--config", str(p), "--out", str(tmp_path)]
                 + extra) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if message.startswith("solver error"):
+        assert err.count("\n") == 1 and "residual" in err
 
 
 def test_parse_config_defaults_without_file():

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defaultable_hjb.lambertw import (ThetaCompositeArgs, ThetaDomainError,
-                                      theta, theta_composite,
-                                      theta_composite_args, theta_derivative,
-                                      theta_of_log)
+from defaultable_hjb.lambertw import (ThetaDomainError, theta,
+                                      theta_derivative, theta_of_log)
 
 
 def test_known_values():
@@ -73,27 +71,6 @@ def test_theta_of_log_underflow_accuracy():
 def test_theta_of_log_matches_direct():
     u = np.linspace(-25.0, 600.0, 500)
     assert np.allclose(theta_of_log(u), theta(np.exp(u)), rtol=1e-11)
-
-
-def test_composite_matches_direct():
-    got = theta_composite(0.5, 2.0, 3.0, f_value=0.1, grad_term=-0.2)
-    want = theta(0.5 * np.exp(2.0 + 3.0 * 0.1 + 0.2))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_composite_args_record():
-    args = ThetaCompositeArgs(gamma_over_sigma2=0.5, mu_over_sigma2=2.0,
-                              alpha=3.0, f_value=0.1, grad_term=-0.2)
-    assert theta_composite_args(args) == pytest.approx(
-        theta_composite(0.5, 2.0, 3.0, 0.1, -0.2), rel=1e-14)
-    with pytest.raises(ThetaDomainError):
-        ThetaCompositeArgs(gamma_over_sigma2=-1.0, mu_over_sigma2=0.0,
-                           alpha=1.0)
-    with pytest.raises(ThetaDomainError):
-        ThetaCompositeArgs(gamma_over_sigma2=1.0, mu_over_sigma2=0.0,
-                           alpha=0.0)
-    with pytest.raises(ThetaDomainError):
-        theta_composite(1.0, np.inf, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

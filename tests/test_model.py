@@ -66,6 +66,9 @@ def test_invariant_band_matches_stationary_gamma_law():
     assert hi == pytest.approx(0.14449, abs=1e-4)
     t_lo, t_hi = dh.default_truncation(m)
     assert t_lo < lo and t_hi > hi
+    # the truncation is the [0.001, 0.999] band widened by 1.5, exactly
+    b_lo, b_hi = dh.invariant_band(m, 0.001, 0.999)
+    assert (t_lo, t_hi) == (b_lo / 1.5, b_hi * 1.5)
 
 
 def test_ou_truncation_and_band():

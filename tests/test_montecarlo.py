@@ -33,8 +33,6 @@ def test_sim_config_validation():
         SimConfig(n_paths=0, n_steps=10, seed=0, x0=0.06)
     with pytest.raises(ValueError):
         SimConfig(n_paths=10, n_steps=0, seed=0, x0=0.06)
-    with pytest.raises(ValueError):
-        SimConfig(n_paths=10, n_steps=10, seed=0, x0=0.06, scheme="milstein")
 
 
 def test_factor_validation(paper_model):
@@ -44,10 +42,6 @@ def test_factor_validation(paper_model):
     bad = SimConfig(n_paths=10, n_steps=10, seed=0, x0=-1.0)
     with pytest.raises(ValueError):
         simulate_factor(paper_model, bad, horizon=1.0)
-    ou = dh.make_ou_model(dh.OUParams(1, 0, 1, 1, 1, 0))
-    with pytest.raises(ValueError):
-        simulate_factor(ou, SimConfig(10, 10, 0, 0.0,
-                                      scheme="full-truncation-cir"), 1.0)
 
 
 def test_determinism_bit_identical(paper_model):
@@ -71,6 +65,19 @@ def test_ou_marginal_moments_exact_scheme():
     se = np.sqrt(var / cfg.n_paths)
     assert np.mean(b.x[:, -1]) == pytest.approx(mean, abs=4 * se)
     assert np.var(b.x[:, -1]) == pytest.approx(var, rel=0.05)
+    # the paths are the transition recursion driven by the stored dW
+    decay = np.exp(-2.0 * b.dt)
+    for k in range(cfg.n_steps):
+        assert np.array_equal(b.x[:, k + 1], decay * b.x[:, k] + b.dW[:, k])
+    # b = 0: Brownian motion, decay 1 and increments of s.d. sqrt(dt)
+    bm = dh.make_ou_model(dh.OUParams(b_mr=0.0, mu1=0, mu2=1, sigma_const=1,
+                                      gamma_const=1, rho_const=0))
+    b0 = simulate_factor(bm, SimConfig(n_paths=1000, n_steps=8, seed=5,
+                                       x0=1.0), 1.0)
+    z = np.random.Generator(np.random.Philox(5)).standard_normal((1000, 8))
+    assert np.array_equal(b0.dW, np.sqrt(b0.dt) * z)
+    for k in range(8):
+        assert np.array_equal(b0.x[:, k + 1], 1.0 * b0.x[:, k] + b0.dW[:, k])
 
 
 def test_cir_marginal_mean(paper_model):

@@ -165,19 +165,6 @@ def test_protected_policy_nonnegative_on_paper_solve(paper_model, paper_pref,
     assert np.all(pi_d >= -1e-12)
 
 
-def test_pricing_result_bundle(paper_model, paper_pref, G_zero, bond_surfaces):
-    res = dh.pricing_result(bond_surfaces[1.0], G_zero, 1.0, G_zero,
-                            paper_model, paper_pref)
-    shape = G_zero.values.shape
-    assert res.indiff_price.shape == shape
-    assert res.insurance_rate.shape == shape
-    assert res.upper_bound.shape == shape
-    assert res.policy.values.shape == shape
-    assert res.protected_policy.shape == shape
-    assert res.physical_intensity.shape == (shape[1],)
-    assert np.all(res.insurance_rate <= res.upper_bound + 1e-12)
-
-
 def test_radicand_negative_attributes():
     err = RadicandNegative((3, 7), -2.5e-4)
     assert err.node_index == (3, 7)

@@ -74,8 +74,10 @@ def test_local_with_unit_cutoff_equals_dirichlet_full(paper_model, paper_pref):
     loc = dh.build_localization(paper_model, 4)
     grid = dh.GridSpec(loc.outer[0], loc.outer[1], 128, 64)
     claim = dh.bond_claim(1.0)
-    G_local = dh.solve_local_chi(paper_model, claim, paper_pref,
-                                 np.ones_like(grid.xs), grid)
+    unit = dh.LocalizationSpec(
+        n_index=loc.n_index, inner=loc.inner, outer=loc.outer,
+        chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    G_local = dh.solve_local(paper_model, claim, paper_pref, unit, grid)
     G_full = dh.solve_full(paper_model, claim, paper_pref, grid,
                            SolverOptions(boundary="dirichlet"))
     assert np.max(np.abs(G_local.values - G_full.values)) <= 1e-10
@@ -127,6 +129,14 @@ def test_newton_divergence_raised(paper_model, paper_pref):
     opt = SolverOptions(newton_max_iter=1, newton_tol=1e-14)
     with pytest.raises(NewtonDivergence):
         dh.solve_full(paper_model, dh.bond_claim(10.0), paper_pref, grid, opt)
+    # alpha = 1e5 and q = 1e8 make the Newton Jacobian singular at the
+    # first step: a typed failure, not scipy's LinAlgError
+    pref = dh.Preferences(alpha=1e5, horizon_T=1.0)
+    grid = dh.default_grid(paper_model, pref, 32, 16)
+    with pytest.raises(NewtonDivergence) as err:
+        dh.solve_full(paper_model, dh.bond_claim(1e8), pref, grid)
+    assert 0 <= err.value.step_index < grid.n_time
+    assert err.value.residual_norm > SolverOptions().newton_tol
 
 
 def test_backward_euler_scheme_runs(paper_model, paper_pref):
