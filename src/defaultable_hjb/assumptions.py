@@ -17,17 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (CIRParams, ClaimSpec, ModelError, ModelSpec, OUParams,
-                    Preferences, default_truncation, market_price_of_risk)
+                    Preferences, default_truncation)
 from .montecarlo import MCEstimate, mc_exponential_functional
 
 HOLDS = "Holds"
 FAILS = "Fails"
 UNVERIFIED = "Unverified"
 
-# p candidates for the moment-drift condition ("for some p > 1")
-_P_SCAN = [1.0 + 0.05 * k for k in range(1, 21)]
+# p candidates for the moment-drift condition ("for some p > 1"): the
+# grid 1.05..2.0, then p - 1 = 0.05 * 2^-k toward 1, near which the
+# condition holds once the physical window does
+_P_SCAN = ([1.0 + 0.05 * k for k in range(1, 21)]
+           + [1.0 + 0.05 * 2.0 ** -k for k in range(1, 31)])
 # log grid of candidate integrability constants epsilon
 _EPS_SCAN = list(10.0 ** np.linspace(-8.0, 2.0, 101))
+# the Feller margin of a square-root process, as witnesses print it
+_MARGIN = "kappa*theta - xi^2/2"
 
 
 class WindowViolation(ValueError):
@@ -98,13 +103,24 @@ def merge_reports(*reports: AssumptionReport) -> AssumptionReport:
     return AssumptionReport(entries=out)
 
 
+def _moment_drift_entry(witness) -> AssumptionEntry:
+    """The moment-drift entry for the first p of _P_SCAN with a witness;
+    witness(p, eps) is None unless eps = p(p-1)/2 fits the p-drift window."""
+    for pv in _P_SCAN:
+        text = witness(pv, 0.5 * pv * (pv - 1.0))
+        if text is not None:
+            return AssumptionEntry("moment-drift-integrability", HOLDS, text)
+    return AssumptionEntry("moment-drift-integrability", FAILS,
+                           "no p in (1, 2] admits the required exponent")
+
+
 # ---------------------------------------------------------------------------
 # static assumptions
 # ---------------------------------------------------------------------------
 
 def feller_check(kappa: float, theta_lr: float, xi: float) -> AssumptionEntry:
     """Boundary non-attainment of the square-root factor."""
-    margin = kappa * theta_lr - 0.5 * xi ** 2
+    margin = DriftChangedCIR(kappa, theta_lr, xi).feller_margin
     if margin >= 0:
         return AssumptionEntry(
             "factor-sde", HOLDS,
@@ -188,20 +204,26 @@ def check_static_assumptions(m: ModelSpec, c: ClaimSpec) -> AssumptionReport:
 # OU integrability
 # ---------------------------------------------------------------------------
 
-def _ou_max_variance(b_eff: float, T: float) -> float:
-    """sup over [0, T] of Var(X_t) for dX = -b_eff X dt + dW, X_0 fixed."""
-    if b_eff == 0.0:
-        return T
-    return (1.0 - np.exp(-2.0 * b_eff * T)) / (2.0 * b_eff)
+def _ou_window(c2: float, b_eff: float, T: float) -> float:
+    """Gaussian window: eps below it keeps E[exp(2 eps c2^2 int X_t^2 dt)]
+    finite on [0, T] for dX = -b_eff X dt + dW.
+
+    It is 1/(4 T c2^2 v), with v the worst variance of X_t on [0, T].
+    """
+    if c2 == 0.0:
+        return np.inf
+    # expm1 keeps v near T for a tiny b_eff
+    v = T if b_eff == 0.0 else -np.expm1(-2.0 * b_eff * T) / (2.0 * b_eff)
+    denom = float(4.0 * T * c2 ** 2 * v)
+    return 1.0 / denom if denom > 0.0 else np.inf  # c2^2 may underflow
 
 
 def check_ou_integrability(p: OUParams, T: float) -> AssumptionReport:
     """Exponential integrability of ell for the mean-reverting Gaussian model.
 
     ell(x) = (mu1 - gamma) + mu2 x, so ell^2 <= 2(mu1-gamma)^2 + 2 mu2^2 x^2
-    and E[exp(eps int ell^2)] is finite whenever 2 eps mu2^2 T is below the
-    reciprocal of twice the worst-case Gaussian variance; this holds for
-    every parameter choice with eps small enough.
+    and E[exp(eps int ell^2)] is finite inside the Gaussian window of
+    _ou_window; this holds for every parameter choice with eps small enough.
     """
     if T <= 0:
         raise ModelError("degenerate horizon: T must be positive")
@@ -210,15 +232,11 @@ def check_ou_integrability(p: OUParams, T: float) -> AssumptionReport:
     rho = p.rho_const
     entries = []
 
-    if c2 == 0.0:
-        eps_max = np.inf
-        eps_word = "unconstrained (ell is bounded)"
-    else:
-        # X stays OU under every drift change; take the worst variance
-        b_effs = [p.b_mr, p.b_mr + rho * c2, p.b_mr - 0.5 * rho * c2]
-        v_max = max(_ou_max_variance(b, T) for b in b_effs)
-        eps_max = 1.0 / (4.0 * T * c2 ** 2 * v_max)
-        eps_word = f"any eps < {eps_max:.6g}"
+    # X stays OU under every drift change; take the narrowest window
+    eps_max = min(_ou_window(c2, b, T) for b in
+                  (p.b_mr, p.b_mr + rho * c2, p.b_mr - 0.5 * rho * c2))
+    eps_word = ("unconstrained (ell is bounded)" if c2 == 0.0
+                else f"any eps < {eps_max:.6g}")
     base = (f"ell^2 <= 2({c1:.6g})^2 + 2({c2:.6g})^2 x^2; Gaussian moments "
             f"finite for {eps_word}")
 
@@ -237,22 +255,14 @@ def check_ou_integrability(p: OUParams, T: float) -> AssumptionReport:
         f"under the dual drift the factor is OU with rate "
         f"{p.b_mr + rho * c2:.6g}; {base}"))
 
-    # choose p > 1 with 1/2 p(p-1) ell^2 integrable under the p-drift
-    p_found = None
-    for pv in _P_SCAN:
-        if c2 == 0.0:
-            p_found = pv
-            break
-        b_eff = p.b_mr - (pv - 1.0) * rho * c2
-        v = _ou_max_variance(b_eff, T)
-        if 0.5 * pv * (pv - 1.0) * 2.0 * c2 ** 2 * T < 1.0 / (2.0 * v):
-            p_found = pv
-            break
-    entries.append(AssumptionEntry(
-        "moment-drift-integrability", HOLDS,
-        f"p = {p_found:.6g} gives exponent p(p-1)/2 = "
-        f"{0.5 * p_found * (p_found - 1.0):.6g} inside the Gaussian window; "
-        + base))
+    def pp_witness(pv: float, eps: float):
+        # under the p-drift the factor is OU with rate b - (p-1) rho mu2
+        if eps < _ou_window(c2, p.b_mr - (pv - 1.0) * rho * c2, T):
+            return (f"p = {pv:.6g} gives exponent p(p-1)/2 = {eps:.6g} "
+                    "inside the Gaussian window; " + base)
+        return None
+
+    entries.append(_moment_drift_entry(pp_witness))
     return AssumptionReport(entries=entries)
 
 
@@ -262,11 +272,13 @@ def check_ou_integrability(p: OUParams, T: float) -> AssumptionReport:
 
 @dataclass(frozen=True)
 class DriftChangedCIR:
-    """Square-root dynamics after a measure change: kappa(theta - x) drift."""
+    """Square-root dynamics kappa(theta - x) dt + xi sqrt(x) dW."""
 
     kappa: float
     theta_lr: float
     xi: float
+
+    feller_margin = CIRParams.feller_margin
 
 
 @dataclass(frozen=True)
@@ -314,6 +326,32 @@ def drift_changed_cir(p: CIRParams, measure: str,
     return DriftChangedCIR(kappa=k, theta_lr=kt / k, xi=p.xi)
 
 
+def _discriminant(xi: float, coef: float, scale: float) -> float:
+    """1 - 2 xi^2 coef / scale^2, under the root of a closed-form constant."""
+    return 1.0 - 2.0 * xi ** 2 * coef / scale ** 2
+
+
+def _cir_window(d: DriftChangedCIR, A_coef: float, B_coef: float):
+    """The moment-bound window that (A, B) leaves, as (expression, value).
+
+    A > 0 needs kappa*theta - xi^2/2 > 0 and 2 xi^2 A < (kappa*theta -
+    xi^2/2)^2; B needs 2 xi^2 B < kappa^2.  Returns None inside both.
+    D > 0 is a condition of the closed-form bound, not of the window: a
+    certificate with mu2 = gamma2 (B = 0) holds while cir_moment_bound at
+    B = 0 and A > 0 refuses.
+    """
+    if A_coef > 0:
+        if d.feller_margin <= 0:
+            return _MARGIN, d.feller_margin
+        arg_a = _discriminant(d.xi, A_coef, d.feller_margin)
+        if arg_a <= 0:
+            return f"1 - 2 xi^2 A / ({_MARGIN})^2", arg_a
+    arg_b = _discriminant(d.xi, B_coef, d.kappa)
+    if arg_b <= 0:
+        return "1 - 2 xi^2 B / kappa^2", arg_b
+    return None
+
+
 def cir_moment_bound(p, A_coef: float, B_coef: float, x: float,
                      T: float):
     """Bound E[exp(int_0^T (A/X_t + B X_t) dt)] for a square-root process.
@@ -330,21 +368,14 @@ def cir_moment_bound(p, A_coef: float, B_coef: float, x: float,
         raise WindowViolation("evaluation point x", x)
     if kappa <= 0:
         raise WindowViolation("kappa", kappa)
-    m0 = kappa * theta_lr - 0.5 * xi ** 2
-    if A_coef > 0:
-        if m0 <= 0:
-            raise WindowViolation("kappa*theta - xi^2/2", m0)
-        arg_a = 1.0 - 2.0 * xi ** 2 * A_coef / m0 ** 2
-        if arg_a <= 0:
-            raise WindowViolation(
-                "1 - 2 xi^2 A / (kappa*theta - xi^2/2)^2", arg_a)
-        C = (m0 / xi ** 2) * (1.0 - np.sqrt(arg_a))
-    else:
-        C = 0.0
-    arg_b = 1.0 - 2.0 * xi ** 2 * B_coef / kappa ** 2
-    if arg_b <= 0:
-        raise WindowViolation("1 - 2 xi^2 B / kappa^2", arg_b)
-    D = (kappa / xi ** 2) * (1.0 - np.sqrt(arg_b))
+    d = DriftChangedCIR(kappa, theta_lr, xi)
+    violated = _cir_window(d, A_coef, B_coef)
+    if violated is not None:
+        raise WindowViolation(*violated)
+    m0 = d.feller_margin
+    C = (m0 / xi ** 2) * (1.0 - np.sqrt(_discriminant(xi, A_coef, m0))) \
+        if A_coef > 0 else 0.0
+    D = (kappa / xi ** 2) * (1.0 - np.sqrt(_discriminant(xi, B_coef, kappa)))
     if C > 0 and D <= 0:
         raise WindowViolation("D (need B > 0 when A > 0)", D)
     lam = kappa * C + kappa * theta_lr * D - xi ** 2 * C * D
@@ -354,25 +385,6 @@ def cir_moment_bound(p, A_coef: float, B_coef: float, x: float,
     return consts.bound_at(x, T), consts
 
 
-def _cir_eps_window(d: DriftChangedCIR, d1: float, d2: float) -> float:
-    """Largest scanned eps with eps*d1^2 and eps*d2^2 inside the bound window.
-
-    ell^2(x) = d1^2/x + 2 d1 d2 + d2^2 x for the affine square-root model;
-    the constant cross term never constrains eps.
-    """
-    if d1 == 0.0 and d2 == 0.0:
-        return np.inf
-    m0 = d.kappa * d.theta_lr - 0.5 * d.xi ** 2
-    best = 0.0
-    for eps in _EPS_SCAN:
-        a_ok = (eps * d1 ** 2 == 0.0) or (
-            m0 > 0 and 2.0 * d.xi ** 2 * eps * d1 ** 2 < m0 ** 2)
-        b_ok = 2.0 * d.xi ** 2 * eps * d2 ** 2 < d.kappa ** 2
-        if a_ok and b_ok:
-            best = eps
-    return best
-
-
 def check_cir_integrability(p: CIRParams, pref: Preferences
                             ) -> AssumptionReport:
     """Certify exponential integrability for the affine square-root model."""
@@ -380,7 +392,7 @@ def check_cir_integrability(p: CIRParams, pref: Preferences
     d1 = p.mu1 - p.gamma1
     d2 = p.mu2 - p.gamma2
     rho = p.rho_const
-    m0 = p.kappa * p.theta_lr - 0.5 * p.xi ** 2
+    m0 = p.feller_margin
 
     entries.append(AssumptionEntry(
         "feller-strict", HOLDS if m0 > 0 else FAILS,
@@ -400,22 +412,20 @@ def check_cir_integrability(p: CIRParams, pref: Preferences
             f"rho*(mu2-gamma2) = {s2:.6g} > -kappa/xi^2 = "
             f"{-p.kappa / p.xi**2:.6g}"))
 
-    def window_entry(id_: str, measure: str, p_exp=None):
+    def window(d: DriftChangedCIR, eps: float):
+        # ell^2(x) = d1^2/x + 2 d1 d2 + d2^2 x; the constant never binds
+        return _cir_window(d, eps * d1 ** 2, eps * d2 ** 2)
+
+    def window_entry(id_: str, measure: str) -> AssumptionEntry:
         try:
-            d = drift_changed_cir(p, measure,
-                                  p_exp=p_exp if p_exp else 1.5)
+            d = drift_changed_cir(p, measure)
         except WindowViolation as exc:
-            return AssumptionEntry(id_, FAILS, str(exc)), None
-        md = d.kappa * d.theta_lr - 0.5 * d.xi ** 2
+            return AssumptionEntry(id_, FAILS, str(exc))
         if m0 <= 0:
             return AssumptionEntry(
-                id_, FAILS, f"strict Feller fails: margin {m0:.6g}"), None
-        if (d1 != 0.0) and md <= 0:
-            return AssumptionEntry(
-                id_, FAILS,
-                f"drift-changed kappa*theta - xi^2/2 = {md:.6g} <= 0 while "
-                "ell^2 carries a 1/x term"), None
-        eps = _cir_eps_window(d, d1, d2)
+                id_, FAILS, f"strict Feller fails: margin {m0:.6g}")
+        eps = np.inf if d1 == 0.0 and d2 == 0.0 else max(
+            (e for e in _EPS_SCAN if window(d, e) is None), default=0.0)
         if eps > 0:
             return AssumptionEntry(
                 id_, HOLDS,
@@ -423,51 +433,39 @@ def check_cir_integrability(p: CIRParams, pref: Preferences
                 f"{d.theta_lr:.6g}); eps = {eps:.6g} keeps "
                 f"eps*(mu1-gamma1)^2 = {eps * d1**2 if np.isfinite(eps) else 0:.6g} and "
                 f"eps*(mu2-gamma2)^2 = {eps * d2**2 if np.isfinite(eps) else 0:.6g} "
-                "inside the moment-bound windows"), d
+                "inside the moment-bound windows")
+        expression, value = window(d, _EPS_SCAN[0])
+        if expression == _MARGIN:
+            return AssumptionEntry(
+                id_, FAILS,
+                f"drift-changed {_MARGIN} = {value:.6g} <= 0 while "
+                "ell^2 carries a 1/x term")
         return AssumptionEntry(
-            id_, FAILS, "no eps on the scan grid fits the windows"), d
+            id_, FAILS, "no eps on the scan grid fits the windows")
 
     if rho ** 2 < 1.0:
-        e, _ = window_entry("incomplete-market-integrability", "physical")
-        entries.append(e)
+        entries.append(
+            window_entry("incomplete-market-integrability", "physical"))
     else:
         entries.append(AssumptionEntry(
             "incomplete-market-integrability", FAILS,
             f"sup rho^2 = {rho**2:.6g} is not < 1; the complete-market "
             "condition applies instead"))
 
-    e, _ = window_entry("dual-drift-integrability", "p0")
-    entries.append(e)
+    entries.append(window_entry("dual-drift-integrability", "p0"))
 
-    # moment drift: find p > 1 with exponent p(p-1)/2 inside the windows
-    chosen = None
-    for pv in _P_SCAN:
+    def pp_witness(pv: float, eps: float):
         try:
             d = drift_changed_cir(p, "pp", p_exp=pv)
         except WindowViolation:
-            continue
-        md = d.kappa * d.theta_lr - 0.5 * d.xi ** 2
-        if d1 != 0.0 and md <= 0:
-            continue
-        eps_req = 0.5 * pv * (pv - 1.0)
-        a_ok = (d1 == 0.0) or (
-            md > 0 and 2.0 * d.xi ** 2 * eps_req * d1 ** 2 < md ** 2)
-        b_ok = (d2 == 0.0) or (
-            2.0 * d.xi ** 2 * eps_req * d2 ** 2 < d.kappa ** 2)
-        if a_ok and b_ok:
-            chosen = (pv, d)
-            break
-    if chosen is not None and m0 > 0:
-        pv, d = chosen
-        entries.append(AssumptionEntry(
-            "moment-drift-integrability", HOLDS,
-            f"p = {pv:.6g}: exponent p(p-1)/2 = {0.5 * pv * (pv - 1):.6g} "
-            f"fits the windows of the drift-changed square-root process "
-            f"(kappa, theta) = ({d.kappa:.6g}, {d.theta_lr:.6g})"))
-    else:
-        entries.append(AssumptionEntry(
-            "moment-drift-integrability", FAILS,
-            "no p in (1, 2] admits the required exponent"))
+            return None
+        if m0 <= 0 or window(d, eps) is not None:
+            return None
+        return (f"p = {pv:.6g}: exponent p(p-1)/2 = {eps:.6g} fits the "
+                "windows of the drift-changed square-root process "
+                f"(kappa, theta) = ({d.kappa:.6g}, {d.theta_lr:.6g})")
+
+    entries.append(_moment_drift_entry(pp_witness))
     return AssumptionReport(entries=entries)
 
 

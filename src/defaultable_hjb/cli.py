@@ -20,7 +20,7 @@ import numpy as np
 from . import assumptions as asm
 from . import montecarlo as mc
 from . import pricing
-from .model import (ClaimSpec, ModelError, OUParams, CIRParams, Preferences,
+from .model import (ModelError, OUParams, CIRParams, Preferences,
                     bond_claim, build_localization, default_truncation,
                     invariant_band, make_cir_model, make_ou_model,
                     paper_cir_params, zero_claim)

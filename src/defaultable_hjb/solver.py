@@ -82,14 +82,14 @@ class SolverOptions:
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
     scheme: str = "crank-nicolson"  # or "backward-euler"
-    boundary: str = "extrapolation"  # or "neumann", "dirichlet"
+    boundary: str = "extrapolation"  # or "dirichlet"
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.scheme not in ("crank-nicolson", "backward-euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.boundary not in ("extrapolation", "neumann", "dirichlet"):
+        if self.boundary not in ("extrapolation", "dirichlet"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
 
@@ -231,9 +231,9 @@ def _source_protected(coef: _Coeffs, G, Gx, f_row):
     return N, dG, dGx
 
 
-def _spatial_operator(coef: _Coeffs, G: np.ndarray, dx: float, boundary: str,
-                      chi=None, f_row=None, want_jacobian=True):
-    """F(G) = (1/2) A G_xx + b G_x + N(G, G_x) with the boundary closure.
+def _spatial_operator(coef: _Coeffs, G: np.ndarray, dx: float, chi=None,
+                      f_row=None, want_jacobian=True):
+    """F(G) = (1/2) A G_xx + b G_x + N(G, G_x), extrapolated at the edges.
 
     The source N is the protected one when the rate row f_row is given,
     otherwise the full/local one with cutoff chi.  Returns
@@ -244,10 +244,6 @@ def _spatial_operator(coef: _Coeffs, G: np.ndarray, dx: float, boundary: str,
     Gx = central_gradient(G, dx)  # dirichlet: edge rows are overwritten
     Gxx = np.zeros(n)
     Gxx[1:-1] = (G[2:] - 2.0 * G[1:-1] + G[:-2]) / (dx * dx)
-    if boundary == "neumann":
-        Gx[0] = Gx[-1] = 0.0
-        Gxx[0] = 2.0 * (G[1] - G[0]) / (dx * dx)
-        Gxx[-1] = 2.0 * (G[-2] - G[-1]) / (dx * dx)
     # extrapolation: zero second derivative at the edges (Gxx stays 0)
 
     if f_row is not None:
@@ -268,17 +264,11 @@ def _spatial_operator(coef: _Coeffs, G: np.ndarray, dx: float, boundary: str,
     diag[1:-1] = -Ai / dx ** 2 + nG[1:-1]
     sub[:-1] = 0.5 * Ai / dx ** 2 - (bi + nGx[1:-1]) / (2.0 * dx)
     sup[1:] = 0.5 * Ai / dx ** 2 + (bi + nGx[1:-1]) / (2.0 * dx)
-    # boundary rows
-    if boundary == "neumann":
-        diag[0] = -coef.A[0] / dx ** 2 + nG[0]
-        sup[0] = coef.A[0] / dx ** 2
-        diag[-1] = -coef.A[-1] / dx ** 2 + nG[-1]
-        sub[-1] = coef.A[-1] / dx ** 2
-    else:
-        diag[0] = -(coef.b[0] + nGx[0]) / dx + nG[0]
-        sup[0] = (coef.b[0] + nGx[0]) / dx
-        diag[-1] = (coef.b[-1] + nGx[-1]) / dx + nG[-1]
-        sub[-1] = -(coef.b[-1] + nGx[-1]) / dx
+    # boundary rows: one-sided drift (dirichlet rows are overwritten)
+    diag[0] = -(coef.b[0] + nGx[0]) / dx + nG[0]
+    sup[0] = (coef.b[0] + nGx[0]) / dx
+    diag[-1] = (coef.b[-1] + nGx[-1]) / dx + nG[-1]
+    sub[-1] = -(coef.b[-1] + nGx[-1]) / dx
     return F, (sub, diag, sup)
 
 
@@ -351,8 +341,8 @@ def _march(coef: _Coeffs, grid: GridSpec, terminal: np.ndarray,
 
     def evaluator(i):
         f_row = None if f_surface is None else f_surface[i]
-        return lambda G: _spatial_operator(coef, G, grid.dx, opt.boundary,
-                                           chi=chi, f_row=f_row)
+        return lambda G: _spatial_operator(coef, G, grid.dx, chi=chi,
+                                           f_row=f_row)
 
     values = np.empty((grid.n_time + 1, grid.n_space + 1))
     values[-1] = terminal
@@ -441,7 +431,7 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
     f_field = rate_field if rate_field is not None else surface.rate_field
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
     # each row is evaluated once: row i + 1 is also the explicit half of row i
-    F = [_spatial_operator(coef, row, grid.dx, surface.boundary, chi=chi,
+    F = [_spatial_operator(coef, row, grid.dx, chi=chi,
                            f_row=f_field[i] if protected else None,
                            want_jacobian=False)[0]
          for i, row in enumerate(values)]

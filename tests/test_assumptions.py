@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defaultable_hjb as dh
 from defaultable_hjb.assumptions import (FAILS, HOLDS, UNVERIFIED,
@@ -116,10 +118,19 @@ def test_cir_moment_bound_window_violations():
     class P:
         kappa, theta_lr, xi = 0.25, 0.06, 0.1
 
-    with pytest.raises(WindowViolation):
-        cir_moment_bound(P, 0.0, 0.25 ** 2 / (2 * 0.1 ** 2), 0.06, 1.0)
-    with pytest.raises(WindowViolation):  # A above its window
-        cir_moment_bound(P, 1.0, 0.0, 0.06, 1.0)
+    class Q:  # kappa*theta - xi^2/2 = -0.005
+        kappa, theta_lr, xi = 0.25, 0.06, 0.2
+
+    err = pytest.raises(WindowViolation, cir_moment_bound, P, 0.0,
+                        0.25 ** 2 / (2 * 0.1 ** 2), 0.06, 1.0).value
+    assert err.expression == "1 - 2 xi^2 B / kappa^2"
+    err = pytest.raises(WindowViolation, cir_moment_bound, P, 1.0, 0.0,
+                        0.06, 1.0).value  # A above its window
+    assert err.expression == "1 - 2 xi^2 A / (kappa*theta - xi^2/2)^2"
+    err = pytest.raises(WindowViolation, cir_moment_bound, Q, 0.1, 1.0,
+                        0.06, 1.0).value
+    assert err.expression == "kappa*theta - xi^2/2"
+    assert err.value == pytest.approx(-0.005, rel=1e-12)
     with pytest.raises(WindowViolation):
         cir_moment_bound(P, 0.0, 1.0, -0.06, 1.0)
     with pytest.raises(WindowViolation):
@@ -237,3 +248,86 @@ def test_mc_cir_weight_probe_respects_bound():
                               n_paths=4000, n_steps=200, seed=1)
     assert est.mean <= bound + 3.0 * est.std_error
     assert est.mean > 1.0
+
+
+def test_window_certificate_holds_where_the_closed_form_refuses(paper_pref):
+    # mu2 = gamma2 puts B = 0 in the window; the closed form needs D > 0
+    base = dh.paper_cir_params()
+    p = dh.CIRParams(kappa=base.kappa, theta_lr=base.theta_lr, xi=base.xi,
+                     mu1=0.01, mu2=base.gamma2, sigma_scale=base.sigma_scale,
+                     gamma1=0.0, gamma2=base.gamma2, rho_const=base.rho_const)
+    rep = dh.check_cir_integrability(p, paper_pref)
+    assert rep.status("incomplete-market-integrability") == HOLDS
+    err = pytest.raises(WindowViolation, cir_moment_bound,
+                        drift_changed_cir(p, "physical"), 1e-6, 0.0,
+                        0.06, 1.0).value
+    assert err.expression == "D (need B > 0 when A > 0)"
+
+
+def test_cir_moment_drift_refines_p_toward_one(paper_pref):
+    # the grid 1.05..2.0 misses; p = 1.025 fits
+    base = dh.paper_cir_params()
+    p = dh.CIRParams(kappa=base.kappa, theta_lr=base.theta_lr, xi=base.xi,
+                     mu1=0.5, mu2=base.mu2, sigma_scale=base.sigma_scale,
+                     gamma1=base.gamma1, gamma2=base.gamma2,
+                     rho_const=base.rho_const)
+    rep = dh.check_cir_integrability(p, paper_pref)
+    assert rep.all_hold
+    assert rep.entry("moment-drift-integrability").witness.startswith(
+        "p = 1.025: exponent p(p-1)/2 = 0.0128125 fits")
+
+
+def test_ou_steep_slope_reports_moment_drift():
+    rep = dh.check_ou_integrability(dh.OUParams(1, 0, 5, 1, 0.5, 0), 1.0)
+    assert rep.all_hold
+    assert rep.entry("moment-drift-integrability").witness.startswith(
+        "p = 1.025 gives exponent p(p-1)/2 = 0.0128125")
+
+
+def test_ou_moment_drift_fails_when_no_p_fits():
+    # explosive factor: the worst variance on [0, 1] is about 3e41
+    rep = dh.check_ou_integrability(dh.OUParams(-50, 0, 1, 1, 0.5, 0), 1.0)
+    e = rep.entry("moment-drift-integrability")
+    assert e.status == FAILS
+    assert e.witness == "no p in (1, 2] admits the required exponent"
+
+
+# The bounded INI parameter box of the property tests; the horizon T is
+# drawn from (0.05, 5] with each kind.
+_T = st.floats(0.05, 5.0)
+_CIR_BOX = dict(kappa=st.floats(0.01, 5.0), theta_lr=st.floats(0.001, 2.0),
+                xi=st.floats(0.01, 2.0), mu1=st.floats(-3.0, 3.0),
+                mu2=st.floats(-5.0, 5.0), sigma_scale=st.floats(0.1, 3.0),
+                gamma1=st.floats(0.0, 2.0), gamma2=st.floats(0.01, 2.0),
+                rho_const=st.floats(-1.0, 1.0))
+_OU_BOX = dict(b_mr=st.floats(-1.0, 3.0), mu1=st.floats(-3.0, 3.0),
+               mu2=st.floats(-5.0, 5.0), sigma_const=st.floats(0.1, 3.0),
+               gamma_const=st.floats(0.01, 2.0),
+               rho_const=st.floats(-1.0, 1.0))
+_BOX_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _report(params, T):
+    m = (dh.make_ou_model(params) if isinstance(params, dh.OUParams)
+         else dh.make_cir_model(params, enforce_feller=False))
+    return dh.check_model(m, dh.bond_claim(1.0),
+                          dh.Preferences(alpha=3.0, horizon_T=T))
+
+
+@_BOX_SETTINGS
+@given(st.builds(dh.CIRParams, **_CIR_BOX), _T)
+def test_cir_box_report_and_moment_drift(params, T):
+    rep = _report(params, T)  # never raises
+    if (rep.status("feller-strict") == HOLDS
+            and rep.status("incomplete-market-integrability") == HOLDS):
+        assert rep.status("moment-drift-integrability") == HOLDS
+
+
+@_BOX_SETTINGS
+@given(st.builds(dh.OUParams, **_OU_BOX), _T)
+def test_ou_box_report_and_integrability(params, T):
+    rep = _report(params, T)  # never raises
+    if params.rho_const ** 2 < 1.0:
+        for key in ("incomplete-market-integrability",
+                    "dual-drift-integrability", "moment-drift-integrability"):
+            assert rep.status(key) == HOLDS

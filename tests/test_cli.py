@@ -11,7 +11,7 @@ kind = cir
 kappa = 0.25
 theta = 0.06
 xi = {xi}
-mu1 = 0.0
+mu1 = {mu1}
 mu2 = 1.3608
 sigma = 1.2247
 gamma1 = 0.0
@@ -38,8 +38,8 @@ seed = {seed}
 
 
 def _write(tmp_path, **kw):
-    defaults = dict(xi=0.1, phi="zero", q="1", nx=64, nt=64, paths=4000,
-                    steps=100, seed=0)
+    defaults = dict(xi=0.1, mu1=0.0, phi="zero", q="1", nx=64, nt=64,
+                    paths=4000, steps=100, seed=0)
     defaults.update(kw)
     p = tmp_path / "run.ini"
     p.write_text(PAPER_INI.format(**defaults))
@@ -171,6 +171,25 @@ def test_check_assumptions_pass_and_fail(tmp_path):
     assert "[Fails] feller-strict" in txt2
     rows = (out2 / "assumptions.csv").read_text().splitlines()
     assert any(r.startswith("feller-strict,Fails") for r in rows)
+
+
+def test_check_assumptions_finds_p_near_one(tmp_path):
+    # mu1 = 0.5: no p on the grid 1.05..2.0 fits, p = 1.025 does
+    out = tmp_path / "out"
+    assert main(["check-assumptions", "--config", _write(tmp_path, mu1=0.5),
+                 "--out", str(out)]) == 0
+    txt = (out / "assumptions.txt").read_text()
+    assert "[Holds] moment-drift-integrability\n    p = 1.025:" in txt
+
+
+def test_check_assumptions_ou_steep_slope(tmp_path):
+    p = tmp_path / "ou.ini"
+    p.write_text("[model]\nkind = ou\nmu2 = 5\n")
+    out = tmp_path / "out"
+    assert main(["check-assumptions", "--config", str(p),
+                 "--out", str(out)]) == 0
+    assert "[Holds] moment-drift-integrability" in (
+        out / "assumptions.txt").read_text()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

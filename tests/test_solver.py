@@ -61,15 +61,6 @@ def test_constant_coefficient_matches_ode_oracle(constant_model):
     assert np.max(np.abs(G.values[0] - oracle)) < 1e-6
 
 
-def test_constant_coefficient_neumann_stays_flat(constant_model):
-    pref = dh.Preferences(alpha=1.0, horizon_T=0.5)
-    grid = dh.GridSpec(-5.0, 5.0, 64, 64)
-    G = dh.solve_full(constant_model, dh.zero_claim(), pref, grid,
-                      SolverOptions(boundary="neumann"))
-    spread = G.values[0].max() - G.values[0].min()
-    assert spread < 1e-12
-
-
 def test_local_with_unit_cutoff_equals_dirichlet_full(paper_model, paper_pref):
     loc = dh.build_localization(paper_model, 4)
     grid = dh.GridSpec(loc.outer[0], loc.outer[1], 128, 64)
