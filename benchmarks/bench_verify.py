@@ -47,9 +47,7 @@ ARGS = ["--grid", "200,200", "--seed", "3"]
 STAGES = {
     "simulate_factor": "simulate_factor",
     "simulate_default": "simulate_default",
-    "replay_policy": "replay",
     "replay_policies": "replay",
-    "simulate_dual_density": "dual_density",
     "dual_density_terminal": "dual_density",
     "estimate_certainty_equivalent": "estimators",
     "estimate_martingale_mass": "estimators",

@@ -4,7 +4,7 @@ Numerical engine for the paper's named quantities; the exports are
 grouped by the quantity they serve.
 
 * The product-log theta, the nonlinearity of the certainty-equivalent
-  equation: ``theta``, ``theta_of_log``, ``theta_derivative``.
+  equation: ``theta``, ``theta_of_log``.
 * The model (factor, asset coefficients, claims, preferences, the
   localization E_n and chi_n): ``make_cir_model``, ``make_ou_model``,
   ``make_custom_model``, ``paper_cir_params``, ``bond_claim``, ...
@@ -16,43 +16,37 @@ grouped by the quantity they serve.
   the dynamic insurance rate with its upper bound and sign indicator:
   ``indifference_price``, ``optimal_policy``, ``insurance_rate``,
   ``insurance_bounds``, ``protected_policy``, ``short_horizon_curve``.
-* The standing assumptions, certified in closed form with Monte Carlo
-  probes: ``check_model`` and the checks it runs.
+* The standing assumptions, certified in closed form: ``check_model``
+  and the checks it runs.
 * The Monte Carlo verification of G through the primal certainty
   equivalent and the dual density Z: ``simulate_factor``,
   ``simulate_default``, ``replay_policies``, ``dual_density_terminal``
-  and the estimators; ``simulate_dual_density`` is the full-trajectory
-  reference the tests compare Z_T against.
+  and the estimators.
 """
 
-from .lambertw import ThetaDomainError, theta, theta_derivative, theta_of_log
+from .lambertw import ThetaDomainError, theta, theta_of_log
 from .model import (CIRParams, ClaimSpec, Domain1D, LocalizationSpec,
                     ModelError, ModelSpec, OUParams, Preferences, bond_claim,
                     build_localization, default_truncation, invariant_band,
                     make_cir_model, make_custom_model, make_ou_model,
                     market_price_of_risk, nested_subdomain, paper_cir_params,
-                    table_claim, zero_claim)
+                    zero_claim)
 from .solver import (GridSpec, NewtonDivergence, SolverOptions, Surface,
-                     bilinear_interp, central_gradient, default_grid,
-                     hjb_rhs, residual, solve_full, solve_local,
+                     default_grid, residual, solve_full, solve_local,
                      solve_protected)
 from .pricing import (Policy, RadicandNegative, indifference_price,
                       insurance_bounds, insurance_rate, insurance_rate_h_form,
-                      insurance_rate_upper_branch, optimal_policy,
-                      protected_policy, short_horizon_curve,
+                      optimal_policy, protected_policy, short_horizon_curve,
                       zero_rate_position)
 from .assumptions import (AssumptionEntry, AssumptionReport, CIRMomentBound,
                           DriftChangedCIR, WindowViolation,
                           check_cir_integrability, check_model,
                           check_ou_integrability, check_static_assumptions,
-                          cir_moment_bound, drift_changed_cir,
-                          mc_cir_weight_probe, mc_integrability_probe)
+                          cir_moment_bound, drift_changed_cir)
 from .montecarlo import (MCEstimate, PathBundle, SimConfig,
                          dual_density_terminal,
                          estimate_certainty_equivalent, estimate_dual_value,
-                         estimate_martingale_mass, mc_exponential_functional,
-                         pool_estimates, replay_policies, replay_policy,
-                         simulate_default, simulate_dual_density,
-                         simulate_factor)
+                         estimate_martingale_mass, replay_policies,
+                         simulate_default, simulate_factor)
 
 __version__ = "0.1.0"

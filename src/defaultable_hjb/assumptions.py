@@ -7,7 +7,7 @@ certified in closed form: a Gaussian-moment argument for the OU model
 and an explicit CIR moment bound E[exp(int (A/x + B x) dt)]
 <= (Ce/D)^C x^{-C} e^{Dx + lambda T} for the square-root model, both
 also under the drift-changed dynamics used by the duality argument.
-Monte Carlo probes corroborate the closed forms.
+Custom models get no certificate: their integrability is Unverified.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .model import (CIRParams, ClaimSpec, ModelError, ModelSpec, OUParams,
                     Preferences, default_truncation)
-from .montecarlo import MCEstimate, mc_exponential_functional
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -83,24 +82,14 @@ class AssumptionReport:
             blocks.append(f"[{e.status}] {e.id}\n    {e.witness}")
         return "\n".join(blocks)
 
-    def csv_rows(self) -> list:
-        return [(e.id, e.status, e.witness) for e in self.entries]
-
     def to_csv(self, path, header_lines=None) -> None:
         with open(path, "w", newline="\n") as fh:
             for line in header_lines or []:
                 fh.write(f"# {line}\n")
             fh.write("id,status,witness\n")
-            for id_, status, witness in self.csv_rows():
-                w = witness.replace('"', "'")
-                fh.write(f'{id_},{status},"{w}"\n')
-
-
-def merge_reports(*reports: AssumptionReport) -> AssumptionReport:
-    out = []
-    for r in reports:
-        out.extend(r.entries)
-    return AssumptionReport(entries=out)
+            for e in self.entries:
+                w = e.witness.replace('"', "'")
+                fh.write(f'{e.id},{e.status},"{w}"\n')
 
 
 def _moment_drift_entry(witness) -> AssumptionEntry:
@@ -131,7 +120,7 @@ def feller_check(kappa: float, theta_lr: float, xi: float) -> AssumptionEntry:
         f"kappa*theta - xi^2/2 = {margin:.6g} < 0")
 
 
-def _probe_grid(m: ModelSpec, n_points: int = 1000) -> np.ndarray:
+def _probe_grid(m: ModelSpec) -> np.ndarray:
     if m.kind in ("ou", "cir"):
         lo, hi = default_truncation(m)
     else:
@@ -140,7 +129,7 @@ def _probe_grid(m: ModelSpec, n_points: int = 1000) -> np.ndarray:
             raise ModelError("custom models need a bounded domain for checks")
         pad = 1e-9 * (hi - lo)
         lo, hi = lo + pad, hi - pad
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, 1000)
 
 
 def check_static_assumptions(m: ModelSpec, c: ClaimSpec) -> AssumptionReport:
@@ -469,86 +458,16 @@ def check_cir_integrability(p: CIRParams, pref: Preferences
     return AssumptionReport(entries=entries)
 
 
-# ---------------------------------------------------------------------------
-# Monte Carlo probes
-# ---------------------------------------------------------------------------
-
-def mc_integrability_probe(m: ModelSpec, measure: str, eps: float, x: float,
-                           T: float, n_paths: int, n_steps: int,
-                           seed: int = 0, p_exp: float = 1.5) -> MCEstimate:
-    """MC estimate of E[exp(eps int_0^T ell^2(X_u) du)] under a chosen drift.
-
-    measure is "physical", "p0" (dual drift b - ell a rho) or "pp"
-    (b + (p-1) ell a rho).  Paths hitting the hard cap mark the estimate
-    with note="explosion"; callers should report Unverified in that case.
-    """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    floor = m.kind == "cir"
-
-    def ell(xv):
-        xv = np.asarray(xv, dtype=float)
-        safe = np.maximum(xv, 1e-12) if floor else xv
-        return (np.asarray(m.mu(safe), dtype=float)
-                - np.asarray(m.gamma(safe), dtype=float)) \
-            / np.asarray(m.sigma(safe), dtype=float)
-
-    def drift(xv):
-        base = np.asarray(m.b(xv), dtype=float)
-        if measure == "physical":
-            return base
-        tilt = ell(xv) * np.asarray(m.a(xv), dtype=float) \
-            * np.asarray(m.rho(xv), dtype=float)
-        if measure == "p0":
-            return base - tilt
-        if measure == "pp":
-            return base + (p_exp - 1.0) * tilt
-        raise ValueError(f"unknown measure {measure!r}")
-
-    def weight(xv):
-        return eps * ell(xv) ** 2
-
-    return mc_exponential_functional(
-        drift, lambda xv: np.asarray(m.a(xv), dtype=float), weight,
-        x0=x, T=T, n_paths=n_paths, n_steps=n_steps, seed=seed,
-        floor_at_zero=floor, label=f"integrability-{measure}")
-
-
-def mc_cir_weight_probe(p, A_coef: float, B_coef: float, x0: float, T: float,
-                        n_paths: int, n_steps: int, seed: int = 0
-                        ) -> MCEstimate:
-    """MC estimate of E[exp(int (A/X + B X) dt)] for a square-root process.
-
-    Corroborates cir_moment_bound; p needs kappa, theta_lr, xi attributes.
-    """
-    def weight(xv):
-        xv = np.maximum(np.asarray(xv, dtype=float), 1e-12)
-        return A_coef / xv + B_coef * xv
-
-    return mc_exponential_functional(
-        lambda xv: p.kappa * (p.theta_lr - np.asarray(xv, dtype=float)),
-        lambda xv: p.xi * np.sqrt(np.maximum(np.asarray(xv, dtype=float),
-                                             0.0)),
-        weight, x0=x0, T=T, n_paths=n_paths, n_steps=n_steps, seed=seed,
-        floor_at_zero=True, label="cir-moment-probe")
-
-
 def check_model(m: ModelSpec, c: ClaimSpec, pref: Preferences
                 ) -> AssumptionReport:
     """Full report: static assumptions plus the integrability certificates."""
-    report = check_static_assumptions(m, c)
+    entries = check_static_assumptions(m, c).entries
     if m.kind == "ou":
-        report = merge_reports(report,
-                               check_ou_integrability(m.params,
-                                                      pref.horizon_T))
+        entries += check_ou_integrability(m.params, pref.horizon_T).entries
     elif m.kind == "cir":
-        report = merge_reports(report,
-                               check_cir_integrability(m.params, pref))
+        entries += check_cir_integrability(m.params, pref).entries
     else:
-        report = merge_reports(report, AssumptionReport(entries=[
-            AssumptionEntry(
-                "incomplete-market-integrability", UNVERIFIED,
-                "custom coefficients: no closed-form certificate; use "
-                "mc_integrability_probe"),
-        ]))
-    return report
+        entries.append(AssumptionEntry(
+            "incomplete-market-integrability", UNVERIFIED,
+            "custom coefficients: no closed-form certificate"))
+    return AssumptionReport(entries=entries)

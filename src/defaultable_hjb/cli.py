@@ -229,7 +229,7 @@ def make_grid(cfg: RunConfig, m, pref, nx=None, nt=None) -> GridSpec:
             f"({m.domain.lower:g}, {m.domain.upper:g})")
     try:
         return GridSpec(x_min=lo, x_max=hi, n_space=nx or cfg.nx,
-                        n_time=nt or cfg.nt, t_start=0.0, t_end=pref.horizon_T)
+                        n_time=nt or cfg.nt, t_end=pref.horizon_T)
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
@@ -368,14 +368,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     G = solve_full(m, claim, pref, grid)
     if cfg.debug:
         # intentionally wrong surface: the martingale-mass check must fail
-        G = Surface(grid=grid, values=G.values + 0.2, boundary=G.boundary)
+        G = Surface(grid=grid, values=G.values + 0.2)
     pol = pricing.optimal_policy(G, m, pref)
-    pol_surface = Surface(grid=grid, values=pol.values, boundary=G.boundary)
+    pol_surface = Surface(grid=grid, values=pol.values)
     g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
 
     # one path bundle: the perturbed policy rides the same paths as the
     # optimal one (common random numbers)
-    pert = Surface(grid=grid, values=pol.values + 0.5, boundary=G.boundary)
+    pert = Surface(grid=grid, values=pol.values + 0.5)
     bundle = mc.simulate_factor(m, sim, pref.horizon_T)
     mc.simulate_default(m, bundle)
     opt, perturbed = mc.replay_policies(m, [pol_surface, pert], bundle, pref)

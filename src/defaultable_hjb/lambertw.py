@@ -33,12 +33,6 @@ def theta(y):
     return backends.theta_array(arr if arr.ndim else float(arr))
 
 
-def theta_derivative(y):
-    """d theta / dy via the identity y * theta'(y) * (1 + theta(y)) = theta(y)."""
-    w = theta(y)
-    return w / (np.asarray(y, dtype=np.float64) * (1.0 + w))
-
-
 def theta_of_log(u):
     """theta(exp(u)) for any real u, safe against exp overflow/underflow."""
     arr = np.asarray(u, dtype=np.float64)

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
+from scipy.special import gammaincinv, ndtri
 
 
 class ModelError(ValueError):
@@ -132,20 +130,6 @@ def bond_claim(q: float = 1.0) -> ClaimSpec:
                      q=q, phi_lower=0.0, phi_upper=1.0, label="one")
 
 
-def table_claim(xs, values, q: float = 1.0) -> ClaimSpec:
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    spline = CubicSpline(xs, values)
-
-    def phi(x):
-        return spline(np.clip(np.asarray(x, dtype=float), xs[0], xs[-1]))
-
-    return ClaimSpec(phi=phi, q=q,
-                     phi_lower=min(0.0, float(values.min())),
-                     phi_upper=max(0.0, float(values.max())),
-                     label="table")
-
-
 @dataclass(frozen=True)
 class Preferences:
     alpha: float
@@ -225,22 +209,32 @@ def market_price_of_risk(m: ModelSpec, x):
     return (m.mu(x) - m.gamma(x)) / m.sigma(x)
 
 
-def _stationary_law(m: ModelSpec):
-    """Stationary law of a built-in factor, as a frozen scipy distribution.
+def _stationary_law(m: ModelSpec) -> tuple[float, float]:
+    """Parameters of the stationary law of a built-in factor.
 
-    CIR: Gamma with shape 2 kappa theta / xi^2 and rate 2 kappa / xi^2.
-    OU: centred normal with s.d. 1 / sqrt(2 b) (3 when b = 0).
+    CIR: Gamma (shape 2 kappa theta / xi^2, rate 2 kappa / xi^2).
+    OU: centred normal (0, s.d. 1 / sqrt(2 b), or 3 when b = 0).
     """
     if m.kind == "cir":
         p: CIRParams = m.params
         shape = 2.0 * p.kappa * p.theta_lr / p.xi ** 2
         rate = 2.0 * p.kappa / p.xi ** 2
-        return gamma_dist(a=shape, scale=1.0 / rate)
+        return shape, rate
     if m.kind == "ou":
         p: OUParams = m.params
         sd = 1.0 / np.sqrt(2.0 * p.b_mr) if p.b_mr > 0 else 3.0
-        return norm(loc=0.0, scale=sd)
+        return 0.0, sd
     raise ModelError("the stationary law is only defined for built-in kinds")
+
+
+def _stationary_quantiles(m: ModelSpec, q) -> np.ndarray:
+    """Quantiles of the stationary law at the probabilities q."""
+    q = np.asarray(q, dtype=float)
+    if m.kind == "cir":
+        shape, rate = _stationary_law(m)
+        return gammaincinv(shape, q) * (1.0 / rate)
+    _, sd = _stationary_law(m)
+    return ndtri(q) * sd
 
 
 def default_truncation(m: ModelSpec) -> tuple[float, float]:
@@ -249,18 +243,17 @@ def default_truncation(m: ModelSpec) -> tuple[float, float]:
     CIR: the [0.001, 0.999] quantile band of the stationary law, widened
     by a factor 1.5.  OU: stationary mean +/- 6 standard deviations.
     """
-    law = _stationary_law(m)
     if m.kind == "cir":
-        q_lo, q_hi = law.ppf([0.001, 0.999])
+        q_lo, q_hi = _stationary_quantiles(m, [0.001, 0.999])
         return q_lo / 1.5, q_hi * 1.5
-    sd = law.std()
+    _, sd = _stationary_law(m)
     return -6.0 * sd, 6.0 * sd
 
 
 def invariant_band(m: ModelSpec, lo_q: float = 0.025, hi_q: float = 0.975
                    ) -> tuple[float, float]:
     """Quantile band of the stationary law, used as the reporting band."""
-    lo, hi = _stationary_law(m).ppf([lo_q, hi_q])
+    lo, hi = _stationary_quantiles(m, [lo_q, hi_q])
     return float(lo), float(hi)
 
 
@@ -289,9 +282,9 @@ class LocalizationSpec:
     outer: tuple[float, float]  # E_n
     chi: Callable = field(repr=False)
 
-    def validate(self, n_points: int = 1000) -> None:
+    def validate(self) -> None:
         lo, hi = self.outer
-        xs = np.linspace(lo, hi, n_points)
+        xs = np.linspace(lo, hi, 1000)
         c = self.chi(xs)
         if np.any(c < -1e-15) or np.any(c > 1.0 + 1e-15):
             raise ModelError("chi_n must take values in [0, 1]")
@@ -303,6 +296,11 @@ class LocalizationSpec:
             raise ModelError("chi_n must be strictly positive on E_n")
         if abs(float(self.chi(lo))) > 1e-300 or abs(float(self.chi(hi))) > 1e-300:
             raise ModelError("chi_n must vanish at the boundary of E_n")
+
+
+# width of the cutoff's transition band, as a share of the gap between
+# E_{n-1} and the boundary of E_n
+_TRANSITION_WIDTH = 0.1
 
 
 def nested_subdomain(m: ModelSpec, n: int) -> tuple[float, float]:
@@ -320,16 +318,13 @@ def nested_subdomain(m: ModelSpec, n: int) -> tuple[float, float]:
     return lo + pad, hi - pad
 
 
-def build_localization(m: ModelSpec, n: int,
-                       transition_width: float = 0.1) -> LocalizationSpec:
+def build_localization(m: ModelSpec, n: int) -> LocalizationSpec:
     """Smooth cutoff for the localized PDE on E_n.
 
     The cutoff equals 1 away from the edges of E_n and decays to exactly 0
-    at the boundary over a band of width transition_width times the gap
-    between E_{n-1} and the boundary of E_n.
+    at the boundary over a band of _TRANSITION_WIDTH times the gap between
+    E_{n-1} and the boundary of E_n.
     """
-    if not 0 < transition_width <= 1:
-        raise ModelError("transition_width must lie in (0, 1]")
     inner = nested_subdomain(m, n - 1) if n >= 3 else nested_subdomain(m, 2)
     outer = nested_subdomain(m, n)
     if n == 2:
@@ -337,8 +332,8 @@ def build_localization(m: ModelSpec, n: int,
         a, b = outer
         inner = (a + 0.25 * (b - a), b - 0.25 * (b - a))
     lo, hi = outer
-    w_lo = transition_width * (inner[0] - lo)
-    w_hi = transition_width * (hi - inner[1])
+    w_lo = _TRANSITION_WIDTH * (inner[0] - lo)
+    w_hi = _TRANSITION_WIDTH * (hi - inner[1])
     if w_lo <= 0 or w_hi <= 0:
         raise ModelError("E_{n-1} must be strictly inside E_n")
 

@@ -10,7 +10,7 @@ seed reproduces estimates bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class SimConfig:
     n_steps: int
     seed: int
     x0: float
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 1:
@@ -58,12 +57,11 @@ class PathBundle:
     default_step: Optional[np.ndarray] = None
     wealth: Optional[np.ndarray] = None
     protected: bool = False
-    zhat: Optional[np.ndarray] = None            # closed-form dual density
-    zhat_expform: Optional[np.ndarray] = None    # stochastic-exponential check
+    zhat: Optional[np.ndarray] = None   # terminal dual density Z_T
 
     @property
     def dt(self) -> float:
-        return (self.horizon - self.cfg.t0) / self.cfg.n_steps
+        return self.horizon / self.cfg.n_steps
 
     def survived(self, t: float) -> np.ndarray:
         return self.delta > t
@@ -76,11 +74,11 @@ def simulate_factor(m: ModelSpec, cfg: SimConfig, horizon: float) -> PathBundle:
     OU, full-truncation Euler for CIR, and for a custom model Euler
     clamped just inside the domain.
     """
-    if horizon <= cfg.t0:
-        raise ValueError("horizon must exceed the start time t0")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
     if not bool(m.domain.contains(cfg.x0)):
         raise ValueError("x0 outside the model domain")
-    dt = (horizon - cfg.t0) / cfg.n_steps
+    dt = horizon / cfg.n_steps
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     z = rng.standard_normal((cfg.n_paths, cfg.n_steps))
     z0 = rng.standard_normal((cfg.n_paths, cfg.n_steps))
@@ -116,7 +114,7 @@ def simulate_factor(m: ModelSpec, cfg: SimConfig, horizon: float) -> PathBundle:
             if np.isfinite(hi):
                 xn = np.minimum(xn, hi - 1e-12 * max(1.0, abs(hi)))
             x[:, k + 1] = xn
-    ts = cfg.t0 + dt * np.arange(cfg.n_steps + 1)
+    ts = dt * np.arange(cfg.n_steps + 1)
     return PathBundle(cfg=cfg, horizon=horizon, ts=ts, x=x, dW=dW, dW0=z0 * np.sqrt(dt),
                       exp_draws=exp_draws)
 
@@ -126,51 +124,31 @@ def simulate_default(m: ModelSpec, bundle: PathBundle) -> PathBundle:
     intensity = np.asarray(m.gamma(bundle.x), dtype=float)
     delta, step = backends.crossing_times(intensity, bundle.dt,
                                           bundle.exp_draws)
-    bundle.delta = np.where(np.isfinite(delta), bundle.cfg.t0 + delta,
-                            np.inf)
+    bundle.delta = delta
     bundle.default_step = np.asarray(step, dtype=np.int64)
     return bundle
 
 
-def _field_at(f, t, x):
-    """Evaluate a policy/rate field given as a Surface-like object or callable."""
-    if hasattr(f, "at"):
-        return np.asarray(f.at(t, x), dtype=float)
-    return np.asarray(f(t, x), dtype=float)
-
-
-def replay_policy(m: ModelSpec, pi_field, bundle: PathBundle,
-                  pref: Preferences, rate_field=None,
-                  protected: bool = False) -> PathBundle:
-    """Drive the wealth recursion under one policy; fills bundle.wealth.
-
-    See replay_policies, which this runs with the single field.
-    """
-    (replayed,) = replay_policies(m, [pi_field], bundle, pref, rate_field,
-                                  protected)
-    bundle.wealth = replayed.wealth
-    bundle.protected = protected
-    return bundle
-
-
 def replay_policies(m: ModelSpec, pi_fields, bundle: PathBundle,
-                    pref: Preferences, rate_field=None,
-                    protected: bool = False) -> list:
+                    pref: Preferences, rate_field=None) -> list:
     """Drive the wealth recursion under each policy on the same paths.
 
     Unprotected: pre-default increment pi*(mu dt + sigma(rho dW
     + sqrt(1-rho^2) dW0)) (the default compensator cancels the -gamma
-    drift), a jump of -pi at default, frozen afterwards.  Protected:
-    drift pi*(mu - gamma - f) dt plus the same diffusion, no jump.
+    drift), a jump of -pi at default, frozen afterwards.  Protected, when
+    the insurance rate_field f is given: drift pi*(mu - gamma - f) dt plus
+    the same diffusion, no jump.  A field is a Surface or a callable
+    f(t, x).
 
     The policies share one time loop (common random numbers): each step
     evaluates the coefficients, the diffusion increment, the default
     masks and, for Surface fields on one grid, the bilinear cell once.
     Returns one bundle per field, sharing the paths of ``bundle`` and
-    carrying that policy's wealth; each is what replay_policy would give.
+    carrying that policy's wealth.
     """
     if bundle.delta is None:
-        raise ValueError("simulate_default must run before replay_policy")
+        raise ValueError("simulate_default must run before replay_policies")
+    protected = rate_field is not None
     n_paths, n_steps = bundle.dW.shape
     dt = bundle.dt
     ds = bundle.default_step
@@ -186,7 +164,8 @@ def replay_policies(m: ModelSpec, pi_fields, bundle: PathBundle,
         cells = {g: bilinear_cell(ts, xs, t_k, xk)
                  for g, (ts, xs) in grids.items()}
         values = [bilinear_gather(f.values, cells[f.grid])
-                  if isinstance(f, Surface) else _field_at(f, t_k, xk)
+                  if isinstance(f, Surface)
+                  else np.asarray(f(t_k, xk), dtype=float)
                   for f in fields]
         mu = np.asarray(m.mu(xk), dtype=float)
         sig = np.asarray(m.sigma(xk), dtype=float)
@@ -221,7 +200,7 @@ def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
                                   label: str = "ce") -> MCEstimate:
     """CE = -(1/alpha) log mean exp(-alpha (W_T + 1_{delta>T} q phi(X_T)))."""
     if bundle.wealth is None:
-        raise ValueError("replay_policy must run before the CE estimate")
+        raise ValueError("replay_policies must run before the CE estimate")
     al = pref.alpha
     payoff = bundle.wealth[:, -1].copy()
     surv = bundle.survived(bundle.horizon)
@@ -237,76 +216,19 @@ def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
                       label=label)
 
 
-def simulate_dual_density(m: ModelSpec, G: Surface, pi_field,
-                          bundle: PathBundle, pref: Preferences) -> PathBundle:
-    """Fill the candidate dual density along each path (a cross-check).
-
-    Closed form: Z_s = exp(-alpha (W_s - G(t0,x0) + 1_{delta>s} G(s,X_s))).
-    A log-Euler stochastic-exponential trajectory with loadings
-    A = -alpha (pi sigma rho + a G_x), B = -alpha pi sigma sqrt(1-rho^2),
-    jump factor exp(alpha (pi + G)) at default, is stored as a
-    discretization cross-check.  The tests use both full trajectories;
-    the estimators read only Z_T, which dual_density_terminal gives alone.
-    """
-    if bundle.wealth is None:
-        raise ValueError("replay_policy must run before the dual density")
-    al = pref.alpha
-    n_paths, n_steps = bundle.dW.shape
-    g00 = float(G.at(bundle.cfg.t0, np.atleast_1d(bundle.cfg.x0))[0])
-    z = np.empty((n_paths, n_steps + 1))
-    for k in range(n_steps + 1):
-        t_k = bundle.ts[k]
-        surv = bundle.delta > t_k
-        g_k = np.where(surv, G.at(t_k, bundle.x[:, k]), 0.0)
-        z[:, k] = np.exp(-al * (bundle.wealth[:, k] - g00 + g_k))
-    bundle.zhat = z
-
-    dt = bundle.dt
-    ds = bundle.default_step
-    ze = np.empty((n_paths, n_steps + 1))
-    ze[:, 0] = 1.0
-    for k in range(n_steps):
-        t_k = bundle.ts[k]
-        xk = bundle.x[:, k]
-        pi_k = _field_at(pi_field, t_k, xk)
-        sig = np.asarray(m.sigma(xk), dtype=float)
-        rho = np.asarray(m.rho(xk), dtype=float)
-        a = np.asarray(m.a(xk), dtype=float)
-        gam = np.asarray(m.gamma(xk), dtype=float)
-        gx = G.gradient_at(t_k, xk)
-        g_k = G.at(t_k, xk)
-        A = -al * (pi_k * sig * rho + a * gx)
-        B = -al * pi_k * sig * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
-        C = np.exp(al * (pi_k + g_k)) - 1.0
-        alive = ds > k
-        log_inc = np.where(
-            alive,
-            A * bundle.dW[:, k] + B * bundle.dW0[:, k]
-            - 0.5 * (A * A + B * B) * dt - gam * C * dt,
-            0.0)
-        factor = np.exp(log_inc)
-        defaulting = ds == k
-        if defaulting.any():
-            factor = np.where(defaulting, np.exp(al * (pi_k + g_k)), factor)
-        ze[:, k + 1] = ze[:, k] * factor
-    bundle.zhat_expform = ze
-    return bundle
-
-
 def dual_density_terminal(G: Surface, bundle: PathBundle,
                           pref: Preferences) -> PathBundle:
-    """Fill only the terminal dual density Z_T, all the estimators read.
+    """Fill the terminal dual density Z_T, all the estimators read.
 
-    Bit-identical to the last column of simulate_dual_density's closed
-    form, without its (n_paths, n_steps+1) trajectories: both evaluate at
-    the last simulation time ts[-1], which can differ from the horizon by
-    an ulp.  Stores a single-column zhat so the estimators that read
-    zhat[:, -1] work unchanged.
+    Z_T = exp(-alpha (W_T - G(0, x0) + 1_{delta>T} G(T, X_T))), evaluated
+    at the last simulation time ts[-1], which can differ from the horizon
+    by an ulp.  Stores a single-column zhat; the estimators read
+    zhat[:, -1].
     """
     if bundle.wealth is None:
-        raise ValueError("replay_policy must run before the dual density")
+        raise ValueError("replay_policies must run before the dual density")
     al = pref.alpha
-    g00 = float(G.at(bundle.cfg.t0, np.atleast_1d(bundle.cfg.x0))[0])
+    g00 = float(G.at(0.0, np.atleast_1d(bundle.cfg.x0))[0])
     t_T = bundle.ts[-1]
     surv = bundle.survived(t_T)
     g_T = np.where(surv, G.at(t_T, bundle.x[:, -1]), 0.0)
@@ -319,7 +241,7 @@ def estimate_dual_value(bundle: PathBundle, claim: ClaimSpec,
                         pref: Preferences, label: str = "dual") -> MCEstimate:
     """(1/alpha) E[Z_T log Z_T] + E[Z_T 1_{delta>T} q phi(X_T)]."""
     if bundle.zhat is None:
-        raise ValueError("simulate_dual_density must run first")
+        raise ValueError("dual_density_terminal must run first")
     al = pref.alpha
     zT = bundle.zhat[:, -1]
     surv = bundle.survived(bundle.horizon)
@@ -343,55 +265,6 @@ def estimate_martingale_mass(bundle: PathBundle,
     mean = float(np.mean(zT))
     se = float(np.std(zT, ddof=1) / np.sqrt(len(zT))) if len(zT) > 1 else 0.0
     return MCEstimate(mean=mean, std_error=se, n_paths=len(zT), label=label)
-
-
-def pool_estimates(estimates: list[MCEstimate],
-                   label: str = "pooled") -> MCEstimate:
-    """Equal-weight pool of independent estimates (e.g. across seeds)."""
-    if not estimates:
-        raise ValueError("nothing to pool")
-    k = len(estimates)
-    mean = float(np.mean([e.mean for e in estimates]))
-    se = float(np.sqrt(np.sum([e.std_error ** 2 for e in estimates])) / k)
-    n = int(np.sum([e.n_paths for e in estimates]))
-    return MCEstimate(mean=mean, std_error=se, n_paths=n, label=label)
-
-
-def mc_exponential_functional(drift: Callable, diffusion: Callable,
-                              weight: Callable, x0: float, T: float,
-                              n_paths: int, n_steps: int, seed: int,
-                              floor_at_zero: bool = False,
-                              cap: float = 1e7,
-                              label: str = "expfun") -> MCEstimate:
-    """Euler estimate of E[exp(int_0^T weight(X_u) du)] with X_0 = x0.
-
-    Trapezoidal time integral; paths escaping |x| > cap mark the estimate
-    with note="explosion" (the caller reports Unverified, not Fails).
-    """
-    dt = T / n_steps
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = np.full(n_paths, float(x0))
-    w_prev = np.asarray(weight(np.maximum(x, 1e-12) if floor_at_zero else x),
-                        dtype=float)
-    integral = np.zeros(n_paths)
-    exploded = np.zeros(n_paths, dtype=bool)
-    sq = np.sqrt(dt)
-    for _ in range(n_steps):
-        z = rng.standard_normal(n_paths)
-        xe = np.maximum(x, 0.0) if floor_at_zero else x
-        x = x + np.asarray(drift(xe), dtype=float) * dt \
-            + np.asarray(diffusion(xe), dtype=float) * sq * z
-        exploded |= np.abs(x) > cap
-        x = np.clip(x, -cap, cap)
-        xe = np.maximum(x, 1e-12) if floor_at_zero else x
-        w_cur = np.asarray(weight(xe), dtype=float)
-        integral += 0.5 * (w_prev + w_cur) * dt
-        w_prev = w_cur
-    y = np.exp(integral)
-    mean = float(np.mean(y))
-    se = float(np.std(y, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths, label=label,
-                      note="explosion" if exploded.any() else "")
 
 
 def estimates_to_csv(path, estimates: list[MCEstimate], seed=None,

@@ -88,13 +88,6 @@ def insurance_rate(G: Surface, m: ModelSpec, pref: Preferences) -> np.ndarray:
     return s2 * (x_tilde - np.sqrt(rad))
 
 
-def insurance_rate_upper_branch(G: Surface, m: ModelSpec,
-                                pref: Preferences) -> np.ndarray:
-    """Upper branch f_+ (diagnostic only; a paying insured would be short)."""
-    rad, x_tilde, s2 = _radicand(G, m, pref)
-    return s2 * (x_tilde + np.sqrt(rad))
-
-
 def _radicand(G: Surface, m: ModelSpec, pref: Preferences):
     coef, x_tilde, theta_g, log_y = _node_fields(G, m, pref)
     rad = x_tilde ** 2 - (theta_g ** 2 + 2.0 * theta_g - 2.0 * np.exp(log_y))

@@ -4,7 +4,8 @@ Three modes share one backward marcher, a Crank-Nicolson / Newton stepper
 on a uniform (time x space) grid:
 
 * full      -- the semilinear equation with the product-log source,
-* local     -- the mollified equation with zero lateral Dirichlet data,
+* local     -- the mollified equation with zero lateral Dirichlet data
+               (the other modes extrapolate at the edges),
 * protected -- the protected-market equation driven by an insurance
                rate field, terminal value zero.
 
@@ -21,7 +22,7 @@ evaluation of identical inputs, so no value changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,11 +46,12 @@ class NewtonDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Uniform grid on [x_min, x_max] x [0, t_end]."""
+
     x_min: float
     x_max: float
     n_space: int
     n_time: int
-    t_start: float = 0.0
     t_end: float = 1.0
 
     def __post_init__(self):
@@ -57,8 +59,8 @@ class GridSpec:
             raise ValueError("x_min must be below x_max")
         if self.n_space < 16 or self.n_time < 16:
             raise ValueError("need at least 16 space and time intervals")
-        if not 0 <= self.t_start < self.t_end:
-            raise ValueError("need 0 <= t_start < t_end")
+        if not self.t_end > 0:
+            raise ValueError("need t_end > 0")
 
     @property
     def xs(self) -> np.ndarray:
@@ -66,7 +68,7 @@ class GridSpec:
 
     @property
     def ts(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_time + 1)
+        return np.linspace(0.0, self.t_end, self.n_time + 1)
 
     @property
     def dx(self) -> float:
@@ -74,7 +76,7 @@ class GridSpec:
 
     @property
     def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.n_time
+        return self.t_end / self.n_time
 
 
 @dataclass(frozen=True)
@@ -82,15 +84,12 @@ class SolverOptions:
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
     scheme: str = "crank-nicolson"  # or "backward-euler"
-    boundary: str = "extrapolation"  # or "dirichlet"
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.scheme not in ("crank-nicolson", "backward-euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.boundary not in ("extrapolation", "dirichlet"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
 
 
 def central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
@@ -136,12 +135,6 @@ def bilinear_gather(values: np.ndarray, cell: tuple) -> np.ndarray:
     return row0 * (1 - wt) + row1 * wt
 
 
-def bilinear_interp(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
-                    t: float, x: np.ndarray) -> np.ndarray:
-    """Bilinear lookup in (t, x) on a uniform grid, clamped to the edges."""
-    return bilinear_gather(values, bilinear_cell(ts, xs, t, x))
-
-
 @dataclass
 class Surface:
     """Certainty equivalent on the grid, together with its spatial gradient."""
@@ -152,17 +145,15 @@ class Surface:
     mode: str = "full"  # "full" | "local" | "protected"
     chi: Optional[np.ndarray] = None          # local mode cutoff on the x nodes
     rate_field: Optional[np.ndarray] = None   # protected mode insurance rate
-    boundary: str = "extrapolation"
 
     def __post_init__(self):
         if self.gradient is None:
             self.gradient = central_gradient(self.values, self.grid.dx)
 
     def at(self, t: float, x) -> np.ndarray:
-        return bilinear_interp(self.grid.ts, self.grid.xs, self.values, t, x)
-
-    def gradient_at(self, t: float, x) -> np.ndarray:
-        return bilinear_interp(self.grid.ts, self.grid.xs, self.gradient, t, x)
+        """Bilinear lookup in (t, x), clamped to the grid edges."""
+        return bilinear_gather(self.values,
+                               bilinear_cell(self.grid.ts, self.grid.xs, t, x))
 
     def to_csv(self, path, header_lines: Optional[list[str]] = None) -> None:
         """Header row of x nodes, one row per time node, 17 significant digits."""
@@ -289,9 +280,11 @@ def _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet):
 
 def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray, ev,
                 w_impl: float, w_expl: float, opt: SolverOptions,
-                step_index: int):
-    """Damped Newton from U, given ev = evaluate(U) or None; returns (U, ev)."""
-    dirichlet = opt.boundary == "dirichlet"
+                dirichlet: bool, step_index: int):
+    """Damped Newton from U, given ev = evaluate(U) or None; returns (U, ev).
+
+    A non-finite residual cannot be reduced, so it raises at once.
+    """
     for it in range(opt.newton_max_iter + 1):
         if ev is None:
             ev = evaluate(U)
@@ -300,7 +293,7 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray, ev,
         rnorm = float(np.max(np.abs(R)))
         if rnorm <= opt.newton_tol:
             return U, ev
-        if it == opt.newton_max_iter:
+        if it == opt.newton_max_iter or not np.isfinite(rnorm):
             raise NewtonDivergence(step_index, rnorm)
         jd = 1.0 - w_impl * diag
         jsub = -w_impl * sub
@@ -330,13 +323,14 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray, ev,
 
 
 def _march(coef: _Coeffs, grid: GridSpec, terminal: np.ndarray,
-           opt: SolverOptions, chi=None, f_surface=None) -> np.ndarray:
+           opt: SolverOptions, chi=None, f_surface=None,
+           dirichlet: bool = False) -> np.ndarray:
     """Surface values marched backward from the terminal row.
 
     The source is the protected one if f_surface is given, else the
-    full/local one with cutoff chi.
+    full/local one with cutoff chi.  The edges extrapolate, or are held
+    at zero if dirichlet.
     """
-    dirichlet = opt.boundary == "dirichlet"
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
 
     def evaluator(i):
@@ -359,16 +353,9 @@ def _march(coef: _Coeffs, grid: GridSpec, terminal: np.ndarray,
                                      U.tobytes() != G_next.tobytes()):
             ev = None
         values[i], ev = _solve_step(evaluator(i), G_next, F_next, U, ev,
-                                    w_impl, w_expl, opt, step_index=i)
+                                    w_impl, w_expl, opt, dirichlet,
+                                    step_index=i)
     return values
-
-
-def hjb_rhs(m: ModelSpec, g: float, gx: float, x: float, alpha: float) -> float:
-    """Pointwise zeroth-order + gradient nonlinearity of the full equation."""
-    coef = _Coeffs(m, np.atleast_1d(np.asarray(x, dtype=float)), alpha)
-    N, _, _ = _source_full(coef, np.atleast_1d(float(g)),
-                           np.atleast_1d(float(gx)), np.ones(1))
-    return float(N[0])
 
 
 def solve_full(m: ModelSpec, c: ClaimSpec, pref: Preferences, grid: GridSpec,
@@ -378,7 +365,7 @@ def solve_full(m: ModelSpec, c: ClaimSpec, pref: Preferences, grid: GridSpec,
     coef = _Coeffs(m, xs, pref.alpha)
     values = _march(coef, grid, c.q * np.asarray(c.phi(xs), dtype=float), opt,
                     chi=np.ones_like(xs))
-    return Surface(grid=grid, values=values, mode="full", boundary=opt.boundary)
+    return Surface(grid=grid, values=values, mode="full")
 
 
 def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
@@ -392,9 +379,8 @@ def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
     coef = _Coeffs(m, xs, pref.alpha)
     chi = np.asarray(loc.chi(xs), dtype=float)
     values = _march(coef, grid, chi * c.q * np.asarray(c.phi(xs), dtype=float),
-                    replace(opt, boundary="dirichlet"), chi=chi)
-    return Surface(grid=grid, values=values, mode="local", chi=chi,
-                   boundary="dirichlet")
+                    opt, chi=chi, dirichlet=True)
+    return Surface(grid=grid, values=values, mode="local", chi=chi)
 
 
 def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
@@ -411,7 +397,7 @@ def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
     values = _march(coef, grid, np.zeros(grid.n_space + 1), opt,
                     f_surface=f_surface)
     return Surface(grid=grid, values=values, mode="protected",
-                   rate_field=f_surface, boundary=opt.boundary)
+                   rate_field=f_surface)
 
 
 def residual(surface: Surface, m: ModelSpec, pref: Preferences,
@@ -419,9 +405,10 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
              rate_field: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete stepping residual of the surface, one row per time step.
 
-    Uses exactly the operators the stepper drives to newton_tol; a
-    converged solve therefore has max-norm residual <= 10 * newton_tol.
-    For protected-mode evaluation of a full-mode surface, pass rate_field.
+    Uses exactly the operators and the closure the stepper drives to
+    newton_tol; a converged solve therefore has max-norm residual
+    <= 10 * newton_tol.  For protected-mode evaluation of a full-mode
+    surface, pass rate_field.
     """
     grid = surface.grid
     values = surface.values
@@ -429,6 +416,7 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
     protected = surface.mode == "protected" or rate_field is not None
     chi = surface.chi if surface.chi is not None else np.ones_like(grid.xs)
     f_field = rate_field if rate_field is not None else surface.rate_field
+    dirichlet = surface.mode == "local"
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
     # each row is evaluated once: row i + 1 is also the explicit half of row i
     F = [_spatial_operator(coef, row, grid.dx, chi=chi,
@@ -439,13 +427,13 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
     for i in range(grid.n_time):
         F_next = F[i + 1] if w_expl > 0.0 else 0.0
         out[i] = _step_residual(values[i], values[i + 1], F[i], F_next,
-                                w_impl, w_expl, surface.boundary == "dirichlet")
+                                w_impl, w_expl, dirichlet)
     return out
 
 
 def default_grid(m: ModelSpec, pref: Preferences, n_space: int = 200,
-                 n_time: int = 200, t_start: float = 0.0) -> GridSpec:
+                 n_time: int = 200) -> GridSpec:
     """Grid on the model's default truncation interval, ending at the horizon."""
     lo, hi = default_truncation(m)
     return GridSpec(x_min=lo, x_max=hi, n_space=n_space, n_time=n_time,
-                    t_start=t_start, t_end=pref.horizon_T)
+                    t_end=pref.horizon_T)

@@ -11,10 +11,11 @@ import pytest
 
 import defaultable_hjb as dh
 from defaultable_hjb import backends, montecarlo as mc
-from defaultable_hjb.assumptions import cir_moment_bound, mc_cir_weight_probe
+from defaultable_hjb.assumptions import cir_moment_bound
 from defaultable_hjb.lambertw import theta, theta_of_log
 from defaultable_hjb.pricing import (insurance_rate_h_form,
                                      short_horizon_curve, zero_rate_position)
+from oracles import mc_cir_weight_probe, pool_estimates
 
 
 def _crit(n, name, ok, detail=""):
@@ -266,7 +267,7 @@ def mc_battery(paper_model, paper_pref, G_zero):
             duals.append(mc.estimate_dual_value(opt, claim, paper_pref))
             bc = _coarsen(b, paper_model)
             mc.simulate_default(paper_model, bc)
-            mc.replay_policy(paper_model, pol, bc, paper_pref)
+            (bc,) = mc.replay_policies(paper_model, [pol], bc, paper_pref)
             ces_half.append(
                 mc.estimate_certainty_equivalent(bc, claim, paper_pref))
             for bp in perturbed:
@@ -276,11 +277,11 @@ def mc_battery(paper_model, paper_pref, G_zero):
     paired = np.array([h.mean - f.mean for h, f in zip(ces_half, ces)])
     return {
         "g0": float(G_zero.at(0.0, np.atleast_1d(0.06))[0]),
-        "ce": mc.pool_estimates(ces, label="ce"),
-        "ce_half": mc.pool_estimates(ces_half, label="ce-half"),
-        "mass": mc.pool_estimates(masses, label="mass"),
-        "dual": mc.pool_estimates(duals, label="dual"),
-        "ce_pert": mc.pool_estimates(ces_pert, label="ce-perturbed"),
+        "ce": pool_estimates(ces, label="ce"),
+        "ce_half": pool_estimates(ces_half, label="ce-half"),
+        "mass": pool_estimates(masses, label="mass"),
+        "dual": pool_estimates(duals, label="dual"),
+        "ce_pert": pool_estimates(ces_pert, label="ce-perturbed"),
         "paired_se": float(np.std(paired, ddof=1) / np.sqrt(len(paired))),
     }
 
@@ -321,7 +322,7 @@ def test_criterion_14_cir_moment_bound():
     bound, _ = cir_moment_bound(P, 0.0, 1.5625, 0.06, 1.0)
     ests = [mc_cir_weight_probe(P, 0.0, 1.5625, 0.06, 1.0, n_paths=20_000,
                                 n_steps=200, seed=s) for s in range(10)]
-    pooled = mc.pool_estimates(ests)
+    pooled = pool_estimates(ests)
     ok = pooled.mean <= bound + 3.0 * pooled.std_error
     _crit(14, "cir-moment-bound", ok,
           f"MC {pooled.mean:.6f}+-{pooled.std_error:.1e} <= bound "

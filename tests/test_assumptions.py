@@ -7,11 +7,9 @@ import defaultable_hjb as dh
 from defaultable_hjb.assumptions import (FAILS, HOLDS, UNVERIFIED,
                                          AssumptionEntry, AssumptionReport,
                                          WindowViolation, cir_moment_bound,
-                                         drift_changed_cir, feller_check,
-                                         mc_cir_weight_probe,
-                                         mc_integrability_probe,
-                                         merge_reports)
+                                         drift_changed_cir, feller_check)
 from defaultable_hjb.model import ModelError
+from oracles import mc_cir_weight_probe, mc_integrability_probe
 
 
 def _const_model(rho):
@@ -54,7 +52,7 @@ def test_static_checks_flag_bad_correlation():
 def test_report_render_csv_merge(tmp_path):
     r1 = AssumptionReport(entries=[AssumptionEntry("a", HOLDS, 'w "quoted"')])
     r2 = AssumptionReport(entries=[AssumptionEntry("b", FAILS, "bad")])
-    merged = merge_reports(r1, r2)
+    merged = AssumptionReport(entries=r1.entries + r2.entries)
     assert [e.id for e in merged.entries] == ["a", "b"]
     assert not merged.all_hold and merged.any_fail
     txt = merged.render_text()
@@ -217,6 +215,9 @@ def test_check_model_dispatch(paper_model, paper_pref):
     custom = _const_model(0.0)
     rep2 = dh.check_model(custom, dh.zero_claim(), paper_pref)
     assert rep2.status("incomplete-market-integrability") == UNVERIFIED
+    # the witness names no probe: the package ships none
+    assert "probe" not in rep2.entry("incomplete-market-integrability").witness
+    assert len(rep2.entries) == 6
 
 
 def test_mc_integrability_probe_eps_zero_is_one(paper_model):

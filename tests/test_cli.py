@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from defaultable_hjb.cli import main, parse_config
-from defaultable_hjb.solver import bilinear_interp
+from defaultable_hjb.solver import bilinear_cell, bilinear_gather
 
 
 PAPER_INI = """\
@@ -72,7 +72,8 @@ def test_solve_writes_outputs(tmp_path, capsys):
     xs = np.array(table[0][1:], dtype=float)
     rows = np.array(table[1:], dtype=float)
     ts, values = rows[:, 0], rows[:, 1:]
-    probe = bilinear_interp(ts, xs, values, 0.0, np.array([0.06]))[0]
+    probe = bilinear_gather(values, bilinear_cell(ts, xs, 0.0,
+                                                  np.array([0.06])))[0]
     assert float(conv[-1].split(",")[2]) == probe
 
 
@@ -220,6 +221,9 @@ _X_MIN_OUTSIDE = "[model]\nkind = cir\nx_min = -1\n"
 # the Newton Jacobian of the first step is singular
 _SINGULAR = ("[model]\nkind = cir\n[claim]\nphi = one\nq = 1e8\n"
              "[preferences]\nalpha = 1e5\n[grid]\nnx = 32\nnt = 16\n")
+# a tiny OU mean reversion gives a stationary s.d. near 1e150 (1e161 for
+# the subnormal b): the operator overflows on that grid
+_OU_B = "[model]\nkind = ou\nb = {}\n[grid]\nnx = 32\nnt = 16\n"
 
 
 @pytest.mark.parametrize("cmd, ini, extra, message", [
@@ -235,11 +239,16 @@ _SINGULAR = ("[model]\nkind = cir\n[claim]\nphi = one\nq = 1e8\n"
     ("solve", "[model]\nkind = cir\n", ["--mode", "local:1"], "config error"),
     ("verify", "[model]\nkind = cir\nx0 = -1\n", [], "config error"),
     ("solve", _SINGULAR, [], "solver error: Newton diverged at time step"),
+    ("solve", _OU_B.format("1e-300"), [],
+     "solver error: Newton diverged at time step"),
+    ("solve", _OU_B.format("5e-324"), [],
+     "solver error: Newton diverged at time step"),
 ], ids=["alpha-negative", "nx-too-small", "paths-zero",
         "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
         "x-min-outside-domain-price-insurance",
         "x-min-outside-domain-verify", "local-0", "local-1",
-        "x0-outside-domain-verify", "newton-divergence"])
+        "x0-outside-domain-verify", "newton-divergence", "ou-tiny-b",
+        "ou-subnormal-b"])
 def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     # model, grid and Monte Carlo validation errors are config errors too;
     # a solve that fails exits 2 with one line naming step and residual

@@ -1,6 +1,9 @@
-"""Every name a package module imports is used in that module."""
+"""Package modules import only what they use, and the CLI only what it runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,18 @@ def _unused_imports(path: Path) -> list:
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_cli_import_loads_no_stats_or_interpolate():
+    # scipy.stats and scipy.interpolate take most of the import time and
+    # serve no CLI path
+    code = ("import sys, defaultable_hjb.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    src = str(_PACKAGE.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defaultable_hjb.lambertw import (ThetaDomainError, theta,
-                                      theta_derivative, theta_of_log)
+from defaultable_hjb.lambertw import ThetaDomainError, theta, theta_of_log
+
+
+def theta_derivative(y):
+    """d theta / dy by the identity y * theta'(y) * (1 + theta(y)) = theta(y)."""
+    w = theta(y)
+    return w / (np.asarray(y, dtype=np.float64) * (1.0 + w))
 
 
 def test_known_values():

@@ -108,9 +108,6 @@ def test_claims():
     assert np.allclose(z.phi(np.array([0.1])), 0.0)
     with pytest.raises(ModelError):
         dh.bond_claim(0.0)
-    t = dh.table_claim([0.0, 0.5, 1.0], [0.0, 0.25, 1.0])
-    assert t.phi(0.5) == pytest.approx(0.25)
-    assert t.phi(2.0) == pytest.approx(1.0)  # clamped
 
 
 def test_preferences_validation():

@@ -7,12 +7,10 @@ from defaultable_hjb.montecarlo import (MCEstimate, SimConfig,
                                         estimate_certainty_equivalent,
                                         estimate_dual_value,
                                         estimate_martingale_mass,
-                                        estimates_to_csv,
-                                        mc_exponential_functional,
-                                        pool_estimates, replay_policies,
-                                        replay_policy, simulate_default,
-                                        simulate_dual_density,
-                                        simulate_factor)
+                                        estimates_to_csv, replay_policies,
+                                        simulate_default, simulate_factor)
+from oracles import (mc_exponential_functional, pool_estimates,
+                     simulate_dual_density)
 
 
 def _const_intensity_model(c=0.5, mu=1.0, sigma=1.0, rho=0.0):
@@ -114,8 +112,8 @@ def test_wealth_jump_and_freeze_at_default():
     cfg = SimConfig(n_paths=4000, n_steps=25, seed=3, x0=0.0)
     b = simulate_default(m, simulate_factor(m, cfg, 1.0))
     pi0 = 0.7
-    replay_policy(m, lambda t, x: pi0 * np.ones_like(x), b,
-                  dh.Preferences(alpha=1.0, horizon_T=1.0))
+    (b,) = replay_policies(m, [lambda t, x: pi0 * np.ones_like(x)], b,
+                           dh.Preferences(alpha=1.0, horizon_T=1.0))
     ds = b.default_step
     defaulted = ds < cfg.n_steps
     assert defaulted.any()
@@ -132,7 +130,7 @@ def test_wealth_jump_and_freeze_at_default():
 def test_zero_policy_gives_zero_certainty_equivalent(paper_model, paper_pref):
     cfg = SimConfig(n_paths=2000, n_steps=50, seed=2, x0=0.06)
     b = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    replay_policy(paper_model, _zero_policy, b, paper_pref)
+    (b,) = replay_policies(paper_model, [_zero_policy], b, paper_pref)
     est = estimate_certainty_equivalent(b, dh.zero_claim(), paper_pref)
     assert est.mean == pytest.approx(0.0, abs=1e-14)
     assert est.std_error == pytest.approx(0.0, abs=1e-14)
@@ -145,7 +143,7 @@ def test_two_point_bond_oracle():
     pref = dh.Preferences(alpha=al, horizon_T=1.0)
     cfg = SimConfig(n_paths=60000, n_steps=30, seed=17, x0=0.0)
     b = simulate_default(m, simulate_factor(m, cfg, 1.0))
-    replay_policy(m, _zero_policy, b, pref)
+    (b,) = replay_policies(m, [_zero_policy], b, pref)
     est = estimate_certainty_equivalent(b, dh.bond_claim(1.0), pref)
     p = np.exp(-c)
     want = -np.log(p * np.exp(-al) + 1.0 - p) / al
@@ -159,8 +157,8 @@ def test_protected_wealth_has_no_jump():
     cfg = SimConfig(n_paths=2000, n_steps=25, seed=9, x0=0.0)
     b = simulate_default(m, simulate_factor(m, cfg, 1.0))
     f_field = lambda t, x: 2.5 * np.ones_like(x)
-    replay_policy(m, lambda t, x: np.ones_like(x), b, pref,
-                  rate_field=f_field, protected=True)
+    (b,) = replay_policies(m, [lambda t, x: np.ones_like(x)], b, pref,
+                           rate_field=f_field)
     assert b.protected
     # increments stay of diffusion size: no -pi jump anywhere
     inc = np.diff(b.wealth, axis=1)
@@ -177,10 +175,11 @@ def test_dual_density_initial_mass_and_match(paper_model, paper_pref, G_zero):
     pol = dh.Surface(grid=G_zero.grid,
                      values=dh.optimal_policy(G_zero, paper_model,
                                               paper_pref).values)
-    replay_policy(paper_model, pol, b, paper_pref)
-    simulate_dual_density(paper_model, G_zero, pol, b, paper_pref)
+    (b,) = replay_policies(paper_model, [pol], b, paper_pref)
+    zhat_expform = simulate_dual_density(paper_model, G_zero, pol, b,
+                                         paper_pref)
     assert np.allclose(b.zhat[:, 0], 1.0, atol=1e-12)
-    assert np.allclose(b.zhat_expform[:, 0], 1.0)
+    assert np.allclose(zhat_expform[:, 0], 1.0)
     mass = estimate_martingale_mass(b)
     assert mass.mean == pytest.approx(1.0, abs=4 * mass.std_error)
     ce = estimate_certainty_equivalent(b, dh.zero_claim(), paper_pref)
@@ -199,9 +198,10 @@ def test_dual_expform_gap_shrinks_with_steps(paper_model, paper_pref, G_zero):
         cfg = SimConfig(n_paths=3000, n_steps=n_steps, seed=31, x0=0.06)
         b = simulate_default(paper_model,
                              simulate_factor(paper_model, cfg, 1.0))
-        replay_policy(paper_model, pol, b, paper_pref)
-        simulate_dual_density(paper_model, G_zero, pol, b, paper_pref)
-        gaps.append(np.mean(np.abs(b.zhat[:, -1] - b.zhat_expform[:, -1])))
+        (b,) = replay_policies(paper_model, [pol], b, paper_pref)
+        zhat_expform = simulate_dual_density(paper_model, G_zero, pol, b,
+                                             paper_pref)
+        gaps.append(np.mean(np.abs(b.zhat[:, -1] - zhat_expform[:, -1])))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 1e-3
 
@@ -224,14 +224,16 @@ def test_replay_policies_match_separate_replays(paper_model, paper_pref,
                                 simulate_factor(paper_model, cfg, 1.0))
 
     fields = [pol, pert, lambda t, x: 0.4 + t * x]
-    for kw in ({}, {"rate_field": rate, "protected": True}):
+    for kw in ({}, {"rate_field": rate}):
         shared = fresh()
         replayed = replay_policies(paper_model, fields, shared, paper_pref,
                                    **kw)
         assert shared.wealth is None and len(replayed) == len(fields)
         for f, b in zip(fields, replayed):
-            want = replay_policy(paper_model, f, fresh(), paper_pref, **kw)
-            assert b.x is shared.x and b.protected == want.protected
+            (want,) = replay_policies(paper_model, [f], fresh(), paper_pref,
+                                      **kw)
+            assert b.x is shared.x and b.protected == bool(kw)
+            assert want.protected == bool(kw)
             assert np.array_equal(b.wealth[:, -1], want.wealth[:, -1])
             assert np.array_equal(b.wealth, want.wealth)
 
@@ -245,7 +247,7 @@ def test_dual_density_terminal_is_last_closed_form_column(
                                               paper_pref).values)
     cfg = SimConfig(n_paths=2000, n_steps=n_steps, seed=13, x0=0.06)
     b = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    replay_policy(paper_model, pol, b, paper_pref)
+    (b,) = replay_policies(paper_model, [pol], b, paper_pref)
     simulate_dual_density(paper_model, G_zero, pol, b, paper_pref)
     full = b.zhat[:, -1].copy()
     dual_density_terminal(G_zero, b, paper_pref)
@@ -257,11 +259,11 @@ def test_estimate_guards(paper_model, paper_pref):
     cfg = SimConfig(n_paths=10, n_steps=5, seed=0, x0=0.06)
     b = simulate_factor(paper_model, cfg, 1.0)
     with pytest.raises(ValueError):
-        replay_policy(paper_model, _zero_policy, b, paper_pref)
+        replay_policies(paper_model, [_zero_policy], b, paper_pref)
     simulate_default(paper_model, b)
     with pytest.raises(ValueError):
         estimate_certainty_equivalent(b, dh.zero_claim(), paper_pref)
-    replay_policy(paper_model, _zero_policy, b, paper_pref)
+    (b,) = replay_policies(paper_model, [_zero_policy], b, paper_pref)
     with pytest.raises(ValueError):
         estimate_dual_value(b, dh.zero_claim(), paper_pref)
 

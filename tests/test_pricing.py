@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import defaultable_hjb as dh
 from defaultable_hjb.lambertw import theta
+from defaultable_hjb import pricing
 from defaultable_hjb.pricing import (RadicandNegative, curves_to_csv,
                                      insurance_rate_h_form,
-                                     insurance_rate_upper_branch,
                                      short_horizon_curve, zero_rate_position)
 
 
@@ -83,7 +83,14 @@ def test_rate_equals_upper_bound_at_zero_position():
 
 def test_rate_branches_and_h_form_agree(paper_model, paper_pref, G_zero):
     f = dh.insurance_rate(G_zero, paper_model, paper_pref)
-    f_up = insurance_rate_upper_branch(G_zero, paper_model, paper_pref)
+    # the two roots s2 (x-tilde -+ sqrt(radicand)) of the quadratic; the
+    # rate is the lower one
+    coef, x_tilde, theta_g, log_y = pricing._node_fields(
+        G_zero, paper_model, paper_pref)
+    rad = np.maximum(x_tilde ** 2 - (theta_g ** 2 + 2.0 * theta_g
+                                     - 2.0 * np.exp(log_y)), 0.0)
+    assert np.array_equal(f, coef.s2 * (x_tilde - np.sqrt(rad)))
+    f_up = coef.s2 * (x_tilde + np.sqrt(rad))
     assert np.all(f_up >= f - 1e-14)
     # h-form: f = sigma^2 h(alpha pi-hat, (gamma/sigma^2) e^{alpha G})
     xs = G_zero.grid.xs

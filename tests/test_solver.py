@@ -4,7 +4,8 @@ import pytest
 import defaultable_hjb as dh
 from defaultable_hjb import solver
 from defaultable_hjb.lambertw import theta_of_log
-from defaultable_hjb.solver import NewtonDivergence, SolverOptions, bilinear_interp
+from defaultable_hjb.solver import (NewtonDivergence, SolverOptions,
+                                    bilinear_cell, bilinear_gather)
 
 
 def rk4_constant_coefficient_oracle(mu, sigma, gamma, alpha, T, n_steps,
@@ -43,8 +44,6 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(scheme="explicit")
     with pytest.raises(ValueError):
-        SolverOptions(boundary="periodic")
-    with pytest.raises(ValueError):
         SolverOptions(newton_tol=0.0)
 
 
@@ -62,6 +61,8 @@ def test_constant_coefficient_matches_ode_oracle(constant_model):
 
 
 def test_local_with_unit_cutoff_equals_dirichlet_full(paper_model, paper_pref):
+    # local mode is the full equation with the Dirichlet closure: with a
+    # unit cutoff it is the marcher's full-source Dirichlet solve
     loc = dh.build_localization(paper_model, 4)
     grid = dh.GridSpec(loc.outer[0], loc.outer[1], 128, 64)
     claim = dh.bond_claim(1.0)
@@ -69,9 +70,15 @@ def test_local_with_unit_cutoff_equals_dirichlet_full(paper_model, paper_pref):
         n_index=loc.n_index, inner=loc.inner, outer=loc.outer,
         chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     G_local = dh.solve_local(paper_model, claim, paper_pref, unit, grid)
-    G_full = dh.solve_full(paper_model, claim, paper_pref, grid,
-                           SolverOptions(boundary="dirichlet"))
-    assert np.max(np.abs(G_local.values - G_full.values)) <= 1e-10
+    xs = grid.xs
+    coef = solver._Coeffs(paper_model, xs, paper_pref.alpha)
+    full = solver._march(coef, grid, claim.q * claim.phi(xs),
+                         SolverOptions(), chi=np.ones_like(xs),
+                         dirichlet=True)
+    assert np.max(np.abs(G_local.values - full)) <= 1e-10
+    # the residual of a local surface uses the same closure
+    assert np.max(np.abs(dh.residual(G_local, paper_model,
+                                     paper_pref))) <= 1e-9
 
 
 def test_local_mode_respects_cutoff_terminal(paper_model, paper_pref):
@@ -93,8 +100,7 @@ def test_residual_small_then_grows_under_perturbation(paper_model, paper_pref,
     assert base <= 1e-9  # 10x the Newton tolerance
     bumped = dh.Surface(grid=G_zero.grid,
                         values=G_zero.values
-                        + 1e-3 * np.sin(G_zero.grid.xs * 20.0),
-                        boundary=G_zero.boundary)
+                        + 1e-3 * np.sin(G_zero.grid.xs * 20.0))
     res2 = dh.residual(bumped, paper_model, paper_pref)
     assert np.max(np.abs(res2)) > 100 * base
 
@@ -148,10 +154,11 @@ def test_bilinear_interp_exact_on_bilinear_function():
     for t in (0.0, 0.33, 1.0):
         x = np.array([-1.0, 0.1, 1.9])
         want = 2.0 + 3.0 * t + 0.5 * x - 1.5 * t * x
-        assert np.allclose(bilinear_interp(ts, xs, vals, t, x), want,
-                           rtol=1e-12)
+        got = bilinear_gather(vals, bilinear_cell(ts, xs, t, x))
+        assert np.allclose(got, want, rtol=1e-12)
     # clamping outside the grid
-    edge = bilinear_interp(ts, xs, vals, -1.0, np.array([99.0]))
+    edge = bilinear_gather(vals, bilinear_cell(ts, xs, -1.0,
+                                               np.array([99.0])))
     assert edge[0] == pytest.approx(vals[0, -1])
 
 
@@ -191,12 +198,12 @@ def test_bilinear_cell_index_matches_searchsorted(paper_model, paper_pref):
         xc = np.clip(x, xs[0], xs[-1])
         want = np.clip(np.searchsorted(xs, xc, side="right") - 1,
                        0, len(xs) - 2)
-        _, _, j, j1, _ = solver.bilinear_cell(ts, xs, 0.5, x)
+        _, _, j, j1, _ = bilinear_cell(ts, xs, 0.5, x)
         assert np.array_equal(j, want)
         assert np.array_equal(j1, want + 1)
         values = rng.standard_normal((len(ts), len(xs)))
         for t in (-1.0, 0.0, 0.3, grid.ts[7], 1.0, 2.0):
-            got = bilinear_interp(ts, xs, values, t, x)
+            got = bilinear_gather(values, bilinear_cell(ts, xs, t, x))
             assert got.tobytes() == \
                 _searchsorted_interp(ts, xs, values, t, x).tobytes()
 
@@ -217,11 +224,16 @@ def test_surface_interp_and_csv(tmp_path, G_zero):
 
 
 def test_hjb_rhs_pointwise(constant_model):
-    # at G=0, Gx=0: N = (s2/2a)(2 g/s2 + m^2 - th^2 - 2 th)
+    # on a constant row G_x = G_xx = 0, so the operator is the source
+    # N = (s2/2a)(2 g/s2 + m^2 - th^2 - 2 th), here at G = 0
     th = theta_of_log(np.log(1.0) + 2.0)
     want = 0.5 * (2.0 + 4.0 - th * th - 2 * th)
-    got = dh.hjb_rhs(constant_model, 0.0, 0.0, 0.0, 1.0)
-    assert got == pytest.approx(want, rel=1e-12)
+    grid = dh.GridSpec(-5.0, 5.0, 16, 16)
+    xs = grid.xs
+    coef = solver._Coeffs(constant_model, xs, 1.0)
+    F, _ = solver._spatial_operator(coef, np.zeros_like(xs), grid.dx,
+                                    chi=np.ones_like(xs), want_jacobian=False)
+    assert F == pytest.approx(np.full_like(xs, want), rel=1e-12)
 
 
 def test_protected_rejects_misaligned_rate(paper_model, paper_pref,
