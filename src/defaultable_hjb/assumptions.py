@@ -82,15 +82,6 @@ class AssumptionReport:
             blocks.append(f"[{e.status}] {e.id}\n    {e.witness}")
         return "\n".join(blocks)
 
-    def to_csv(self, path, header_lines=None) -> None:
-        with open(path, "w", newline="\n") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            fh.write("id,status,witness\n")
-            for e in self.entries:
-                w = e.witness.replace('"', "'")
-                fh.write(f'{e.id},{e.status},"{w}"\n')
-
 
 def _moment_drift_entry(witness) -> AssumptionEntry:
     """The moment-drift entry for the first p of _P_SCAN with a witness;

@@ -2,15 +2,19 @@
 
 Subcommands: solve | price-bond | price-insurance | verify |
 check-assumptions.  Configuration is a flat INI file with sections
-model / claim / preferences / grid / mc / output; unknown keys are hard
-errors.  Exit codes: 0 success, 1 verification/check failure,
-2 configuration error or a solve that does not converge.
+model / claim / preferences / grid / mc / output, read through one
+schema (_SCHEMA); unknown keys, keys of the other model kind, values
+that are not finite and repeated notionals are hard errors.  Every
+output file is written by _write; the library modules open no files.
+Exit codes: 0 success, 1 verification/check failure, 2 configuration
+error or a solve that does not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -36,22 +40,22 @@ class CheckFailure(RuntimeError):
     """A verification or assumption check failed; maps to exit code 1."""
 
 
-_KNOWN_KEYS = {
-    "model": {"kind", "kappa", "theta", "xi", "mu1", "mu2", "sigma",
-              "gamma1", "gamma2", "gamma", "rho", "b", "x_min", "x_max",
-              "x0"},
-    "claim": {"phi", "q"},
-    "preferences": {"alpha", "horizon"},
-    "grid": {"nx", "nt"},
-    "mc": {"paths", "steps", "seed"},
-    "output": {"dir"},
-}
+# config key -> CIRParams field; the defaults are the paper's parameters
+_CIR_FIELDS = {"kappa": "kappa", "theta": "theta_lr", "xi": "xi",
+               "mu1": "mu1", "mu2": "mu2", "sigma": "sigma_scale",
+               "gamma1": "gamma1", "gamma2": "gamma2", "rho": "rho_const"}
+_CIR_DEFAULTS = {key: getattr(paper_cir_params(), name)
+                 for key, name in _CIR_FIELDS.items()}
+_OU_DEFAULTS = {"b": 1.0, "mu1": 0.0, "mu2": 1.0, "sigma": 1.0,
+                "gamma": 0.5, "rho": 0.0}
+# model kind -> its [model] keys and their defaults
+_KIND_DEFAULTS = {"cir": _CIR_DEFAULTS, "ou": _OU_DEFAULTS}
 
 
 @dataclass
 class RunConfig:
     kind: str = "cir"
-    model_values: dict = field(default_factory=dict)
+    model_values: dict = field(default_factory=lambda: dict(_CIR_DEFAULTS))
     phi: str = "zero"
     q_list: list = field(default_factory=lambda: [1.0])
     alpha: float = 3.0
@@ -71,11 +75,11 @@ class RunConfig:
 
     def header_lines(self) -> list:
         lines = [f"model.kind = {self.kind}"]
-        for k in sorted(self.model_values):
-            lines.append(f"model.{k} = {self.model_values[k]:.17g}")
+        lines += [f"model.{k} = {v:.17g}"
+                  for k, v in sorted(self.model_values.items())]
         lines += [
             f"claim.phi = {self.phi}",
-            "claim.q = " + ",".join(f"{q:g}" for q in self.q_list),
+            "claim.q = " + ",".join(f"{q:.17g}" for q in self.q_list),
             f"preferences.alpha = {self.alpha:.17g}",
             f"preferences.horizon = {self.horizon:.17g}",
             f"grid.nx = {self.nx}", f"grid.nt = {self.nt}",
@@ -84,82 +88,91 @@ class RunConfig:
         ]
         if self.mode == "local":
             lines.append(f"mode.local_n = {self.local_n}")
-        if self.x0 is not None:
-            lines.append(f"model.x0 = {self.x0:.17g}")
+        for key in ("x_min", "x_max", "x0"):
+            if getattr(self, key) is not None:
+                lines.append(f"model.{key} = {getattr(self, key):.17g}")
         return lines
 
 
-# config key -> CIRParams field; the defaults are the paper's parameters
-_CIR_FIELDS = {"kappa": "kappa", "theta": "theta_lr", "xi": "xi",
-               "mu1": "mu1", "mu2": "mu2", "sigma": "sigma_scale",
-               "gamma1": "gamma1", "gamma2": "gamma2", "rho": "rho_const"}
-_CIR_DEFAULTS = {key: getattr(paper_cir_params(), name)
-                 for key, name in _CIR_FIELDS.items()}
-_OU_DEFAULTS = {"b": 1.0, "mu1": 0.0, "mu2": 1.0, "sigma": 1.0,
-                "gamma": 0.5, "rho": 0.0}
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("the value must be finite")
+    return value
+
+
+def _one_of(*allowed):
+    def read(text: str) -> str:
+        value = text.strip().lower()
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}")
+        return value
+    return read
+
+
+def _notionals(text: str) -> list:
+    qs = [_finite(v) for v in text.replace(",", " ").split()]
+    if not qs:
+        raise ValueError("expected at least one notional")
+    if len(set(qs)) < len(qs):
+        raise ValueError("the notionals must be distinct")
+    return qs
+
+
+# section -> key -> (RunConfig field, reader).  [model] also takes the keys
+# of its kind's defaults, read as finite floats into model_values.
+_SCHEMA = {
+    "model": {"kind": ("kind", _one_of(*_KIND_DEFAULTS)),
+              "x_min": ("x_min", _finite), "x_max": ("x_max", _finite),
+              "x0": ("x0", _finite)},
+    "claim": {"phi": ("phi", _one_of("zero", "one")),
+              "q": ("q_list", _notionals)},
+    "preferences": {"alpha": ("alpha", _finite),
+                    "horizon": ("horizon", _finite)},
+    "grid": {"nx": ("nx", int), "nt": ("nt", int)},
+    "mc": {"paths": ("paths", int), "steps": ("steps", int),
+           "seed": ("seed", int)},
+    "output": {"dir": ("out_dir", str)},
+}
+
+
+def _read(section: str, key: str, reader, text: str):
+    try:
+        return reader(text)
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad config value {section}.{key} = {text}: {exc}") from exc
 
 
 def parse_config(path: str | None, args) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(
-                        f"unknown key {key!r} in section [{section}]")
-        if "model" not in parser:
-            raise ConfigError("missing [model] section")
-        ms = parser["model"]
-        cfg.kind = ms.get("kind", "cir").strip().lower()
-        if cfg.kind not in ("cir", "ou"):
-            raise ConfigError(f"unknown model kind {cfg.kind!r}")
         try:
-            defaults = _CIR_DEFAULTS if cfg.kind == "cir" else _OU_DEFAULTS
-            cfg.model_values = {
-                k: ms.getfloat(k, v) for k, v in defaults.items()}
-            if "x_min" in ms:
-                cfg.x_min = ms.getfloat("x_min")
-            if "x_max" in ms:
-                cfg.x_max = ms.getfloat("x_max")
-            if "x0" in ms:
-                cfg.x0 = ms.getfloat("x0")
-            if "claim" in parser:
-                cs = parser["claim"]
-                cfg.phi = cs.get("phi", cfg.phi).strip().lower()
-                if cfg.phi not in ("zero", "one"):
-                    raise ConfigError(f"unknown claim phi {cfg.phi!r}")
-                if "q" in cs:
-                    cfg.q_list = [float(v) for v in
-                                  cs.get("q").replace(",", " ").split()]
-                    if not cfg.q_list:
-                        raise ConfigError("claim.q must be non-empty")
-            if "preferences" in parser:
-                ps = parser["preferences"]
-                cfg.alpha = ps.getfloat("alpha", cfg.alpha)
-                cfg.horizon = ps.getfloat("horizon", cfg.horizon)
-            if "grid" in parser:
-                gs = parser["grid"]
-                cfg.nx = gs.getint("nx", cfg.nx)
-                cfg.nt = gs.getint("nt", cfg.nt)
-            if "mc" in parser:
-                s = parser["mc"]
-                cfg.paths = s.getint("paths", cfg.paths)
-                cfg.steps = s.getint("steps", cfg.steps)
-                cfg.seed = s.getint("seed", cfg.seed)
-            if "output" in parser:
-                cfg.out_dir = parser["output"].get("dir", cfg.out_dir)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad config value: {exc}") from exc
-    else:
-        cfg.model_values = dict(_CIR_DEFAULTS)
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+            for section in parser.sections():
+                if section not in _SCHEMA:
+                    raise ConfigError(f"unknown config section [{section}]")
+            if "model" not in parser:
+                raise ConfigError("missing [model] section")
+            cfg.kind = _read("model", "kind", _SCHEMA["model"]["kind"][1],
+                             parser["model"].get("kind", cfg.kind))
+            cfg.model_values = dict(_KIND_DEFAULTS[cfg.kind])
+            for section in parser.sections():
+                for key, text in parser[section].items():
+                    if section == "model" and key in cfg.model_values:
+                        cfg.model_values[key] = _read(section, key, _finite,
+                                                      text)
+                    elif key in _SCHEMA[section]:
+                        name, reader = _SCHEMA[section][key]
+                        setattr(cfg, name, _read(section, key, reader, text))
+                    else:
+                        raise ConfigError(
+                            f"unknown key {key!r} in section [{section}]")
+        except (configparser.Error, UnicodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") \
+                from exc
 
     # command-line overrides
     if getattr(args, "out", None):
@@ -240,9 +253,45 @@ def _default_x0(cfg: RunConfig, m) -> float:
     return m.params.theta_lr if m.kind == "cir" else 0.0
 
 
-def _out(cfg: RunConfig, name: str) -> str:
+def _write(cfg: RunConfig, name: str, header, lines) -> None:
+    """One output file in the output directory: `# ` header lines, then
+    the lines."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    with open(os.path.join(cfg.out_dir, name), "w", newline="\n") as fh:
+        for line in header:
+            fh.write(f"# {line}\n")
+        for line in lines:
+            fh.write(f"{line}\n")
+
+
+def _columns(columns: dict) -> list:
+    """A row of column names, then the rows at 17 significant digits;
+    columns of different lengths raise ValueError."""
+    table = np.column_stack(list(columns.values()))
+    return [",".join(columns)] + [",".join(f"{v:.17g}" for v in row)
+                                  for row in table]
+
+
+def _surface_lines(G: Surface):
+    """A row of the x nodes, then one row per time node, 17 digits."""
+    yield "t," + ",".join(f"{x:.17g}" for x in G.grid.xs)
+    for t, row in zip(G.grid.ts, G.values):
+        yield f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row)
+
+
+def _estimate_lines(estimates: list, seed: int) -> list:
+    return ["label,mean,std_error,n_paths,seed"] + [
+        f"{e.label},{e.mean:.17g},{e.std_error:.17g},{e.n_paths},{seed}"
+        for e in estimates]
+
+
+def _report_lines(report: asm.AssumptionReport) -> list:
+    """id,status,witness rows; a witness's double quotes become single."""
+    lines = ["id,status,witness"]
+    for e in report.entries:
+        witness = e.witness.replace('"', "'")
+        lines.append(f'{e.id},{e.status},"{witness}"')
+    return lines
 
 
 def _solve_mode(cfg: RunConfig, m, claim, pref, grid) -> Surface:
@@ -266,47 +315,37 @@ def cmd_solve(cfg: RunConfig) -> int:
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
     G = _solve_mode(cfg, m, claims[0], pref, grid)
-    G.to_csv(_out(cfg, "surface.csv"), header_lines=header)
+    _write(cfg, "surface.csv", header, _surface_lines(G))
 
-    res = residual(G, m, pref)
-    with open(_out(cfg, "residual_summary.txt"), "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(f"max_abs_residual = {float(np.max(np.abs(res))):.17g}\n")
-        fh.write(f"mean_abs_residual = {float(np.mean(np.abs(res))):.17g}\n")
+    res = np.abs(residual(G, m, pref))
+    _write(cfg, "residual_summary.txt", header,
+           [f"max_abs_residual = {float(np.max(res)):.17g}",
+            f"mean_abs_residual = {float(np.mean(res)):.17g}"])
 
     # self-convergence at (t=0, x0); the finest level is G itself
     x0 = _default_x0(cfg, m)
-    levels, values = [], []
+    rows, prev = ["nx,nt,value_at_x0,diff_from_previous"], None
     for div in (4, 2, 1):
         nx, nt = max(cfg.nx // div, 16), max(cfg.nt // div, 16)
         g = G if div == 1 else _solve_mode(
             cfg, m, claims[0], pref, make_grid(cfg, m, pref, nx=nx, nt=nt))
-        levels.append((nx, nt))
-        values.append(float(g.at(0.0, np.atleast_1d(x0))[0]))
+        v = float(g.at(0.0, np.atleast_1d(x0))[0])
+        d = "" if prev is None else f"{v - prev:.17g}"
+        rows.append(f"{nx},{nt},{v:.17g},{d}")
+        prev = v
     lo, hi = G.grid.x_min, G.grid.x_max
     notes = [] if lo <= x0 <= hi else [
         f"probe x0 = {x0:.17g} lies outside the grid [{lo:.17g}, {hi:.17g}]; "
         "value is clamped to the edge"]
     for note in notes:
         print(f"solve: warning: {note}", file=sys.stderr)
-    with open(_out(cfg, "convergence.csv"), "w") as fh:
-        for line in header + notes:
-            fh.write(f"# {line}\n")
-        fh.write("nx,nt,value_at_x0,diff_from_previous\n")
-        prev = None
-        for (nx, nt), v in zip(levels, values):
-            d = "" if prev is None else f"{v - prev:.17g}"
-            fh.write(f"{nx},{nt},{v:.17g},{d}\n")
-            prev = v
+    _write(cfg, "convergence.csv", header + notes, rows)
     print(f"solve: wrote surface.csv (mode={cfg.mode}, "
           f"min={G.values.min():.6g}, max={G.values.max():.6g})")
     return 0
 
 
 def cmd_price_bond(cfg: RunConfig) -> int:
-    if not cfg.q_list:
-        raise ConfigError("bond pricing needs a non-empty claim.q list")
     m, _, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
@@ -317,9 +356,8 @@ def cmd_price_bond(cfg: RunConfig) -> int:
     for q in cfg.q_list:
         Gq = solve_full(m, bond_claim(q), pref, grid)
         p = pricing.indifference_price(Gq, G0, q)
-        cols[f"p_q{q:g}"] = p[0, mask]
-    pricing.curves_to_csv(_out(cfg, "price_bond.csv"), cols,
-                          header_lines=header)
+        cols[f"p_q{q:.17g}"] = p[0, mask]
+    _write(cfg, "price_bond.csv", header, _columns(cols))
     print(f"price-bond: wrote price_bond.csv ({len(cfg.q_list)} notionals, "
           f"band [{lo:.5g}, {hi:.5g}])")
     return 0
@@ -335,19 +373,14 @@ def cmd_price_insurance(cfg: RunConfig) -> int:
     upper, _ = pricing.insurance_bounds(G, pol, m, pref)
     lo, hi = invariant_band(m)
     mask = (grid.xs >= lo) & (grid.xs <= hi)
-    pricing.curves_to_csv(
-        _out(cfg, "insurance.csv"),
+    _write(cfg, "insurance.csv", header, _columns(
         {"x": grid.xs[mask], "rate": f[0, mask],
          "upper_bound": upper[0, mask],
-         "physical_intensity": np.asarray(m.gamma(grid.xs[mask]),
-                                          dtype=float)},
-        header_lines=header)
+         "physical_intensity": m.gamma(grid.xs[mask])}))
     ls, curve, ub = pricing.short_horizon_curve()
-    pricing.curves_to_csv(
-        _out(cfg, "short_horizon_rate.csv"),
-        {"alpha_pi": ls, "rate_over_sigma2": curve,
-         "upper_bound_over_sigma2": ub},
-        header_lines=["gamma_over_sigma2 = 2/3"] + header)
+    _write(cfg, "short_horizon_rate.csv", ["gamma_over_sigma2 = 2/3"] + header,
+           _columns({"alpha_pi": ls, "rate_over_sigma2": curve,
+                     "upper_bound_over_sigma2": ub}))
     print("price-insurance: wrote insurance.csv and short_horizon_rate.csv")
     return 0
 
@@ -395,9 +428,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         ("sub-optimality", ce_pert.mean - g0,
          3.0 * max(ce_pert.std_error, 1e-12)),
     ]
-    mc.estimates_to_csv(_out(cfg, "verify.csv"),
-                        [ce, mass, dual, ce_pert], seed=cfg.seed,
-                        header_lines=header + [f"pde_value = {g0:.17g}"])
+    _write(cfg, "verify.csv", header + [f"pde_value = {g0:.17g}"],
+           _estimate_lines([ce, mass, dual, ce_pert], cfg.seed))
     failures = [name for name, gap, tol in checks if gap > tol]
     for name, gap, tol in checks:
         status = "pass" if gap <= tol else "FAIL"
@@ -411,12 +443,10 @@ def cmd_check_assumptions(cfg: RunConfig) -> int:
     m, claims, pref = build_problem(cfg, enforce_feller=False)
     report = asm.check_model(m, claims[0], pref)
     header = cfg.header_lines()
-    report.to_csv(_out(cfg, "assumptions.csv"), header_lines=header)
-    with open(_out(cfg, "assumptions.txt"), "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(report.render_text() + "\n")
-    print(report.render_text())
+    text = report.render_text()
+    _write(cfg, "assumptions.csv", header, _report_lines(report))
+    _write(cfg, "assumptions.txt", header, [text])
+    print(text)
     if report.any_fail:
         raise CheckFailure("assumption check failed")
     return 0

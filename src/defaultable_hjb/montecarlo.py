@@ -265,14 +265,3 @@ def estimate_martingale_mass(bundle: PathBundle,
     mean = float(np.mean(zT))
     se = float(np.std(zT, ddof=1) / np.sqrt(len(zT))) if len(zT) > 1 else 0.0
     return MCEstimate(mean=mean, std_error=se, n_paths=len(zT), label=label)
-
-
-def estimates_to_csv(path, estimates: list[MCEstimate], seed=None,
-                     header_lines=None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write("label,mean,std_error,n_paths,seed\n")
-        for e in estimates:
-            fh.write(f"{e.label},{e.mean:.17g},{e.std_error:.17g},"
-                     f"{e.n_paths},{'' if seed is None else seed}\n")

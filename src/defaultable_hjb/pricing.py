@@ -158,18 +158,3 @@ def short_horizon_curve(y: float = 2.0 / 3.0, lo: float = -2.0,
     curve = insurance_rate_h_form(ls, y)
     upper = y * np.exp(ls)
     return ls, curve, upper
-
-
-def curves_to_csv(path, columns: dict, header_lines=None) -> None:
-    """Write named 1-D arrays as CSV columns, 17 significant digits."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k], dtype=float) for k in names]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("columns must share a length")
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(f"{a[i]:.17g}" for a in arrays) + "\n")

@@ -155,15 +155,6 @@ class Surface:
         return bilinear_gather(self.values,
                                bilinear_cell(self.grid.ts, self.grid.xs, t, x))
 
-    def to_csv(self, path, header_lines: Optional[list[str]] = None) -> None:
-        """Header row of x nodes, one row per time node, 17 significant digits."""
-        with open(path, "w", newline="\n") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            fh.write("t," + ",".join(f"{x:.17g}" for x in self.grid.xs) + "\n")
-            for t, row in zip(self.grid.ts, self.values):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 class _Coeffs:
     """Model coefficients sampled once on the spatial nodes.

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defaultable_hjb as dh
+from defaultable_hjb import cli
 from defaultable_hjb.assumptions import (FAILS, HOLDS, UNVERIFIED,
                                          AssumptionEntry, AssumptionReport,
                                          WindowViolation, cir_moment_bound,
@@ -57,9 +58,10 @@ def test_report_render_csv_merge(tmp_path):
     assert not merged.all_hold and merged.any_fail
     txt = merged.render_text()
     assert "[Holds] a" in txt and "[Fails] b" in txt
-    out = tmp_path / "rep.csv"
-    merged.to_csv(out, header_lines=["model = test"])
-    lines = out.read_text().splitlines()
+    # the CSV goes out through the CLI writer
+    cli._write(cli.RunConfig(out_dir=str(tmp_path)), "rep.csv",
+               ["model = test"], cli._report_lines(merged))
+    lines = (tmp_path / "rep.csv").read_text().splitlines()
     assert lines[0] == "# model = test"
     assert lines[1] == "id,status,witness"
     assert lines[2] == "a,Holds,\"w 'quoted'\""

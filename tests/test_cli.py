@@ -60,6 +60,8 @@ def test_solve_writes_outputs(tmp_path, capsys):
     echo = [ln for ln in lines if ln.startswith("#")]
     assert any("model.xi = 0.1" in ln for ln in echo)
     assert any("mc.seed = 0" in ln for ln in echo)
+    # an unset grid interval is not echoed
+    assert not any("model.x_m" in ln for ln in echo)
     txt = (out / "residual_summary.txt").read_text()
     max_res = float(txt.split("max_abs_residual = ")[1].splitlines()[0])
     assert max_res < 1e-8
@@ -111,6 +113,37 @@ def test_price_bond_outputs_and_monotonicity(tmp_path):
     # per-unit price decreases with the notional at every state
     assert np.all(data[:, 1] > data[:, 2])
     assert np.all(data[:, 2] > data[:, 3])
+
+
+def test_notionals_keep_17_digits_and_stay_distinct(tmp_path, capsys):
+    # q = 1 and q = 1.0000001 are two notionals: two price columns, and an
+    # echo that tells them apart
+    cfgp = _write(tmp_path, phi="one", q="1 1.0000001 5", nx=32, nt=16)
+    out = tmp_path / "out"
+    assert main(["price-bond", "--config", cfgp, "--out", str(out)]) == 0
+    lines = (out / "price_bond.csv").read_text().splitlines()
+    assert "# claim.q = 1,1.0000001000000001,5" in lines
+    table = [ln for ln in lines if not ln.startswith("#")]
+    assert table[0] == "x,p_q1,p_q1.0000001000000001,p_q5"
+    assert "3 notionals" in capsys.readouterr().out
+    # a repeated notional is a config error
+    for q in ("1 1 5", "1, 1.0"):
+        bad = _write(tmp_path, phi="one", q=q, nx=32, nt=16)
+        assert main(["price-bond", "--config", bad, "--out", str(out)]) == 2
+        assert "notionals must be distinct" in capsys.readouterr().err
+
+
+def test_echo_lists_a_set_grid_interval(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text("[model]\nkind = cir\nx_min = 0.01\nx_max = 0.5\n"
+                 "[grid]\nnx = 32\nnt = 16\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+    lines = (out / "surface.csv").read_text().splitlines()
+    echo = [ln for ln in lines if ln.startswith("#")]
+    assert echo[-2:] == ["# model.x_min = 0.01", "# model.x_max = 0.5"]
+    xs = lines[len(echo)].split(",")[1:]
+    assert (xs[0], xs[-1]) == ("0.01", "0.5")
 
 
 def test_price_insurance_outputs(tmp_path):
@@ -199,6 +232,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     p.write_text("[model]\nkind = cir\nfoo = 1\n")
     assert main(["solve", "--config", str(p)]) == 2
     assert "unknown key" in capsys.readouterr().err
+    # a key of the other model kind
+    for ini in ("[model]\nkind = cir\ngamma = 0.9\n",
+                "[model]\nkind = cir\nb = 5\n",
+                "[model]\nkind = ou\nkappa = 7\n",
+                "[model]\nkind = ou\ngamma1 = 3\n"):
+        p.write_text(ini)
+        assert main(["solve", "--config", str(p)]) == 2
+        assert "unknown key" in capsys.readouterr().err
     # unknown section
     p.write_text("[model]\nkind = cir\n[extras]\na = 1\n")
     assert main(["solve", "--config", str(p)]) == 2
@@ -208,8 +249,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # unknown model kind
     p.write_text("[model]\nkind = heston\n")
     assert main(["solve", "--config", str(p)]) == 2
-    # unreadable path
+    # unreadable path, and a file configparser cannot parse
     assert main(["solve", "--config", str(tmp_path / "missing.ini")]) == 2
+    p.write_text("kind = cir\n")
+    assert main(["solve", "--config", str(p)]) == 2
+    assert "cannot parse config file" in capsys.readouterr().err
     # bad CLI overrides
     good = _write(tmp_path)
     assert main(["solve", "--config", good, "--grid", "64"]) == 2
@@ -224,6 +268,8 @@ _SINGULAR = ("[model]\nkind = cir\n[claim]\nphi = one\nq = 1e8\n"
 # a tiny OU mean reversion gives a stationary s.d. near 1e150 (1e161 for
 # the subnormal b): the operator overflows on that grid
 _OU_B = "[model]\nkind = ou\nb = {}\n[grid]\nnx = 32\nnt = 16\n"
+# a CIR config on a 32x16 grid that ends with the lines given
+_CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
 
 
 @pytest.mark.parametrize("cmd, ini, extra, message", [
@@ -243,12 +289,23 @@ _OU_B = "[model]\nkind = ou\nb = {}\n[grid]\nnx = 32\nnt = 16\n"
      "solver error: Newton diverged at time step"),
     ("solve", _OU_B.format("5e-324"), [],
      "solver error: Newton diverged at time step"),
+    # a value that is not finite is a config error, whatever key it sets
+    ("solve", _CIR_32.format("mu2 = nan"), [], "config error"),
+    ("solve", _CIR_32.format("rho = nan"), [], "config error"),
+    ("solve", _CIR_32.format("mu1 = inf"), [], "config error"),
+    ("solve", _CIR_32.format("gamma2 = inf"), [], "config error"),
+    ("solve", _CIR_32.format("[preferences]\nalpha = inf"), [],
+     "config error"),
+    ("check-assumptions", _CIR_32.format("mu2 = nan"), [], "config error"),
+    ("solve", _CIR_32.format("[preferences]\nhorizon = inf"), [],
+     "config error"),
 ], ids=["alpha-negative", "nx-too-small", "paths-zero",
         "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
         "x-min-outside-domain-price-insurance",
         "x-min-outside-domain-verify", "local-0", "local-1",
         "x0-outside-domain-verify", "newton-divergence", "ou-tiny-b",
-        "ou-subnormal-b"])
+        "ou-subnormal-b", "mu2-nan", "rho-nan", "mu1-inf", "gamma2-inf",
+        "alpha-inf", "mu2-nan-check-assumptions", "horizon-inf"])
 def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     # model, grid and Monte Carlo validation errors are config errors too;
     # a solve that fails exits 2 with one line naming step and residual

@@ -1,4 +1,5 @@
-"""Package modules import only what they use, and the CLI only what it runs."""
+"""Package modules import only what they use, the CLI only what it runs,
+and only the CLI opens files."""
 
 import ast
 import os
@@ -32,6 +33,22 @@ def _unused_imports(path: Path) -> list:
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _open_calls(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "open" in (
+                      getattr(node.func, "id", None),
+                      getattr(node.func, "attr", None)))
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in _PACKAGE.glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name)
+def test_only_the_cli_opens_files(path):
+    # the CLI owns the file formats; the library computes and returns
+    assert _open_calls(path) == []
 
 
 def test_cli_import_loads_no_stats_or_interpolate():

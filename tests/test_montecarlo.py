@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import defaultable_hjb as dh
+from defaultable_hjb import cli
 from defaultable_hjb.montecarlo import (MCEstimate, SimConfig,
                                         dual_density_terminal,
                                         estimate_certainty_equivalent,
                                         estimate_dual_value,
                                         estimate_martingale_mass,
-                                        estimates_to_csv, replay_policies,
-                                        simulate_default, simulate_factor)
+                                        replay_policies, simulate_default,
+                                        simulate_factor)
 from oracles import (mc_exponential_functional, pool_estimates,
                      simulate_dual_density)
 
@@ -297,11 +298,11 @@ def test_mc_exponential_functional_flags_explosion():
 
 
 def test_estimates_to_csv(tmp_path):
-    out = tmp_path / "est.csv"
-    estimates_to_csv(out, [MCEstimate(mean=0.5, std_error=0.01, n_paths=10,
-                                      label="ce")],
-                     seed=42, header_lines=["paths = 10"])
-    lines = out.read_text().splitlines()
+    # estimates go out through the CLI writer
+    est = MCEstimate(mean=0.5, std_error=0.01, n_paths=10, label="ce")
+    cli._write(cli.RunConfig(out_dir=str(tmp_path)), "est.csv",
+               ["paths = 10"], cli._estimate_lines([est], seed=42))
+    lines = (tmp_path / "est.csv").read_text().splitlines()
     assert lines[0] == "# paths = 10"
     assert lines[1] == "label,mean,std_error,n_paths,seed"
     assert lines[2] == "ce,0.5,0.01,10,42"

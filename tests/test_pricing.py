@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 import defaultable_hjb as dh
 from defaultable_hjb.lambertw import theta
-from defaultable_hjb import pricing
-from defaultable_hjb.pricing import (RadicandNegative, curves_to_csv,
-                                     insurance_rate_h_form,
+from defaultable_hjb import cli, pricing
+from defaultable_hjb.pricing import (RadicandNegative, insurance_rate_h_form,
                                      short_horizon_curve, zero_rate_position)
 
 
@@ -191,13 +190,13 @@ def test_short_horizon_curve_shape_and_root():
 
 
 def test_curves_to_csv(tmp_path):
-    out = tmp_path / "curve.csv"
-    curves_to_csv(out, {"l": np.array([0.0, 1.0]),
-                        "h": np.array([2.0, 3.0])},
-                  header_lines=["y = 2/3"])
-    lines = out.read_text().splitlines()
+    # named curves go out through the CLI writer
+    cli._write(cli.RunConfig(out_dir=str(tmp_path)), "curve.csv", ["y = 2/3"],
+               cli._columns({"l": np.array([0.0, 1.0]),
+                             "h": np.array([2.0, 3.0])}))
+    lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert lines[0] == "# y = 2/3"
     assert lines[1] == "l,h"
     assert lines[2].split(",") == ["0", "1"] or lines[2].startswith("0,")
     with pytest.raises(ValueError):
-        curves_to_csv(out, {"a": np.zeros(3), "b": np.zeros(2)})
+        cli._columns({"a": np.zeros(3), "b": np.zeros(2)})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import defaultable_hjb as dh
-from defaultable_hjb import solver
+from defaultable_hjb import cli, solver
 from defaultable_hjb.lambertw import theta_of_log
 from defaultable_hjb.solver import (NewtonDivergence, SolverOptions,
                                     bilinear_cell, bilinear_gather)
@@ -212,9 +212,9 @@ def test_surface_interp_and_csv(tmp_path, G_zero):
     x0 = np.array([0.06])
     v = G_zero.at(0.0, x0)
     assert np.isfinite(v[0])
-    out = tmp_path / "surface.csv"
-    G_zero.to_csv(out, header_lines=["alpha = 3"])
-    lines = out.read_text().splitlines()
+    cli._write(cli.RunConfig(out_dir=str(tmp_path)), "surface.csv",
+               ["alpha = 3"], cli._surface_lines(G_zero))
+    lines = (tmp_path / "surface.csv").read_text().splitlines()
     assert lines[0] == "# alpha = 3"
     header = lines[1].split(",")
     assert header[0] == "t" and len(header) == len(G_zero.grid.xs) + 1
