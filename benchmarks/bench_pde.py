@@ -1,0 +1,151 @@
+"""Times of the PDE side of the engine, in process, best of N.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 benchmarks/bench_pde.py [--repeat 7]
+        [--label NAME --out FILE.json]
+
+On the paper's square-root model at 400x400 (perfbench/reference.ini) it
+times, --repeat times each in this process:
+
+* solve_full of the zero claim;
+* the five claims of price-bond (the zero claim and q = 1, 3, 5, 10):
+  solve_claims where the package has it, else one solve_full per claim;
+* one backends.tridiag_solve of a random diagonally dominant 401-node
+  system;
+* residual of the zero-claim surface;
+* cli._surface_lines of that surface, joined into one string;
+* the subcommands solve, price-bond and price-insurance through cli.main,
+  writing to a temporary directory.
+
+The cases run round-robin, one call each per round, so that every
+case samples the whole run: the host's speed can swing twofold over
+seconds.  Each case reports the best of its runs.  The record carries the
+process's peak RSS and the SHA-256 of the subcommands' output files, so
+two checkouts measured on the same machine by the same script can be
+compared: point PYTHONPATH at the other checkout's src/ and merge under
+another --label into the same --out file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import resource
+import subprocess
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+import defaultable_hjb as dh
+from defaultable_hjb import backends, cli
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "perfbench" / "reference.ini"
+QS = (1.0, 3.0, 5.0, 10.0)
+COMMANDS = {"solve": ["surface.csv", "residual_summary.txt",
+                      "convergence.csv"],
+            "price-bond": ["price_bond.csv"],
+            "price-insurance": ["insurance.csv", "short_horizon_rate.csv"]}
+
+
+def revision(src: Path) -> dict:
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args],
+                              capture_output=True, text=True).stdout.strip()
+    return {"revision": git("rev-parse", "HEAD") or None,
+            "dirty": bool(git("status", "--porcelain", "--", "."))}
+
+
+def best_of(cases: dict, repeat: int) -> dict:
+    """Best time of each case over repeat round-robin rounds."""
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(repeat):
+        for name, fn in cases.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
+def cases(out_dir: str) -> dict:
+    m = dh.make_cir_model(dh.paper_cir_params())
+    pref = dh.Preferences(alpha=3.0, horizon_T=1.0)
+    grid = dh.default_grid(m, pref, 400, 400)
+    claims = [dh.zero_claim()] + [dh.bond_claim(q) for q in QS]
+    solve_claims = getattr(dh, "solve_claims", None) or (
+        lambda m, cs, pref, grid: [dh.solve_full(m, c, pref, grid)
+                                   for c in cs])
+    G = dh.solve_full(m, claims[0], pref, grid)
+    rng = np.random.default_rng(0)
+    n = grid.n_space + 1
+    system = (rng.random(n - 1), 4.0 + rng.random(n), rng.random(n - 1),
+              rng.random(n))
+
+    def command(name):
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([name, "--config", str(CONFIG),
+                               "--out", out_dir])
+            if rc != 0:
+                raise SystemExit(f"{name} exited {rc}")
+        return run
+
+    return {
+        "solve_full_400": lambda: dh.solve_full(m, claims[0], pref, grid),
+        "price_bond_claims_400": lambda: solve_claims(m, claims, pref, grid),
+        "tridiag_solve_401": lambda: backends.tridiag_solve(*system),
+        "residual_400": lambda: dh.residual(G, m, pref),
+        "surface_lines_400": lambda: "\n".join(cli._surface_lines(G)),
+        **{f"cmd_{name}": command(name) for name in COMMANDS},
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=7)
+    ap.add_argument("--label", default="change")
+    ap.add_argument("--out", default=None, help="JSON file to merge into")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        best = best_of(cases(out_dir), args.repeat)
+        digests = {f: hashlib.sha256(Path(out_dir, f).read_bytes())
+                   .hexdigest() for files in COMMANDS.values() for f in files}
+    record = {
+        **revision(Path(dh.__file__).parent),
+        "backend": backends.backend_name(),
+        "repeat": args.repeat,
+        "best_s": best,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0,
+        "output_sha256": digests,
+    }
+    print(f"{args.label}: best of {args.repeat}, peak RSS "
+          f"{record['peak_rss_mb']:.0f} MB")
+    for name, seconds in best.items():
+        print(f"  {name:<24s} {seconds * 1e3:10.3f} ms")
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {
+            "script": "benchmarks/bench_pde.py",
+            "workload": "the paper CIR model at 400x400 and "
+                        "perfbench/reference.ini",
+            "host": {"machine": platform.machine(),
+                     "cpus": os.cpu_count(),
+                     "python": platform.python_version(),
+                     "numpy": np.__version__},
+            "records": {}}
+        doc["records"][args.label] = record
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,8 @@ grouped by the quantity they serve.
   localization E_n and chi_n): ``make_cir_model``, ``make_ou_model``,
   ``make_custom_model``, ``paper_cir_params``, ``bond_claim``, ...
 * The certainty equivalent G, solved in full, local and protected
-  modes: ``solve_full``, ``solve_local``, ``solve_protected``, with
+  modes: ``solve_full``, ``solve_local``, ``solve_protected``, and for
+  several claims at once ``solve_claims``, with
   ``Surface``, ``GridSpec``, ``default_grid`` and the stepping
   ``residual``.
 * Indifference prices of defaultable bonds, the optimal position, and
@@ -32,8 +33,8 @@ from .model import (CIRParams, ClaimSpec, Domain1D, LocalizationSpec,
                     market_price_of_risk, nested_subdomain, paper_cir_params,
                     zero_claim)
 from .solver import (GridSpec, NewtonDivergence, SolverOptions, Surface,
-                     default_grid, residual, solve_full, solve_local,
-                     solve_protected)
+                     default_grid, residual, solve_claims, solve_full,
+                     solve_local, solve_protected)
 from .pricing import (Policy, RadicandNegative, indifference_price,
                       insurance_bounds, insurance_rate, insurance_rate_h_form,
                       optimal_policy, protected_policy, short_horizon_curve,

@@ -12,6 +12,7 @@ Custom models get no certificate: their integrability is Unverified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,14 @@ _P_SCAN = ([1.0 + 0.05 * k for k in range(1, 21)]
 _EPS_SCAN = list(10.0 ** np.linspace(-8.0, 2.0, 101))
 # the Feller margin of a square-root process, as witnesses print it
 _MARGIN = "kappa*theta - xi^2/2"
+
+
+def _sq(x: float) -> float:
+    """x ** 2, or inf where the square overflows a double."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 class WindowViolation(ValueError):
@@ -194,7 +203,7 @@ def _ou_window(c2: float, b_eff: float, T: float) -> float:
         return np.inf
     # expm1 keeps v near T for a tiny b_eff
     v = T if b_eff == 0.0 else -np.expm1(-2.0 * b_eff * T) / (2.0 * b_eff)
-    denom = float(4.0 * T * c2 ** 2 * v)
+    denom = float(4.0 * T * _sq(c2) * v)
     return 1.0 / denom if denom > 0.0 else np.inf  # c2^2 may underflow
 
 
@@ -307,8 +316,10 @@ def drift_changed_cir(p: CIRParams, measure: str,
 
 
 def _discriminant(xi: float, coef: float, scale: float) -> float:
-    """1 - 2 xi^2 coef / scale^2, under the root of a closed-form constant."""
-    return 1.0 - 2.0 * xi ** 2 * coef / scale ** 2
+    """1 - 2 xi^2 coef / scale^2, under the root of a closed-form constant.
+
+    Past the range of doubles it is -inf or nan, which no window admits."""
+    return 1.0 - 2.0 * xi ** 2 * float(coef) / _sq(scale)
 
 
 def _cir_window(d: DriftChangedCIR, A_coef: float, B_coef: float):
@@ -324,10 +335,10 @@ def _cir_window(d: DriftChangedCIR, A_coef: float, B_coef: float):
         if d.feller_margin <= 0:
             return _MARGIN, d.feller_margin
         arg_a = _discriminant(d.xi, A_coef, d.feller_margin)
-        if arg_a <= 0:
+        if not arg_a > 0:
             return f"1 - 2 xi^2 A / ({_MARGIN})^2", arg_a
     arg_b = _discriminant(d.xi, B_coef, d.kappa)
-    if arg_b <= 0:
+    if not arg_b > 0:
         return "1 - 2 xi^2 B / kappa^2", arg_b
     return None
 
@@ -394,7 +405,7 @@ def check_cir_integrability(p: CIRParams, pref: Preferences
 
     def window(d: DriftChangedCIR, eps: float):
         # ell^2(x) = d1^2/x + 2 d1 d2 + d2^2 x; the constant never binds
-        return _cir_window(d, eps * d1 ** 2, eps * d2 ** 2)
+        return _cir_window(d, eps * _sq(d1), eps * _sq(d2))
 
     def window_entry(id_: str, measure: str) -> AssumptionEntry:
         try:
@@ -411,8 +422,8 @@ def check_cir_integrability(p: CIRParams, pref: Preferences
                 id_, HOLDS,
                 f"drift-changed (kappa, theta) = ({d.kappa:.6g}, "
                 f"{d.theta_lr:.6g}); eps = {eps:.6g} keeps "
-                f"eps*(mu1-gamma1)^2 = {eps * d1**2 if np.isfinite(eps) else 0:.6g} and "
-                f"eps*(mu2-gamma2)^2 = {eps * d2**2 if np.isfinite(eps) else 0:.6g} "
+                f"eps*(mu1-gamma1)^2 = {eps * _sq(d1) if np.isfinite(eps) else 0:.6g} and "
+                f"eps*(mu2-gamma2)^2 = {eps * _sq(d2) if np.isfinite(eps) else 0:.6g} "
                 "inside the moment-bound windows")
         expression, value = window(d, _EPS_SCAN[0])
         if expression == _MARGIN:

@@ -29,7 +29,7 @@ from .model import (ModelError, OUParams, CIRParams, Preferences,
                     invariant_band, make_cir_model, make_ou_model,
                     paper_cir_params, zero_claim)
 from .solver import (GridSpec, NewtonDivergence, Surface, residual,
-                     solve_full, solve_local, solve_protected)
+                     solve_claims, solve_full, solve_local, solve_protected)
 
 
 class ConfigError(ValueError):
@@ -230,7 +230,10 @@ def build_problem(cfg: RunConfig, enforce_feller: bool = True):
 
 
 def make_grid(cfg: RunConfig, m, pref, nx=None, nt=None) -> GridSpec:
-    lo, hi = default_truncation(m)
+    try:
+        lo, hi = default_truncation(m)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.x_min is not None:
         lo = cfg.x_min
     if cfg.x_max is not None:
@@ -274,9 +277,10 @@ def _columns(columns: dict) -> list:
 
 def _surface_lines(G: Surface):
     """A row of the x nodes, then one row per time node, 17 digits."""
-    yield "t," + ",".join(f"{x:.17g}" for x in G.grid.xs)
-    for t, row in zip(G.grid.ts, G.values):
-        yield f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row)
+    # Python floats format faster than numpy scalars, to the same text
+    yield "t," + ",".join(f"{x:.17g}" for x in G.grid.xs.tolist())
+    for t, row in zip(G.grid.ts.tolist(), G.values):
+        yield f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row.tolist())
 
 
 def _estimate_lines(estimates: list, seed: int) -> list:
@@ -349,12 +353,13 @@ def cmd_price_bond(cfg: RunConfig) -> int:
     m, _, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
-    G0 = solve_full(m, zero_claim(), pref, grid)
+    # the zero claim and every notional march as one block
+    G0, *Gqs = solve_claims(
+        m, [zero_claim()] + [bond_claim(q) for q in cfg.q_list], pref, grid)
     lo, hi = invariant_band(m)
     mask = (grid.xs >= lo) & (grid.xs <= hi)
     cols = {"x": grid.xs[mask]}
-    for q in cfg.q_list:
-        Gq = solve_full(m, bond_claim(q), pref, grid)
+    for q, Gq in zip(cfg.q_list, Gqs):
         p = pricing.indifference_price(Gq, G0, q)
         cols[f"p_q{q:.17g}"] = p[0, mask]
     _write(cfg, "price_bond.csv", header, _columns(cols))
@@ -368,6 +373,8 @@ def cmd_price_insurance(cfg: RunConfig) -> int:
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
     G = solve_full(m, zero_claim(), pref, grid)
+    # the maps are nodewise and only the t = 0 row is written: map that row
+    G = Surface(grid=grid, values=G.values[:1], gradient=G.gradient[:1])
     pol = pricing.optimal_policy(G, m, pref)
     f = pricing.insurance_rate(G, m, pref)
     upper, _ = pricing.insurance_bounds(G, pol, m, pref)
@@ -441,7 +448,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_check_assumptions(cfg: RunConfig) -> int:
     m, claims, pref = build_problem(cfg, enforce_feller=False)
-    report = asm.check_model(m, claims[0], pref)
+    try:
+        report = asm.check_model(m, claims[0], pref)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
     header = cfg.header_lines()
     text = report.render_text()
     _write(cfg, "assumptions.csv", header, _report_lines(report))

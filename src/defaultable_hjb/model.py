@@ -36,6 +36,14 @@ class Domain1D:
         return (x > self.lower) & (x < self.upper)
 
 
+def _require_square(value: float, name: str) -> None:
+    """The equations divide by the square of a volatility: it must be a
+    positive finite double."""
+    if not 0.0 < value * value < np.inf:
+        raise ModelError(f"{name}^2 = {value * value:g} must be positive "
+                         "and finite")
+
+
 @dataclass(frozen=True)
 class OUParams:
     b_mr: float
@@ -48,6 +56,7 @@ class OUParams:
     def __post_init__(self):
         if not self.sigma_const > 0:
             raise ModelError("sigma_const must be positive")
+        _require_square(self.sigma_const, "sigma_const")
         if not self.gamma_const > 0:
             raise ModelError("gamma_const must be positive")
         if abs(self.rho_const) > 1:
@@ -73,8 +82,10 @@ class CIRParams:
             raise ModelError("theta_lr must be positive")
         if not self.xi > 0:
             raise ModelError("xi must be positive")
+        _require_square(self.xi, "xi")
         if not self.sigma_scale > 0:
             raise ModelError("sigma_scale must be positive")
+        _require_square(self.sigma_scale, "sigma_scale")
         if self.gamma1 < 0 or self.gamma2 < 0 or self.gamma1 + self.gamma2 == 0:
             raise ModelError("gamma1, gamma2 must be non-negative, not both zero")
         if abs(self.rho_const) > 1:
@@ -237,17 +248,33 @@ def _stationary_quantiles(m: ModelSpec, q) -> np.ndarray:
     return ndtri(q) * sd
 
 
+# The certainty equivalent grows like x^2 across the interval and a Newton
+# step squares it, so an edge past the fourth root of the largest double
+# overflows the solve (a tiny OU mean reversion puts it near 1e150)
+_EDGE_LIMIT = np.finfo(float).max ** 0.25
+
+
 def default_truncation(m: ModelSpec) -> tuple[float, float]:
     """Truncated computational interval insulating the band of interest.
 
     CIR: the [0.001, 0.999] quantile band of the stationary law, widened
     by a factor 1.5.  OU: stationary mean +/- 6 standard deviations.
+    Raises ModelError when an edge is not finite or lies beyond
+    _EDGE_LIMIT, where a grid on the interval cannot be solved in double
+    precision.
     """
     if m.kind == "cir":
         q_lo, q_hi = _stationary_quantiles(m, [0.001, 0.999])
-        return q_lo / 1.5, q_hi * 1.5
-    _, sd = _stationary_law(m)
-    return -6.0 * sd, 6.0 * sd
+        lo, hi = q_lo / 1.5, q_hi * 1.5
+    else:
+        _, sd = _stationary_law(m)
+        lo, hi = -6.0 * sd, 6.0 * sd
+    if not np.all(np.abs([lo, hi]) < _EDGE_LIMIT):
+        raise ModelError(
+            f"the truncation interval [{lo:.6g}, {hi:.6g}] cannot be "
+            f"resolved in double precision: its edges must lie within "
+            f"+/-{_EDGE_LIMIT:.3g}")
+    return lo, hi
 
 
 def invariant_band(m: ModelSpec, lo_q: float = 0.025, hi_q: float = 0.975

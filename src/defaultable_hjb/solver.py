@@ -13,6 +13,13 @@ The nonlinear source is treated fully implicitly; the Newton Jacobian is
 tridiagonal, with the product-log derivatives obtained from the identity
 y * theta'(y) * (1 + theta(y)) = theta(y).
 
+The marcher steps a block of k surfaces that share a model, grid and
+preferences (a single solve is a block of one): each Newton iterate
+evaluates the operator once and solves one block-diagonal system for
+every surface still iterating, while each surface keeps its own
+convergence test, line search and reuse state, and so takes exactly the
+Newton path it takes alone.
+
 The marcher carries the last operator evaluation (F, Jacobian) along:
 an accepted line-search trial's serves the next Newton iterate, and a
 converged row's serves the next step as its explicit half and, in full
@@ -22,13 +29,14 @@ evaluation of identical inputs, so no value changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import backends
-from .lambertw import theta_of_log
+from .lambertw import ThetaDomainError, theta_of_log
 from .model import (ClaimSpec, LocalizationSpec, ModelSpec, Preferences,
                     default_truncation)
 
@@ -161,19 +169,25 @@ class _Coeffs:
 
     The one place that samples a model on a grid: the marcher, the
     residual and the pricing maps all read their coefficients from here.
+    Each is a (1, n) row, which broadcasts over a block of surface rows;
+    on a block of one the operands have one shape, which numpy handles
+    without the set-up of a broadcast.
     """
 
     def __init__(self, m: ModelSpec, xs: np.ndarray, alpha: float):
         # grid endpoints may sit on the closure of the open domain
         if np.any(xs < m.domain.lower) or np.any(xs > m.domain.upper):
             raise ValueError("grid leaves the model domain")
-        self.xs = xs
-        self.b = np.asarray(m.b(xs), dtype=float)
-        self.A = np.asarray(m.A(xs), dtype=float)
-        self.mu = np.asarray(m.mu(xs), dtype=float)
-        self.sig = np.asarray(m.sigma(xs), dtype=float)
-        self.gam = np.asarray(m.gamma(xs), dtype=float)
-        rho = np.asarray(m.rho(xs), dtype=float)
+
+        def row(f):
+            return np.asarray(f(xs), dtype=float).reshape(1, -1)
+
+        self.b = row(m.b)
+        self.A = row(m.A)
+        self.mu = row(m.mu)
+        self.sig = row(m.sigma)
+        self.gam = row(m.gamma)
+        rho = row(m.rho)
         if np.any(self.A <= 0) or np.any(self.sig <= 0) or np.any(self.gam <= 0):
             raise ValueError("A, sigma, gamma must be positive on the grid")
         if np.any(np.abs(rho) > 1 + 1e-14):
@@ -189,69 +203,80 @@ class _Coeffs:
         self.alpha = alpha
 
 
-def _source_full(coef: _Coeffs, G, Gx, chi):
-    """Nonlinear source and its (G, Gx) derivatives for the full/local modes."""
-    al = coef.alpha
-    xt = coef.m_ratio - coef.c * Gx
-    th = theta_of_log(coef.log_g_ratio + xt + al * G)
-    bracket = 2.0 * coef.g_ratio + xt * xt - th * th - 2.0 * th
-    scale = coef.s2 * chi / (2.0 * al)
-    N = -0.5 * al * coef.A * Gx * Gx + scale * bracket
-    dG = -coef.s2 * chi * th
-    dGx = -al * coef.A * Gx - (coef.s2 * chi / al) * coef.c * (xt - th)
-    return N, dG, dGx
+class _Operator:
+    """F(G) = (1/2) A G_xx + b G_x + N(G, G_x) on a grid, extrapolated at
+    the edges, with its tridiagonal Jacobian dF/dG.
 
-
-def _source_protected(coef: _Coeffs, G, Gx, f_row):
-    al = coef.alpha
-    xt = (coef.mu - f_row) / coef.s2 - coef.c * Gx
-    eg = np.exp(al * G)
-    N = (-0.5 * al * coef.A * Gx * Gx
-         + (coef.s2 / (2.0 * al)) * (2.0 * coef.g_ratio * (1.0 - eg) + xt * xt))
-    dG = -coef.gam * eg
-    dGx = -al * coef.A * Gx - (coef.s2 / al) * coef.c * xt
-    return N, dG, dGx
-
-
-def _spatial_operator(coef: _Coeffs, G: np.ndarray, dx: float, chi=None,
-                      f_row=None, want_jacobian=True):
-    """F(G) = (1/2) A G_xx + b G_x + N(G, G_x), extrapolated at the edges.
-
-    The source N is the protected one when the rate row f_row is given,
-    otherwise the full/local one with cutoff chi.  Returns
-    (F, (sub, diag, sup)) where the tridiagonal block is dF/dG,
-    or (F, None) when want_jacobian is False.
+    G holds one surface row per row of a (k, n) block.  The source N is the
+    full/local one with cutoff chi, or the protected one (chi None), which
+    takes a row of the insurance rate.  The products of coefficients that
+    do not depend on G are formed once, each exactly as the formulas below
+    group it, so no value changes.
     """
-    n = G.shape[0]
-    Gx = central_gradient(G, dx)  # dirichlet: edge rows are overwritten
-    Gxx = np.zeros(n)
-    Gxx[1:-1] = (G[2:] - 2.0 * G[1:-1] + G[:-2]) / (dx * dx)
-    # extrapolation: zero second derivative at the edges (Gxx stays 0)
 
-    if f_row is not None:
-        N, nG, nGx = _source_protected(coef, G, Gx, f_row)
-    else:
-        N, nG, nGx = _source_full(coef, G, Gx, chi)
+    def __init__(self, coef: _Coeffs, dx: float, chi=None):
+        al = coef.alpha
+        self.coef, self.dx, self.protected = coef, dx, chi is None
+        self.half_A = 0.5 * coef.A
+        self.quad = -0.5 * al * coef.A  # of G_x^2 in N
+        self.lin = -al * coef.A         # of G_x in dN/dG_x
+        self.two_g = 2.0 * coef.g_ratio
+        if self.protected:
+            self.scale = coef.s2 / (2.0 * al)
+            self.dG = -coef.gam
+            self.dGx = coef.s2 / al * coef.c
+        else:
+            self.scale = coef.s2 * chi / (2.0 * al)
+            self.dG = -coef.s2 * chi
+            self.dGx = coef.s2 * chi / al * coef.c
+        Ai = coef.A[:, 1:-1]
+        self.jac_diag = -Ai / dx ** 2
+        self.jac_off = 0.5 * Ai / dx ** 2
 
-    F = 0.5 * coef.A * Gxx + coef.b * Gx + N
-    if not want_jacobian:
-        return F, None
+    def _source(self, G, Gx, f_row):
+        """Nonlinear source N and its derivatives in G and G_x."""
+        coef = self.coef
+        if self.protected:
+            xt = (coef.mu - f_row) / coef.s2 - coef.c * Gx
+            eg = np.exp(coef.alpha * G)
+            N = (self.quad * Gx * Gx
+                 + self.scale * (self.two_g * (1.0 - eg) + xt * xt))
+            return N, self.dG * eg, self.lin * Gx - self.dGx * xt
+        xt = coef.m_ratio - coef.c * Gx
+        th = theta_of_log(coef.log_g_ratio + xt + coef.alpha * G)
+        bracket = self.two_g + xt * xt - th * th - 2.0 * th
+        N = self.quad * Gx * Gx + self.scale * bracket
+        return N, self.dG * th, self.lin * Gx - self.dGx * (xt - th)
 
-    sub = np.zeros(n - 1)
-    diag = np.zeros(n)
-    sup = np.zeros(n - 1)
-    # interior rows
-    Ai = coef.A[1:-1]
-    bi = coef.b[1:-1]
-    diag[1:-1] = -Ai / dx ** 2 + nG[1:-1]
-    sub[:-1] = 0.5 * Ai / dx ** 2 - (bi + nGx[1:-1]) / (2.0 * dx)
-    sup[1:] = 0.5 * Ai / dx ** 2 + (bi + nGx[1:-1]) / (2.0 * dx)
-    # boundary rows: one-sided drift (dirichlet rows are overwritten)
-    diag[0] = -(coef.b[0] + nGx[0]) / dx + nG[0]
-    sup[0] = (coef.b[0] + nGx[0]) / dx
-    diag[-1] = (coef.b[-1] + nGx[-1]) / dx + nG[-1]
-    sub[-1] = -(coef.b[-1] + nGx[-1]) / dx
-    return F, (sub, diag, sup)
+    def __call__(self, G: np.ndarray, f_row=None, want_jacobian=True):
+        """(F, (sub, diag, sup)), or (F, None) when want_jacobian is False."""
+        dx, coef = self.dx, self.coef
+        Gx = central_gradient(G, dx)  # dirichlet: edge rows are overwritten
+        Gxx = np.zeros_like(G)
+        Gxx[:, 1:-1] = (G[:, 2:] - 2.0 * G[:, 1:-1] + G[:, :-2]) / (dx * dx)
+        # extrapolation: zero second derivative at the edges (Gxx stays 0)
+        N, nG, nGx = self._source(G, Gx, f_row)
+        F = self.half_A * Gxx + coef.b * Gx + N
+        if not want_jacobian:
+            return F, None
+
+        k, n = G.shape
+        sub = np.zeros((k, n - 1))
+        diag = np.zeros_like(G)
+        sup = np.zeros_like(sub)
+        # interior rows
+        drift = (coef.b[:, 1:-1] + nGx[:, 1:-1]) / (2.0 * dx)
+        diag[:, 1:-1] = self.jac_diag + nG[:, 1:-1]
+        sub[:, :-1] = self.jac_off - drift
+        sup[:, 1:] = self.jac_off + drift
+        # boundary rows: one-sided drift (dirichlet rows are overwritten)
+        lo = (coef.b[:, 0] + nGx[:, 0]) / dx
+        hi = (coef.b[:, -1] + nGx[:, -1]) / dx
+        diag[:, 0] = nG[:, 0] - lo
+        sup[:, 0] = lo
+        diag[:, -1] = hi + nG[:, -1]
+        sub[:, -1] = -hi
+        return F, (sub, diag, sup)
 
 
 def _weights(scheme: str, dt: float) -> tuple[float, float]:
@@ -264,99 +289,234 @@ def _weights(scheme: str, dt: float) -> tuple[float, float]:
 def _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet):
     R = U - G_next - w_impl * F_U - w_expl * F_next
     if dirichlet:
-        R[0] = U[0]
-        R[-1] = U[-1]
+        R[..., 0] = U[..., 0]
+        R[..., -1] = U[..., -1]
     return R
 
 
-def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray, ev,
-                w_impl: float, w_expl: float, opt: SolverOptions,
-                dirichlet: bool, step_index: int):
-    """Damped Newton from U, given ev = evaluate(U) or None; returns (U, ev).
+def _evaluate_rows(evaluate, X):
+    """(j, evaluate(X[:j]), error) for the leading rows of X that evaluate.
 
-    A non-finite residual cannot be reduced, so it raises at once.
+    A row whose product-log input is not finite raises ThetaDomainError.
+    Then j is the first such row and error its exception; the operator is
+    elementwise, so the rows before it evaluate as they do alone.
     """
+    try:
+        return len(X), evaluate(X), None
+    except ThetaDomainError:
+        for j in range(len(X)):
+            try:
+                evaluate(X[j:j + 1])
+            except ThetaDomainError as exc:
+                return j, (evaluate(X[:j]) if j else None), exc
+        raise
+
+
+def _rows(rows: list):
+    """Ascending row numbers as an index: a slice, so views, where they
+    are contiguous."""
+    if rows and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
+                ev: list, stale: list, w_impl: float, w_expl: float,
+                opt: SolverOptions, dirichlet: bool, step_index: int,
+                live: int):
+    """Damped Newton on rows [0, live) of the block U, in place.
+
+    ev = [F, sub, diag, sup] holds evaluate(U) on the rows that are not
+    stale; both are updated in place.  Each row iterates until its own
+    residual converges, with its own line search, as it would alone.  A
+    row that fails ends the block from that row on, since a failure of a
+    lower row is the one a claim-by-claim solve reports first.  Returns
+    (live, error): rows [0, live) converged and error is the failure of
+    row live, or None.  A non-finite residual cannot be reduced, so it
+    fails at once, as does a singular or non-finite Newton Jacobian.
+    The row bookkeeping is in lists: a block has a handful of rows.
+    """
+    error = None
+    rnorm = [0.0] * len(U)
+    todo = list(range(live))  # rows still iterating, ascending
+
+    def fail(row, exc):
+        nonlocal live, error, todo
+        live, error = row, exc
+        todo = [r for r in todo if r < row]
+
+    def residual_of(at, X, F_X):
+        return _step_residual(X, G_next[at], F_X,
+                              F_next if w_expl == 0.0 else F_next[at],
+                              w_impl, w_expl, dirichlet)
+
+    def store(rows, e, pick=slice(None)):
+        at = _rows(rows)
+        ev[0][at] = e[0][pick]
+        for a, b in zip(ev[1:], e[1]):
+            a[at] = b[pick]
+        for r in rows:
+            stale[r] = False
+
     for it in range(opt.newton_max_iter + 1):
-        if ev is None:
-            ev = evaluate(U)
-        F_U, (sub, diag, sup) = ev
-        R = _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet)
-        rnorm = float(np.max(np.abs(R)))
-        if rnorm <= opt.newton_tol:
-            return U, ev
-        if it == opt.newton_max_iter or not np.isfinite(rnorm):
-            raise NewtonDivergence(step_index, rnorm)
-        jd = 1.0 - w_impl * diag
-        jsub = -w_impl * sub
-        jsup = -w_impl * sup
+        rows = [r for r in todo if stale[r]]
+        if rows:
+            j, e, exc = _evaluate_rows(evaluate, U[_rows(rows)])
+            if exc is not None:
+                fail(rows[j], exc)
+            if j:
+                store(rows[:j], e)
+        t = _rows(todo)
+        R = residual_of(t, U[t], ev[0][t])
+        norms = np.maximum.reduce(np.abs(R), axis=1).tolist()
+        going = []
+        for pos, (r, v) in enumerate(zip(todo, norms)):
+            rnorm[r] = v
+            if not v <= opt.newton_tol:
+                going.append(pos)
+        if len(going) < len(todo):
+            todo, R = [todo[pos] for pos in going], R[_rows(going)]
+        bad = [r for r in todo if not math.isfinite(rnorm[r])] \
+            if it < opt.newton_max_iter else todo
+        if bad:
+            fail(bad[0], NewtonDivergence(step_index, rnorm[bad[0]]))
+        if not todo:
+            return live, error
+        t = _rows(todo)
+        jd = 1.0 - w_impl * ev[2][t]
+        jsub = -w_impl * ev[1][t]
+        jsup = -w_impl * ev[3][t]
         if dirichlet:
-            jd[0] = jd[-1] = 1.0
-            jsup[0] = 0.0
-            jsub[-1] = 0.0
-        try:
-            delta = backends.tridiag_solve(jsub, jd, jsup, -R)
-        except np.linalg.LinAlgError:  # a singular Newton Jacobian
-            raise NewtonDivergence(step_index, rnorm) from None
+            jd[:, 0] = jd[:, -1] = 1.0
+            jsup[:, 0] = 0.0
+            jsub[:, -1] = 0.0
+        while True:
+            if not (np.isfinite(jd).all() and np.isfinite(jsub).all()
+                    and np.isfinite(jsup).all()):
+                finite = [np.isfinite(a).all(axis=1) for a in (jd, jsub, jsup)]
+                j = (finite[0] & finite[1] & finite[2]).tolist().index(False)
+            else:
+                try:
+                    delta = backends.tridiag_solve(jsub, jd, jsup,
+                                                   -R[:len(todo)])
+                    break
+                except backends.SingularBlock as exc:
+                    j = exc.row
+            fail(todo[j], NewtonDivergence(step_index, rnorm[todo[j]]))
+            if not todo:
+                return live, error
+            jd, jsub, jsup = jd[:j], jsub[:j], jsup[:j]
         # damped line search; an accepted trial's evaluation is reused
+        pend = list(range(len(todo)))  # positions in todo still searching
+        rows, at = todo, _rows(todo)
         s = 1.0
         for _ in range(10):
-            trial = U + s * delta
-            ev = evaluate(trial)
-            R_t = _step_residual(trial, G_next, ev[0], F_next, w_impl, w_expl,
-                                 dirichlet)
-            if float(np.max(np.abs(R_t))) < rnorm:
-                U = trial
+            trial = U[at] + s * delta[_rows(pend)]
+            j, e, exc = _evaluate_rows(evaluate, trial)
+            if exc is not None:
+                fail(rows[j], exc)
+                pend, rows, trial = pend[:j], rows[:j], trial[:j]
+                at = _rows(rows)
+            if not j:
                 break
+            norms = np.maximum.reduce(
+                np.abs(residual_of(at, trial, e[0])), axis=1).tolist()
+            ok = [i for i, (r, v) in enumerate(zip(rows, norms))
+                  if v < rnorm[r]]
+            if len(ok) == len(rows):
+                U[at] = trial
+                store(rows, e)
+                break
+            if ok:
+                U[_rows([rows[i] for i in ok])] = trial[_rows(ok)]
+                store([rows[i] for i in ok], e, _rows(ok))
+                pend = [pos for i, pos in enumerate(pend) if i not in ok]
+                rows = [todo[pos] for pos in pend]
+                at = _rows(rows)
             s *= 0.5
         else:
-            U = U + s * delta  # a point no trial evaluated
-            ev = None
+            # a point no trial evaluated
+            U[at] = U[at] + s * delta[_rows(pend)]
+            for r in rows:
+                stale[r] = True
 
 
-def _march(coef: _Coeffs, grid: GridSpec, terminal: np.ndarray,
-           opt: SolverOptions, chi=None, f_surface=None,
+def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
+           opt: SolverOptions, f_surface=None,
            dirichlet: bool = False) -> np.ndarray:
-    """Surface values marched backward from the terminal row.
+    """Surfaces marched backward from the terminal rows, as one block.
 
-    The source is the protected one if f_surface is given, else the
-    full/local one with cutoff chi.  The edges extrapolate, or are held
-    at zero if dirichlet.
+    terminal is (k, n_space + 1), one row per surface; returns the
+    (k, n_time + 1, n_space + 1) values.  A protected operator takes its
+    rate rows from f_surface.  The edges extrapolate, or are held at zero
+    if dirichlet.  If a surface fails, the error raised is that of the
+    lowest-index failing surface, the one a surface-by-surface march
+    raises.
     """
+    k, n = terminal.shape
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
 
     def evaluator(i):
         f_row = None if f_surface is None else f_surface[i]
-        return lambda G: _spatial_operator(coef, G, grid.dx, chi=chi,
-                                           f_row=f_row)
+        return lambda G: op(G, f_row)
 
-    values = np.empty((grid.n_time + 1, grid.n_space + 1))
-    values[-1] = terminal
-    ev = evaluator(grid.n_time)(values[-1])  # evaluation at values[i + 1]
+    values = np.empty((k, grid.n_time + 1, n))
+    values[:, -1] = terminal
+    # the evaluation at values[:, i + 1], row by row
+    ev = [np.empty((k, n)), np.empty((k, n - 1)), np.empty((k, n)),
+          np.empty((k, n - 1))]
+    live, e, error = _evaluate_rows(evaluator(grid.n_time), values[:, -1])
+    if live:
+        ev[0][:live] = e[0]
+        for a, b in zip(ev[1:], e[1]):
+            a[:live] = b
     for i in range(grid.n_time - 1, -1, -1):
-        G_next = values[i + 1]
-        F_next = ev[0] if w_expl > 0.0 else 0.0
+        if not live:
+            raise error
+        G_next = values[:live, i + 1]
+        F_next = ev[0][:live].copy() if w_expl > 0.0 else 0.0
         U = G_next.copy()
         if dirichlet:
-            U[0] = U[-1] = 0.0
+            U[:, 0] = U[:, -1] = 0.0
         # G_next's evaluation is also the first iterate's, unless the
         # source row changes (protected) or the edge reset changed a bit
-        if f_surface is not None or (dirichlet and
-                                     U.tobytes() != G_next.tobytes()):
-            ev = None
-        values[i], ev = _solve_step(evaluator(i), G_next, F_next, U, ev,
-                                    w_impl, w_expl, opt, dirichlet,
-                                    step_index=i)
+        stale = [f_surface is not None] * live
+        if dirichlet:
+            changed = (U.view(np.uint64) != G_next.view(np.uint64)).any(axis=1)
+            stale = [a or b for a, b in zip(stale, changed.tolist())]
+        live_step, err = _solve_step(evaluator(i), G_next, F_next, U, ev,
+                                     stale, w_impl, w_expl, opt, dirichlet,
+                                     i, live)
+        if err is not None:
+            live, error = live_step, err
+        values[:live, i] = U[:live]
+    if error is not None:
+        raise error
     return values
+
+
+def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
+                 grid: GridSpec, opt: SolverOptions = SolverOptions()
+                 ) -> list:
+    """Solve the full equation for each claim, all marched as one block.
+
+    Each Surface is bit for bit the one the claim's own solve gives; if
+    any solve fails, the error is that of the first failing claim.
+    """
+    if not claims:
+        raise ValueError("need at least one claim")
+    xs = grid.xs
+    op = _Operator(_Coeffs(m, xs, pref.alpha), grid.dx, np.ones_like(xs))
+    terminal = np.array([c.q * np.asarray(c.phi(xs), dtype=float)
+                         for c in claims])
+    values = _march(op, grid, terminal, opt)
+    return [Surface(grid=grid, values=v, mode="full") for v in values]
 
 
 def solve_full(m: ModelSpec, c: ClaimSpec, pref: Preferences, grid: GridSpec,
                opt: SolverOptions = SolverOptions()) -> Surface:
     """Solve the full equation backward from G(T, .) = q * phi."""
-    xs = grid.xs
-    coef = _Coeffs(m, xs, pref.alpha)
-    values = _march(coef, grid, c.q * np.asarray(c.phi(xs), dtype=float), opt,
-                    chi=np.ones_like(xs))
-    return Surface(grid=grid, values=values, mode="full")
+    return solve_claims(m, [c], pref, grid, opt)[0]
 
 
 def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
@@ -367,10 +527,10 @@ def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
             np.isclose(grid.x_max, loc.outer[1])):
         raise ValueError("grid must coincide with the localization interval E_n")
     xs = grid.xs
-    coef = _Coeffs(m, xs, pref.alpha)
     chi = np.asarray(loc.chi(xs), dtype=float)
-    values = _march(coef, grid, chi * c.q * np.asarray(c.phi(xs), dtype=float),
-                    opt, chi=chi, dirichlet=True)
+    op = _Operator(_Coeffs(m, xs, pref.alpha), grid.dx, chi)
+    terminal = chi * c.q * np.asarray(c.phi(xs), dtype=float)
+    values = _march(op, grid, terminal[None], opt, dirichlet=True)[0]
     return Surface(grid=grid, values=values, mode="local", chi=chi)
 
 
@@ -384,11 +544,17 @@ def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
     f_surface = np.asarray(f_surface, dtype=float)
     if f_surface.shape != (grid.n_time + 1, grid.n_space + 1):
         raise ValueError("rate field not aligned with the grid")
-    coef = _Coeffs(m, grid.xs, pref.alpha)
-    values = _march(coef, grid, np.zeros(grid.n_space + 1), opt,
-                    f_surface=f_surface)
+    op = _Operator(_Coeffs(m, grid.xs, pref.alpha), grid.dx)
+    values = _march(op, grid, np.zeros((1, grid.n_space + 1)), opt,
+                    f_surface=f_surface)[0]
     return Surface(grid=grid, values=values, mode="protected",
                    rate_field=f_surface)
+
+
+# time rows per operator evaluation of residual: blocks this size keep the
+# temporaries in cache (a whole 401-row surface at once is twice as slow
+# and holds about 20 MB of temporaries)
+_RESIDUAL_ROWS = 32
 
 
 def residual(surface: Surface, m: ModelSpec, pref: Preferences,
@@ -403,23 +569,23 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
     """
     grid = surface.grid
     values = surface.values
-    coef = _Coeffs(m, grid.xs, pref.alpha)
     protected = surface.mode == "protected" or rate_field is not None
     chi = surface.chi if surface.chi is not None else np.ones_like(grid.xs)
     f_field = rate_field if rate_field is not None else surface.rate_field
+    op = _Operator(_Coeffs(m, grid.xs, pref.alpha), grid.dx,
+                   None if protected else chi)
     dirichlet = surface.mode == "local"
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
-    # each row is evaluated once: row i + 1 is also the explicit half of row i
-    F = [_spatial_operator(coef, row, grid.dx, chi=chi,
-                           f_row=f_field[i] if protected else None,
-                           want_jacobian=False)[0]
-         for i, row in enumerate(values)]
-    out = np.empty((grid.n_time, grid.n_space + 1))
-    for i in range(grid.n_time):
-        F_next = F[i + 1] if w_expl > 0.0 else 0.0
-        out[i] = _step_residual(values[i], values[i + 1], F[i], F_next,
-                                w_impl, w_expl, dirichlet)
-    return out
+    # the time nodes are evaluated as blocks of rows (each row once: row
+    # i + 1 is also the explicit half of row i)
+    F = np.empty_like(values)
+    for a in range(0, len(values), _RESIDUAL_ROWS):
+        rows = slice(a, a + _RESIDUAL_ROWS)
+        F[rows] = op(values[rows], f_field[rows] if protected else None,
+                     want_jacobian=False)[0]
+    F_next = F[1:] if w_expl > 0.0 else 0.0
+    return _step_residual(values[:-1], values[1:], F[:-1], F_next,
+                          w_impl, w_expl, dirichlet)
 
 
 def default_grid(m: ModelSpec, pref: Preferences, n_space: int = 200,

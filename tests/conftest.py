@@ -28,9 +28,10 @@ def G_zero(paper_model, paper_pref, paper_grid):
 @pytest.fixture(scope="session")
 def bond_surfaces(paper_model, paper_pref, paper_grid):
     """Paper CIR solves holding q defaultable bonds, q in {1, 3, 5, 10}."""
-    return {q: dh.solve_full(paper_model, dh.bond_claim(q), paper_pref,
-                             paper_grid)
-            for q in (1.0, 3.0, 5.0, 10.0)}
+    qs = (1.0, 3.0, 5.0, 10.0)
+    return dict(zip(qs, dh.solve_claims(paper_model,
+                                        [dh.bond_claim(q) for q in qs],
+                                        paper_pref, paper_grid)))
 
 
 @pytest.fixture(scope="session")

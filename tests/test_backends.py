@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from defaultable_hjb import backends
 
@@ -63,3 +64,66 @@ def test_crossing_times_np_constant_intensity():
     assert delta[0] == pytest.approx(0.25, abs=1e-12)
     assert delta[1] == pytest.approx(0.5, abs=1e-12)
     assert np.isinf(delta[2]) and step[2] == 100
+
+
+def _systems(rng, k, n):
+    d = 4.0 + rng.random((k, n))
+    dl = rng.standard_normal((k, n - 1))
+    du = rng.standard_normal((k, n - 1))
+    rhs = rng.standard_normal((k, n))
+    return dl, d, du, rhs
+
+
+def test_tridiag_block_equals_rows_alone_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for k, n in ((5, 401), (3, 17), (1, 2)):
+        dl, d, du, rhs = _systems(rng, k, n)
+        # weak diagonals make gtsv pivot inside the rows
+        d[:, ::3] *= 1e-3
+        x = backends.tridiag_solve(dl, d, du, rhs)
+        for r in range(k):
+            alone = backends.tridiag_solve(dl[r], d[r], du[r], rhs[r])
+            assert x[r].tobytes() == alone.tobytes()
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = du[r], d[r], dl[r]
+            assert alone.tobytes() == solve_banded((1, 1), ab,
+                                                   rhs[r]).tobytes()
+
+
+def test_tridiag_block_keeps_an_overflowing_row_to_itself():
+    # row 1 overflows to inf alone; 0 * inf at the zero coupling must not
+    # turn row 0 into NaN
+    n = 5
+    d = np.full((2, n), 2.0)
+    dl = du = np.full((2, n - 1), 0.5)
+    rhs = np.ones((2, n))
+    d[1], rhs[1] = 1e-300, 1e308
+    x = backends.tridiag_solve(dl, d, du, rhs)
+    for r in range(2):
+        alone = backends.tridiag_solve(dl[r], d[r], du[r], rhs[r])
+        assert x[r].tobytes() == alone.tobytes()
+    assert np.isfinite(x[0]).all() and not np.isfinite(x[1]).all()
+
+
+def test_tridiag_block_names_the_first_singular_row():
+    rng = np.random.default_rng(4)
+    dl, d, du, rhs = _systems(rng, 4, 9)
+    for rows in ((2,), (1, 3), (3,)):
+        dd, ll, uu = d.copy(), dl.copy(), du.copy()
+        for r in rows:
+            dd[r, 4] = 0.0
+            ll[r, 3] = uu[r, 4] = 0.0  # node 4 decouples: a zero pivot
+            uu[r, 3] = ll[r, 4] = 0.0
+        with pytest.raises(backends.SingularBlock) as err:
+            backends.tridiag_solve(ll, dd, uu, rhs)
+        assert err.value.row == rows[0]
+
+
+def test_theta_from_log_array_elementwise():
+    # the stopping test is global, so an element must get the same bits
+    # alone as inside a larger call (the block marcher relies on it)
+    rng = np.random.default_rng(2)
+    u = np.exp(rng.uniform(np.log(701.0), np.log(1e6), 2000))
+    block = backends.theta_from_log_array(u)
+    alone = np.array([backends.theta_from_log_array(v) for v in u])
+    assert block.tobytes() == alone.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import defaultable_hjb as dh
 from defaultable_hjb.cli import main, parse_config
 from defaultable_hjb.solver import bilinear_cell, bilinear_gather
 
@@ -35,6 +36,19 @@ paths = {paths}
 steps = {steps}
 seed = {seed}
 """
+
+
+def _paper_solve(q_list, nx, nt):
+    """Surfaces of the zero claim and each bond alone, as PAPER_INI sets
+    them up, and the mask of the reporting band."""
+    m = dh.make_cir_model(dh.paper_cir_params())
+    pref = dh.Preferences(alpha=3.0, horizon_T=1.0)
+    grid = dh.default_grid(m, pref, nx, nt)
+    lo, hi = dh.invariant_band(m)
+    band = (grid.xs >= lo) & (grid.xs <= hi)
+    surfaces = [dh.solve_full(m, dh.zero_claim(), pref, grid)] + [
+        dh.solve_full(m, dh.bond_claim(q), pref, grid) for q in q_list]
+    return m, pref, surfaces, band
 
 
 def _write(tmp_path, **kw):
@@ -113,6 +127,11 @@ def test_price_bond_outputs_and_monotonicity(tmp_path):
     # per-unit price decreases with the notional at every state
     assert np.all(data[:, 1] > data[:, 2])
     assert np.all(data[:, 2] > data[:, 3])
+    # the block march gives each claim's own solve, to the last bit
+    _, _, (G0, *Gqs), band = _paper_solve((1.0, 5.0, 10.0), 100, 100)
+    for col, q, Gq in zip((1, 2, 3), (1.0, 5.0, 10.0), Gqs):
+        assert np.array_equal(data[:, col],
+                              dh.indifference_price(Gq, G0, q)[0, band])
 
 
 def test_notionals_keep_17_digits_and_stay_distinct(tmp_path, capsys):
@@ -157,6 +176,9 @@ def test_price_insurance_outputs(tmp_path):
     assert np.all(data[:, 1] <= data[:, 2] + 1e-12)   # rate <= upper bound
     assert np.all(data[:, 1] >= data[:, 3] - 1e-12)   # rate >= intensity
     assert np.all(np.diff(data[:, 1]) > 0)            # increasing in x
+    # the t = 0 row of the rate on the whole surface, to the last bit
+    m, pref, (G,), band = _paper_solve((), 100, 100)
+    assert np.array_equal(data[:, 1], dh.insurance_rate(G, m, pref)[0, band])
     sh = [ln for ln in
           (out / "short_horizon_rate.csv").read_text().splitlines()
           if not ln.startswith("#")]
@@ -266,7 +288,7 @@ _X_MIN_OUTSIDE = "[model]\nkind = cir\nx_min = -1\n"
 _SINGULAR = ("[model]\nkind = cir\n[claim]\nphi = one\nq = 1e8\n"
              "[preferences]\nalpha = 1e5\n[grid]\nnx = 32\nnt = 16\n")
 # a tiny OU mean reversion gives a stationary s.d. near 1e150 (1e161 for
-# the subnormal b): the operator overflows on that grid
+# the subnormal b): a solve on that interval overflows
 _OU_B = "[model]\nkind = ou\nb = {}\n[grid]\nnx = 32\nnt = 16\n"
 # a CIR config on a 32x16 grid that ends with the lines given
 _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
@@ -285,10 +307,21 @@ _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
     ("solve", "[model]\nkind = cir\n", ["--mode", "local:1"], "config error"),
     ("verify", "[model]\nkind = cir\nx0 = -1\n", [], "config error"),
     ("solve", _SINGULAR, [], "solver error: Newton diverged at time step"),
-    ("solve", _OU_B.format("1e-300"), [],
-     "solver error: Newton diverged at time step"),
-    ("solve", _OU_B.format("5e-324"), [],
-     "solver error: Newton diverged at time step"),
+    ("solve", _OU_B.format("1e-300"), [], "config error: the truncation"),
+    ("solve", _OU_B.format("5e-324"), [], "config error: the truncation"),
+    ("price-bond", _OU_B.format("1e-300"), [],
+     "config error: the truncation"),
+    ("price-insurance", _OU_B.format("1e-300"), [],
+     "config error: the truncation"),
+    ("verify", _OU_B.format("1e-300"), [], "config error: the truncation"),
+    ("check-assumptions", _OU_B.format("1e-300"), [],
+     "config error: the truncation"),
+    # a volatility whose square underflows to 0
+    ("solve", _CIR_32.format("xi = 1e-300"), [], "config error: xi^2"),
+    ("check-assumptions", _CIR_32.format("xi = 1e-300"), [],
+     "config error: xi^2"),
+    ("solve", _CIR_32.format("sigma = 1e-300"), [],
+     "config error: sigma_scale^2"),
     # a value that is not finite is a config error, whatever key it sets
     ("solve", _CIR_32.format("mu2 = nan"), [], "config error"),
     ("solve", _CIR_32.format("rho = nan"), [], "config error"),
@@ -304,7 +337,9 @@ _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
         "x-min-outside-domain-price-insurance",
         "x-min-outside-domain-verify", "local-0", "local-1",
         "x0-outside-domain-verify", "newton-divergence", "ou-tiny-b",
-        "ou-subnormal-b", "mu2-nan", "rho-nan", "mu1-inf", "gamma2-inf",
+        "ou-subnormal-b", "ou-tiny-b-price-bond", "ou-tiny-b-price-insurance",
+        "ou-tiny-b-verify", "ou-tiny-b-check-assumptions", "xi-tiny",
+        "xi-tiny-check-assumptions", "sigma-tiny", "mu2-nan", "rho-nan", "mu1-inf", "gamma2-inf",
         "alpha-inf", "mu2-nan-check-assumptions", "horizon-inf"])
 def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     # model, grid and Monte Carlo validation errors are config errors too;
@@ -315,8 +350,23 @@ def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
                 + extra) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert err.count("\n") == 1  # one line, no warnings before it
     if message.startswith("solver error"):
-        assert err.count("\n") == 1 and "residual" in err
+        assert "residual" in err
+
+
+@pytest.mark.parametrize("value", ["mu2 = 1e308", "mu1 = 1e300"])
+def test_overflowing_window_fails_the_check(tmp_path, capsys, value):
+    # the window arithmetic overflows to inf, which no window admits
+    p = tmp_path / "big.ini"
+    p.write_text(_CIR_32.format(value))
+    assert main(["check-assumptions", "--config", str(p),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "check failure: assumption check failed\n"
+    rows = (tmp_path / "assumptions.csv").read_text()
+    for entry in ("incomplete-market", "dual-drift", "moment-drift"):
+        assert f"{entry}-integrability,Fails" in rows
 
 
 def test_parse_config_defaults_without_file():

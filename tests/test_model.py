@@ -80,6 +80,24 @@ def test_ou_truncation_and_band():
     assert blo == pytest.approx(-bhi)
 
 
+def test_unresolvable_truncation_and_volatility_squares():
+    # the stationary s.d. of b = 1e-300 is near 7e149: edges past ~1e77
+    # overflow a solve, so the interval is a model error
+    for b in (1e-300, 5e-324):
+        m = dh.make_ou_model(dh.OUParams(b_mr=b, mu1=0, mu2=1, sigma_const=1,
+                                         gamma_const=1, rho_const=0))
+        with pytest.raises(ModelError, match="cannot be resolved"):
+            dh.default_truncation(m)
+    base = dict(dh.paper_cir_params().__dict__)
+    for key, value in (("xi", 1e-300), ("xi", 1e200),
+                       ("sigma_scale", 1e-300)):
+        with pytest.raises(ModelError, match=f"{key}\\^2"):
+            dh.CIRParams(**{**base, key: value})
+    with pytest.raises(ModelError, match="sigma_const\\^2"):
+        dh.OUParams(b_mr=1.0, mu1=0, mu2=0, sigma_const=1e-300,
+                    gamma_const=1.0, rho_const=0.0)
+
+
 def test_market_price_of_risk():
     m = dh.make_cir_model(dh.paper_cir_params())
     x = np.array([0.02, 0.06, 0.1])

@@ -200,3 +200,19 @@ def test_curves_to_csv(tmp_path):
     assert lines[2].split(",") == ["0", "1"] or lines[2].startswith("0,")
     with pytest.raises(ValueError):
         cli._columns({"a": np.zeros(3), "b": np.zeros(2)})
+
+
+def test_maps_of_the_first_row_are_row_0_of_the_maps(paper_model, paper_pref,
+                                                     G_zero):
+    # price-insurance maps the t = 0 row alone; the maps are nodewise
+    row0 = dh.Surface(grid=G_zero.grid, values=G_zero.values[:1],
+                      gradient=G_zero.gradient[:1])
+    pol, pol0 = (dh.optimal_policy(g, paper_model, paper_pref)
+                 for g in (G_zero, row0))
+    assert pol0.values.tobytes() == pol.values[:1].tobytes()
+    f, f0 = (dh.insurance_rate(g, paper_model, paper_pref)
+             for g in (G_zero, row0))
+    assert f0.tobytes() == f[:1].tobytes()
+    upper, _ = dh.insurance_bounds(G_zero, pol, paper_model, paper_pref)
+    upper0, _ = dh.insurance_bounds(row0, pol0, paper_model, paper_pref)
+    assert upper0.tobytes() == upper[:1].tobytes()

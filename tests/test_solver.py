@@ -71,10 +71,10 @@ def test_local_with_unit_cutoff_equals_dirichlet_full(paper_model, paper_pref):
         chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     G_local = dh.solve_local(paper_model, claim, paper_pref, unit, grid)
     xs = grid.xs
-    coef = solver._Coeffs(paper_model, xs, paper_pref.alpha)
-    full = solver._march(coef, grid, claim.q * claim.phi(xs),
-                         SolverOptions(), chi=np.ones_like(xs),
-                         dirichlet=True)
+    op = solver._Operator(solver._Coeffs(paper_model, xs, paper_pref.alpha),
+                          grid.dx, np.ones_like(xs))
+    full = solver._march(op, grid, (claim.q * claim.phi(xs))[None],
+                         SolverOptions(), dirichlet=True)[0]
     assert np.max(np.abs(G_local.values - full)) <= 1e-10
     # the residual of a local surface uses the same closure
     assert np.max(np.abs(dh.residual(G_local, paper_model,
@@ -230,10 +230,10 @@ def test_hjb_rhs_pointwise(constant_model):
     want = 0.5 * (2.0 + 4.0 - th * th - 2 * th)
     grid = dh.GridSpec(-5.0, 5.0, 16, 16)
     xs = grid.xs
-    coef = solver._Coeffs(constant_model, xs, 1.0)
-    F, _ = solver._spatial_operator(coef, np.zeros_like(xs), grid.dx,
-                                    chi=np.ones_like(xs), want_jacobian=False)
-    assert F == pytest.approx(np.full_like(xs, want), rel=1e-12)
+    op = solver._Operator(solver._Coeffs(constant_model, xs, 1.0), grid.dx,
+                          np.ones_like(xs))
+    F, _ = op(np.zeros((1, len(xs))), want_jacobian=False)
+    assert F[0] == pytest.approx(np.full_like(xs, want), rel=1e-12)
 
 
 def test_protected_rejects_misaligned_rate(paper_model, paper_pref,
@@ -264,3 +264,167 @@ def test_marcher_reuses_operator_evaluations(monkeypatch, paper_model,
     # the protected source goes through exp, never the product-log
     dh.solve_protected(paper_model, paper_pref, rate, grid)
     assert calls == []
+
+
+def _claims(qs):
+    return [dh.zero_claim() if q == 0 else dh.bond_claim(q) for q in qs]
+
+
+def test_solve_claims_bit_identical_to_solve_full(paper_model, paper_pref):
+    grid = dh.default_grid(paper_model, paper_pref, 200, 200)
+    claims = _claims((0, 1.0, 3.0, 5.0, 10.0))
+    block = dh.solve_claims(paper_model, claims, paper_pref, grid)
+    for c, G in zip(claims, block):
+        alone = dh.solve_full(paper_model, c, paper_pref, grid)
+        assert G.values.tobytes() == alone.values.tobytes()
+        assert G.gradient.tobytes() == alone.gradient.tobytes()
+    # on a coarse grid a large notional needs its own damped line search
+    grid = dh.default_grid(paper_model, paper_pref, 32, 16)
+    claims = _claims((0, 3.0, 30.0, 100.0))
+    block = dh.solve_claims(paper_model, claims, paper_pref, grid)
+    for c, G in zip(claims, block):
+        alone = dh.solve_full(paper_model, c, paper_pref, grid)
+        assert G.values.tobytes() == alone.values.tobytes()
+    ou = dh.make_ou_model(dh.OUParams(1.0, 0.1, 0.5, 1.0, 0.3, 0.2))
+    grid = dh.default_grid(ou, paper_pref, 100, 80)
+    claims = _claims((2.0, 0, 0.5))
+    block = dh.solve_claims(ou, claims, paper_pref, grid)
+    for c, G in zip(claims, block):
+        alone = dh.solve_full(ou, c, paper_pref, grid)
+        assert G.values.tobytes() == alone.values.tobytes()
+
+
+def _first_failure(m, claims, pref, grid, opt):
+    """The error a claim-by-claim solve raises first, and every claim's."""
+    errors = []
+    for c in claims:
+        try:
+            dh.solve_full(m, c, pref, grid, opt)
+            errors.append(None)
+        except NewtonDivergence as exc:
+            errors.append(exc)
+    return next(e for e in errors if e is not None), errors
+
+
+# at the rounding floor the claims fail at different steps: with
+# tolerance 1e-18 on 32x32 the zero claim fails at step 21, q = 0.001 at
+# step 23 and q = 0.01 at the first step, 31; with one Newton iteration
+# every claim fails at the first step
+@pytest.mark.parametrize("qs, opt", [
+    ((0, 0.01), SolverOptions(newton_tol=1e-18)),
+    ((0.01, 0), SolverOptions(newton_tol=1e-18)),
+    ((0.001, 0, 0.01), SolverOptions(newton_tol=1e-18)),
+    ((0, 0.01, 0.1), SolverOptions(newton_tol=1e-17)),
+    ((10.0, 0), SolverOptions(newton_tol=1e-14, newton_max_iter=1))])
+def test_block_raises_the_first_failing_claims_error(paper_model, paper_pref,
+                                                     qs, opt):
+    grid = dh.default_grid(paper_model, paper_pref, 32, 32)
+    first, errors = _first_failure(paper_model, _claims(qs), paper_pref, grid,
+                                   opt)
+    with pytest.raises(NewtonDivergence) as err:
+        dh.solve_claims(paper_model, _claims(qs), paper_pref, grid, opt)
+    assert (err.value.step_index, err.value.residual_norm) == \
+        (first.step_index, first.residual_norm)
+    if qs == (0, 0.01):
+        # row 1 fails first in march order; row 0 marches on past it
+        assert errors[1].step_index > errors[0].step_index
+
+
+def test_block_with_a_singular_claim(paper_model):
+    # alpha = 1e5 and q = 1e8 make the first step's Jacobian singular
+    pref = dh.Preferences(alpha=1e5, horizon_T=1.0)
+    grid = dh.default_grid(paper_model, pref, 32, 16)
+    claims = [dh.bond_claim(1e8), dh.zero_claim()]
+    first, _ = _first_failure(paper_model, claims, pref, grid,
+                              SolverOptions())
+    with pytest.raises(NewtonDivergence) as err:
+        dh.solve_claims(paper_model, claims, pref, grid)
+    assert (err.value.step_index, err.value.residual_norm) == \
+        (first.step_index, first.residual_norm)
+
+
+def test_bad_newton_jacobian_rows_fail_in_row_order():
+    # a linear operator F = -G whose Jacobian is tagged by the row's
+    # value: 1 -> a NaN diagonal (gtsv reports no zero pivot, and the NaN
+    # would reach the row before it through the zero coupling), 2 -> a
+    # zero pivot
+    n, w = 8, 0.5
+
+    def evaluate(G):
+        tag = G[:, :1]
+        diag = np.where(tag == 1.0, np.nan, np.where(tag == 2.0, 1.0 / w,
+                                                     -1.0)) * np.ones(n)
+        zeros = np.zeros((len(G), n - 1))
+        return -G, (zeros, diag, zeros)
+
+    for tags, live in (((0.0, 1.0, 2.0), 1), ((0.0, 2.0, 1.0), 1),
+                       ((3.0, 0.0), 2), ((2.0, 1.0), 0)):
+        G_next = np.repeat(np.array(tags)[:, None], n, axis=1)
+        U = G_next.copy()
+        ev = [np.empty_like(U), np.empty((len(U), n - 1)), np.empty_like(U),
+              np.empty((len(U), n - 1))]
+        stale = np.ones(len(U), dtype=bool)
+        got, error = solver._solve_step(evaluate, G_next, 0.0, U, ev, stale,
+                                        w, 0.0, SolverOptions(), False, 7,
+                                        len(U))
+        assert got == live
+        if live == len(U):
+            assert error is None
+            # F = -G: each row converges to G_next / (1 + w)
+            assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
+        else:
+            assert isinstance(error, NewtonDivergence)
+            assert error.step_index == 7
+            assert error.residual_norm == pytest.approx(w * tags[live])
+
+
+def test_block_residual_equals_row_by_row(paper_model, paper_pref):
+    grid = dh.default_grid(paper_model, paper_pref, 64, 48)
+    xs = grid.xs
+    G = dh.solve_full(paper_model, dh.bond_claim(3.0), paper_pref, grid)
+    rate = dh.insurance_rate(G, paper_model, paper_pref)
+    P = dh.solve_protected(paper_model, paper_pref, rate, grid)
+    loc = dh.build_localization(paper_model, 4)
+    lgrid = dh.GridSpec(loc.outer[0], loc.outer[1], 64, 48)
+    L = dh.solve_local(paper_model, dh.bond_claim(2.0), paper_pref, loc, lgrid)
+    be = SolverOptions(scheme="backward-euler")
+    cases = [(G, SolverOptions(), None), (G, be, None),
+             (G, SolverOptions(), rate), (P, SolverOptions(), None),
+             (L, SolverOptions(), None)]
+    for surface, opt, rate_field in cases:
+        g = surface.grid
+        chi = surface.chi if surface.chi is not None else np.ones_like(xs)
+        f_field = rate_field if rate_field is not None else surface.rate_field
+        op = solver._Operator(solver._Coeffs(paper_model, g.xs,
+                                             paper_pref.alpha),
+                              g.dx, chi if f_field is None else None)
+        w_impl, w_expl = solver._weights(opt.scheme, g.dt)
+        F = [op(row[None], None if f_field is None else f_field[i],
+                want_jacobian=False)[0][0]
+             for i, row in enumerate(surface.values)]
+        want = [solver._step_residual(
+                    surface.values[i], surface.values[i + 1], F[i],
+                    F[i + 1] if w_expl > 0.0 else 0.0, w_impl, w_expl,
+                    surface.mode == "local")
+                for i in range(g.n_time)]
+        got = dh.residual(surface, paper_model, paper_pref, opt,
+                          rate_field=rate_field)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_theta_calls_do_not_grow_with_the_block(monkeypatch, paper_model,
+                                                paper_pref):
+    # one product-log call per line-search round serves every claim; on
+    # 200x200 each of these claims alone takes two rounds a step
+    grid = dh.default_grid(paper_model, paper_pref, 200, 200)
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return theta_of_log(u)
+
+    monkeypatch.setattr(solver, "theta_of_log", counting)
+    for qs in ((0,), (0, 1.0, 3.0), (0, 1.0, 3.0, 5.0, 10.0)):
+        calls.clear()
+        dh.solve_claims(paper_model, _claims(qs), paper_pref, grid)
+        assert len(calls) <= 2 * grid.n_time + 8
