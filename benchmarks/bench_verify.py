@@ -9,10 +9,12 @@ It runs ``verify`` on perfbench/reference.ini at grid 200x200 with 10^4
 paths x 1000 steps and seed 3 (the benchmark's mc-verify call), --repeat
 times in this process.  Each Monte Carlo stage is timed by wrapping the
 montecarlo functions the CLI calls; a stage function called from another
-is booked to the outer one.  Stages: simulate_factor, simulate_default,
-replay, dual_density and estimators; "other" is the rest of the call (the
-200x200 solve, the policy and the CSV).  Each stage reports the best of
-the runs, and the record carries the process's peak RSS.
+is booked to the outer one.  Stages: noise (draw_noise), loop
+(simulate_policies: factor, default and wealth in one time loop) and
+estimators (dual_density_terminal and the three estimates); "other" is
+the rest of the call (the 200x200 solve, the policy and the CSV).  Each
+stage reports the best of the runs, and the record carries the process's
+peak RSS and the SHA-256 of the verify.csv written.
 
 With --out the record is merged under --label into that JSON file, so a
 second checkout can be measured on the same machine by the same script:
@@ -45,10 +47,9 @@ CONFIG = ROOT / "perfbench" / "reference.ini"
 ARGS = ["--grid", "200,200", "--seed", "3"]
 
 STAGES = {
-    "simulate_factor": "simulate_factor",
-    "simulate_default": "simulate_default",
-    "replay_policies": "replay",
-    "dual_density_terminal": "dual_density",
+    "draw_noise": "noise",
+    "simulate_policies": "loop",
+    "dual_density_terminal": "estimators",
     "estimate_certainty_equivalent": "estimators",
     "estimate_martingale_mass": "estimators",
     "estimate_dual_value": "estimators",

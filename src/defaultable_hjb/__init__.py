@@ -20,9 +20,9 @@ grouped by the quantity they serve.
 * The standing assumptions, certified in closed form: ``check_model``
   and the checks it runs.
 * The Monte Carlo verification of G through the primal certainty
-  equivalent and the dual density Z: ``simulate_factor``,
-  ``simulate_default``, ``replay_policies``, ``dual_density_terminal``
-  and the estimators.
+  equivalent and the dual density Z: ``draw_noise`` and
+  ``simulate_policies`` (factor, default and wealth in one time loop),
+  ``dual_density_terminal`` and the estimators.
 """
 
 from .lambertw import ThetaDomainError, theta, theta_of_log
@@ -44,10 +44,9 @@ from .assumptions import (AssumptionEntry, AssumptionReport, CIRMomentBound,
                           check_cir_integrability, check_model,
                           check_ou_integrability, check_static_assumptions,
                           cir_moment_bound, drift_changed_cir)
-from .montecarlo import (MCEstimate, PathBundle, SimConfig,
-                         dual_density_terminal,
+from .montecarlo import (MCEstimate, Noise, PathBundle, SimConfig,
+                         draw_noise, dual_density_terminal,
                          estimate_certainty_equivalent, estimate_dual_value,
-                         estimate_martingale_mass, replay_policies,
-                         simulate_default, simulate_factor)
+                         estimate_martingale_mass, simulate_policies)
 
 __version__ = "0.1.0"

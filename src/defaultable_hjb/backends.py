@@ -1,8 +1,7 @@
 """Numeric kernels, vectorised with numpy.
 
-The hot loops of the engine: the product-log on arrays, the tridiagonal
-solves of a Newton step, factor-path recursions and default-time
-crossings.
+The hot loops of the engine: the product-log on arrays and the
+tridiagonal solves of a Newton step.
 """
 
 from __future__ import annotations
@@ -123,67 +122,6 @@ def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
             if info:
                 raise SingularBlock(r)
     return x.reshape(rhs.shape)
-
-
-def cir_paths(x0: float, kappa: float, theta_lr: float, xi: float,
-              dt: float, normals: np.ndarray) -> np.ndarray:
-    """Full-truncation Euler paths of dX = kappa(theta - X)dt + xi sqrt(X) dW.
-
-    Returns the floored process max(x_tilde, 0); the auxiliary x_tilde is
-    propagated internally.
-    """
-    n_paths, n_steps = normals.shape
-    sq = np.sqrt(dt)
-    out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = x0
-    xt = np.full(n_paths, float(x0))
-    for k in range(n_steps):
-        xp = np.maximum(xt, 0.0)
-        xt = xt + kappa * (theta_lr - xp) * dt + xi * np.sqrt(xp) * sq * normals[:, k]
-        out[:, k + 1] = np.maximum(xt, 0.0)
-    return out
-
-
-def ou_paths(x0: float, decay: float, dW: np.ndarray) -> np.ndarray:
-    """Paths of the linear recursion X_{k+1} = decay * X_k + dW_k.
-
-    With decay = exp(-b dt) and Gaussian increments of the transition s.d.
-    this is the exact transition of dX = -b X dt + dW.
-    """
-    n_paths, n_steps = dW.shape
-    out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = x0
-    for k in range(n_steps):
-        out[:, k + 1] = decay * out[:, k] + dW[:, k]
-    return out
-
-
-def crossing_times(intensity: np.ndarray, dt: float,
-                   exp_draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First time the trapezoidal cumulative intensity crosses exp_draws.
-
-    Returns (delta, step): delta is the crossing time offset (inf if no
-    crossing), step the index of the step containing the crossing
-    (n_steps if none).
-    """
-    n_paths, n_cols = intensity.shape
-    n_steps = n_cols - 1
-    inc = 0.5 * (intensity[:, 1:] + intensity[:, :-1]) * dt
-    cum = np.zeros((n_paths, n_cols))
-    np.cumsum(inc, axis=1, out=cum[:, 1:])
-    crossed = cum[:, -1] >= exp_draws
-    idx = np.argmax(cum >= exp_draws[:, None], axis=1)  # first col with cum >= e
-    step = np.where(crossed, np.maximum(idx - 1, 0), n_steps)
-    delta = np.full(n_paths, np.inf)
-    if crossed.any():
-        rows = np.flatnonzero(crossed)
-        k = step[rows]
-        lo = cum[rows, k]
-        hi = cum[rows, k + 1]
-        denom = np.where(hi > lo, hi - lo, 1.0)
-        frac = np.clip((exp_draws[rows] - lo) / denom, 0.0, 1.0)
-        delta[rows] = dt * (k + frac)
-    return delta, step
 
 
 def backend_name() -> str:

@@ -413,12 +413,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     pol_surface = Surface(grid=grid, values=pol.values)
     g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
 
-    # one path bundle: the perturbed policy rides the same paths as the
+    # one simulation: the perturbed policy rides the same paths as the
     # optimal one (common random numbers)
     pert = Surface(grid=grid, values=pol.values + 0.5)
-    bundle = mc.simulate_factor(m, sim, pref.horizon_T)
-    mc.simulate_default(m, bundle)
-    opt, perturbed = mc.replay_policies(m, [pol_surface, pert], bundle, pref)
+    noise = mc.draw_noise(sim)
+    opt, perturbed = mc.simulate_policies(m, noise, pref.horizon_T,
+                                          [pol_surface, pert])
     ce = mc.estimate_certainty_equivalent(opt, claim, pref, label="ce")
     mc.dual_density_terminal(G, opt, pref)
     mass = mc.estimate_martingale_mass(opt)
@@ -493,7 +493,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args)
         return args.func(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ModelError) as exc:
+        # a ModelError here is a model that fails on the solver's grid nodes
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NewtonDivergence as exc:

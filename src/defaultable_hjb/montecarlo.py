@@ -1,22 +1,24 @@
 """Independent stochastic verification of the PDE outputs.
 
-Simulates the factor process, the intensity-driven default time, wealth
-under a replayed trading policy, and the candidate dual density; then
-estimates the certainty equivalent, the dual value, and martingale mass.
-Everything is driven by a counter-based RNG (Philox) so that a fixed
-seed reproduces estimates bit for bit.
+Simulates the factor process, the intensity-driven default time and the
+wealth under replayed trading policies in one time loop that keeps only
+per-path state; then fills the terminal dual density and estimates the
+certainty equivalent, the dual value and martingale mass from the
+terminal state.  Everything is driven by a counter-based RNG (Philox) so
+that a fixed seed reproduces estimates bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import backends
 from .model import ClaimSpec, ModelSpec, Preferences
 from .solver import Surface, bilinear_cell, bilinear_gather
+
+_DRAW_BLOCK = 1 << 17  # normals per draw: 1 MiB, whatever the path count
 
 
 @dataclass(frozen=True)
@@ -44,48 +46,90 @@ class MCEstimate:
             raise ValueError("std_error must be non-negative")
 
 
+@dataclass(frozen=True)
+class Noise:
+    """The random inputs of one simulation, time-major for the time loop.
+
+    z drives the factor and z0 the Brownian motion orthogonal to it, each
+    an (n_steps, n_paths) array of standard normals; exp_draws are the
+    (n_paths,) Exp(1) default thresholds.
+    """
+
+    cfg: SimConfig
+    z: np.ndarray
+    z0: np.ndarray
+    exp_draws: np.ndarray
+
+    def __post_init__(self):
+        shape = (self.cfg.n_steps, self.cfg.n_paths)
+        if self.z.shape != shape or self.z0.shape != shape \
+                or self.exp_draws.shape != shape[1:]:
+            raise ValueError("noise shapes do not match the SimConfig")
+
+
 @dataclass
 class PathBundle:
+    """The terminal state of the paths under one policy: what the
+    estimators read."""
+
     cfg: SimConfig
     horizon: float
-    ts: np.ndarray                      # (n_steps+1,) simulation times
-    x: np.ndarray                       # (n_paths, n_steps+1)
-    dW: np.ndarray                      # (n_paths, n_steps) factor noise
-    dW0: np.ndarray                     # (n_paths, n_steps) orthogonal noise
-    exp_draws: np.ndarray               # (n_paths,) Exp(1) thresholds
-    delta: Optional[np.ndarray] = None  # default times (inf = no default)
-    default_step: Optional[np.ndarray] = None
-    wealth: Optional[np.ndarray] = None
+    x_T: np.ndarray           # (n_paths,) factor at the last simulation time
+    delta: np.ndarray         # (n_paths,) default times (inf = no default)
+    default_step: np.ndarray  # (n_paths,) step of the default (n_steps: none)
+    w_T: np.ndarray           # (n_paths,) terminal wealth
     protected: bool = False
-    zhat: Optional[np.ndarray] = None   # terminal dual density Z_T
+    z_T: Optional[np.ndarray] = None  # terminal dual density Z_T
 
     @property
     def dt(self) -> float:
         return self.horizon / self.cfg.n_steps
 
+    @property
+    def t_end(self) -> float:
+        """The last simulation time, which can differ from the horizon by
+        an ulp."""
+        return self.dt * self.cfg.n_steps
+
     def survived(self, t: float) -> np.ndarray:
         return self.delta > t
 
 
-def simulate_factor(m: ModelSpec, cfg: SimConfig, horizon: float) -> PathBundle:
-    """Simulate the factor and draw all noise; default time not yet set.
+def draw_noise(cfg: SimConfig) -> Noise:
+    """The noise of cfg.seed, read from one Philox stream in a fixed order.
 
-    The scheme follows the model kind: the exact Gaussian transition for
-    OU, full-truncation Euler for CIR, and for a custom model Euler
-    clamped just inside the domain.
+    The stream gives each path's n_steps factor normals in turn, then each
+    path's n_steps orthogonal normals, then one uniform per path for the
+    default threshold.  The normals are drawn in blocks of whole paths and
+    stored transposed, so the values are those of one (n_paths, n_steps)
+    draw, while the draw itself needs only a block.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if not bool(m.domain.contains(cfg.x0)):
-        raise ValueError("x0 outside the model domain")
-    dt = horizon / cfg.n_steps
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    z = rng.standard_normal((cfg.n_paths, cfg.n_steps))
-    z0 = rng.standard_normal((cfg.n_paths, cfg.n_steps))
+    z = _time_major_normals(rng, cfg)
+    z0 = _time_major_normals(rng, cfg)
     u = rng.random(cfg.n_paths)
     u = np.where(u <= 0.0, np.nextafter(0.0, 1.0), u)  # open interval (0,1)
-    exp_draws = -np.log1p(-u)
+    return Noise(cfg=cfg, z=z, z0=z0, exp_draws=-np.log1p(-u))
 
+
+def _time_major_normals(rng, cfg: SimConfig) -> np.ndarray:
+    out = np.empty((cfg.n_steps, cfg.n_paths))
+    rows = max(1, _DRAW_BLOCK // cfg.n_steps)
+    for lo in range(0, cfg.n_paths, rows):
+        hi = min(lo + rows, cfg.n_paths)
+        out[:, lo:hi] = rng.standard_normal((hi - lo, cfg.n_steps)).T
+    return out
+
+
+def _factor_step(m: ModelSpec, x0: float, dt: float, n_paths: int):
+    """One step of the factor scheme of the model kind, as a function
+    (X_k, z_k) -> (X_{k+1}, dW_k), with dW_k the Brownian increment that
+    also drives the wealth.
+
+    The exact Gaussian transition for OU, full-truncation Euler for CIR
+    (the auxiliary x~ it carries may go negative; X = max(x~, 0)), and for
+    a custom model Euler clamped just inside the domain.
+    """
     if m.kind == "ou":
         # exact Gaussian transition of dX = -b X dt + dW
         b_mr = m.params.b_mr
@@ -94,95 +138,124 @@ def simulate_factor(m: ModelSpec, cfg: SimConfig, horizon: float) -> PathBundle:
         else:
             decay = np.exp(-b_mr * dt)
             sd = np.sqrt((1.0 - decay * decay) / (2.0 * b_mr))
-        dW = sd * z
-        x = backends.ou_paths(cfg.x0, decay, dW)
-    elif m.kind == "cir":
+
+        def step(x, z_k):
+            dW = sd * z_k
+            return decay * x + dW, dW
+        return step
+
+    sq = np.sqrt(dt)
+    if m.kind == "cir":
         p = m.params
-        x = backends.cir_paths(cfg.x0, p.kappa, p.theta_lr, p.xi, dt, z)
-        dW = np.sqrt(dt) * z
-    else:
-        dW = np.sqrt(dt) * z
-        x = np.empty((cfg.n_paths, cfg.n_steps + 1))
-        x[:, 0] = cfg.x0
-        lo, hi = m.domain.lower, m.domain.upper
-        for k in range(cfg.n_steps):
-            xk = x[:, k]
-            xn = xk + np.asarray(m.b(xk), dtype=float) * dt \
-                + np.asarray(m.a(xk), dtype=float) * dW[:, k]
-            if np.isfinite(lo):
-                xn = np.maximum(xn, lo + 1e-12 * max(1.0, abs(lo)))
-            if np.isfinite(hi):
-                xn = np.minimum(xn, hi - 1e-12 * max(1.0, abs(hi)))
-            x[:, k + 1] = xn
-    ts = dt * np.arange(cfg.n_steps + 1)
-    return PathBundle(cfg=cfg, horizon=horizon, ts=ts, x=x, dW=dW, dW0=z0 * np.sqrt(dt),
-                      exp_draws=exp_draws)
+        xt = np.full(n_paths, float(x0))
+
+        def step(x, z_k):
+            nonlocal xt
+            xp = np.maximum(xt, 0.0)
+            xt = xt + p.kappa * (p.theta_lr - xp) * dt \
+                + p.xi * np.sqrt(xp) * sq * z_k
+            return np.maximum(xt, 0.0), sq * z_k
+        return step
+
+    lo, hi = m.domain.lower, m.domain.upper
+
+    def step(x, z_k):
+        dW = sq * z_k
+        xn = x + np.asarray(m.b(x), dtype=float) * dt \
+            + np.asarray(m.a(x), dtype=float) * dW
+        if np.isfinite(lo):
+            xn = np.maximum(xn, lo + 1e-12 * max(1.0, abs(lo)))
+        if np.isfinite(hi):
+            xn = np.minimum(xn, hi - 1e-12 * max(1.0, abs(hi)))
+        return xn, dW
+    return step
 
 
-def simulate_default(m: ModelSpec, bundle: PathBundle) -> PathBundle:
-    """Fill default times: trapezoidal cumulative intensity vs the Exp(1) draw."""
-    intensity = np.asarray(m.gamma(bundle.x), dtype=float)
-    delta, step = backends.crossing_times(intensity, bundle.dt,
-                                          bundle.exp_draws)
-    bundle.delta = delta
-    bundle.default_step = np.asarray(step, dtype=np.int64)
-    return bundle
+def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
+                      rate_field=None) -> list:
+    """Simulate the factor, the default time and each policy's wealth.
 
+    One time loop over the steps keeps only per-path state: the factor,
+    the intensity, its trapezoidal integral, the default times and each
+    policy's wealth.  Step k, from t_k to t_{k+1}:
 
-def replay_policies(m: ModelSpec, pi_fields, bundle: PathBundle,
-                    pref: Preferences, rate_field=None) -> list:
-    """Drive the wealth recursion under each policy on the same paths.
+    1. the factor advances to X_{k+1} (see _factor_step);
+    2. the integral C_{k+1} = C_k + (gamma_{k+1} + gamma_k) dt / 2 meets a
+       path's Exp(1) threshold e for the first time: the path defaults in
+       step k, at dt (k + clip((e - C_k) / (C_{k+1} - C_k), 0, 1)).  The
+       built-in intensities are non-negative (constant and positive for
+       OU; gamma1, gamma2 >= 0 on x >= 0 for CIR), so C never falls and a
+       path that crosses stays crossed up to T; a custom intensity that
+       goes negative defaults at its first crossing all the same;
+    3. each wealth takes the increment of its policy at (t_k, X_k).
+       Unprotected: pi (mu dt + sigma (rho dW + sqrt(1 - rho^2) dW0)) (the
+       default compensator cancels the -gamma drift), a jump of -pi at
+       default, frozen afterwards.  Protected, when the insurance
+       rate_field f is given: drift pi (mu - gamma - f) dt plus the same
+       diffusion, no jump.
 
-    Unprotected: pre-default increment pi*(mu dt + sigma(rho dW
-    + sqrt(1-rho^2) dW0)) (the default compensator cancels the -gamma
-    drift), a jump of -pi at default, frozen afterwards.  Protected, when
-    the insurance rate_field f is given: drift pi*(mu - gamma - f) dt plus
-    the same diffusion, no jump.  A field is a Surface or a callable
-    f(t, x).
-
-    The policies share one time loop (common random numbers): each step
-    evaluates the coefficients, the diffusion increment, the default
-    masks and, for Surface fields on one grid, the bilinear cell once.
-    Returns one bundle per field, sharing the paths of ``bundle`` and
-    carrying that policy's wealth.
+    A field is a Surface or a callable f(t, x).  The policies share the
+    paths (common random numbers), and each step evaluates the
+    coefficients, the default masks and, for Surface fields on one grid,
+    the bilinear cell once.  Returns one PathBundle per policy, sharing
+    the factor and default arrays.
     """
-    if bundle.delta is None:
-        raise ValueError("simulate_default must run before replay_policies")
+    cfg = noise.cfg
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if not bool(m.domain.contains(cfg.x0)):
+        raise ValueError("x0 outside the model domain")
+    n_steps, n_paths = cfg.n_steps, cfg.n_paths
+    dt = horizon / n_steps
+    sq = np.sqrt(dt)
+    advance = _factor_step(m, cfg.x0, dt, n_paths)
     protected = rate_field is not None
-    n_paths, n_steps = bundle.dW.shape
-    dt = bundle.dt
-    ds = bundle.default_step
     fields = list(pi_fields) + ([rate_field] if protected else [])
     grids = {f.grid: (f.grid.ts, f.grid.xs) for f in fields
              if isinstance(f, Surface)}
-    # time-major wealth, so that each step writes one contiguous row; path
-    # columns are read once per step, since strided reads dominate the loop
-    wealth = [np.zeros((n_steps + 1, n_paths)) for _ in pi_fields]
+    e = noise.exp_draws
+
+    x = np.full(n_paths, float(cfg.x0))
+    gam = np.asarray(m.gamma(x), dtype=float)
+    cum = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    delta = np.full(n_paths, np.inf)
+    default_step = np.full(n_paths, n_steps, dtype=np.int64)
+    wealth = [np.zeros(n_paths) for _ in pi_fields]
     for k in range(n_steps):
-        t_k = bundle.ts[k]
-        xk = bundle.x[:, k].copy()
-        cells = {g: bilinear_cell(ts, xs, t_k, xk)
-                 for g, (ts, xs) in grids.items()}
+        t_k = dt * k
+        x_next, dW = advance(x, noise.z[k])
+
+        gam_next = np.asarray(m.gamma(x_next), dtype=float)
+        cum_next = cum + 0.5 * (gam_next + gam) * dt
+        defaulting = alive & (cum_next >= e)
+        part = None
+        if defaulting.any():
+            rows = np.flatnonzero(defaulting)
+            lo, hi = cum[rows], cum_next[rows]
+            denom = np.where(hi > lo, hi - lo, 1.0)
+            frac = np.clip((e[rows] - lo) / denom, 0.0, 1.0)
+            delta[rows] = dt * (k + frac)
+            default_step[rows] = k
+            alive &= ~defaulting
+            part = np.clip(delta - t_k, 0.0, dt)
+
+        cells = {g: bilinear_cell(g_ts, g_xs, t_k, x)
+                 for g, (g_ts, g_xs) in grids.items()}
         values = [bilinear_gather(f.values, cells[f.grid])
                   if isinstance(f, Surface)
-                  else np.asarray(f(t_k, xk), dtype=float)
+                  else np.asarray(f(t_k, x), dtype=float)
                   for f in fields]
-        mu = np.asarray(m.mu(xk), dtype=float)
-        sig = np.asarray(m.sigma(xk), dtype=float)
-        rho = np.asarray(m.rho(xk), dtype=float)
-        diff = sig * (rho * bundle.dW[:, k]
-                      + np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
-                      * bundle.dW0[:, k])
+        mu = np.asarray(m.mu(x), dtype=float)
+        sig = np.asarray(m.sigma(x), dtype=float)
+        rho = np.asarray(m.rho(x), dtype=float)
+        diff = sig * (rho * dW + np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+                      * (noise.z0[k] * sq))
         if protected:
-            gam = np.asarray(m.gamma(xk), dtype=float)
             drift = mu - gam - values.pop()  # the rate field, listed last
         else:
             drift = mu
         step = drift * dt + diff
-        alive = ds > k
-        defaulting = ds == k
-        part = np.clip(bundle.delta - t_k, 0.0, dt) \
-            if defaulting.any() else None
         for W, pi_k in zip(wealth, values):
             inc = np.where(alive, pi_k * step, 0.0)
             if part is not None:
@@ -190,8 +263,10 @@ def replay_policies(m: ModelSpec, pi_fields, bundle: PathBundle,
                 if not protected:
                     jump_inc = jump_inc - pi_k
                 inc = np.where(defaulting, jump_inc, inc)
-            np.add(W[k], inc, out=W[k + 1])
-    return [replace(bundle, wealth=W.T, protected=protected)
+            np.add(W, inc, out=W)
+        x, gam, cum = x_next, gam_next, cum_next
+    return [PathBundle(cfg=cfg, horizon=horizon, x_T=x, delta=delta,
+                       default_step=default_step, w_T=W, protected=protected)
             for W in wealth]
 
 
@@ -199,14 +274,12 @@ def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
                                   pref: Preferences,
                                   label: str = "ce") -> MCEstimate:
     """CE = -(1/alpha) log mean exp(-alpha (W_T + 1_{delta>T} q phi(X_T)))."""
-    if bundle.wealth is None:
-        raise ValueError("replay_policies must run before the CE estimate")
     al = pref.alpha
-    payoff = bundle.wealth[:, -1].copy()
+    payoff = bundle.w_T.copy()
     surv = bundle.survived(bundle.horizon)
     if not bundle.protected and surv.any():
         payoff[surv] += claim.q * np.asarray(
-            claim.phi(bundle.x[surv, -1]), dtype=float)
+            claim.phi(bundle.x_T[surv]), dtype=float)
     y = np.exp(-al * payoff)
     mean = float(np.mean(y))
     se_y = float(np.std(y, ddof=1) / np.sqrt(len(y))) if len(y) > 1 else 0.0
@@ -218,36 +291,35 @@ def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
 
 def dual_density_terminal(G: Surface, bundle: PathBundle,
                           pref: Preferences) -> PathBundle:
-    """Fill the terminal dual density Z_T, all the estimators read.
+    """Fill the terminal dual density Z_T, which the dual estimators read.
 
     Z_T = exp(-alpha (W_T - G(0, x0) + 1_{delta>T} G(T, X_T))), evaluated
-    at the last simulation time ts[-1], which can differ from the horizon
-    by an ulp.  Stores a single-column zhat; the estimators read
-    zhat[:, -1].
+    at the last simulation time t_end, which can differ from the horizon
+    by an ulp.
     """
-    if bundle.wealth is None:
-        raise ValueError("replay_policies must run before the dual density")
     al = pref.alpha
     g00 = float(G.at(0.0, np.atleast_1d(bundle.cfg.x0))[0])
-    t_T = bundle.ts[-1]
+    t_T = bundle.t_end
     surv = bundle.survived(t_T)
-    g_T = np.where(surv, G.at(t_T, bundle.x[:, -1]), 0.0)
-    zT = np.exp(-al * (bundle.wealth[:, -1] - g00 + g_T))
-    bundle.zhat = zT[:, None]
+    g_T = np.where(surv, G.at(t_T, bundle.x_T), 0.0)
+    bundle.z_T = np.exp(-al * (bundle.w_T - g00 + g_T))
     return bundle
+
+
+def _terminal_density(bundle: PathBundle) -> np.ndarray:
+    if bundle.z_T is None:
+        raise ValueError("dual_density_terminal must run first")
+    return bundle.z_T
 
 
 def estimate_dual_value(bundle: PathBundle, claim: ClaimSpec,
                         pref: Preferences, label: str = "dual") -> MCEstimate:
     """(1/alpha) E[Z_T log Z_T] + E[Z_T 1_{delta>T} q phi(X_T)]."""
-    if bundle.zhat is None:
-        raise ValueError("dual_density_terminal must run first")
+    zT = _terminal_density(bundle)
     al = pref.alpha
-    zT = bundle.zhat[:, -1]
     surv = bundle.survived(bundle.horizon)
     phi_T = np.where(surv,
-                     claim.q * np.asarray(claim.phi(bundle.x[:, -1]),
-                                          dtype=float),
+                     claim.q * np.asarray(claim.phi(bundle.x_T), dtype=float),
                      0.0)
     per_path = np.where(zT > 0.0, zT * np.log(np.maximum(zT, 1e-300)), 0.0) \
         / al + zT * phi_T
@@ -261,7 +333,7 @@ def estimate_dual_value(bundle: PathBundle, claim: ClaimSpec,
 def estimate_martingale_mass(bundle: PathBundle,
                              label: str = "mass") -> MCEstimate:
     """E[Z_T]; equals 1 for a true density process."""
-    zT = bundle.zhat[:, -1]
+    zT = _terminal_density(bundle)
     mean = float(np.mean(zT))
     se = float(np.std(zT, ddof=1) / np.sqrt(len(zT))) if len(zT) > 1 else 0.0
     return MCEstimate(mean=mean, std_error=se, n_paths=len(zT), label=label)

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import backends
 from .lambertw import ThetaDomainError, theta_of_log
-from .model import (ClaimSpec, LocalizationSpec, ModelSpec, Preferences,
-                    default_truncation)
+from .model import (ClaimSpec, LocalizationSpec, ModelError, ModelSpec,
+                    Preferences, default_truncation)
 
 
 class NewtonDivergence(RuntimeError):
@@ -182,24 +182,38 @@ class _Coeffs:
         def row(f):
             return np.asarray(f(xs), dtype=float).reshape(1, -1)
 
-        self.b = row(m.b)
-        self.A = row(m.A)
-        self.mu = row(m.mu)
-        self.sig = row(m.sigma)
-        self.gam = row(m.gamma)
-        rho = row(m.rho)
-        if np.any(self.A <= 0) or np.any(self.sig <= 0) or np.any(self.gam <= 0):
-            raise ValueError("A, sigma, gamma must be positive on the grid")
-        if np.any(np.abs(rho) > 1 + 1e-14):
-            raise ValueError("rho must lie in [-1, 1]")
-        self.rho = rho
-        self.a = np.sqrt(self.A)
-        self.s2 = self.sig ** 2
-        self.m_ratio = self.mu / self.s2
-        self.g_ratio = self.gam / self.s2
-        self.log_g_ratio = np.log(self.g_ratio)
-        # gradient loading (alpha / sigma) * a * rho
-        self.c = alpha * self.a * rho / self.sig
+        # values that overflow are reported once, below, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.b = row(m.b)
+            self.A = row(m.A)
+            self.mu = row(m.mu)
+            self.sig = row(m.sigma)
+            self.gam = row(m.gamma)
+            rho = row(m.rho)
+            if np.any(self.A <= 0) or np.any(self.sig <= 0) \
+                    or np.any(self.gam <= 0):
+                raise ModelError("A, sigma, gamma must be positive on the grid")
+            if np.any(np.abs(rho) > 1 + 1e-14):
+                raise ModelError("rho must lie in [-1, 1]")
+            self.rho = rho
+            self.a = np.sqrt(self.A)
+            self.s2 = self.sig ** 2
+            self.m_ratio = self.mu / self.s2
+            self.g_ratio = self.gam / self.s2
+            self.log_g_ratio = np.log(self.g_ratio)
+            # gradient loading (alpha / sigma) * a * rho
+            self.c = alpha * self.a * rho / self.sig
+            # the source squares mu / sigma^2 (its value at a zero gradient)
+            m_ratio_sq = self.m_ratio * self.m_ratio
+        for name, v in (("b", self.b), ("A", self.A), ("mu", self.mu),
+                        ("sigma", self.sig), ("gamma", self.gam),
+                        ("rho", rho), ("sigma^2", self.s2),
+                        ("gamma / sigma^2", self.g_ratio),
+                        ("(mu / sigma^2)^2", m_ratio_sq),
+                        ("alpha a rho / sigma", self.c)):
+            if not np.isfinite(v).all():
+                raise ModelError(f"the model's {name} is not a finite double "
+                                 "on every grid node")
         self.alpha = alpha
 
 

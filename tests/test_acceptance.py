@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line each.
 
 The Monte Carlo battery (criteria 12-13) runs 10 seeds x 1e5 paths x 1000
-steps in 20k-path chunks so peak memory stays near 1 GB, with a
-Brownian-coupled step-halved (500-step) rerun per chunk.  Run with
+steps in 20k-path chunks, whose noise (2 x 160 MB) sets the peak memory,
+with a Brownian-coupled step-halved (500-step) rerun per chunk.  Run with
 pytest -s to see the per-criterion lines.
 """
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import defaultable_hjb as dh
-from defaultable_hjb import backends, montecarlo as mc
+from defaultable_hjb import montecarlo as mc
 from defaultable_hjb.assumptions import cir_moment_bound
 from defaultable_hjb.lambertw import theta, theta_of_log
 from defaultable_hjb.pricing import (insurance_rate_h_form,
@@ -227,19 +227,26 @@ _CHUNKS_PER_SEED = 5          # 1e5 paths per seed
 _N_STEPS = 1000
 
 
-def _coarsen(bundle, m):
-    """Brownian-consistent half-resolution rerun of a simulated bundle."""
-    dWc = bundle.dW[:, 0::2] + bundle.dW[:, 1::2]
-    dW0c = bundle.dW0[:, 0::2] + bundle.dW0[:, 1::2]
-    dtc = 2.0 * bundle.dt
-    zc = dWc / np.sqrt(dtc)
-    p = m.params
-    xc = backends.cir_paths(bundle.cfg.x0, p.kappa, p.theta_lr, p.xi, dtc, zc)
-    cfg = mc.SimConfig(n_paths=bundle.cfg.n_paths,
-                       n_steps=bundle.cfg.n_steps // 2,
-                       seed=bundle.cfg.seed, x0=bundle.cfg.x0)
-    return mc.PathBundle(cfg=cfg, horizon=bundle.horizon, ts=bundle.ts[::2],
-                         x=xc, dW=dWc, dW0=dW0c, exp_draws=bundle.exp_draws)
+def _coarsen(noise, horizon):
+    """The Brownian-coupled half-resolution noise of a spent noise: each
+    pair of steps' increments summed and rescaled to standard normals of
+    the doubled step.  The sums are formed in place, in the even rows."""
+    cfg = noise.cfg
+    dt = horizon / cfg.n_steps
+    sq, sqc = np.sqrt(dt), np.sqrt(2.0 * dt)
+
+    def pair(z):
+        even, odd = z[0::2], z[1::2]
+        even *= sq
+        odd *= sq
+        even += odd
+        even /= sqc
+        return even
+
+    coarse = mc.SimConfig(n_paths=cfg.n_paths, n_steps=cfg.n_steps // 2,
+                          seed=cfg.seed, x0=cfg.x0)
+    return mc.Noise(cfg=coarse, z=pair(noise.z), z0=pair(noise.z0),
+                    exp_draws=noise.exp_draws)
 
 
 @pytest.fixture(scope="module")
@@ -254,26 +261,24 @@ def mc_battery(paper_model, paper_pref, G_zero):
         for j in range(_CHUNKS_PER_SEED):
             cfg = mc.SimConfig(n_paths=_CHUNK, n_steps=_N_STEPS,
                                seed=seed * 100 + j, x0=0.06)
-            b = mc.simulate_factor(paper_model, cfg, 1.0)
-            mc.simulate_default(paper_model, b)
+            noise = mc.draw_noise(cfg)
             # seed 0 also replays the perturbed policy, in the same loop
             fields = [pol, pert] if seed == 0 else [pol]
-            opt, *perturbed = mc.replay_policies(paper_model, fields, b,
-                                                 paper_pref)
+            opt, *perturbed = mc.simulate_policies(paper_model, noise, 1.0,
+                                                   fields)
             ces.append(mc.estimate_certainty_equivalent(opt, claim,
                                                         paper_pref))
             mc.dual_density_terminal(G_zero, opt, paper_pref)
             masses.append(mc.estimate_martingale_mass(opt))
             duals.append(mc.estimate_dual_value(opt, claim, paper_pref))
-            bc = _coarsen(b, paper_model)
-            mc.simulate_default(paper_model, bc)
-            (bc,) = mc.replay_policies(paper_model, [pol], bc, paper_pref)
+            (half,) = mc.simulate_policies(paper_model, _coarsen(noise, 1.0),
+                                           1.0, [pol])
             ces_half.append(
-                mc.estimate_certainty_equivalent(bc, claim, paper_pref))
+                mc.estimate_certainty_equivalent(half, claim, paper_pref))
             for bp in perturbed:
                 ces_pert.append(mc.estimate_certainty_equivalent(
                     bp, claim, paper_pref, label="ce-perturbed"))
-            del b, bc, opt, perturbed
+            del noise
     paired = np.array([h.mean - f.mean for h, f in zip(ces_half, ces)])
     return {
         "g0": float(G_zero.at(0.0, np.atleast_1d(0.06))[0]),

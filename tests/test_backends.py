@@ -35,37 +35,6 @@ def test_tridiag_np_vs_dense():
     assert np.allclose(A @ x, rhs, atol=1e-12)
 
 
-def test_ou_paths_np_moments():
-    rng = np.random.default_rng(7)
-    z = rng.standard_normal((20000, 50))
-    decay = np.exp(-2.0 * 0.02)
-    sd = np.sqrt((1.0 - decay * decay) / 4.0)
-    x = backends.ou_paths(1.0, decay, sd * z)
-    # exact scheme: X_T mean e^{-bT}, variance (1-e^{-2bT})/(2b)
-    T = 1.0
-    mean, var = np.exp(-2.0 * T), (1 - np.exp(-4.0 * T)) / 4.0
-    assert np.mean(x[:, -1]) == pytest.approx(mean, abs=4 * np.sqrt(var / 20000))
-    assert np.var(x[:, -1]) == pytest.approx(var, rel=0.05)
-
-
-def test_cir_paths_np_stay_nonnegative():
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal((2000, 200))
-    x = backends.cir_paths(0.06, 0.25, 0.06, 0.1, 1.0 / 200, z)
-    assert np.all(x >= 0)
-    assert x.shape == (2000, 201)
-
-
-def test_crossing_times_np_constant_intensity():
-    # gamma = 2 constant: crossing at delta = e / 2
-    intensity = np.full((3, 101), 2.0)
-    draws = np.array([0.5, 1.0, 500.0])
-    delta, step = backends.crossing_times(intensity, 0.01, draws)
-    assert delta[0] == pytest.approx(0.25, abs=1e-12)
-    assert delta[1] == pytest.approx(0.5, abs=1e-12)
-    assert np.isinf(delta[2]) and step[2] == 100
-
-
 def _systems(rng, k, n):
     d = 4.0 + rng.random((k, n))
     dl = rng.standard_normal((k, n - 1))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -292,6 +297,8 @@ _SINGULAR = ("[model]\nkind = cir\n[claim]\nphi = one\nq = 1e8\n"
 _OU_B = "[model]\nkind = ou\nb = {}\n[grid]\nnx = 32\nnt = 16\n"
 # a CIR config on a 32x16 grid that ends with the lines given
 _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
+# the OU drift sigma (mu1 + mu2 x) overflows on the grid
+_OU_MU2 = "[model]\nkind = ou\nmu2 = 1e308\n[grid]\nnx = 32\nnt = 16\n"
 
 
 @pytest.mark.parametrize("cmd, ini, extra, message", [
@@ -332,6 +339,22 @@ _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
     ("check-assumptions", _CIR_32.format("mu2 = nan"), [], "config error"),
     ("solve", _CIR_32.format("[preferences]\nhorizon = inf"), [],
      "config error"),
+    # values that overflow on the grid: the OU drift, the square of the
+    # CIR source's mu / sigma^2
+    ("solve", _OU_MU2, [], "config error: the model's mu"),
+    ("price-bond", _OU_MU2, [], "config error: the model's mu"),
+    ("price-insurance", _OU_MU2, [], "config error: the model's mu"),
+    ("verify", _OU_MU2, [], "config error: the model's mu"),
+    ("price-bond", _CIR_32.format("mu2 = 1e308"), [],
+     "config error: the model's (mu / sigma^2)^2"),
+    ("price-insurance", _CIR_32.format("mu1 = 1e300"), [],
+     "config error: the model's (mu / sigma^2)^2"),
+    ("verify", _CIR_32.format("mu2 = 1e308"), [],
+     "config error: the model's (mu / sigma^2)^2"),
+    # the paper intensity s (gamma1 + gamma2 x) has gamma1 = 0: it is 0 on
+    # a grid that starts at x = 0
+    ("solve", _CIR_32.format("x_min = 0"), [],
+     "config error: A, sigma, gamma must be positive on the grid"),
 ], ids=["alpha-negative", "nx-too-small", "paths-zero",
         "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
         "x-min-outside-domain-price-insurance",
@@ -340,7 +363,11 @@ _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
         "ou-subnormal-b", "ou-tiny-b-price-bond", "ou-tiny-b-price-insurance",
         "ou-tiny-b-verify", "ou-tiny-b-check-assumptions", "xi-tiny",
         "xi-tiny-check-assumptions", "sigma-tiny", "mu2-nan", "rho-nan", "mu1-inf", "gamma2-inf",
-        "alpha-inf", "mu2-nan-check-assumptions", "horizon-inf"])
+        "alpha-inf", "mu2-nan-check-assumptions", "horizon-inf",
+        "ou-huge-mu2", "ou-huge-mu2-price-bond", "ou-huge-mu2-price-insurance",
+        "ou-huge-mu2-verify", "cir-huge-mu2-price-bond",
+        "cir-huge-mu1-price-insurance", "cir-huge-mu2-verify",
+        "cir-x-min-zero"])
 def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     # model, grid and Monte Carlo validation errors are config errors too;
     # a solve that fails exits 2 with one line naming step and residual
@@ -367,6 +394,27 @@ def test_overflowing_window_fails_the_check(tmp_path, capsys, value):
     rows = (tmp_path / "assumptions.csv").read_text()
     for entry in ("incomplete-market", "dual-drift", "moment-drift"):
         assert f"{entry}-integrability,Fails" in rows
+
+
+@pytest.mark.parametrize("ini", [_CIR_32.format("mu2 = 1e308"),
+                                 _CIR_32.format("mu1 = 1e300"), _OU_MU2],
+                         ids=["cir-mu2", "cir-mu1", "ou-mu2"])
+@pytest.mark.parametrize("cmd", ["solve", "price-bond", "price-insurance",
+                                 "verify"])
+def test_overflowing_model_prints_one_line(tmp_path, ini, cmd):
+    # in a fresh process, where numpy's warnings reach stderr uncaptured
+    p = tmp_path / "big.ini"
+    p.write_text(ini)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "defaultable_hjb.cli", cmd, "--config",
+         str(p), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("config error: the model's")
 
 
 def test_parse_config_defaults_without_file():

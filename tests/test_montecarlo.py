@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import defaultable_hjb as dh
 from defaultable_hjb import cli
-from defaultable_hjb.montecarlo import (MCEstimate, SimConfig,
-                                        dual_density_terminal,
+from defaultable_hjb import montecarlo as mc
+from defaultable_hjb.montecarlo import (MCEstimate, Noise, SimConfig,
+                                        draw_noise, dual_density_terminal,
                                         estimate_certainty_equivalent,
                                         estimate_dual_value,
                                         estimate_martingale_mass,
-                                        replay_policies, simulate_default,
-                                        simulate_factor)
-from oracles import (mc_exponential_functional, pool_estimates,
-                     simulate_dual_density)
+                                        simulate_policies)
+from oracles import (cir_paths, crossing_times, mc_exponential_functional,
+                     ou_paths, pool_estimates, replay_policies,
+                     simulate_default, simulate_dual_density,
+                     simulate_factor)
 
 
 def _const_intensity_model(c=0.5, mu=1.0, sigma=1.0, rho=0.0):
@@ -27,6 +31,20 @@ def _zero_policy(t, x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _simulate(m, cfg, horizon, fields, **kw):
+    return simulate_policies(m, draw_noise(cfg), horizon, fields, **kw)
+
+
+def _pipeline(m, cfg, horizon, fields, pref, **kw):
+    """The reference: the three-stage pipeline of tests/oracles.py."""
+    b = simulate_default(m, simulate_factor(m, cfg, horizon))
+    return b, replay_policies(m, fields, b, pref, **kw)
+
+
+def _optimal_policy(G, m, pref):
+    return dh.Surface(grid=G.grid, values=dh.optimal_policy(G, m, pref).values)
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n_paths=0, n_steps=10, seed=0, x0=0.06)
@@ -35,103 +53,150 @@ def test_sim_config_validation():
 
 
 def test_factor_validation(paper_model):
-    cfg = SimConfig(n_paths=10, n_steps=10, seed=0, x0=0.06)
+    cfg = SimConfig(n_paths=10, n_steps=4, seed=0, x0=0.06)
+    noise = draw_noise(cfg)
     with pytest.raises(ValueError):
-        simulate_factor(paper_model, cfg, horizon=0.0)
+        simulate_policies(paper_model, noise, 0.0, [_zero_policy])
     bad = SimConfig(n_paths=10, n_steps=10, seed=0, x0=-1.0)
     with pytest.raises(ValueError):
-        simulate_factor(paper_model, bad, horizon=1.0)
+        simulate_policies(paper_model, draw_noise(bad), 1.0, [_zero_policy])
+    # the noise must have the shape its SimConfig names
+    with pytest.raises(ValueError):
+        Noise(cfg=cfg, z=noise.z[:3], z0=noise.z0, exp_draws=noise.exp_draws)
+    with pytest.raises(ValueError):
+        Noise(cfg=cfg, z=noise.z, z0=noise.z0.T.copy(),
+              exp_draws=noise.exp_draws)
+    with pytest.raises(ValueError):
+        Noise(cfg=cfg, z=noise.z, z0=noise.z0, exp_draws=noise.exp_draws[:9])
+
+
+@pytest.mark.parametrize("n_paths, n_steps, block", [
+    (33, 10, 64),    # 6 paths per block, the last block ragged
+    (5, 100, 64),    # a path longer than a block: one path per draw
+    (1, 1, 1 << 17),
+    (300, 49, 1 << 17),
+])
+def test_draw_noise_reads_the_stream_path_by_path(monkeypatch, n_paths,
+                                                  n_steps, block):
+    # the stream of one (n_paths, n_steps) draw of each noise, then the
+    # uniforms, whatever the block the draw is split into
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
+    cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=9, x0=0.0)
+    noise = draw_noise(cfg)
+    rng = np.random.Generator(np.random.Philox(9))
+    z = rng.standard_normal((n_paths, n_steps))
+    z0 = rng.standard_normal((n_paths, n_steps))
+    u = rng.random(n_paths)
+    assert noise.z.shape == noise.z0.shape == (n_steps, n_paths)
+    assert np.array_equal(noise.z, z.T) and np.array_equal(noise.z0, z0.T)
+    assert np.array_equal(noise.exp_draws, -np.log1p(-u))
+    assert np.all(noise.exp_draws > 0)
 
 
 def test_determinism_bit_identical(paper_model):
     cfg = SimConfig(n_paths=500, n_steps=50, seed=123, x0=0.06)
-    b1 = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    b2 = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    assert np.array_equal(b1.x, b2.x)
-    assert np.array_equal(b1.delta, b2.delta)
+    (b1,) = _simulate(paper_model, cfg, 1.0, [lambda t, x: 0.3 + x])
+    (b2,) = _simulate(paper_model, cfg, 1.0, [lambda t, x: 0.3 + x])
+    for name in ("x_T", "delta", "default_step", "w_T"):
+        assert np.array_equal(getattr(b1, name), getattr(b2, name))
     cfg2 = SimConfig(n_paths=500, n_steps=50, seed=124, x0=0.06)
-    b3 = simulate_factor(paper_model, cfg2, 1.0)
-    assert not np.array_equal(b1.x, b3.x)
+    (b3,) = _simulate(paper_model, cfg2, 1.0, [lambda t, x: 0.3 + x])
+    assert not np.array_equal(b1.x_T, b3.x_T)
 
 
-def test_ou_marginal_moments_exact_scheme():
+def test_ou_marginal_moments_exact_scheme(paper_pref):
     ou = dh.make_ou_model(dh.OUParams(b_mr=2.0, mu1=0, mu2=1, sigma_const=1,
                                       gamma_const=1, rho_const=0))
     cfg = SimConfig(n_paths=40000, n_steps=8, seed=5, x0=1.0)
-    b = simulate_factor(ou, cfg, 1.0)
+    (b,) = _simulate(ou, cfg, 1.0, [_zero_policy])
     # the exact scheme has no time-discretization bias even with 8 steps
     mean, var = np.exp(-2.0), (1 - np.exp(-4.0)) / 4.0
     se = np.sqrt(var / cfg.n_paths)
-    assert np.mean(b.x[:, -1]) == pytest.approx(mean, abs=4 * se)
-    assert np.var(b.x[:, -1]) == pytest.approx(var, rel=0.05)
-    # the paths are the transition recursion driven by the stored dW
-    decay = np.exp(-2.0 * b.dt)
+    assert np.mean(b.x_T) == pytest.approx(mean, abs=4 * se)
+    assert np.var(b.x_T) == pytest.approx(var, rel=0.05)
+    # the reference paths are the transition recursion driven by their dW,
+    # and the one loop ends where they end
+    ref = simulate_factor(ou, cfg, 1.0)
+    decay = np.exp(-2.0 * ref.dt)
     for k in range(cfg.n_steps):
-        assert np.array_equal(b.x[:, k + 1], decay * b.x[:, k] + b.dW[:, k])
+        assert np.array_equal(ref.x[:, k + 1],
+                              decay * ref.x[:, k] + ref.dW[:, k])
+    assert np.array_equal(b.x_T, ref.x[:, -1])
     # b = 0: Brownian motion, decay 1 and increments of s.d. sqrt(dt)
     bm = dh.make_ou_model(dh.OUParams(b_mr=0.0, mu1=0, mu2=1, sigma_const=1,
                                       gamma_const=1, rho_const=0))
-    b0 = simulate_factor(bm, SimConfig(n_paths=1000, n_steps=8, seed=5,
-                                       x0=1.0), 1.0)
+    cfg0 = SimConfig(n_paths=1000, n_steps=8, seed=5, x0=1.0)
+    b0 = simulate_factor(bm, cfg0, 1.0)
     z = np.random.Generator(np.random.Philox(5)).standard_normal((1000, 8))
     assert np.array_equal(b0.dW, np.sqrt(b0.dt) * z)
     for k in range(8):
         assert np.array_equal(b0.x[:, k + 1], 1.0 * b0.x[:, k] + b0.dW[:, k])
+    (f0,) = _simulate(bm, cfg0, 1.0, [_zero_policy])
+    assert np.array_equal(f0.x_T, b0.x[:, -1])
 
 
 def test_cir_marginal_mean(paper_model):
     cfg = SimConfig(n_paths=40000, n_steps=400, seed=7, x0=0.06)
-    b = simulate_factor(paper_model, cfg, 1.0)
+    (b,) = _simulate(paper_model, cfg, 1.0, [_zero_policy])
     want = 0.06  # x0 = theta: the mean is stationary
-    sd = np.std(b.x[:, -1])
-    assert np.mean(b.x[:, -1]) == pytest.approx(
+    sd = np.std(b.x_T)
+    assert np.mean(b.x_T) == pytest.approx(
         want, abs=4 * sd / np.sqrt(cfg.n_paths))
-    assert np.all(b.x >= 0)
+    assert np.all(b.x_T >= 0)
 
 
 def test_single_step_simulation(paper_model):
     cfg = SimConfig(n_paths=16, n_steps=1, seed=0, x0=0.06)
-    b = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    assert b.x.shape == (16, 2) and b.delta.shape == (16,)
+    (b,) = _simulate(paper_model, cfg, 1.0, [_zero_policy])
+    assert b.x_T.shape == b.delta.shape == b.w_T.shape == (16,)
+    assert b.t_end == 1.0
 
 
 def test_survival_probability_constant_intensity():
     m = _const_intensity_model(c=0.5)
     cfg = SimConfig(n_paths=50000, n_steps=20, seed=11, x0=0.0)
-    b = simulate_default(m, simulate_factor(m, cfg, 1.0))
+    noise = draw_noise(cfg)
+    (b,) = simulate_policies(m, noise, 1.0, [_zero_policy])
     p = np.mean(b.survived(1.0))
     want = np.exp(-0.5)
     se = np.sqrt(want * (1 - want) / cfg.n_paths)
     assert p == pytest.approx(want, abs=4 * se)
     # crossing times are exact for piecewise-constant intensity
     hit = np.isfinite(b.delta)
-    assert np.allclose(b.delta[hit], b.exp_draws[hit] / 0.5, atol=1e-12)
+    assert np.allclose(b.delta[hit], noise.exp_draws[hit] / 0.5, atol=1e-12)
+    assert np.array_equal(b.default_step[hit],
+                          np.floor(b.delta[hit] * 20).astype(np.int64))
+    assert np.all(b.default_step[~hit] == cfg.n_steps)
 
 
 def test_wealth_jump_and_freeze_at_default():
     m = _const_intensity_model(c=2.0, mu=1.5)
+    pref = dh.Preferences(alpha=1.0, horizon_T=1.0)
     cfg = SimConfig(n_paths=4000, n_steps=25, seed=3, x0=0.0)
-    b = simulate_default(m, simulate_factor(m, cfg, 1.0))
     pi0 = 0.7
-    (b,) = replay_policies(m, [lambda t, x: pi0 * np.ones_like(x)], b,
-                           dh.Preferences(alpha=1.0, horizon_T=1.0))
-    ds = b.default_step
+    policy = [lambda t, x: pi0 * np.ones_like(x)]
+    # the jump and the freeze, along the reference trajectories
+    ref, (rb,) = _pipeline(m, cfg, 1.0, policy, pref)
+    ds = ref.default_step
     defaulted = ds < cfg.n_steps
     assert defaulted.any()
     for i in np.nonzero(defaulted)[0][:50]:
         k = ds[i]
-        part = b.delta[i] - b.ts[k]
+        part = ref.delta[i] - ref.ts[k]
         want = pi0 * 1.5 * part - pi0
-        assert b.wealth[i, k + 1] - b.wealth[i, k] == pytest.approx(
+        assert rb.wealth[i, k + 1] - rb.wealth[i, k] == pytest.approx(
             want, abs=1e-12)
         # frozen afterwards
-        assert np.all(b.wealth[i, k + 1:] == b.wealth[i, k + 1])
+        assert np.all(rb.wealth[i, k + 1:] == rb.wealth[i, k + 1])
+    # and the one loop ends with that wealth
+    (b,) = _simulate(m, cfg, 1.0, policy)
+    assert np.array_equal(b.w_T, rb.wealth[:, -1])
+    assert np.array_equal(b.default_step, ds)
 
 
 def test_zero_policy_gives_zero_certainty_equivalent(paper_model, paper_pref):
     cfg = SimConfig(n_paths=2000, n_steps=50, seed=2, x0=0.06)
-    b = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    (b,) = replay_policies(paper_model, [_zero_policy], b, paper_pref)
+    (b,) = _simulate(paper_model, cfg, 1.0, [_zero_policy])
     est = estimate_certainty_equivalent(b, dh.zero_claim(), paper_pref)
     assert est.mean == pytest.approx(0.0, abs=1e-14)
     assert est.std_error == pytest.approx(0.0, abs=1e-14)
@@ -143,8 +208,7 @@ def test_two_point_bond_oracle():
     m = _const_intensity_model(c=c)
     pref = dh.Preferences(alpha=al, horizon_T=1.0)
     cfg = SimConfig(n_paths=60000, n_steps=30, seed=17, x0=0.0)
-    b = simulate_default(m, simulate_factor(m, cfg, 1.0))
-    (b,) = replay_policies(m, [_zero_policy], b, pref)
+    (b,) = _simulate(m, cfg, 1.0, [_zero_policy])
     est = estimate_certainty_equivalent(b, dh.bond_claim(1.0), pref)
     p = np.exp(-c)
     want = -np.log(p * np.exp(-al) + 1.0 - p) / al
@@ -156,31 +220,31 @@ def test_protected_wealth_has_no_jump():
     m = _const_intensity_model(c=2.0, mu=1.5, sigma=0.3)
     pref = dh.Preferences(alpha=1.0, horizon_T=1.0)
     cfg = SimConfig(n_paths=2000, n_steps=25, seed=9, x0=0.0)
-    b = simulate_default(m, simulate_factor(m, cfg, 1.0))
     f_field = lambda t, x: 2.5 * np.ones_like(x)
-    (b,) = replay_policies(m, [lambda t, x: np.ones_like(x)], b, pref,
-                           rate_field=f_field)
-    assert b.protected
+    policy = [lambda t, x: np.ones_like(x)]
+    _, (rb,) = _pipeline(m, cfg, 1.0, policy, pref, rate_field=f_field)
+    assert rb.protected
     # increments stay of diffusion size: no -pi jump anywhere
-    inc = np.diff(b.wealth, axis=1)
-    dt = b.dt
+    inc = np.diff(rb.wealth, axis=1)
+    dt = rb.dt
     bound = abs(1.5 - 2.0 - 2.5) * dt + 0.3 * 6 * np.sqrt(dt)
     assert np.max(np.abs(inc)) < bound
+    (b,) = _simulate(m, cfg, 1.0, policy, rate_field=f_field)
+    assert b.protected and np.array_equal(b.w_T, rb.wealth[:, -1])
     est = estimate_certainty_equivalent(b, dh.bond_claim(5.0), pref)
     assert np.isfinite(est.mean)  # claim ignored when protected
 
 
 def test_dual_density_initial_mass_and_match(paper_model, paper_pref, G_zero):
     cfg = SimConfig(n_paths=8000, n_steps=200, seed=21, x0=0.06)
-    b = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    pol = dh.Surface(grid=G_zero.grid,
-                     values=dh.optimal_policy(G_zero, paper_model,
-                                              paper_pref).values)
-    (b,) = replay_policies(paper_model, [pol], b, paper_pref)
-    zhat_expform = simulate_dual_density(paper_model, G_zero, pol, b,
+    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    _, (rb,) = _pipeline(paper_model, cfg, 1.0, [pol], paper_pref)
+    zhat_expform = simulate_dual_density(paper_model, G_zero, pol, rb,
                                          paper_pref)
-    assert np.allclose(b.zhat[:, 0], 1.0, atol=1e-12)
+    assert np.allclose(rb.zhat[:, 0], 1.0, atol=1e-12)
     assert np.allclose(zhat_expform[:, 0], 1.0)
+    (b,) = _simulate(paper_model, cfg, 1.0, [pol])
+    dual_density_terminal(G_zero, b, paper_pref)
     mass = estimate_martingale_mass(b)
     assert mass.mean == pytest.approx(1.0, abs=4 * mass.std_error)
     ce = estimate_certainty_equivalent(b, dh.zero_claim(), paper_pref)
@@ -191,82 +255,137 @@ def test_dual_density_initial_mass_and_match(paper_model, paper_pref, G_zero):
 
 
 def test_dual_expform_gap_shrinks_with_steps(paper_model, paper_pref, G_zero):
-    pol = dh.Surface(grid=G_zero.grid,
-                     values=dh.optimal_policy(G_zero, paper_model,
-                                              paper_pref).values)
+    pol = _optimal_policy(G_zero, paper_model, paper_pref)
     gaps = []
     for n_steps in (50, 200):
         cfg = SimConfig(n_paths=3000, n_steps=n_steps, seed=31, x0=0.06)
-        b = simulate_default(paper_model,
-                             simulate_factor(paper_model, cfg, 1.0))
-        (b,) = replay_policies(paper_model, [pol], b, paper_pref)
-        zhat_expform = simulate_dual_density(paper_model, G_zero, pol, b,
+        _, (rb,) = _pipeline(paper_model, cfg, 1.0, [pol], paper_pref)
+        zhat_expform = simulate_dual_density(paper_model, G_zero, pol, rb,
                                              paper_pref)
-        gaps.append(np.mean(np.abs(b.zhat[:, -1] - zhat_expform[:, -1])))
+        (b,) = _simulate(paper_model, cfg, 1.0, [pol])
+        dual_density_terminal(G_zero, b, paper_pref)
+        gaps.append(np.mean(np.abs(b.z_T - zhat_expform[:, -1])))
     assert gaps[1] < gaps[0]
     assert gaps[1] < 1e-3
 
 
 def test_replay_policies_match_separate_replays(paper_model, paper_pref,
                                                 G_zero):
-    # one loop over one bundle gives each policy the wealth that its own
-    # replay on a freshly simulated bundle of the same seed gives
-    pol = dh.Surface(grid=G_zero.grid,
-                     values=dh.optimal_policy(G_zero, paper_model,
-                                              paper_pref).values)
+    # one loop over several policies gives each policy the wealth that a
+    # loop over it alone gives, with and without the insurance rate
+    pol = _optimal_policy(G_zero, paper_model, paper_pref)
     pert = dh.Surface(grid=G_zero.grid, values=pol.values + 0.5)
     rate = dh.Surface(grid=G_zero.grid,
                       values=dh.insurance_rate(G_zero, paper_model,
                                                paper_pref))
     cfg = SimConfig(n_paths=2000, n_steps=60, seed=8, x0=0.06)
-
-    def fresh():
-        return simulate_default(paper_model,
-                                simulate_factor(paper_model, cfg, 1.0))
-
+    noise = draw_noise(cfg)
     fields = [pol, pert, lambda t, x: 0.4 + t * x]
     for kw in ({}, {"rate_field": rate}):
-        shared = fresh()
-        replayed = replay_policies(paper_model, fields, shared, paper_pref,
-                                   **kw)
-        assert shared.wealth is None and len(replayed) == len(fields)
-        for f, b in zip(fields, replayed):
-            (want,) = replay_policies(paper_model, [f], fresh(), paper_pref,
-                                      **kw)
-            assert b.x is shared.x and b.protected == bool(kw)
+        shared = simulate_policies(paper_model, noise, 1.0, fields, **kw)
+        assert len(shared) == len(fields)
+        for f, b in zip(fields, shared):
+            (want,) = simulate_policies(paper_model, noise, 1.0, [f], **kw)
+            assert b.x_T is shared[0].x_T and b.protected == bool(kw)
             assert want.protected == bool(kw)
-            assert np.array_equal(b.wealth[:, -1], want.wealth[:, -1])
-            assert np.array_equal(b.wealth, want.wealth)
+            assert np.array_equal(b.w_T, want.w_T)
+            assert np.array_equal(b.delta, want.delta)
 
 
 @pytest.mark.parametrize("n_steps", [49, 200])
 def test_dual_density_terminal_is_last_closed_form_column(
         paper_model, paper_pref, G_zero, n_steps):
     # 49 steps: the last simulation time falls one ulp short of T = 1
-    pol = dh.Surface(grid=G_zero.grid,
-                     values=dh.optimal_policy(G_zero, paper_model,
-                                              paper_pref).values)
+    pol = _optimal_policy(G_zero, paper_model, paper_pref)
     cfg = SimConfig(n_paths=2000, n_steps=n_steps, seed=13, x0=0.06)
-    b = simulate_default(paper_model, simulate_factor(paper_model, cfg, 1.0))
-    (b,) = replay_policies(paper_model, [pol], b, paper_pref)
-    simulate_dual_density(paper_model, G_zero, pol, b, paper_pref)
-    full = b.zhat[:, -1].copy()
+    _, (rb,) = _pipeline(paper_model, cfg, 1.0, [pol], paper_pref)
+    simulate_dual_density(paper_model, G_zero, pol, rb, paper_pref)
+    (b,) = _simulate(paper_model, cfg, 1.0, [pol])
+    assert b.t_end == rb.ts[-1]
     dual_density_terminal(G_zero, b, paper_pref)
-    assert b.zhat.shape == (cfg.n_paths, 1)
-    assert b.zhat[:, -1].tobytes() == full.tobytes()
+    assert b.z_T.shape == (cfg.n_paths,)
+    assert b.z_T.tobytes() == rb.zhat[:, -1].tobytes()
+
+
+def _bit_identity_models():
+    ou = dict(mu1=0.1, mu2=0.5, sigma_const=1.0, gamma_const=0.8,
+              rho_const=-0.4)
+    return {
+        "cir": dh.make_cir_model(dh.paper_cir_params()),
+        "ou-b2": dh.make_ou_model(dh.OUParams(b_mr=2.0, **ou)),
+        "ou-b0": dh.make_ou_model(dh.OUParams(b_mr=0.0, **ou)),
+        "custom-const": _const_intensity_model(c=2.0, mu=1.5, sigma=0.8,
+                                               rho=0.3),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n_steps", [1, 49, 200])
+@pytest.mark.parametrize("kind", ["cir", "ou-b2", "ou-b0", "custom-const"])
+def test_terminal_state_equals_the_pipeline_bit_for_bit(
+        paper_model, paper_pref, G_zero, kind, n_steps, seed):
+    # x_T, the default times and steps, and each policy's W_T are the last
+    # columns of the three-stage reference, unprotected and protected
+    m = _bit_identity_models()[kind]
+    x0 = 0.06 if kind == "cir" else 0.3
+    cfg = SimConfig(n_paths=600, n_steps=n_steps, seed=seed, x0=x0)
+    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    rate = dh.Surface(grid=G_zero.grid,
+                      values=dh.insurance_rate(G_zero, paper_model,
+                                               paper_pref))
+    fields = [pol, dh.Surface(grid=G_zero.grid, values=pol.values + 0.5),
+              lambda t, x: 0.4 + t * np.tanh(x)]
+    noise = draw_noise(cfg)
+    exp_draws = noise.exp_draws.copy()
+    if kind == "custom-const":
+        # thresholds on the cumulative intensity itself: every third path
+        # crosses exactly at a step end, where ">=" and ">" part
+        cum = np.cumsum(np.full(n_steps, 0.5 * (2.0 + 2.0) * (1.0 / n_steps)))
+        ties = np.arange(0, cfg.n_paths, 3)
+        exp_draws[ties] = cum[ties % n_steps]
+        noise = Noise(cfg=cfg, z=noise.z, z0=noise.z0, exp_draws=exp_draws)
+    ref = simulate_factor(m, cfg, 1.0)
+    ref.exp_draws = exp_draws
+    simulate_default(m, ref)
+    assert (ref.default_step < n_steps).any()
+    for kw in ({}, {"rate_field": rate}):
+        want = replay_policies(m, fields, ref, paper_pref, **kw)
+        got = simulate_policies(m, noise, 1.0, fields, **kw)
+        b = got[0]
+        assert b.x_T.tobytes() == ref.x[:, -1].tobytes()
+        assert b.delta.tobytes() == ref.delta.tobytes()
+        assert b.default_step.tobytes() == ref.default_step.tobytes()
+        for g, w in zip(got, want):
+            assert g.w_T.tobytes() == w.wealth[:, -1].tobytes()
+
+
+def test_one_run_holds_the_noise_and_per_path_state(paper_model, paper_pref,
+                                                    G_zero):
+    # 2000 paths x 500 steps with two policies: the noise takes
+    # 16 B per path-step; everything else is one draw block and a bounded
+    # number of per-path vectors (64 of 8 B), whatever the step count
+    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    pert = dh.Surface(grid=G_zero.grid, values=pol.values + 0.5)
+    n_paths, n_steps = 2000, 500
+    cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=0, x0=0.06)
+    tracemalloc.start()
+    try:
+        simulate_policies(paper_model, draw_noise(cfg), 1.0, [pol, pert])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise_bytes = 16 * n_paths * n_steps
+    allowance = 8 * mc._DRAW_BLOCK + 64 * 8 * n_paths
+    assert noise_bytes < peak <= noise_bytes + allowance
 
 
 def test_estimate_guards(paper_model, paper_pref):
     cfg = SimConfig(n_paths=10, n_steps=5, seed=0, x0=0.06)
-    b = simulate_factor(paper_model, cfg, 1.0)
-    with pytest.raises(ValueError):
-        replay_policies(paper_model, [_zero_policy], b, paper_pref)
-    simulate_default(paper_model, b)
-    with pytest.raises(ValueError):
-        estimate_certainty_equivalent(b, dh.zero_claim(), paper_pref)
-    (b,) = replay_policies(paper_model, [_zero_policy], b, paper_pref)
+    (b,) = _simulate(paper_model, cfg, 1.0, [_zero_policy])
     with pytest.raises(ValueError):
         estimate_dual_value(b, dh.zero_claim(), paper_pref)
+    with pytest.raises(ValueError):
+        estimate_martingale_mass(b)
 
 
 def test_pool_estimates_math():
@@ -278,6 +397,38 @@ def test_pool_estimates_math():
     assert p.n_paths == 200
     with pytest.raises(ValueError):
         pool_estimates([])
+
+
+def test_oracle_ou_paths_moments():
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((20000, 50))
+    decay = np.exp(-2.0 * 0.02)
+    sd = np.sqrt((1.0 - decay * decay) / 4.0)
+    x = ou_paths(1.0, decay, sd * z)
+    # exact scheme: X_T mean e^{-bT}, variance (1-e^{-2bT})/(2b)
+    T = 1.0
+    mean, var = np.exp(-2.0 * T), (1 - np.exp(-4.0 * T)) / 4.0
+    assert np.mean(x[:, -1]) == pytest.approx(mean,
+                                              abs=4 * np.sqrt(var / 20000))
+    assert np.var(x[:, -1]) == pytest.approx(var, rel=0.05)
+
+
+def test_oracle_cir_paths_stay_nonnegative():
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((2000, 200))
+    x = cir_paths(0.06, 0.25, 0.06, 0.1, 1.0 / 200, z)
+    assert np.all(x >= 0)
+    assert x.shape == (2000, 201)
+
+
+def test_oracle_crossing_times_constant_intensity():
+    # gamma = 2 constant: crossing at delta = e / 2
+    intensity = np.full((3, 101), 2.0)
+    draws = np.array([0.5, 1.0, 500.0])
+    delta, step = crossing_times(intensity, 0.01, draws)
+    assert delta[0] == pytest.approx(0.25, abs=1e-12)
+    assert delta[1] == pytest.approx(0.5, abs=1e-12)
+    assert np.isinf(delta[2]) and step[2] == 100
 
 
 def test_mc_exponential_functional_deterministic_weight():

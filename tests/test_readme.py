@@ -1,4 +1,5 @@
-"""The README's export list names exactly the package root's public names."""
+"""The README's export list names exactly the package root's public names,
+and its memory arithmetic is the size of the Monte Carlo noise."""
 
 import inspect
 import re
@@ -22,3 +23,14 @@ def test_readme_lists_the_root_exports():
     public = {name for name, obj in vars(dh).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert _readme_exports() == public
+
+
+def test_readme_states_the_noise_bytes_per_path_step():
+    # the memory arithmetic of the README is the size of the noise
+    text = _README.read_text()
+    stated = re.search(r"`verify`'s memory is the noise: (\d+) B per "
+                       r"path-step", text)
+    cfg = dh.SimConfig(n_paths=7, n_steps=3, seed=0, x0=0.06)
+    noise = dh.draw_noise(cfg)
+    per_path_step = (noise.z.nbytes + noise.z0.nbytes) // (7 * 3)
+    assert stated is not None and int(stated.group(1)) == per_path_step
