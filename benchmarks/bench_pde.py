@@ -13,6 +13,7 @@ times, --repeat times each in this process:
   solve_claims where the package has it, else one solve_full per claim;
 * one backends.tridiag_solve of a random diagonally dominant 401-node
   system;
+* one theta_of_log of 401 values evenly spaced on [-20, 20];
 * residual of the zero-claim surface;
 * cli._surface_lines of that surface, joined into one string;
 * the subcommands solve, price-bond and price-insurance through cli.main,
@@ -88,6 +89,7 @@ def cases(out_dir: str) -> dict:
     n = grid.n_space + 1
     system = (rng.random(n - 1), 4.0 + rng.random(n), rng.random(n - 1),
               rng.random(n))
+    us = np.linspace(-20.0, 20.0, n)
 
     def command(name):
         def run():
@@ -102,6 +104,7 @@ def cases(out_dir: str) -> dict:
         "solve_full_400": lambda: dh.solve_full(m, claims[0], pref, grid),
         "price_bond_claims_400": lambda: solve_claims(m, claims, pref, grid),
         "tridiag_solve_401": lambda: backends.tridiag_solve(*system),
+        "theta_of_log_401": lambda: dh.theta_of_log(us),
         "residual_400": lambda: dh.residual(G, m, pref),
         "surface_lines_400": lambda: "\n".join(cli._surface_lines(G)),
         **{f"cmd_{name}": command(name) for name in COMMANDS},

@@ -1,79 +1,13 @@
-"""Numeric kernels, vectorised with numpy.
+"""The tridiagonal solves of a Newton step.
 
-The hot loops of the engine: the product-log on arrays and the
-tridiagonal solves of a Newton step.
+LAPACK gtsv solves a block of rows at once; backend_name names the
+kernel backend in run and benchmark metadata.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-
-_THETA_TOL = 1e-12
-_MAX_HALLEY = 50
-
-
-def theta_array(y: np.ndarray) -> np.ndarray:
-    """Solve w * exp(w) = y elementwise for y > 0 (principal Lambert-W).
-
-    Halley iteration; initial guess y for y < 1, log-based for y >= e,
-    with a bisection fallback for any straggler.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
-    w = np.where(y < 1.0, y, 0.0)
-    mid = (y >= 1.0) & (y < np.e)
-    if mid.any():
-        w = np.where(mid, np.log1p(y), w)
-    big = y >= np.e
-    if big.any():
-        ly = np.log(np.where(big, y, np.e))
-        w = np.where(big, ly - np.log(ly), w)
-    tol = _THETA_TOL * np.maximum(1.0, y)
-    active = np.ones(y.shape, dtype=bool)
-    for _ in range(_MAX_HALLEY):
-        ew = np.exp(w)
-        f = w * ew - y
-        active = np.abs(f) > tol
-        if not active.any():
-            break
-        denom = ew * (w + 1.0) - f * (w + 2.0) / (2.0 * w + 2.0)
-        w = np.where(active, w - f / denom, w)
-    else:
-        # bisection fallback, guaranteed bracket [0, log(y)+1] (or [0,1])
-        bad = np.abs(w * np.exp(w) - y) > tol
-        for i in np.flatnonzero(bad):
-            lo, hi = 0.0, max(1.0, np.log(y[i]) + 1.0)
-            for _ in range(200):
-                mid_w = 0.5 * (lo + hi)
-                if mid_w * np.exp(mid_w) < y[i]:
-                    lo = mid_w
-                else:
-                    hi = mid_w
-            w[i] = 0.5 * (lo + hi)
-    return w[0] if scalar else w
-
-
-def theta_from_log_array(u: np.ndarray) -> np.ndarray:
-    """Solve w + log(w) = u elementwise, i.e. theta(exp(u)) without exp(u).
-
-    Valid for u >= 1 (used when exp(u) would overflow).  A converged
-    element stops iterating, so each element gets the same bits alone as
-    inside any larger call.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    w = np.maximum(u - np.log(np.maximum(u, 1.0)), 0.5)
-    tol = 1e-13 * np.maximum(1.0, np.abs(u))
-    for _ in range(_MAX_HALLEY):
-        f = w + np.log(w) - u
-        active = np.abs(f) > tol
-        if not active.any():
-            break
-        w = np.where(active, w - f * w / (w + 1.0), w)
-    return w[0] if scalar else w
 
 
 class SingularBlock(np.linalg.LinAlgError):

@@ -9,20 +9,6 @@ def test_backend_name():
     assert backends.backend_name() == "numpy"
 
 
-def test_theta_array_np_scalar_and_array():
-    w = backends.theta_array(1.0)
-    assert np.isscalar(w) or w.ndim == 0
-    ys = np.logspace(-6, 6, 100)
-    ws = backends.theta_array(ys)
-    assert np.all(np.abs(ws * np.exp(ws) - ys) <= 1e-12 * np.maximum(1, ys))
-
-
-def test_theta_from_log_np():
-    us = np.linspace(1.0, 1000.0, 50)
-    ws = backends.theta_from_log_array(us)
-    assert np.allclose(ws + np.log(ws), us, rtol=1e-12)
-
-
 def test_tridiag_np_vs_dense():
     rng = np.random.default_rng(3)
     n = 40
@@ -86,13 +72,3 @@ def test_tridiag_block_names_the_first_singular_row():
         with pytest.raises(backends.SingularBlock) as err:
             backends.tridiag_solve(ll, dd, uu, rhs)
         assert err.value.row == rows[0]
-
-
-def test_theta_from_log_array_elementwise():
-    # the stopping test is global, so an element must get the same bits
-    # alone as inside a larger call (the block marcher relies on it)
-    rng = np.random.default_rng(2)
-    u = np.exp(rng.uniform(np.log(701.0), np.log(1e6), 2000))
-    block = backends.theta_from_log_array(u)
-    alone = np.array([backends.theta_from_log_array(v) for v in u])
-    assert block.tobytes() == alone.tobytes()

@@ -116,6 +116,25 @@ def test_rate_bounds_on_paper_solve(paper_model, paper_pref, G_zero):
     assert np.all(f[0, mask] >= gam[mask])
 
 
+def test_rate_sign_matches_indicator_at_tiny_intensity():
+    # at gamma = 1e-7, theta(e^u) stays below 3e-4 over the whole grid, so
+    # the rate needs theta to relative accuracy: one held only to an
+    # absolute 1e-12 gives a rate of exactly 0 at 65 of the 4225 nodes,
+    # where the sign indicator is well away from 0
+    m = dh.make_ou_model(dh.OUParams(b_mr=1.0, mu1=0.0, mu2=1.0,
+                                     sigma_const=1.0, gamma_const=1e-7,
+                                     rho_const=0.0))
+    pref = dh.Preferences(alpha=3.0, horizon_T=1.0)
+    G = dh.solve_full(m, dh.zero_claim(), pref,
+                      dh.default_grid(m, pref, 64, 64))
+    f = dh.insurance_rate(G, m, pref)
+    _, sign_ind = dh.insurance_bounds(G, dh.optimal_policy(G, m, pref), m,
+                                      pref)
+    big = np.abs(sign_ind) > 1e-8
+    assert big.any()
+    assert np.array_equal(np.sign(f[big]), np.sign(sign_ind[big]))
+
+
 def test_h_form_known_values():
     assert insurance_rate_h_form(1.0, 1.0) == pytest.approx(
         1.986231020890168, abs=1e-12)
