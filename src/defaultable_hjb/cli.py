@@ -258,13 +258,16 @@ def _default_x0(cfg: RunConfig, m) -> float:
 
 def _write(cfg: RunConfig, name: str, header, lines) -> None:
     """One output file in the output directory: `# ` header lines, then
-    the lines."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, name), "w", newline="\n") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        for line in lines:
-            fh.write(f"{line}\n")
+    the lines.  A file that cannot be written is a ConfigError."""
+    path = os.path.join(cfg.out_dir, name)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            for line in header:
+                fh.write(f"# {line}\n")
+            for line in lines:
+                fh.write(f"{line}\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _columns(columns: dict) -> list:
@@ -462,6 +465,19 @@ def cmd_check_assumptions(cfg: RunConfig) -> int:
     return 0
 
 
+# the flags besides --config and --out, each registered only on the
+# subcommands that read it
+_FLAGS = {
+    "--grid": dict(metavar="NX,NT"),
+    "--mode": dict(help="full | local:N | protected"),
+    "--seed": dict(type=int),
+    "--paths": dict(type=int),
+    "--debug": dict(action="store_true",
+                    help="perturb the solved surface to exercise the "
+                         "failure path of verify"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="defaultable-hjb",
@@ -469,21 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification for optimal investment with a defaultable "
                     "asset")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("solve", cmd_solve), ("price-bond", cmd_price_bond),
-                     ("price-insurance", cmd_price_insurance),
-                     ("verify", cmd_verify),
-                     ("check-assumptions", cmd_check_assumptions)):
+    for name, fn, flags in (
+            ("solve", cmd_solve, ("--grid", "--mode")),
+            ("price-bond", cmd_price_bond, ("--grid",)),
+            ("price-insurance", cmd_price_insurance, ("--grid",)),
+            ("verify", cmd_verify, ("--grid", "--seed", "--paths", "--debug")),
+            ("check-assumptions", cmd_check_assumptions, ())):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--grid", default=None, metavar="NX,NT")
-        p.add_argument("--mode", default=None,
-                       help="full | local:N | protected")
-        p.add_argument("--debug", action="store_true",
-                       help="perturb the solved surface to exercise the "
-                            "failure path of verify")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=fn)
     return ap
 
@@ -492,6 +504,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot make output directory {cfg.out_dir}: {exc}") from exc
         return args.func(cfg)
     except (ConfigError, ModelError) as exc:
         # a ModelError here is a model that fails on the solver's grid nodes

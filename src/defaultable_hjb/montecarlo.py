@@ -31,6 +31,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("need n_paths >= 1 and n_steps >= 1")
+        if self.seed < 0:
+            raise ValueError("need seed >= 0")
 
 
 @dataclass

@@ -18,7 +18,9 @@ preferences (a single solve is a block of one): each Newton iterate
 evaluates the operator once and solves one block-diagonal system for
 every surface still iterating, while each surface keeps its own
 convergence test, line search and reuse state, and so takes exactly the
-Newton path it takes alone.
+Newton path it takes alone.  A block fails as a whole, at the first
+failure of any surface; solve_claims then marches the claims one by one
+to raise the first failing claim's own error.
 
 The marcher carries the last operator evaluation (F, Jacobian) along:
 an accepted line-search trial's serves the next Newton iterate, and a
@@ -308,24 +310,6 @@ def _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet):
     return R
 
 
-def _evaluate_rows(evaluate, X):
-    """(j, evaluate(X[:j]), error) for the leading rows of X that evaluate.
-
-    A row whose product-log input is not finite raises ThetaDomainError.
-    Then j is the first such row and error its exception; the operator is
-    elementwise, so the rows before it evaluate as they do alone.
-    """
-    try:
-        return len(X), evaluate(X), None
-    except ThetaDomainError:
-        for j in range(len(X)):
-            try:
-                evaluate(X[j:j + 1])
-            except ThetaDomainError as exc:
-                return j, (evaluate(X[:j]) if j else None), exc
-        raise
-
-
 def _rows(rows: list):
     """Ascending row numbers as an index: a slice, so views, where they
     are contiguous."""
@@ -336,28 +320,21 @@ def _rows(rows: list):
 
 def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
                 ev: list, stale: list, w_impl: float, w_expl: float,
-                opt: SolverOptions, dirichlet: bool, step_index: int,
-                live: int):
-    """Damped Newton on rows [0, live) of the block U, in place.
+                opt: SolverOptions, dirichlet: bool, step_index: int):
+    """Damped Newton on every row of the block U, in place.
 
     ev = [F, sub, diag, sup] holds evaluate(U) on the rows that are not
     stale; both are updated in place.  Each row iterates until its own
-    residual converges, with its own line search, as it would alone.  A
-    row that fails ends the block from that row on, since a failure of a
-    lower row is the one a claim-by-claim solve reports first.  Returns
-    (live, error): rows [0, live) converged and error is the failure of
-    row live, or None.  A non-finite residual cannot be reduced, so it
-    fails at once, as does a singular or non-finite Newton Jacobian.
-    The row bookkeeping is in lists: a block has a handful of rows.
+    residual converges, with its own line search, as it would alone.  The
+    block fails as a whole, at the first failure of any row: a residual
+    that is not finite (it cannot be reduced) or not converged after
+    newton_max_iter iterations, a Jacobian that is not finite or singular
+    raise NewtonDivergence, and an evaluation outside the product-log's
+    domain ThetaDomainError.  On a block of one row that is the row's own
+    error.  The row bookkeeping is in lists: a block has a handful of rows.
     """
-    error = None
     rnorm = [0.0] * len(U)
-    todo = list(range(live))  # rows still iterating, ascending
-
-    def fail(row, exc):
-        nonlocal live, error, todo
-        live, error = row, exc
-        todo = [r for r in todo if r < row]
+    todo = list(range(len(U)))  # rows still iterating, ascending
 
     def residual_of(at, X, F_X):
         return _step_residual(X, G_next[at], F_X,
@@ -375,11 +352,7 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
     for it in range(opt.newton_max_iter + 1):
         rows = [r for r in todo if stale[r]]
         if rows:
-            j, e, exc = _evaluate_rows(evaluate, U[_rows(rows)])
-            if exc is not None:
-                fail(rows[j], exc)
-            if j:
-                store(rows[:j], e)
+            store(rows, evaluate(U[_rows(rows)]))
         t = _rows(todo)
         R = residual_of(t, U[t], ev[0][t])
         norms = np.maximum.reduce(np.abs(R), axis=1).tolist()
@@ -390,12 +363,12 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
                 going.append(pos)
         if len(going) < len(todo):
             todo, R = [todo[pos] for pos in going], R[_rows(going)]
+        if not todo:
+            return
         bad = [r for r in todo if not math.isfinite(rnorm[r])] \
             if it < opt.newton_max_iter else todo
         if bad:
-            fail(bad[0], NewtonDivergence(step_index, rnorm[bad[0]]))
-        if not todo:
-            return live, error
+            raise NewtonDivergence(step_index, rnorm[bad[0]])
         t = _rows(todo)
         jd = 1.0 - w_impl * ev[2][t]
         jsub = -w_impl * ev[1][t]
@@ -404,35 +377,20 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
             jd[:, 0] = jd[:, -1] = 1.0
             jsup[:, 0] = 0.0
             jsub[:, -1] = 0.0
-        while True:
-            if not (np.isfinite(jd).all() and np.isfinite(jsub).all()
-                    and np.isfinite(jsup).all()):
-                finite = [np.isfinite(a).all(axis=1) for a in (jd, jsub, jsup)]
-                j = (finite[0] & finite[1] & finite[2]).tolist().index(False)
-            else:
-                try:
-                    delta = backends.tridiag_solve(jsub, jd, jsup,
-                                                   -R[:len(todo)])
-                    break
-                except backends.SingularBlock as exc:
-                    j = exc.row
-            fail(todo[j], NewtonDivergence(step_index, rnorm[todo[j]]))
-            if not todo:
-                return live, error
-            jd, jsub, jsup = jd[:j], jsub[:j], jsup[:j]
+        if not (np.isfinite(jd).all() and np.isfinite(jsub).all()
+                and np.isfinite(jsup).all()):
+            raise NewtonDivergence(step_index, rnorm[todo[0]])
+        try:
+            delta = backends.tridiag_solve(jsub, jd, jsup, -R)
+        except backends.SingularBlock:
+            raise NewtonDivergence(step_index, rnorm[todo[0]]) from None
         # damped line search; an accepted trial's evaluation is reused
         pend = list(range(len(todo)))  # positions in todo still searching
-        rows, at = todo, _rows(todo)
+        rows, at = todo, t
         s = 1.0
         for _ in range(10):
             trial = U[at] + s * delta[_rows(pend)]
-            j, e, exc = _evaluate_rows(evaluate, trial)
-            if exc is not None:
-                fail(rows[j], exc)
-                pend, rows, trial = pend[:j], rows[:j], trial[:j]
-                at = _rows(rows)
-            if not j:
-                break
+            e = evaluate(trial)
             norms = np.maximum.reduce(
                 np.abs(residual_of(at, trial, e[0])), axis=1).tolist()
             ok = [i for i, (r, v) in enumerate(zip(rows, norms))
@@ -463,9 +421,8 @@ def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
     terminal is (k, n_space + 1), one row per surface; returns the
     (k, n_time + 1, n_space + 1) values.  A protected operator takes its
     rate rows from f_surface.  The edges extrapolate, or are held at zero
-    if dirichlet.  If a surface fails, the error raised is that of the
-    lowest-index failing surface, the one a surface-by-surface march
-    raises.
+    if dirichlet.  The march fails as a whole, with the error of the
+    first failing step (see _solve_step).
     """
     k, n = terminal.shape
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
@@ -477,35 +434,23 @@ def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
     values = np.empty((k, grid.n_time + 1, n))
     values[:, -1] = terminal
     # the evaluation at values[:, i + 1], row by row
-    ev = [np.empty((k, n)), np.empty((k, n - 1)), np.empty((k, n)),
-          np.empty((k, n - 1))]
-    live, e, error = _evaluate_rows(evaluator(grid.n_time), values[:, -1])
-    if live:
-        ev[0][:live] = e[0]
-        for a, b in zip(ev[1:], e[1]):
-            a[:live] = b
+    F, jac = evaluator(grid.n_time)(values[:, -1])
+    ev = [F, *jac]
     for i in range(grid.n_time - 1, -1, -1):
-        if not live:
-            raise error
-        G_next = values[:live, i + 1]
-        F_next = ev[0][:live].copy() if w_expl > 0.0 else 0.0
+        G_next = values[:, i + 1]
+        F_next = ev[0].copy() if w_expl > 0.0 else 0.0
         U = G_next.copy()
         if dirichlet:
             U[:, 0] = U[:, -1] = 0.0
         # G_next's evaluation is also the first iterate's, unless the
         # source row changes (protected) or the edge reset changed a bit
-        stale = [f_surface is not None] * live
+        stale = [f_surface is not None] * k
         if dirichlet:
             changed = (U.view(np.uint64) != G_next.view(np.uint64)).any(axis=1)
             stale = [a or b for a, b in zip(stale, changed.tolist())]
-        live_step, err = _solve_step(evaluator(i), G_next, F_next, U, ev,
-                                     stale, w_impl, w_expl, opt, dirichlet,
-                                     i, live)
-        if err is not None:
-            live, error = live_step, err
-        values[:live, i] = U[:live]
-    if error is not None:
-        raise error
+        _solve_step(evaluator(i), G_next, F_next, U, ev, stale, w_impl,
+                    w_expl, opt, dirichlet, i)
+        values[:, i] = U
     return values
 
 
@@ -514,8 +459,9 @@ def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
                  ) -> list:
     """Solve the full equation for each claim, all marched as one block.
 
-    Each Surface is bit for bit the one the claim's own solve gives; if
-    any solve fails, the error is that of the first failing claim.
+    Each Surface is bit for bit the one the claim's own solve gives.  A
+    block fails as a whole; the claims are then marched one by one, in
+    order, so that the error raised is the first failing claim's own.
     """
     if not claims:
         raise ValueError("need at least one claim")
@@ -523,8 +469,19 @@ def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
     op = _Operator(_Coeffs(m, xs, pref.alpha), grid.dx, np.ones_like(xs))
     terminal = np.array([c.q * np.asarray(c.phi(xs), dtype=float)
                          for c in claims])
-    values = _march(op, grid, terminal, opt)
-    return [Surface(grid=grid, values=v, mode="full") for v in values]
+    try:
+        values = _march(op, grid, terminal, opt)
+    except (NewtonDivergence, ThetaDomainError) as exc:
+        if len(claims) == 1:
+            raise
+        error = exc
+    else:
+        return [Surface(grid=grid, values=v, mode="full") for v in values]
+    # the first claim that fails alone raises its own error; the block's
+    # is raised only if none does
+    for row in terminal:
+        _march(op, grid, row[None], opt)
+    raise error
 
 
 def solve_full(m: ModelSpec, c: ClaimSpec, pref: Preferences, grid: GridSpec,

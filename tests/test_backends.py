@@ -45,30 +45,36 @@ def test_tridiag_block_equals_rows_alone_bit_for_bit():
                                                    rhs[r]).tobytes()
 
 
-def test_tridiag_block_keeps_an_overflowing_row_to_itself():
-    # row 1 overflows to inf alone; 0 * inf at the zero coupling must not
-    # turn row 0 into NaN
+def test_tridiag_block_with_an_overflowing_row_raises():
+    # row 1 overflows to inf alone; in a block 0 * inf at the zero
+    # coupling could turn row 0 into NaN, so the block raises
     n = 5
     d = np.full((2, n), 2.0)
     dl = du = np.full((2, n - 1), 0.5)
     rhs = np.ones((2, n))
     d[1], rhs[1] = 1e-300, 1e308
-    x = backends.tridiag_solve(dl, d, du, rhs)
-    for r in range(2):
-        alone = backends.tridiag_solve(dl[r], d[r], du[r], rhs[r])
-        assert x[r].tobytes() == alone.tobytes()
-    assert np.isfinite(x[0]).all() and not np.isfinite(x[1]).all()
+    with pytest.raises(backends.SingularBlock):
+        backends.tridiag_solve(dl, d, du, rhs)
+    # alone, each row returns its own solution, finite or not
+    assert np.isfinite(backends.tridiag_solve(dl[0], d[0], du[0],
+                                              rhs[0])).all()
+    assert not np.isfinite(backends.tridiag_solve(dl[1], d[1], du[1],
+                                                  rhs[1])).all()
+    assert not np.isfinite(backends.tridiag_solve(dl[1:], d[1:], du[1:],
+                                                  rhs[1:])).all()
 
 
-def test_tridiag_block_names_the_first_singular_row():
+def test_tridiag_block_with_a_singular_row_raises():
     rng = np.random.default_rng(4)
     dl, d, du, rhs = _systems(rng, 4, 9)
-    for rows in ((2,), (1, 3), (3,)):
+    for rows in ((0,), (2,), (1, 3), (3,)):
         dd, ll, uu = d.copy(), dl.copy(), du.copy()
         for r in rows:
             dd[r, 4] = 0.0
             ll[r, 3] = uu[r, 4] = 0.0  # node 4 decouples: a zero pivot
             uu[r, 3] = ll[r, 4] = 0.0
-        with pytest.raises(backends.SingularBlock) as err:
+        with pytest.raises(backends.SingularBlock):
             backends.tridiag_solve(ll, dd, uu, rhs)
-        assert err.value.row == rows[0]
+        r = rows[0]
+        with pytest.raises(backends.SingularBlock):
+            backends.tridiag_solve(ll[r], dd[r], uu[r], rhs[r])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import defaultable_hjb as dh
-from defaultable_hjb.cli import main, parse_config
+from defaultable_hjb import cli
+from defaultable_hjb.cli import ConfigError, main, parse_config
 from defaultable_hjb.solver import bilinear_cell, bilinear_gather
 
 
@@ -299,6 +300,9 @@ _OU_B = "[model]\nkind = ou\nb = {}\n[grid]\nnx = 32\nnt = 16\n"
 _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
 # the OU drift sigma (mu1 + mu2 x) overflows on the grid
 _OU_MU2 = "[model]\nkind = ou\nmu2 = 1e308\n[grid]\nnx = 32\nnt = 16\n"
+# q = 1 and the singular q = 1e8 both fail at the first step: the error is
+# that of q = 1, the first failing claim, not the singular claim's 1.220e+32
+_BLOCK_DIVERGES = _SINGULAR.replace("q = 1e8", "q = 1 1e8 3")
 
 
 @pytest.mark.parametrize("cmd, ini, extra, message", [
@@ -355,6 +359,13 @@ _OU_MU2 = "[model]\nkind = ou\nmu2 = 1e308\n[grid]\nnx = 32\nnt = 16\n"
     # a grid that starts at x = 0
     ("solve", _CIR_32.format("x_min = 0"), [],
      "config error: A, sigma, gamma must be positive on the grid"),
+    ("price-bond", _BLOCK_DIVERGES, [],
+     "solver error: Newton diverged at time step 15: residual 1.187e-09"),
+    ("verify", "[model]\nkind = cir\n", ["--seed", "-1"],
+     "config error: bad [mc] settings: need seed >= 0"),
+    # --out names the config file itself
+    ("solve", "[model]\nkind = cir\n", ["--out", "{tmp}/bad.ini"],
+     "config error: cannot make output directory"),
 ], ids=["alpha-negative", "nx-too-small", "paths-zero",
         "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
         "x-min-outside-domain-price-insurance",
@@ -367,12 +378,14 @@ _OU_MU2 = "[model]\nkind = ou\nmu2 = 1e308\n[grid]\nnx = 32\nnt = 16\n"
         "ou-huge-mu2", "ou-huge-mu2-price-bond", "ou-huge-mu2-price-insurance",
         "ou-huge-mu2-verify", "cir-huge-mu2-price-bond",
         "cir-huge-mu1-price-insurance", "cir-huge-mu2-verify",
-        "cir-x-min-zero"])
+        "cir-x-min-zero", "price-bond-block-diverges", "seed-negative",
+        "out-is-a-file"])
 def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     # model, grid and Monte Carlo validation errors are config errors too;
     # a solve that fails exits 2 with one line naming step and residual
     p = tmp_path / "bad.ini"
     p.write_text(ini)
+    extra = [a.format(tmp=tmp_path) for a in extra]
     assert main([cmd, "--config", str(p), "--out", str(tmp_path)]
                 + extra) == 2
     err = capsys.readouterr().err
@@ -415,6 +428,28 @@ def test_overflowing_model_prints_one_line(tmp_path, ini, cmd):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("config error: the model's")
+
+
+def test_an_unwritable_output_file_is_a_config_error(tmp_path):
+    # the output directory names a file
+    p = tmp_path / "file"
+    p.write_text("")
+    with pytest.raises(ConfigError, match="cannot write"):
+        cli._write(cli.RunConfig(out_dir=str(p)), "x.csv", [], ["1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "protected"], ["price-bond", "--mode", "full"],
+    ["price-insurance", "--seed", "1"],
+    ["check-assumptions", "--grid", "32,16"], ["solve", "--debug"],
+    ["solve", "--paths", "5"]])
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    p = tmp_path / "run.ini"
+    p.write_text("[model]\nkind = cir\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(p), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parse_config_defaults_without_file():

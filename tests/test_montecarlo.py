@@ -50,6 +50,8 @@ def test_sim_config_validation():
         SimConfig(n_paths=0, n_steps=10, seed=0, x0=0.06)
     with pytest.raises(ValueError):
         SimConfig(n_paths=10, n_steps=0, seed=0, x0=0.06)
+    with pytest.raises(ValueError):
+        SimConfig(n_paths=10, n_steps=10, seed=-1, x0=0.06)
 
 
 def test_factor_validation(paper_model):

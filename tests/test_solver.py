@@ -330,20 +330,52 @@ def test_block_raises_the_first_failing_claims_error(paper_model, paper_pref,
         assert errors[1].step_index > errors[0].step_index
 
 
-def test_block_with_a_singular_claim(paper_model):
-    # alpha = 1e5 and q = 1e8 make the first step's Jacobian singular
+def _singular_block(pos):
+    """alpha = 1e5 and q = 1e8 make the first step's Jacobian singular;
+    the zero claim and q = 0.001 converge.  The singular claim is at pos."""
     pref = dh.Preferences(alpha=1e5, horizon_T=1.0)
+    claims = [dh.zero_claim(), dh.bond_claim(1e-3)]
+    claims.insert(pos, dh.bond_claim(1e8))
+    return claims, pref
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2], ids=["first", "middle", "last"])
+def test_block_with_a_singular_claim(paper_model, pos):
+    claims, pref = _singular_block(pos)
     grid = dh.default_grid(paper_model, pref, 32, 16)
-    claims = [dh.bond_claim(1e8), dh.zero_claim()]
-    first, _ = _first_failure(paper_model, claims, pref, grid,
-                              SolverOptions())
+    first, errors = _first_failure(paper_model, claims, pref, grid,
+                                   SolverOptions())
+    assert [e is not None for e in errors] == [i == pos for i in range(3)]
     with pytest.raises(NewtonDivergence) as err:
         dh.solve_claims(paper_model, claims, pref, grid)
     assert (err.value.step_index, err.value.residual_norm) == \
         (first.step_index, first.residual_norm)
 
 
-def test_bad_newton_jacobian_rows_fail_in_row_order():
+def test_a_failing_block_is_re_marched_up_to_the_first_failing_claim(
+        monkeypatch, paper_model, paper_pref):
+    marched = []
+    march = solver._march
+
+    def counting(op, grid, terminal, *args, **kwargs):
+        marched.append(len(terminal))
+        return march(op, grid, terminal, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_march", counting)
+    grid = dh.default_grid(paper_model, paper_pref, 32, 16)
+    dh.solve_claims(paper_model, _claims((0, 1.0, 3.0)), paper_pref, grid)
+    assert marched == [3]
+    # the block, then claim by claim: the zero claim converges and the
+    # singular one fails, so the last claim is not marched
+    marched.clear()
+    claims, pref = _singular_block(1)
+    grid = dh.default_grid(paper_model, pref, 32, 16)
+    with pytest.raises(NewtonDivergence):
+        dh.solve_claims(paper_model, claims, pref, grid)
+    assert marched == [3, 1, 1]
+
+
+def test_bad_newton_jacobian_rows_fail_the_block():
     # a linear operator F = -G whose Jacobian is tagged by the row's
     # value: 1 -> a NaN diagonal (gtsv reports no zero pivot, and the NaN
     # would reach the row before it through the zero coupling), 2 -> a
@@ -357,25 +389,32 @@ def test_bad_newton_jacobian_rows_fail_in_row_order():
         zeros = np.zeros((len(G), n - 1))
         return -G, (zeros, diag, zeros)
 
-    for tags, live in (((0.0, 1.0, 2.0), 1), ((0.0, 2.0, 1.0), 1),
-                       ((3.0, 0.0), 2), ((2.0, 1.0), 0)):
+    def step(tags):
         G_next = np.repeat(np.array(tags)[:, None], n, axis=1)
         U = G_next.copy()
         ev = [np.empty_like(U), np.empty((len(U), n - 1)), np.empty_like(U),
               np.empty((len(U), n - 1))]
-        stale = np.ones(len(U), dtype=bool)
-        got, error = solver._solve_step(evaluate, G_next, 0.0, U, ev, stale,
-                                        w, 0.0, SolverOptions(), False, 7,
-                                        len(U))
-        assert got == live
-        if live == len(U):
-            assert error is None
-            # F = -G: each row converges to G_next / (1 + w)
-            assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
-        else:
-            assert isinstance(error, NewtonDivergence)
-            assert error.step_index == 7
-            assert error.residual_norm == pytest.approx(w * tags[live])
+        stale = [True] * len(U)
+        solver._solve_step(evaluate, G_next, 0.0, U, ev, stale, w, 0.0,
+                           SolverOptions(), False, 7)
+        return G_next, U
+
+    for tags in ((3.0, 0.0), (0.0, 3.0, -2.0), (5.0,)):
+        G_next, U = step(tags)
+        # F = -G: each row converges to G_next / (1 + w)
+        assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
+    # a bad row alone fails with its own residual, w * tag at the start
+    for tag in (1.0, 2.0):
+        with pytest.raises(NewtonDivergence) as err:
+            step((tag,))
+        assert err.value.step_index == 7
+        assert err.value.residual_norm == pytest.approx(w * tag)
+    # a bad row anywhere in a block fails the block
+    for tags in ((0.0, 1.0, 2.0), (0.0, 2.0, 1.0), (3.0, 0.0, 1.0),
+                 (3.0, 2.0), (2.0, 3.0), (2.0, 1.0)):
+        with pytest.raises(NewtonDivergence) as err:
+            step(tags)
+        assert err.value.step_index == 7
 
 
 def test_block_residual_equals_row_by_row(paper_model, paper_pref):
