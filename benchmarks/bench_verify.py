@@ -1,4 +1,4 @@
-"""Stage times of the ``verify`` subcommand, in process, best of N.
+"""Stage times of the ``verify`` subcommand, in process, over N runs.
 
 Run from the root of a checkout:
 
@@ -13,8 +13,10 @@ is booked to the outer one.  Stages: noise (draw_noise), loop
 (simulate_policies: factor, default and wealth in one time loop) and
 estimators (dual_density_terminal and the three estimates); "other" is
 the rest of the call (the 200x200 solve, the policy and the CSV).  Each
-stage reports the best of the runs, and the record carries the process's
-peak RSS and the SHA-256 of the verify.csv written.
+stage and the total report the best of the runs and, for their spread,
+the quartiles (25th, 50th and 75th percentiles) of the runs; the record
+also carries the process's peak RSS and the SHA-256 of the verify.csv
+written.
 
 With --out the record is merged under --label into that JSON file, so a
 second checkout can be measured on the same machine by the same script:
@@ -92,6 +94,11 @@ def revision(src: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--", "."))}
 
 
+def quartiles_of(times) -> list:
+    """The 25th, 50th and 75th percentiles of the run times."""
+    return [float(q) for q in np.percentile(times, [25, 50, 75])]
+
+
 def run_once(timer: StageTimer, out_dir: str) -> dict:
     args = cli.build_parser().parse_args(
         ["verify", "--config", str(CONFIG), "--out", out_dir] + ARGS)
@@ -123,22 +130,31 @@ def main() -> None:
             runs.append(run_once(timer, out_dir))
             csv = Path(out_dir, "verify.csv").read_bytes()
     names = sorted({s for r in runs for s in r["stages"]})
-    best = {s: min(r["stages"].get(s, 0.0) for r in runs) for s in names}
+    stage_runs = {s: [r["stages"].get(s, 0.0) for r in runs] for s in names}
+    totals = [r["total"] for r in runs]
+    best = {s: min(t) for s, t in stage_runs.items()}
+    quartiles = {s: quartiles_of(t) for s, t in stage_runs.items()}
     record = {
         **revision(Path(mc.__file__).parent),
         "backend": backends.backend_name(),
         "repeat": args.repeat,
-        "total_best_s": min(r["total"] for r in runs),
-        "total_runs_s": [r["total"] for r in runs],
+        "total_best_s": min(totals),
+        "total_runs_s": totals,
+        "total_quartiles_s": quartiles_of(totals),
         "stages_best_s": best,
+        "stages_quartiles_s": quartiles,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
         "verify_csv_sha256": hashlib.sha256(csv).hexdigest(),
     }
+    q1, med, q3 = record["total_quartiles_s"]
     print(f"{args.label}: verify best {record['total_best_s']:.3f} s of "
-          f"{args.repeat}, peak RSS {record['peak_rss_mb']:.0f} MB")
+          f"{args.repeat} (median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}), "
+          f"peak RSS {record['peak_rss_mb']:.0f} MB")
     for s in names:
-        print(f"  {s:<18s} {best[s]:8.3f} s")
+        q1, med, q3 = quartiles[s]
+        print(f"  {s:<18s} best {best[s]:8.3f} s  median {med:8.3f} s  "
+              f"quartiles {q1:.3f}-{q3:.3f}")
     if args.out:
         path = Path(args.out)
         doc = json.loads(path.read_text()) if path.exists() else {

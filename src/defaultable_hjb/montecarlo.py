@@ -10,13 +10,14 @@ that a fixed seed reproduces estimates bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import ClaimSpec, ModelSpec, Preferences
-from .solver import Surface, bilinear_cell, bilinear_gather
+from .solver import CornerBlock, GridLookup, Surface
 
 _DRAW_BLOCK = 1 << 17  # normals per draw: 1 MiB, whatever the path count
 
@@ -153,9 +154,9 @@ def _factor_step(m: ModelSpec, x0: float, dt: float, n_paths: int):
 
         def step(x, z_k):
             nonlocal xt
-            xp = np.maximum(xt, 0.0)
-            xt = xt + p.kappa * (p.theta_lr - xp) * dt \
-                + p.xi * np.sqrt(xp) * sq * z_k
+            # x is X_k = max(x~_k, 0), the truncated state
+            xt = xt + p.kappa * (p.theta_lr - x) * dt \
+                + p.xi * np.sqrt(x) * sq * z_k
             return np.maximum(xt, 0.0), sq * z_k
         return step
 
@@ -199,8 +200,14 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
     A field is a Surface or a callable f(t, x).  The policies share the
     paths (common random numbers), and each step evaluates the
     coefficients, the default masks and, for Surface fields on one grid,
-    the bilinear cell once.  Returns one PathBundle per policy, sharing
-    the factor and default arrays.
+    the bilinear cell once.  The factor, the intensity, the lookups and
+    the wealth increments run on every path; the default time, the part of
+    the step before it and the jump only on the paths that default in the
+    step.  rho is a scalar for the built-in kinds and per path for a
+    custom model.  Each grid's GridLookup is made once per call, and each
+    Surface field's CornerBlock is rebuilt only when the time cell
+    changes.  Returns one PathBundle per policy, sharing the factor and
+    default arrays.
     """
     cfg = noise.cfg
     if horizon <= 0:
@@ -211,10 +218,13 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
     dt = horizon / n_steps
     sq = np.sqrt(dt)
     advance = _factor_step(m, cfg.x0, dt, n_paths)
+    correlation = _correlation(m)
     protected = rate_field is not None
     fields = list(pi_fields) + ([rate_field] if protected else [])
-    grids = {f.grid: (f.grid.ts, f.grid.xs) for f in fields
-             if isinstance(f, Surface)}
+    lookups = {f.grid: GridLookup(f.grid.ts, f.grid.xs) for f in fields
+               if isinstance(f, Surface)}
+    blocks = [CornerBlock(f.values) if isinstance(f, Surface) else None
+              for f in fields]
     e = noise.exp_draws
 
     x = np.full(n_paths, float(cfg.x0))
@@ -231,45 +241,67 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
         gam_next = np.asarray(m.gamma(x_next), dtype=float)
         cum_next = cum + 0.5 * (gam_next + gam) * dt
         defaulting = alive & (cum_next >= e)
-        part = None
+        rows = None
         if defaulting.any():
             rows = np.flatnonzero(defaulting)
             lo, hi = cum[rows], cum_next[rows]
             denom = np.where(hi > lo, hi - lo, 1.0)
             frac = np.clip((e[rows] - lo) / denom, 0.0, 1.0)
-            delta[rows] = dt * (k + frac)
+            delta_rows = dt * (k + frac)
+            delta[rows] = delta_rows
             default_step[rows] = k
-            alive &= ~defaulting
-            part = np.clip(delta - t_k, 0.0, dt)
+            alive[rows] = False
+            part = np.clip(delta_rows - t_k, 0.0, dt)
 
-        cells = {g: bilinear_cell(g_ts, g_xs, t_k, x)
-                 for g, (g_ts, g_xs) in grids.items()}
-        values = [bilinear_gather(f.values, cells[f.grid])
-                  if isinstance(f, Surface)
+        cells = {g: lk.cell(t_k, x) for g, lk in lookups.items()}
+        values = [blk.gather(cells[f.grid]) if blk is not None
                   else np.asarray(f(t_k, x), dtype=float)
-                  for f in fields]
+                  for f, blk in zip(fields, blocks)]
         mu = np.asarray(m.mu(x), dtype=float)
         sig = np.asarray(m.sigma(x), dtype=float)
-        rho = np.asarray(m.rho(x), dtype=float)
-        diff = sig * (rho * dW + np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
-                      * (noise.z0[k] * sq))
+        rho, rho_c = correlation(x)
+        diff = sig * (rho * dW + rho_c * (noise.z0[k] * sq))
         if protected:
             drift = mu - gam - values.pop()  # the rate field, listed last
         else:
             drift = mu
         step = drift * dt + diff
+        dead = ~alive
+        if rows is not None:
+            drift_part = _rows(drift, rows)
         for W, pi_k in zip(wealth, values):
-            inc = np.where(alive, pi_k * step, 0.0)
-            if part is not None:
-                jump_inc = pi_k * drift * part
+            inc = pi_k * step
+            inc[dead] = 0.0
+            if rows is not None:
+                pi_rows = _rows(pi_k, rows)
+                jump = pi_rows * drift_part * part
                 if not protected:
-                    jump_inc = jump_inc - pi_k
-                inc = np.where(defaulting, jump_inc, inc)
+                    jump -= pi_rows
+                inc[rows] = jump
             np.add(W, inc, out=W)
         x, gam, cum = x_next, gam_next, cum_next
     return [PathBundle(cfg=cfg, horizon=horizon, x_T=x, delta=delta,
                        default_step=default_step, w_T=W, protected=protected)
             for W in wealth]
+
+
+def _correlation(m: ModelSpec):
+    """x -> (rho, sqrt(max(1 - rho^2, 0))): Python scalars for the built-in
+    kinds, whose rho is rho_const, per-path arrays for a custom model."""
+    if m.kind != "custom":
+        rho = float(m.params.rho_const)
+        pair = rho, math.sqrt(max(1.0 - rho * rho, 0.0))
+        return lambda x: pair
+
+    def per_path(x):
+        rho = np.asarray(m.rho(x), dtype=float)
+        return rho, np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+    return per_path
+
+
+def _rows(v: np.ndarray, rows: np.ndarray):
+    """v on the given rows; a 0-d v is one value for every path."""
+    return v[rows] if v.ndim else v
 
 
 def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,

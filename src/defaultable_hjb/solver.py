@@ -111,38 +111,92 @@ def central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
     return grad
 
 
-def bilinear_cell(ts: np.ndarray, xs: np.ndarray, t: float, x) -> tuple:
-    """Cell indices and weights of a bilinear lookup at (t, x).
-
-    The point is clamped to the grid edges.  On the uniform x nodes the
-    index is floor((x - x_min) / dx), corrected by one comparison with the
-    node on each side, so that it equals
-    clip(searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2) exactly.
+class GridLookup:
+    """Cells of bilinear lookups in (t, x) on one grid, clamped to its
+    edges.  It holds two O(nx) tables of the x cells, each read with one
+    take: (xs[j], xs[j+1]), with +inf for xs[j+1] in the last cell, for
+    the index correction, and (xs[j], xs[j+1] - xs[j]) for the weight.
     """
-    x = np.asarray(x, dtype=float)
-    t = min(max(float(t), ts[0]), ts[-1])
-    i = min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
-    i = max(i, 0)
-    wt = (t - ts[i]) / (ts[i + 1] - ts[i])
-    xc = np.clip(x, xs[0], xs[-1])
-    last = len(xs) - 2
-    dx = (xs[-1] - xs[0]) / (last + 1)
-    j = np.clip(((xc - xs[0]) / dx).astype(np.intp), 0, last)
-    j -= xs[j] > xc
-    j += (j < last) & (xs[j + 1] <= xc)
-    j1 = j + 1
-    wx = (xc - xs[j]) / (xs[j1] - xs[j])
-    return i, wt, j, j1, wx
+
+    def __init__(self, ts: np.ndarray, xs: np.ndarray):
+        self.ts = ts
+        self.x_min, self.x_max = xs[0], xs[-1]
+        self.last = len(xs) - 2
+        self.dx = (xs[-1] - xs[0]) / (self.last + 1)
+        self.bounds = np.column_stack([xs[:-1], np.append(xs[1:-1], np.inf)])
+        self.spans = np.column_stack([xs[:-1], np.diff(xs)])
+
+    def cell(self, t: float, x) -> tuple:
+        """(i, (1 - wt, wt), j, j + 1, (1 - wx, wx)): the time cell, the x
+        cell of each x and the weights of each cell's two nodes.
+
+        j is floor((x - x_min) / dx), corrected where x lies within
+        rounding of a node, so that it equals clip(searchsorted(xs, x,
+        side="right") - 1, 0, len(xs) - 2) exactly.  np.fmin caps it at
+        the last cell before the cast and sends a NaN x there, with a NaN
+        weight: a NaN cast to an index would be the most negative one.
+        """
+        ts = self.ts
+        t = min(max(float(t), ts[0]), ts[-1])
+        i = max(min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2), 0)
+        wt = (t - ts[i]) / (ts[i + 1] - ts[i])
+        # np.clip's ordering: a tie keeps x, so -0.0 stays -0.0
+        xc = np.minimum(self.x_max, np.maximum(self.x_min,
+                                               np.asarray(x, dtype=float)))
+        j = np.fmin((xc - self.x_min) / self.dx, self.last).astype(np.intp)
+        lo, hi = self.bounds.take(j, axis=0).T
+        down, up = lo > xc, hi <= xc
+        if down.any():
+            j -= down
+        if up.any():
+            j += up
+        node, span = self.spans.take(j, axis=0).T
+        wx = (xc - node) / span
+        return i, (1 - wt, wt), j, j + 1, (1 - wx, wx)
+
+
+class CornerBlock:
+    """Bilinear values of one surface at cells of a GridLookup on its grid.
+
+    It keeps the (nx, 4) corner block of the time cell i it read last, row
+    j holding values[i, j], values[i, j+1], values[i+1, j] and
+    values[i+1, j+1], and rebuilds it only when i changes.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.i = None
+        self.block = None
+
+    def gather(self, cell: tuple) -> np.ndarray:
+        i, (vt, wt), j, _, (vx, wx) = cell
+        if i != self.i:
+            v = self.values
+            self.block = np.column_stack([v[i, :-1], v[i, 1:],
+                                          v[i + 1, :-1], v[i + 1, 1:]])
+            self.i = i
+        c = self.block.take(j, axis=0)
+        # (c0 vx + c1 wx) vt + (c2 vx + c3 wx) wt, in place, in this order
+        row0 = c[..., 0] * vx
+        row0 += c[..., 1] * wx
+        row0 *= vt
+        row1 = c[..., 2] * vx
+        row1 += c[..., 3] * wx
+        row1 *= wt
+        row0 += row1
+        return row0
+
+
+def bilinear_cell(ts: np.ndarray, xs: np.ndarray, t: float, x) -> tuple:
+    """The cell of one lookup at (t, x) (GridLookup.cell); a loop over many
+    lookups keeps one GridLookup per grid instead."""
+    return GridLookup(ts, xs).cell(t, x)
 
 
 def bilinear_gather(values: np.ndarray, cell: tuple) -> np.ndarray:
-    """Bilinear combination of the grid values around a bilinear_cell."""
-    i, wt, j, j1, wx = cell
-    lo, hi = values[i], values[i + 1]
-    vx = 1 - wx
-    row0 = lo[j] * vx + lo[j1] * wx
-    row1 = hi[j] * vx + hi[j1] * wx
-    return row0 * (1 - wt) + row1 * wt
+    """Bilinear combination of the grid values around a bilinear_cell; a
+    loop over many lookups keeps one CornerBlock per surface instead."""
+    return CornerBlock(values).gather(cell)
 
 
 @dataclass

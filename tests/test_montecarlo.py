@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -271,6 +272,22 @@ def test_dual_expform_gap_shrinks_with_steps(paper_model, paper_pref, G_zero):
     assert gaps[1] < 1e-3
 
 
+def test_one_value_for_every_path():
+    # a custom coefficient or a policy may return one value for all paths:
+    # the default-step jump reads it as it reads a per-path array
+    per_path = _const_intensity_model(c=2.0, mu=1.5, sigma=0.8, rho=0.3)
+    scalar = dataclasses.replace(per_path, mu=lambda x: 1.5,
+                                 sigma=lambda x: 0.8, rho=lambda x: 0.3,
+                                 gamma=lambda x: 2.0)
+    noise = draw_noise(SimConfig(n_paths=500, n_steps=40, seed=4, x0=0.3))
+    (want,) = simulate_policies(per_path, noise, 1.0,
+                                [lambda t, x: 0.7 * np.ones_like(x)])
+    (got,) = simulate_policies(scalar, noise, 1.0, [lambda t, x: 0.7])
+    assert (want.default_step < 40).any()
+    assert got.delta.tobytes() == want.delta.tobytes()
+    assert got.w_T.tobytes() == want.w_T.tobytes()
+
+
 def test_replay_policies_match_separate_replays(paper_model, paper_pref,
                                                 G_zero):
     # one loop over several policies gives each policy the wealth that a
@@ -312,34 +329,47 @@ def test_dual_density_terminal_is_last_closed_form_column(
 def _bit_identity_models():
     ou = dict(mu1=0.1, mu2=0.5, sigma_const=1.0, gamma_const=0.8,
               rho_const=-0.4)
+    custom = _const_intensity_model(c=2.0, mu=1.5, sigma=0.8, rho=0.3)
     return {
         "cir": dh.make_cir_model(dh.paper_cir_params()),
         "ou-b2": dh.make_ou_model(dh.OUParams(b_mr=2.0, **ou)),
         "ou-b0": dh.make_ou_model(dh.OUParams(b_mr=0.0, **ou)),
-        "custom-const": _const_intensity_model(c=2.0, mu=1.5, sigma=0.8,
-                                               rho=0.3),
+        "custom-const": custom,
+        # a custom rho is evaluated per path, the built-in ones are scalars
+        "custom-rho": dataclasses.replace(
+            custom, rho=lambda x: 0.5 * np.tanh(np.asarray(x, dtype=float))),
+        # on a 64x64 surface 200 steps read each time cell's corner block
+        # about three times; on G_zero's 400 time cells it changes each step
+        "cir-64x64": dh.make_cir_model(dh.paper_cir_params()),
     }
+
+
+@pytest.fixture(scope="module")
+def G_64(paper_model, paper_pref):
+    return dh.solve_full(paper_model, dh.zero_claim(), paper_pref,
+                         dh.default_grid(paper_model, paper_pref, 64, 64))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n_steps", [1, 49, 200])
-@pytest.mark.parametrize("kind", ["cir", "ou-b2", "ou-b0", "custom-const"])
+@pytest.mark.parametrize("kind", ["cir", "ou-b2", "ou-b0", "custom-const",
+                                  "custom-rho", "cir-64x64"])
 def test_terminal_state_equals_the_pipeline_bit_for_bit(
-        paper_model, paper_pref, G_zero, kind, n_steps, seed):
+        paper_model, paper_pref, G_zero, G_64, kind, n_steps, seed):
     # x_T, the default times and steps, and each policy's W_T are the last
     # columns of the three-stage reference, unprotected and protected
     m = _bit_identity_models()[kind]
-    x0 = 0.06 if kind == "cir" else 0.3
+    G = G_64 if kind == "cir-64x64" else G_zero
+    x0 = 0.06 if kind.startswith("cir") else 0.3
     cfg = SimConfig(n_paths=600, n_steps=n_steps, seed=seed, x0=x0)
-    pol = _optimal_policy(G_zero, paper_model, paper_pref)
-    rate = dh.Surface(grid=G_zero.grid,
-                      values=dh.insurance_rate(G_zero, paper_model,
-                                               paper_pref))
-    fields = [pol, dh.Surface(grid=G_zero.grid, values=pol.values + 0.5),
+    pol = _optimal_policy(G, paper_model, paper_pref)
+    rate = dh.Surface(grid=G.grid,
+                      values=dh.insurance_rate(G, paper_model, paper_pref))
+    fields = [pol, dh.Surface(grid=G.grid, values=pol.values + 0.5),
               lambda t, x: 0.4 + t * np.tanh(x)]
     noise = draw_noise(cfg)
     exp_draws = noise.exp_draws.copy()
-    if kind == "custom-const":
+    if kind.startswith("custom"):
         # thresholds on the cumulative intensity itself: every third path
         # crosses exactly at a step end, where ">=" and ">" part
         cum = np.cumsum(np.full(n_steps, 0.5 * (2.0 + 2.0) * (1.0 / n_steps)))

@@ -208,6 +208,26 @@ def test_bilinear_cell_index_matches_searchsorted(paper_model, paper_pref):
                 _searchsorted_interp(ts, xs, values, t, x).tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_bilinear_lookup_of_a_non_finite_factor(paper_model, paper_pref):
+    # a NaN x cast to an index would be the most negative one: the lookup
+    # gives NaN, with no IndexError or warning, and +-inf the edge values,
+    # as the binary search does
+    grid = dh.default_grid(paper_model, paper_pref, 64, 64)
+    values = np.random.default_rng(9).standard_normal((65, 65))
+    surface = dh.Surface(grid=grid, values=values)
+    x = np.array([np.nan, np.inf, -np.inf, 0.06])
+    for t in (0.0, 0.3, grid.ts[7], 1.0):
+        want = _searchsorted_interp(grid.ts, grid.xs, values, t, x)
+        assert np.isnan(want[0]) and np.isfinite(want[1:]).all()
+        got = bilinear_gather(values, bilinear_cell(grid.ts, grid.xs, t, x))
+        assert got.tobytes() == want.tobytes()
+        assert surface.at(t, x).tobytes() == want.tobytes()
+        for xi, wi in zip(x, want):
+            assert surface.at(t, np.array([xi])).tobytes() == \
+                np.array([wi]).tobytes()
+
+
 def test_surface_interp_and_csv(tmp_path, G_zero):
     x0 = np.array([0.06])
     v = G_zero.at(0.0, x0)
