@@ -35,9 +35,9 @@ from .model import (CIRParams, ClaimSpec, Domain1D, LocalizationSpec,
 from .solver import (GridSpec, NewtonDivergence, SolverOptions, Surface,
                      default_grid, residual, solve_claims, solve_full,
                      solve_local, solve_protected)
-from .pricing import (Policy, RadicandNegative, indifference_price,
-                      insurance_bounds, insurance_rate, insurance_rate_h_form,
-                      optimal_policy, protected_policy, short_horizon_curve,
+from .pricing import (RadicandNegative, indifference_price, insurance_bounds,
+                      insurance_rate, insurance_rate_h_form, optimal_policy,
+                      protected_policy, short_horizon_curve,
                       zero_rate_position)
 from .assumptions import (AssumptionEntry, AssumptionReport, CIRMomentBound,
                           DriftChangedCIR, WindowViolation,

@@ -413,7 +413,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         # intentionally wrong surface: the martingale-mass check must fail
         G = Surface(grid=grid, values=G.values + 0.2)
     pol = pricing.optimal_policy(G, m, pref)
-    pol_surface = Surface(grid=grid, values=pol.values)
     g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
 
     # one simulation: the perturbed policy rides the same paths as the
@@ -421,7 +420,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     pert = Surface(grid=grid, values=pol.values + 0.5)
     noise = mc.draw_noise(sim)
     opt, perturbed = mc.simulate_policies(m, noise, pref.horizon_T,
-                                          [pol_surface, pert])
+                                          [pol, pert])
     ce = mc.estimate_certainty_equivalent(opt, claim, pref, label="ce")
     mc.dual_density_terminal(G, opt, pref)
     mass = mc.estimate_martingale_mass(opt)

@@ -121,7 +121,6 @@ class ClaimSpec:
     q: float
     phi_lower: float
     phi_upper: float
-    label: str = "custom"
 
     def __post_init__(self):
         if not self.q > 0:
@@ -132,13 +131,13 @@ class ClaimSpec:
 
 def zero_claim(q: float = 1.0) -> ClaimSpec:
     return ClaimSpec(phi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                     q=q, phi_lower=0.0, phi_upper=0.0, label="zero")
+                     q=q, phi_lower=0.0, phi_upper=0.0)
 
 
 def bond_claim(q: float = 1.0) -> ClaimSpec:
     """Defaultable bond: phi identically 1."""
     return ClaimSpec(phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                     q=q, phi_lower=0.0, phi_upper=1.0, label="one")
+                     q=q, phi_lower=0.0, phi_upper=1.0)
 
 
 @dataclass(frozen=True)

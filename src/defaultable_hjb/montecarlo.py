@@ -11,7 +11,7 @@ that a fixed seed reproduces estimates bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -304,6 +304,15 @@ def _rows(v: np.ndarray, rows: np.ndarray):
     return v[rows] if v.ndim else v
 
 
+def _sample_mean(values: np.ndarray, label: str) -> MCEstimate:
+    """The mean of the per-path values and its standard error
+    std(ddof=1) / sqrt(n), 0 for one path."""
+    n = len(values)
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return MCEstimate(mean=float(np.mean(values)), std_error=se, n_paths=n,
+                      label=label)
+
+
 def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
                                   pref: Preferences,
                                   label: str = "ce") -> MCEstimate:
@@ -314,13 +323,10 @@ def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
     if not bundle.protected and surv.any():
         payoff[surv] += claim.q * np.asarray(
             claim.phi(bundle.x_T[surv]), dtype=float)
-    y = np.exp(-al * payoff)
-    mean = float(np.mean(y))
-    se_y = float(np.std(y, ddof=1) / np.sqrt(len(y))) if len(y) > 1 else 0.0
-    ce = -np.log(mean) / al
-    se = se_y / (al * mean)  # delta method for the log transform
-    return MCEstimate(mean=float(ce), std_error=se, n_paths=len(y),
-                      label=label)
+    y = _sample_mean(np.exp(-al * payoff), label)
+    # the delta method for the log transform
+    return replace(y, mean=float(-np.log(y.mean) / al),
+                   std_error=y.std_error / (al * y.mean))
 
 
 def dual_density_terminal(G: Surface, bundle: PathBundle,
@@ -357,17 +363,10 @@ def estimate_dual_value(bundle: PathBundle, claim: ClaimSpec,
                      0.0)
     per_path = np.where(zT > 0.0, zT * np.log(np.maximum(zT, 1e-300)), 0.0) \
         / al + zT * phi_T
-    mean = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / np.sqrt(len(per_path))) \
-        if len(per_path) > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=se, n_paths=len(per_path),
-                      label=label)
+    return _sample_mean(per_path, label)
 
 
 def estimate_martingale_mass(bundle: PathBundle,
                              label: str = "mass") -> MCEstimate:
     """E[Z_T]; equals 1 for a true density process."""
-    zT = _terminal_density(bundle)
-    mean = float(np.mean(zT))
-    se = float(np.std(zT, ddof=1) / np.sqrt(len(zT))) if len(zT) > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=se, n_paths=len(zT), label=label)
+    return _sample_mean(_terminal_density(bundle), label)

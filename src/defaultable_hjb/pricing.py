@@ -9,8 +9,6 @@ bound and sign indicator of the rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lambertw import theta_of_log
@@ -33,17 +31,6 @@ class RadicandNegative(RuntimeError):
 _RADICAND_CLAMP = 1e-10
 
 
-@dataclass
-class Policy:
-    """Optimal dollar position in the risky asset on the surface grid."""
-
-    values: np.ndarray  # (n_time+1, n_space+1)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("policy must be finite on the grid")
-
-
 def _gradient_term(coef: _Coeffs, G: Surface) -> np.ndarray:
     """(alpha / sigma) * a * rho * G_x, the hedging term of the positions.
 
@@ -62,10 +49,16 @@ def _node_fields(G: Surface, m: ModelSpec, pref: Preferences):
     return coef, x_tilde, theta_g, log_y
 
 
-def optimal_policy(G: Surface, m: ModelSpec, pref: Preferences) -> Policy:
-    """pi-hat = (x-tilde - theta_G) / alpha, nodewise on the surface grid."""
+def optimal_policy(G: Surface, m: ModelSpec, pref: Preferences) -> Surface:
+    """The optimal dollar position in the risky asset, pi-hat = (x-tilde -
+    theta_G) / alpha, nodewise on the surface grid; a policy that is not
+    finite raises ValueError."""
     coef, x_tilde, theta_g, _ = _node_fields(G, m, pref)
-    return Policy(values=(x_tilde - theta_g) / coef.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (x_tilde - theta_g) / coef.alpha
+    if not np.isfinite(values).all():
+        raise ValueError("policy must be finite on the grid")
+    return Surface(grid=G.grid, values=values)
 
 
 def indifference_price(G_q: Surface, G_0: Surface, q: float) -> np.ndarray:
@@ -90,7 +83,10 @@ def insurance_rate(G: Surface, m: ModelSpec, pref: Preferences) -> np.ndarray:
 
 def _radicand(G: Surface, m: ModelSpec, pref: Preferences):
     coef, x_tilde, theta_g, log_y = _node_fields(G, m, pref)
-    rad = x_tilde ** 2 - (theta_g ** 2 + 2.0 * theta_g - 2.0 * np.exp(log_y))
+    # an overflow to inf passes on to the rate (-inf), with no warning
+    with np.errstate(over="ignore"):
+        rad = x_tilde ** 2 - (theta_g ** 2 + 2.0 * theta_g
+                              - 2.0 * np.exp(log_y))
     bad = rad < -_RADICAND_CLAMP
     if bad.any():
         idx = tuple(int(k[0]) for k in np.nonzero(bad))
@@ -120,7 +116,7 @@ def zero_rate_position(y: float) -> float:
     return float(np.log((np.sqrt(1.0 + 2.0 * y) - 1.0) / y))
 
 
-def insurance_bounds(G: Surface, policy: Policy, m: ModelSpec,
+def insurance_bounds(G: Surface, policy: Surface, m: ModelSpec,
                      pref: Preferences):
     """(upper, sign_indicator) for the insurance rate.
 

@@ -17,15 +17,17 @@ The marcher steps a block of k surfaces that share a model, grid and
 preferences (a single solve is a block of one): each Newton iterate
 evaluates the operator once and solves one block-diagonal system for
 every surface still iterating, while each surface keeps its own
-convergence test, line search and reuse state, and so takes exactly the
-Newton path it takes alone.  A block fails as a whole, at the first
-failure of any surface; solve_claims then marches the claims one by one
-to raise the first failing claim's own error.
+convergence test and line search, and so takes exactly the Newton path
+it takes alone.  A block fails as a whole, at the first failure of any
+surface; solve_claims then marches the claims one by one to raise the
+first failing claim's own error.
 
-The marcher carries the last operator evaluation (F, Jacobian) along:
-an accepted line-search trial's serves the next Newton iterate, and a
-converged row's serves the next step as its explicit half and, in full
-and local modes, as its first iterate.  Each reuse stands for an
+The marcher carries the operator evaluation (F, Jacobian) of the
+current iterate along, always equal to evaluating it afresh: an
+accepted line-search trial's serves the next Newton iterate, and a
+converged row's serves the next step as its explicit half and as its
+first iterate, unless the source row changes (protected mode) or the
+Dirichlet edge reset changed a bit.  Each reuse stands for an
 evaluation of identical inputs, so no value changes.
 """
 
@@ -127,8 +129,9 @@ class GridLookup:
         self.spans = np.column_stack([xs[:-1], np.diff(xs)])
 
     def cell(self, t: float, x) -> tuple:
-        """(i, (1 - wt, wt), j, j + 1, (1 - wx, wx)): the time cell, the x
-        cell of each x and the weights of each cell's two nodes.
+        """(i, (1 - wt, wt), j, (1 - wx, wx)): the time cell i with the
+        weights of ts[i] and ts[i + 1], and per x the cell j with the
+        weights of xs[j] and xs[j + 1].
 
         j is floor((x - x_min) / dx), corrected where x lies within
         rounding of a node, so that it equals clip(searchsorted(xs, x,
@@ -152,7 +155,7 @@ class GridLookup:
             j += up
         node, span = self.spans.take(j, axis=0).T
         wx = (xc - node) / span
-        return i, (1 - wt, wt), j, j + 1, (1 - wx, wx)
+        return i, (1 - wt, wt), j, (1 - wx, wx)
 
 
 class CornerBlock:
@@ -169,7 +172,7 @@ class CornerBlock:
         self.block = None
 
     def gather(self, cell: tuple) -> np.ndarray:
-        i, (vt, wt), j, _, (vx, wx) = cell
+        i, (vt, wt), j, (vx, wx) = cell
         if i != self.i:
             v = self.values
             self.block = np.column_stack([v[i, :-1], v[i, 1:],
@@ -187,21 +190,10 @@ class CornerBlock:
         return row0
 
 
-def bilinear_cell(ts: np.ndarray, xs: np.ndarray, t: float, x) -> tuple:
-    """The cell of one lookup at (t, x) (GridLookup.cell); a loop over many
-    lookups keeps one GridLookup per grid instead."""
-    return GridLookup(ts, xs).cell(t, x)
-
-
-def bilinear_gather(values: np.ndarray, cell: tuple) -> np.ndarray:
-    """Bilinear combination of the grid values around a bilinear_cell; a
-    loop over many lookups keeps one CornerBlock per surface instead."""
-    return CornerBlock(values).gather(cell)
-
-
 @dataclass
 class Surface:
-    """Certainty equivalent on the grid, together with its spatial gradient."""
+    """A field on the grid, such as the certainty equivalent, a policy or
+    a rate, together with its spatial gradient."""
 
     grid: GridSpec
     values: np.ndarray  # (n_time+1, n_space+1); last row = terminal data
@@ -216,8 +208,8 @@ class Surface:
 
     def at(self, t: float, x) -> np.ndarray:
         """Bilinear lookup in (t, x), clamped to the grid edges."""
-        return bilinear_gather(self.values,
-                               bilinear_cell(self.grid.ts, self.grid.xs, t, x))
+        cell = GridLookup(self.grid.ts, self.grid.xs).cell(t, x)
+        return CornerBlock(self.values).gather(cell)
 
 
 class _Coeffs:
@@ -308,10 +300,12 @@ class _Operator:
         coef = self.coef
         if self.protected:
             xt = (coef.mu - f_row) / coef.s2 - coef.c * Gx
-            eg = np.exp(coef.alpha * G)
-            N = (self.quad * Gx * Gx
-                 + self.scale * (self.two_g * (1.0 - eg) + xt * xt))
-            return N, self.dG * eg, self.lin * Gx - self.dGx * xt
+            # a trial that overflows is rejected by its residual, not warned of
+            with np.errstate(over="ignore", invalid="ignore"):
+                eg = np.exp(coef.alpha * G)
+                N = (self.quad * Gx * Gx
+                     + self.scale * (self.two_g * (1.0 - eg) + xt * xt))
+                return N, self.dG * eg, self.lin * Gx - self.dGx * xt
         xt = coef.m_ratio - coef.c * Gx
         th = theta_of_log(coef.log_g_ratio + xt + coef.alpha * G)
         bracket = self.two_g + xt * xt - th * th - 2.0 * th
@@ -373,14 +367,15 @@ def _rows(rows: list):
 
 
 def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
-                ev: list, stale: list, w_impl: float, w_expl: float,
+                ev: list, w_impl: float, w_expl: float,
                 opt: SolverOptions, dirichlet: bool, step_index: int):
     """Damped Newton on every row of the block U, in place.
 
-    ev = [F, sub, diag, sup] holds evaluate(U) on the rows that are not
-    stale; both are updated in place.  Each row iterates until its own
-    residual converges, with its own line search, as it would alone.  The
-    block fails as a whole, at the first failure of any row: a residual
+    ev = [F, sub, diag, sup] holds evaluate(U) on entry and on exit; both
+    are updated in place, and a line search that accepts no trial
+    evaluates the point it steps to at once.  Each row iterates until its
+    own residual converges, with its own line search, as it would alone.
+    The block fails as a whole, at the first failure of any row: a residual
     that is not finite (it cannot be reduced) or not converged after
     newton_max_iter iterations, a Jacobian that is not finite or singular
     raise NewtonDivergence, and an evaluation outside the product-log's
@@ -400,13 +395,8 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
         ev[0][at] = e[0][pick]
         for a, b in zip(ev[1:], e[1]):
             a[at] = b[pick]
-        for r in rows:
-            stale[r] = False
 
     for it in range(opt.newton_max_iter + 1):
-        rows = [r for r in todo if stale[r]]
-        if rows:
-            store(rows, evaluate(U[_rows(rows)]))
         t = _rows(todo)
         R = residual_of(t, U[t], ev[0][t])
         norms = np.maximum.reduce(np.abs(R), axis=1).tolist()
@@ -463,8 +453,7 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
         else:
             # a point no trial evaluated
             U[at] = U[at] + s * delta[_rows(pend)]
-            for r in rows:
-                stale[r] = True
+            store(rows, evaluate(U[at]))
 
 
 def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
@@ -475,8 +464,11 @@ def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
     terminal is (k, n_space + 1), one row per surface; returns the
     (k, n_time + 1, n_space + 1) values.  A protected operator takes its
     rate rows from f_surface.  The edges extrapolate, or are held at zero
-    if dirichlet.  The march fails as a whole, with the error of the
-    first failing step (see _solve_step).
+    if dirichlet.  ev always holds the evaluation of the current rows: a
+    step's first iterate is evaluated afresh only when the source row
+    changes (protected) or the edge reset changed a bit.  The march fails
+    as a whole, with the error of the first failing step (see
+    _solve_step).
     """
     k, n = terminal.shape
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
@@ -487,23 +479,22 @@ def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
 
     values = np.empty((k, grid.n_time + 1, n))
     values[:, -1] = terminal
-    # the evaluation at values[:, i + 1], row by row
+    # the evaluation at values[:, i + 1]
     F, jac = evaluator(grid.n_time)(values[:, -1])
     ev = [F, *jac]
     for i in range(grid.n_time - 1, -1, -1):
         G_next = values[:, i + 1]
         F_next = ev[0].copy() if w_expl > 0.0 else 0.0
         U = G_next.copy()
+        evaluate = evaluator(i)
         if dirichlet:
             U[:, 0] = U[:, -1] = 0.0
-        # G_next's evaluation is also the first iterate's, unless the
-        # source row changes (protected) or the edge reset changed a bit
-        stale = [f_surface is not None] * k
-        if dirichlet:
-            changed = (U.view(np.uint64) != G_next.view(np.uint64)).any(axis=1)
-            stale = [a or b for a, b in zip(stale, changed.tolist())]
-        _solve_step(evaluator(i), G_next, F_next, U, ev, stale, w_impl,
-                    w_expl, opt, dirichlet, i)
+        if f_surface is not None or dirichlet and (
+                U.view(np.uint64) != G_next.view(np.uint64)).any():
+            F, jac = evaluate(U)
+            ev = [F, *jac]
+        _solve_step(evaluate, G_next, F_next, U, ev, w_impl, w_expl, opt,
+                    dirichlet, i)
         values[:, i] = U
     return values
 

@@ -14,7 +14,9 @@
   ``mc_integrability_probe`` and ``mc_cir_weight_probe``: Monte Carlo
   estimates that corroborate the closed-form integrability certificates;
 * ``pool_estimates``: the equal-weight pool of independent estimates that
-  the acceptance battery reports.
+  the acceptance battery reports;
+* ``rk4_constant_oracle``: the spatially constant reduction of the
+  certainty-equivalent equation, an ODE integrated by RK4.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from defaultable_hjb.lambertw import theta_of_log
 from defaultable_hjb.model import ModelSpec, Preferences
 from defaultable_hjb.montecarlo import MCEstimate, SimConfig
-from defaultable_hjb.solver import Surface, bilinear_cell, bilinear_gather
+from defaultable_hjb.solver import CornerBlock, GridLookup, Surface
 
 
 @dataclass
@@ -141,7 +144,7 @@ def replay_policies(m: ModelSpec, pi_fields, bundle: TrajectoryBundle,
     dt = bundle.dt
     ds = bundle.default_step
     fields = list(pi_fields) + ([rate_field] if protected else [])
-    grids = {f.grid: (f.grid.ts, f.grid.xs) for f in fields
+    grids = {f.grid: GridLookup(f.grid.ts, f.grid.xs) for f in fields
              if isinstance(f, Surface)}
     # time-major wealth, so that each step writes one contiguous row; path
     # columns are read once per step, since strided reads dominate the loop
@@ -149,9 +152,8 @@ def replay_policies(m: ModelSpec, pi_fields, bundle: TrajectoryBundle,
     for k in range(n_steps):
         t_k = bundle.ts[k]
         xk = bundle.x[:, k].copy()
-        cells = {g: bilinear_cell(ts, xs, t_k, xk)
-                 for g, (ts, xs) in grids.items()}
-        values = [bilinear_gather(f.values, cells[f.grid])
+        cells = {g: lookup.cell(t_k, xk) for g, lookup in grids.items()}
+        values = [CornerBlock(f.values).gather(cells[f.grid])
                   if isinstance(f, Surface)
                   else np.asarray(f(t_k, xk), dtype=float)
                   for f in fields]
@@ -280,8 +282,8 @@ def simulate_dual_density(m: ModelSpec, G: Surface, pi_field: Surface,
         rho = np.asarray(m.rho(xk), dtype=float)
         a = np.asarray(m.a(xk), dtype=float)
         gam = np.asarray(m.gamma(xk), dtype=float)
-        gx = bilinear_gather(G.gradient,
-                             bilinear_cell(G.grid.ts, G.grid.xs, t_k, xk))
+        gx = CornerBlock(G.gradient).gather(
+            GridLookup(G.grid.ts, G.grid.xs).cell(t_k, xk))
         g_k = G.at(t_k, xk)
         A = -al * (pi_k * sig * rho + a * gx)
         B = -al * pi_k * sig * np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
@@ -407,3 +409,23 @@ def mc_cir_weight_probe(p, A_coef: float, B_coef: float, x0: float, T: float,
                                              0.0)),
         weight, x0=x0, T=T, n_paths=n_paths, n_steps=n_steps, seed=seed,
         floor_at_zero=True, label="cir-moment-probe")
+
+
+def rk4_constant_oracle(mu, sigma, gamma, alpha, T, n_steps):
+    """Spatially-constant reduction: dG/ds = +F(G) backward from 0."""
+    s2 = sigma ** 2
+    lg, m = np.log(gamma / s2), mu / s2
+
+    def f(g):
+        th = theta_of_log(lg + m + alpha * g)
+        return (s2 / (2 * alpha)) * (2 * gamma / s2 + m * m - th * th
+                                     - 2 * th)
+
+    g, dt = 0.0, T / n_steps
+    for _ in range(n_steps):
+        k1 = f(g)
+        k2 = f(g + 0.5 * dt * k1)
+        k3 = f(g + 0.5 * dt * k2)
+        k4 = f(g + dt * k3)
+        g += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return g

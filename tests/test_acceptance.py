@@ -15,7 +15,7 @@ from defaultable_hjb.assumptions import cir_moment_bound
 from defaultable_hjb.lambertw import theta, theta_of_log
 from defaultable_hjb.pricing import (insurance_rate_h_form,
                                      short_horizon_curve, zero_rate_position)
-from oracles import mc_cir_weight_probe, pool_estimates
+from oracles import mc_cir_weight_probe, pool_estimates, rk4_constant_oracle
 
 
 def _crit(n, name, ok, detail=""):
@@ -60,31 +60,11 @@ def test_criterion_03_source_inequality():
           f"min over 1e5 samples {min_expr:.3e}, diagonal residual {diag:.3e}")
 
 
-def _rk4_constant_oracle(mu, sigma, gamma, alpha, T, n_steps):
-    """Spatially-constant reduction: dG/ds = +F(G) backward from 0."""
-    s2 = sigma ** 2
-    lg, m = np.log(gamma / s2), mu / s2
-
-    def f(g):
-        th = theta_of_log(lg + m + alpha * g)
-        return (s2 / (2 * alpha)) * (2 * gamma / s2 + m * m - th * th
-                                     - 2 * th)
-
-    g, dt = 0.0, T / n_steps
-    for _ in range(n_steps):
-        k1 = f(g)
-        k2 = f(g + 0.5 * dt * k1)
-        k3 = f(g + 0.5 * dt * k2)
-        k4 = f(g + dt * k3)
-        g += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return g
-
-
 def test_criterion_04_constant_coefficient_oracle(constant_model):
     pref = dh.Preferences(alpha=1.0, horizon_T=1.0)
     grid = dh.GridSpec(-5.0, 5.0, 400, 2000)
     G = dh.solve_full(constant_model, dh.zero_claim(), pref, grid)
-    oracle = _rk4_constant_oracle(2.0, 1.0, 1.0, 1.0, 1.0, 2000)
+    oracle = rk4_constant_oracle(2.0, 1.0, 1.0, 1.0, 1.0, 2000)
     dev = float(np.max(np.abs(G.values[0] - oracle)))
     _crit(4, "constant-coefficient-oracle", dev <= 1e-6,
           f"max |PDE - ODE| = {dev:.3e} on 400x2000")

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import defaultable_hjb as dh
 from defaultable_hjb import cli
 from defaultable_hjb.cli import ConfigError, main, parse_config
-from defaultable_hjb.solver import bilinear_cell, bilinear_gather
+from defaultable_hjb.solver import CornerBlock, GridLookup
 
 
 PAPER_INI = """\
@@ -94,8 +99,8 @@ def test_solve_writes_outputs(tmp_path, capsys):
     xs = np.array(table[0][1:], dtype=float)
     rows = np.array(table[1:], dtype=float)
     ts, values = rows[:, 0], rows[:, 1:]
-    probe = bilinear_gather(values, bilinear_cell(ts, xs, 0.0,
-                                                  np.array([0.06])))[0]
+    probe = CornerBlock(values).gather(
+        GridLookup(ts, xs).cell(0.0, np.array([0.06])))[0]
     assert float(conv[-1].split(",")[2]) == probe
 
 
@@ -415,19 +420,101 @@ def test_overflowing_window_fails_the_check(tmp_path, capsys, value):
 @pytest.mark.parametrize("cmd", ["solve", "price-bond", "price-insurance",
                                  "verify"])
 def test_overflowing_model_prints_one_line(tmp_path, ini, cmd):
-    # in a fresh process, where numpy's warnings reach stderr uncaptured
-    p = tmp_path / "big.ini"
+    proc = _run_fresh(tmp_path, ini, [cmd])
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("config error: the model's")
+
+
+def _run_fresh(tmp_path, ini, argv):
+    """The CLI in a fresh process, where numpy's warnings reach stderr
+    uncaptured."""
+    p = tmp_path / "run.ini"
     p.write_text(ini)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "defaultable_hjb.cli", cmd, "--config",
+    return subprocess.run(
+        [sys.executable, "-m", "defaultable_hjb.cli", *argv, "--config",
          str(p), "--out", str(tmp_path)],
         env=env, capture_output=True, text=True)
+
+
+# e^{alpha G} overflows: in the protected source, whose Newton step then
+# diverges, and in the insurance-rate radicand, off the reporting band
+_OU_EXP = "[model]\nkind = ou\nmu2 = {}\n[grid]\nnx = 64\nnt = 32\n"
+
+
+def test_an_overflowing_exponential_prints_no_warning(tmp_path):
+    proc = _run_fresh(tmp_path, _OU_EXP.format(30),
+                      ["solve", "--mode", "protected"])
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("config error: the model's")
+    assert proc.stderr.startswith("solver error:")
+    proc = _run_fresh(tmp_path, _OU_EXP.format(300), ["price-insurance"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def _log_uniform(default):
+    """Two decades around a default; a zero default is 0 or in [0.01, 1]."""
+    if default == 0.0:
+        return st.one_of(st.just(0.0),
+                         st.floats(-2.0, 0.0).map(lambda u: 10.0 ** u))
+    return st.floats(-1.0, 1.0).map(lambda u: abs(default) * 10.0 ** u)
+
+
+def _model_box(kind):
+    keys = {k: (st.floats(-1.0, 1.0) if k == "rho" else _log_uniform(v))
+            for k, v in cli._KIND_DEFAULTS[kind].items()}
+    return st.fixed_dictionaries({"kind": st.just(kind), **keys})
+
+
+# the INI box that a user can type: either kind, every model key around
+# its default, two notionals, and the preferences over wide ranges
+_INI_BOX = st.fixed_dictionaries({
+    "model": st.sampled_from(["cir", "ou"]).flatmap(_model_box),
+    "claim": st.fixed_dictionaries({
+        "phi": st.sampled_from(["zero", "one"]),
+        "q": st.lists(st.floats(0.1, 100.0), min_size=2, max_size=2,
+                      unique=True).map(
+            lambda qs: " ".join(map(repr, qs)))}),
+    "preferences": st.fixed_dictionaries({"alpha": st.floats(0.01, 30.0),
+                                          "horizon": st.floats(0.1, 3.0)}),
+    "grid": st.just({"nx": 48, "nt": 24}),
+})
+
+
+def _ini_text(ini: dict) -> str:
+    return "".join(f"[{section}]\n" + "".join(
+        f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in ini.items())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_INI_BOX)
+@example({"model": {"kind": "ou", "mu2": 30.0},
+          "grid": {"nx": 48, "nt": 24}})
+def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
+                                                        ini):
+    # every call returns 0, 1 or 2 with at most one line on stderr, and
+    # the library warns of nothing
+    out = tmp_path_factory.mktemp("box")
+    p = out / "run.ini"
+    p.write_text(_ini_text(ini))
+    for argv in (["solve"], ["solve", "--mode", "local:3"],
+                 ["solve", "--mode", "protected"], ["price-bond"],
+                 ["price-insurance"], ["check-assumptions"]):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv + ["--config", str(p), "--out", str(out)])
+        assert code in (0, 1, 2), argv
+        assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv
 
 
 def test_an_unwritable_output_file_is_a_config_error(tmp_path):

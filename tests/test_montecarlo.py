@@ -42,10 +42,6 @@ def _pipeline(m, cfg, horizon, fields, pref, **kw):
     return b, replay_policies(m, fields, b, pref, **kw)
 
 
-def _optimal_policy(G, m, pref):
-    return dh.Surface(grid=G.grid, values=dh.optimal_policy(G, m, pref).values)
-
-
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n_paths=0, n_steps=10, seed=0, x0=0.06)
@@ -240,7 +236,7 @@ def test_protected_wealth_has_no_jump():
 
 def test_dual_density_initial_mass_and_match(paper_model, paper_pref, G_zero):
     cfg = SimConfig(n_paths=8000, n_steps=200, seed=21, x0=0.06)
-    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    pol = dh.optimal_policy(G_zero, paper_model, paper_pref)
     _, (rb,) = _pipeline(paper_model, cfg, 1.0, [pol], paper_pref)
     zhat_expform = simulate_dual_density(paper_model, G_zero, pol, rb,
                                          paper_pref)
@@ -258,7 +254,7 @@ def test_dual_density_initial_mass_and_match(paper_model, paper_pref, G_zero):
 
 
 def test_dual_expform_gap_shrinks_with_steps(paper_model, paper_pref, G_zero):
-    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    pol = dh.optimal_policy(G_zero, paper_model, paper_pref)
     gaps = []
     for n_steps in (50, 200):
         cfg = SimConfig(n_paths=3000, n_steps=n_steps, seed=31, x0=0.06)
@@ -292,7 +288,7 @@ def test_replay_policies_match_separate_replays(paper_model, paper_pref,
                                                 G_zero):
     # one loop over several policies gives each policy the wealth that a
     # loop over it alone gives, with and without the insurance rate
-    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    pol = dh.optimal_policy(G_zero, paper_model, paper_pref)
     pert = dh.Surface(grid=G_zero.grid, values=pol.values + 0.5)
     rate = dh.Surface(grid=G_zero.grid,
                       values=dh.insurance_rate(G_zero, paper_model,
@@ -315,7 +311,7 @@ def test_replay_policies_match_separate_replays(paper_model, paper_pref,
 def test_dual_density_terminal_is_last_closed_form_column(
         paper_model, paper_pref, G_zero, n_steps):
     # 49 steps: the last simulation time falls one ulp short of T = 1
-    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    pol = dh.optimal_policy(G_zero, paper_model, paper_pref)
     cfg = SimConfig(n_paths=2000, n_steps=n_steps, seed=13, x0=0.06)
     _, (rb,) = _pipeline(paper_model, cfg, 1.0, [pol], paper_pref)
     simulate_dual_density(paper_model, G_zero, pol, rb, paper_pref)
@@ -362,7 +358,7 @@ def test_terminal_state_equals_the_pipeline_bit_for_bit(
     G = G_64 if kind == "cir-64x64" else G_zero
     x0 = 0.06 if kind.startswith("cir") else 0.3
     cfg = SimConfig(n_paths=600, n_steps=n_steps, seed=seed, x0=x0)
-    pol = _optimal_policy(G, paper_model, paper_pref)
+    pol = dh.optimal_policy(G, paper_model, paper_pref)
     rate = dh.Surface(grid=G.grid,
                       values=dh.insurance_rate(G, paper_model, paper_pref))
     fields = [pol, dh.Surface(grid=G.grid, values=pol.values + 0.5),
@@ -396,7 +392,7 @@ def test_one_run_holds_the_noise_and_per_path_state(paper_model, paper_pref,
     # 2000 paths x 500 steps with two policies: the noise takes
     # 16 B per path-step; everything else is one draw block and a bounded
     # number of per-path vectors (64 of 8 B), whatever the step count
-    pol = _optimal_policy(G_zero, paper_model, paper_pref)
+    pol = dh.optimal_policy(G_zero, paper_model, paper_pref)
     pert = dh.Surface(grid=G_zero.grid, values=pol.values + 0.5)
     n_paths, n_steps = 2000, 500
     cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=0, x0=0.06)

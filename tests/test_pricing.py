@@ -42,8 +42,10 @@ def test_policy_known_value_mu_two():
 
 
 def test_policy_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        dh.Policy(values=np.array([[np.nan]]))
+    # pi-hat = 0.44... / alpha overflows
+    pref = dh.Preferences(alpha=5e-324, horizon_T=1.0)
+    with pytest.raises(ValueError, match="policy must be finite"):
+        dh.optimal_policy(_flat_surface(0.0), _unit_model(2.0), pref)
 
 
 def test_indifference_price_trivial_and_errors(bond_surfaces, G_zero):

@@ -4,29 +4,9 @@ import pytest
 import defaultable_hjb as dh
 from defaultable_hjb import cli, solver
 from defaultable_hjb.lambertw import theta_of_log
-from defaultable_hjb.solver import (NewtonDivergence, SolverOptions,
-                                    bilinear_cell, bilinear_gather)
-
-
-def rk4_constant_coefficient_oracle(mu, sigma, gamma, alpha, T, n_steps,
-                                    terminal=0.0):
-    """Spatially-constant reduction: dG/ds = +F(G) backward from G(T)."""
-    s2 = sigma ** 2
-    lg = np.log(gamma / s2)
-    m = mu / s2
-
-    def f(g):
-        th = theta_of_log(lg + m + alpha * g)
-        return (s2 / (2 * alpha)) * (2 * gamma / s2 + m * m - th * th - 2 * th)
-
-    g, dt = terminal, T / n_steps
-    for _ in range(n_steps):
-        k1 = f(g)
-        k2 = f(g + 0.5 * dt * k1)
-        k3 = f(g + 0.5 * dt * k2)
-        k4 = f(g + dt * k3)
-        g += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return g
+from defaultable_hjb.solver import (CornerBlock, GridLookup,
+                                    NewtonDivergence, SolverOptions)
+from oracles import rk4_constant_oracle
 
 
 def test_grid_validation():
@@ -56,7 +36,7 @@ def test_constant_coefficient_matches_ode_oracle(constant_model):
     pref = dh.Preferences(alpha=1.0, horizon_T=1.0)
     grid = dh.GridSpec(-5.0, 5.0, 100, 400)
     G = dh.solve_full(constant_model, dh.zero_claim(), pref, grid)
-    oracle = rk4_constant_coefficient_oracle(2.0, 1.0, 1.0, 1.0, 1.0, 400)
+    oracle = rk4_constant_oracle(2.0, 1.0, 1.0, 1.0, 1.0, 400)
     assert np.max(np.abs(G.values[0] - oracle)) < 1e-6
 
 
@@ -154,16 +134,16 @@ def test_bilinear_interp_exact_on_bilinear_function():
     for t in (0.0, 0.33, 1.0):
         x = np.array([-1.0, 0.1, 1.9])
         want = 2.0 + 3.0 * t + 0.5 * x - 1.5 * t * x
-        got = bilinear_gather(vals, bilinear_cell(ts, xs, t, x))
+        got = CornerBlock(vals).gather(GridLookup(ts, xs).cell(t, x))
         assert np.allclose(got, want, rtol=1e-12)
     # clamping outside the grid
-    edge = bilinear_gather(vals, bilinear_cell(ts, xs, -1.0,
-                                               np.array([99.0])))
+    edge = CornerBlock(vals).gather(
+        GridLookup(ts, xs).cell(-1.0, np.array([99.0])))
     assert edge[0] == pytest.approx(vals[0, -1])
 
 
 def _searchsorted_interp(ts, xs, values, t, x):
-    """The binary-search lookup that bilinear_cell's index arithmetic replaces."""
+    """The binary-search lookup that GridLookup's index arithmetic replaces."""
     t = min(max(float(t), ts[0]), ts[-1])
     i = max(min(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2), 0)
     wt = (t - ts[i]) / (ts[i + 1] - ts[i])
@@ -198,12 +178,12 @@ def test_bilinear_cell_index_matches_searchsorted(paper_model, paper_pref):
         xc = np.clip(x, xs[0], xs[-1])
         want = np.clip(np.searchsorted(xs, xc, side="right") - 1,
                        0, len(xs) - 2)
-        _, _, j, j1, _ = bilinear_cell(ts, xs, 0.5, x)
+        lookup = GridLookup(ts, xs)
+        _, _, j, _ = lookup.cell(0.5, x)
         assert np.array_equal(j, want)
-        assert np.array_equal(j1, want + 1)
         values = rng.standard_normal((len(ts), len(xs)))
         for t in (-1.0, 0.0, 0.3, grid.ts[7], 1.0, 2.0):
-            got = bilinear_gather(values, bilinear_cell(ts, xs, t, x))
+            got = CornerBlock(values).gather(lookup.cell(t, x))
             assert got.tobytes() == \
                 _searchsorted_interp(ts, xs, values, t, x).tobytes()
 
@@ -220,7 +200,8 @@ def test_bilinear_lookup_of_a_non_finite_factor(paper_model, paper_pref):
     for t in (0.0, 0.3, grid.ts[7], 1.0):
         want = _searchsorted_interp(grid.ts, grid.xs, values, t, x)
         assert np.isnan(want[0]) and np.isfinite(want[1:]).all()
-        got = bilinear_gather(values, bilinear_cell(grid.ts, grid.xs, t, x))
+        got = CornerBlock(values).gather(
+            GridLookup(grid.ts, grid.xs).cell(t, x))
         assert got.tobytes() == want.tobytes()
         assert surface.at(t, x).tobytes() == want.tobytes()
         for xi, wi in zip(x, want):
@@ -412,10 +393,8 @@ def test_bad_newton_jacobian_rows_fail_the_block():
     def step(tags):
         G_next = np.repeat(np.array(tags)[:, None], n, axis=1)
         U = G_next.copy()
-        ev = [np.empty_like(U), np.empty((len(U), n - 1)), np.empty_like(U),
-              np.empty((len(U), n - 1))]
-        stale = [True] * len(U)
-        solver._solve_step(evaluate, G_next, 0.0, U, ev, stale, w, 0.0,
+        F, jac = evaluate(U)
+        solver._solve_step(evaluate, G_next, 0.0, U, [F, *jac], w, 0.0,
                            SolverOptions(), False, 7)
         return G_next, U
 
