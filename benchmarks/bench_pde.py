@@ -14,10 +14,13 @@ times, --repeat times each in this process:
 * one backends.tridiag_solve of a random diagonally dominant 401-node
   system;
 * one theta_of_log of 401 values evenly spaced on [-20, 20];
+* one full-mode solver._Operator call with its Jacobian on a (1, 401)
+  row of the zero-claim surface;
 * residual of the zero-claim surface;
 * cli._surface_lines of that surface, joined into one string;
-* the subcommands solve, price-bond and price-insurance through cli.main,
-  writing to a temporary directory.
+* the subcommands solve, solve --mode protected, solve --mode local:4,
+  price-bond and price-insurance through cli.main, each writing to its
+  own temporary directory.
 
 The cases run round-robin, one call each per round, so that every
 case samples the whole run: the host's speed can swing twofold over
@@ -46,15 +49,20 @@ from pathlib import Path
 import numpy as np
 
 import defaultable_hjb as dh
-from defaultable_hjb import backends, cli
+from defaultable_hjb import backends, cli, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "perfbench" / "reference.ini"
 QS = (1.0, 3.0, 5.0, 10.0)
-COMMANDS = {"solve": ["surface.csv", "residual_summary.txt",
-                      "convergence.csv"],
-            "price-bond": ["price_bond.csv"],
-            "price-insurance": ["insurance.csv", "short_horizon_rate.csv"]}
+SOLVE_FILES = ["surface.csv", "residual_summary.txt", "convergence.csv"]
+# case name: (CLI arguments, the files it writes)
+COMMANDS = {"solve": (["solve"], SOLVE_FILES),
+            "solve-protected": (["solve", "--mode", "protected"],
+                                SOLVE_FILES),
+            "solve-local": (["solve", "--mode", "local:4"], SOLVE_FILES),
+            "price-bond": (["price-bond"], ["price_bond.csv"]),
+            "price-insurance": (["price-insurance"],
+                                ["insurance.csv", "short_horizon_rate.csv"])}
 
 
 def revision(src: Path) -> dict:
@@ -90,12 +98,19 @@ def cases(out_dir: str) -> dict:
     system = (rng.random(n - 1), 4.0 + rng.random(n), rng.random(n - 1),
               rng.random(n))
     us = np.linspace(-20.0, 20.0, n)
+    xs = grid.xs
+    op = solver._Operator(solver._Coeffs(m, xs, pref.alpha), grid.dx,
+                          np.ones_like(xs))
+    row = G.values[grid.n_time // 2][None].copy()
 
     def command(name):
+        argv = COMMANDS[name][0] + ["--config", str(CONFIG),
+                                    "--out", str(Path(out_dir, name))]
+
         def run():
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main([name, "--config", str(CONFIG),
-                               "--out", out_dir])
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
             if rc != 0:
                 raise SystemExit(f"{name} exited {rc}")
         return run
@@ -105,6 +120,7 @@ def cases(out_dir: str) -> dict:
         "price_bond_claims_400": lambda: solve_claims(m, claims, pref, grid),
         "tridiag_solve_401": lambda: backends.tridiag_solve(*system),
         "theta_of_log_401": lambda: dh.theta_of_log(us),
+        "operator_401": lambda: op(row),
         "residual_400": lambda: dh.residual(G, m, pref),
         "surface_lines_400": lambda: "\n".join(cli._surface_lines(G)),
         **{f"cmd_{name}": command(name) for name in COMMANDS},
@@ -120,8 +136,9 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as out_dir:
         best = best_of(cases(out_dir), args.repeat)
-        digests = {f: hashlib.sha256(Path(out_dir, f).read_bytes())
-                   .hexdigest() for files in COMMANDS.values() for f in files}
+        digests = {f"{name}/{f}": hashlib.sha256(
+                       Path(out_dir, name, f).read_bytes()).hexdigest()
+                   for name, (_, files) in COMMANDS.items() for f in files}
     record = {
         **revision(Path(dh.__file__).parent),
         "backend": backends.backend_name(),

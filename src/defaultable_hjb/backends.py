@@ -27,15 +27,18 @@ def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     Raises SingularBlock if a system is singular, or if a block of more
     than one row has a solution that is not finite: a row that overflows
     can reach its neighbours through a zero coupling (0 * inf is NaN).
-    A single row's solution is returned as it is.
+    A single row's solution is returned as it is.  No argument is
+    overwritten.
     """
     n = d.shape[-1]
     k = d.size // n
-    zero = np.zeros((k, 1))
-    dl = np.concatenate([dl.reshape(k, n - 1), zero], axis=1).ravel()[:-1]
-    du = np.concatenate([du.reshape(k, n - 1), zero], axis=1).ravel()[:-1]
-    _, _, _, x, info = dgtsv(dl, d.ravel(), du, rhs.ravel(),
-                             overwrite_dl=1, overwrite_du=1)
+    if k > 1:
+        zero = np.zeros((k, 1))
+        dl = np.concatenate([dl.reshape(k, n - 1), zero], axis=1).ravel()[:-1]
+        du = np.concatenate([du.reshape(k, n - 1), zero], axis=1).ravel()[:-1]
+    # gtsv may overwrite only the coupled bands made here
+    _, _, _, x, info = dgtsv(dl.ravel(), d.ravel(), du.ravel(), rhs.ravel(),
+                             overwrite_dl=k > 1, overwrite_du=k > 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gtsv")
     if info or (k > 1 and not np.isfinite(x).all()):

@@ -280,10 +280,14 @@ def _columns(columns: dict) -> list:
 
 def _surface_lines(G: Surface):
     """A row of the x nodes, then one row per time node, 17 digits."""
-    # Python floats format faster than numpy scalars, to the same text
-    yield "t," + ",".join(f"{x:.17g}" for x in G.grid.xs.tolist())
+    # one %-format call per row of Python floats (numpy scalars format
+    # slower, to the same text); row by row, so one row's floats are alive
+    xs = G.grid.xs.tolist()
+    cells = ",".join(["%.17g"] * len(xs))
+    yield "t," + cells % tuple(xs)
+    line = "%.17g," + cells
     for t, row in zip(G.grid.ts.tolist(), G.values):
-        yield f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row.tolist())
+        yield line % (t, *row.tolist())
 
 
 def _estimate_lines(estimates: list, seed: int) -> list:

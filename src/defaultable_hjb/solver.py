@@ -27,13 +27,17 @@ current iterate along, always equal to evaluating it afresh: an
 accepted line-search trial's serves the next Newton iterate, and a
 converged row's serves the next step as its explicit half and as its
 first iterate, unless the source row changes (protected mode) or the
-Dirichlet edge reset changed a bit.  Each reuse stands for an
-evaluation of identical inputs, so no value changes.
+Dirichlet edge reset changed a bit.  A trial that every row still
+iterating accepts also passes its residual to the next convergence
+test, and the explicit half w_expl F(G_next) is formed once per step.
+Each reuse stands for a computation on identical inputs, so no value
+changes.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,8 +102,11 @@ class SolverOptions:
     scheme: str = "crank-nicolson"  # or "backward-euler"
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
+        if not (isinstance(self.newton_max_iter, numbers.Integral)
+                and self.newton_max_iter >= 1):
+            raise ValueError("newton_max_iter must be an integer >= 1")
         if self.scheme not in ("crank-nicolson", "backward-euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -316,26 +323,35 @@ class _Operator:
         """(F, (sub, diag, sup)), or (F, None) when want_jacobian is False."""
         dx, coef = self.dx, self.coef
         Gx = central_gradient(G, dx)  # dirichlet: edge rows are overwritten
-        Gxx = np.zeros_like(G)
-        Gxx[:, 1:-1] = (G[:, 2:] - 2.0 * G[:, 1:-1] + G[:, :-2]) / (dx * dx)
-        # extrapolation: zero second derivative at the edges (Gxx stays 0)
+        # (G[2:] - 2 G[1:-1] + G[:-2]) / dx^2 in place over the rows laid
+        # end to end; the cells that straddle two rows are the edges, where
+        # extrapolation sets a zero second derivative
+        Gxx = np.empty_like(G, order="C")
+        flat, inner = G.reshape(-1), Gxx.reshape(-1)[1:-1]
+        np.multiply(2.0, flat[1:-1], out=inner)
+        np.subtract(flat[2:], inner, out=inner)
+        inner += flat[:-2]
+        inner /= dx * dx
+        Gxx[:, 0] = Gxx[:, -1] = 0.0
         N, nG, nGx = self._source(G, Gx, f_row)
         F = self.half_A * Gxx + coef.b * Gx + N
         if not want_jacobian:
             return F, None
 
         k, n = G.shape
-        sub = np.zeros((k, n - 1))
-        diag = np.zeros_like(G)
-        sup = np.zeros_like(sub)
+        # every entry of the bands is written below
+        sub = np.empty((k, n - 1))
+        diag = np.empty_like(G)
+        sup = np.empty_like(sub)
+        nGx += coef.b  # the drift b + dN/dG_x
         # interior rows
-        drift = (coef.b[:, 1:-1] + nGx[:, 1:-1]) / (2.0 * dx)
+        drift = nGx[:, 1:-1] / (2.0 * dx)
         diag[:, 1:-1] = self.jac_diag + nG[:, 1:-1]
         sub[:, :-1] = self.jac_off - drift
         sup[:, 1:] = self.jac_off + drift
         # boundary rows: one-sided drift (dirichlet rows are overwritten)
-        lo = (coef.b[:, 0] + nGx[:, 0]) / dx
-        hi = (coef.b[:, -1] + nGx[:, -1]) / dx
+        lo = nGx[:, 0] / dx
+        hi = nGx[:, -1] / dx
         diag[:, 0] = nG[:, 0] - lo
         sup[:, 0] = lo
         diag[:, -1] = hi + nG[:, -1]
@@ -350,8 +366,10 @@ def _weights(scheme: str, dt: float) -> tuple[float, float]:
     return dt, 0.0
 
 
-def _step_residual(U, G_next, F_U, F_next, w_impl, w_expl, dirichlet):
-    R = U - G_next - w_impl * F_U - w_expl * F_next
+def _step_residual(U, G_next, F_U, expl, w_impl, dirichlet):
+    """U - G_next - w_impl F(U) - expl, where expl is the explicit half
+    w_expl F(G_next) that the caller forms (0.0 for backward Euler)."""
+    R = U - G_next - w_impl * F_U - expl
     if dirichlet:
         R[..., 0] = U[..., 0]
         R[..., -1] = U[..., -1]
@@ -366,15 +384,19 @@ def _rows(rows: list):
     return rows
 
 
-def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
-                ev: list, w_impl: float, w_expl: float,
-                opt: SolverOptions, dirichlet: bool, step_index: int):
+def _solve_step(evaluate, G_next: np.ndarray, expl, U: np.ndarray,
+                ev: list, w_impl: float, opt: SolverOptions,
+                dirichlet: bool, step_index: int):
     """Damped Newton on every row of the block U, in place.
 
+    expl is the explicit half of the step's residual (see _step_residual).
     ev = [F, sub, diag, sup] holds evaluate(U) on entry and on exit; both
     are updated in place, and a line search that accepts no trial
-    evaluates the point it steps to at once.  Each row iterates until its
-    own residual converges, with its own line search, as it would alone.
+    evaluates the point it steps to at once.  A trial that every row
+    still iterating accepts is their next iterate: its residual serves
+    the next convergence test, and when those rows are the whole block
+    its evaluation becomes ev.  Each row iterates until its own residual
+    converges, with its own line search, as it would alone.
     The block fails as a whole, at the first failure of any row: a residual
     that is not finite (it cannot be reduced) or not converged after
     newton_max_iter iterations, a Jacobian that is not finite or singular
@@ -384,11 +406,15 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
     """
     rnorm = [0.0] * len(U)
     todo = list(range(len(U)))  # rows still iterating, ascending
+    kept = None  # (R, norms) of the accepted trial that is U[todo]
 
     def residual_of(at, X, F_X):
         return _step_residual(X, G_next[at], F_X,
-                              F_next if w_expl == 0.0 else F_next[at],
-                              w_impl, w_expl, dirichlet)
+                              expl if isinstance(expl, float) else expl[at],
+                              w_impl, dirichlet)
+
+    def max_norms(R):
+        return np.maximum.reduce(np.abs(R), axis=1).tolist()
 
     def store(rows, e, pick=slice(None)):
         at = _rows(rows)
@@ -398,8 +424,11 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
 
     for it in range(opt.newton_max_iter + 1):
         t = _rows(todo)
-        R = residual_of(t, U[t], ev[0][t])
-        norms = np.maximum.reduce(np.abs(R), axis=1).tolist()
+        if kept is None:
+            R = residual_of(t, U[t], ev[0][t])
+            norms = max_norms(R)
+        else:
+            (R, norms), kept = kept, None
         going = []
         for pos, (r, v) in enumerate(zip(todo, norms)):
             rnorm[r] = v
@@ -433,15 +462,21 @@ def _solve_step(evaluate, G_next: np.ndarray, F_next, U: np.ndarray,
         rows, at = todo, t
         s = 1.0
         for _ in range(10):
-            trial = U[at] + s * delta[_rows(pend)]
+            step = delta[_rows(pend)]
+            trial = U[at] + (step if s == 1.0 else s * step)
             e = evaluate(trial)
-            norms = np.maximum.reduce(
-                np.abs(residual_of(at, trial, e[0])), axis=1).tolist()
+            R = residual_of(at, trial, e[0])
+            norms = max_norms(R)
             ok = [i for i, (r, v) in enumerate(zip(rows, norms))
                   if v < rnorm[r]]
             if len(ok) == len(rows):
                 U[at] = trial
-                store(rows, e)
+                if rows is todo:
+                    kept = R, norms
+                if rows is todo and len(todo) == len(U):
+                    ev[:] = [e[0], *e[1]]
+                else:
+                    store(rows, e)
                 break
             if ok:
                 U[_rows([rows[i] for i in ok])] = trial[_rows(ok)]
@@ -484,7 +519,7 @@ def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
     ev = [F, *jac]
     for i in range(grid.n_time - 1, -1, -1):
         G_next = values[:, i + 1]
-        F_next = ev[0].copy() if w_expl > 0.0 else 0.0
+        expl = w_expl * ev[0] if w_expl > 0.0 else 0.0
         U = G_next.copy()
         evaluate = evaluator(i)
         if dirichlet:
@@ -493,8 +528,7 @@ def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
                 U.view(np.uint64) != G_next.view(np.uint64)).any():
             F, jac = evaluate(U)
             ev = [F, *jac]
-        _solve_step(evaluate, G_next, F_next, U, ev, w_impl, w_expl, opt,
-                    dirichlet, i)
+        _solve_step(evaluate, G_next, expl, U, ev, w_impl, opt, dirichlet, i)
         values[:, i] = U
     return values
 
@@ -599,9 +633,15 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
         rows = slice(a, a + _RESIDUAL_ROWS)
         F[rows] = op(values[rows], f_field[rows] if protected else None,
                      want_jacobian=False)[0]
-    F_next = F[1:] if w_expl > 0.0 else 0.0
-    return _step_residual(values[:-1], values[1:], F[:-1], F_next,
-                          w_impl, w_expl, dirichlet)
+    # and so are the steps, whose temporaries then stay block-sized
+    U, G_next, F_U, F_next = values[:-1], values[1:], F[:-1], F[1:]
+    R = np.empty_like(U)
+    for a in range(0, len(R), _RESIDUAL_ROWS):
+        rows = slice(a, a + _RESIDUAL_ROWS)
+        expl = w_expl * F_next[rows] if w_expl > 0.0 else 0.0
+        R[rows] = _step_residual(U[rows], G_next[rows], F_U[rows], expl,
+                                 w_impl, dirichlet)
+    return R
 
 
 def default_grid(m: ModelSpec, pref: Preferences, n_space: int = 200,

@@ -564,3 +564,29 @@ def test_ou_model_config(tmp_path):
     assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
     assert main(["check-assumptions", "--config", str(p),
                  "--out", str(out)]) == 0
+
+
+def test_surface_lines_are_the_17_digit_text_of_every_value():
+    def want(G):
+        # the f-string form, one value at a time
+        yield "t," + ",".join(f"{x:.17g}" for x in G.grid.xs)
+        for t, row in zip(G.grid.ts, G.values):
+            yield f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row)
+
+    m = dh.make_cir_model(dh.paper_cir_params())
+    pref = dh.Preferences(alpha=3.0, horizon_T=1.0)
+    G = dh.solve_full(m, dh.bond_claim(1.0), pref,
+                      dh.default_grid(m, pref, 64, 64))
+    assert list(cli._surface_lines(G)) == list(want(G))
+    special = [-0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+               np.nan, 1e300, 0.1, 3.0, -1.0 / 3.0, 0.0, -5e-324]
+    # nodes whose shortest text needs all 17 digits
+    grid = dh.GridSpec(-0.1, 0.7, 16, 16, t_end=1.0 / 3.0)
+    values = np.resize(np.array(special), (17, 17))
+    values[3] = special[5::-1] + special[:11]  # each value in another column
+    S = dh.Surface(grid=grid, values=values, gradient=np.zeros_like(values))
+    lines = list(cli._surface_lines(S))
+    assert lines == list(want(S))
+    assert lines[1].split(",")[1:6] == ["-0", "4.9406564584124654e-324",
+                                        "2.2250738585072014e-308", "inf",
+                                        "-inf"]

@@ -25,6 +25,14 @@ def test_solver_options_validation():
         SolverOptions(scheme="explicit")
     with pytest.raises(ValueError):
         SolverOptions(newton_tol=0.0)
+    # an iteration cap below 1 or a tolerance that is not finite would
+    # return the terminal data marched back unconverged, with no error
+    for bad in (dict(newton_max_iter=0), dict(newton_max_iter=-1),
+                dict(newton_max_iter=2.5), dict(newton_tol=np.inf),
+                dict(newton_tol=np.nan), dict(newton_tol=-1e-10)):
+        with pytest.raises(ValueError):
+            SolverOptions(**bad)
+    SolverOptions(newton_max_iter=np.int64(1), newton_tol=1e300)
 
 
 def test_terminal_row_exact(paper_model, paper_pref, paper_grid):
@@ -394,7 +402,7 @@ def test_bad_newton_jacobian_rows_fail_the_block():
         G_next = np.repeat(np.array(tags)[:, None], n, axis=1)
         U = G_next.copy()
         F, jac = evaluate(U)
-        solver._solve_step(evaluate, G_next, 0.0, U, [F, *jac], w, 0.0,
+        solver._solve_step(evaluate, G_next, 0.0, U, [F, *jac], w,
                            SolverOptions(), False, 7)
         return G_next, U
 
@@ -442,7 +450,7 @@ def test_block_residual_equals_row_by_row(paper_model, paper_pref):
              for i, row in enumerate(surface.values)]
         want = [solver._step_residual(
                     surface.values[i], surface.values[i + 1], F[i],
-                    F[i + 1] if w_expl > 0.0 else 0.0, w_impl, w_expl,
+                    w_expl * F[i + 1] if w_expl > 0.0 else 0.0, w_impl,
                     surface.mode == "local")
                 for i in range(g.n_time)]
         got = dh.residual(surface, paper_model, paper_pref, opt,
@@ -466,3 +474,56 @@ def test_theta_calls_do_not_grow_with_the_block(monkeypatch, paper_model,
         calls.clear()
         dh.solve_claims(paper_model, _claims(qs), paper_pref, grid)
         assert len(calls) <= 2 * grid.n_time + 8
+
+
+def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
+    # CIR, Crank-Nicolson, 200x200.  Per solve: theta_of_log calls,
+    # tridiag_solve calls, and the step residuals formed.  An accepted
+    # line-search trial that every row still iterating accepted is the
+    # next iterate, so its residual serves the next convergence test:
+    # the count is the one that forms it afresh, less one per such trial
+    # (residuals 600/1004/600/1018 with 200/402/200/409 such trials).
+    grid = dh.default_grid(paper_model, paper_pref, 200, 200)
+    G = dh.solve_full(paper_model, dh.zero_claim(), paper_pref, grid)
+    rate = dh.insurance_rate(G, paper_model, paper_pref)
+    loc = dh.build_localization(paper_model, 4)
+    lgrid = dh.GridSpec(loc.outer[0], loc.outer[1], 200, 200)
+    unit = dh.LocalizationSpec(
+        n_index=loc.n_index, inner=loc.inner, outer=loc.outer,
+        chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+    claims = _claims((0, 1.0, 3.0, 5.0, 10.0))
+    counts = {}
+
+    def counting(module, name):
+        f = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(solver, "theta_of_log")
+    counting(solver.backends, "tridiag_solve")
+    counting(solver, "_step_residual")
+    cases = {
+        "full": (lambda: dh.solve_full(paper_model, dh.zero_claim(),
+                                       paper_pref, grid),
+                 (201, 200, 600 - 200)),
+        "block": (lambda: dh.solve_claims(paper_model, claims, paper_pref,
+                                          grid),
+                  (403, 402, 1004 - 402)),
+        "protected": (lambda: dh.solve_protected(paper_model, paper_pref,
+                                                 rate, grid),
+                      (0, 200, 600 - 200)),
+        "unit-cutoff local": (lambda: dh.solve_local(
+                                  paper_model, dh.bond_claim(1.0),
+                                  paper_pref, unit, lgrid),
+                              (411, 409, 1018 - 409)),
+    }
+    for name, (solve, want) in cases.items():
+        counts.clear()
+        solve()
+        got = tuple(counts.get(k, 0) for k in ("theta_of_log",
+                                               "tridiag_solve",
+                                               "_step_residual"))
+        assert got == want, name
