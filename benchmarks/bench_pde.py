@@ -17,7 +17,8 @@ times, --repeat times each in this process:
 * one full-mode solver._Operator call with its Jacobian on a (1, 401)
   row of the zero-claim surface;
 * residual of the zero-claim surface;
-* cli._surface_lines of that surface, joined into one string;
+* cli._surface_lines of that surface, consumed line by line as the CLI
+  writes it, so that only one line is alive at a time;
 * the subcommands solve, solve --mode protected, solve --mode local:4,
   price-bond and price-insurance through cli.main, each writing to its
   own temporary directory.
@@ -44,6 +45,7 @@ import resource
 import subprocess
 import tempfile
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +124,7 @@ def cases(out_dir: str) -> dict:
         "theta_of_log_401": lambda: dh.theta_of_log(us),
         "operator_401": lambda: op(row),
         "residual_400": lambda: dh.residual(G, m, pref),
-        "surface_lines_400": lambda: "\n".join(cli._surface_lines(G)),
+        "surface_lines_400": lambda: deque(cli._surface_lines(G), maxlen=0),
         **{f"cmd_{name}": command(name) for name in COMMANDS},
     }
 

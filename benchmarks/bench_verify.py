@@ -10,13 +10,16 @@ paths x 1000 steps and seed 3 (the benchmark's mc-verify call), --repeat
 times in this process.  Each Monte Carlo stage is timed by wrapping the
 montecarlo functions the CLI calls; a stage function called from another
 is booked to the outer one.  Stages: noise (draw_noise), loop
-(simulate_policies: factor, default and wealth in one time loop) and
+(simulate_halves, the time loop of factor, default and wealth on both
+path halves, a forked worker's half and the wait for it included; or
+simulate_policies, where the package has no simulate_halves) and
 estimators (dual_density_terminal and the three estimates); "other" is
 the rest of the call (the 200x200 solve, the policy and the CSV).  Each
 stage and the total report the best of the runs and, for their spread,
 the quartiles (25th, 50th and 75th percentiles) of the runs; the record
-also carries the process's peak RSS and the SHA-256 of the verify.csv
-written.
+also carries the peak RSS of this process and of its largest reaped
+child (the worker, whose RSS counts the noise pages it shares with this
+process), and the SHA-256 of the verify.csv written.
 
 With --out the record is merged under --label into that JSON file, so a
 second checkout can be measured on the same machine by the same script:
@@ -50,6 +53,7 @@ ARGS = ["--grid", "200,200", "--seed", "3"]
 
 STAGES = {
     "draw_noise": "noise",
+    "simulate_halves": "loop",
     "simulate_policies": "loop",
     "dual_density_terminal": "estimators",
     "estimate_certainty_equivalent": "estimators",
@@ -129,6 +133,9 @@ def main() -> None:
         for _ in range(args.repeat):
             runs.append(run_once(timer, out_dir))
             csv = Path(out_dir, "verify.csv").read_bytes()
+    peak_rss_mb, children_peak_rss_mb = (
+        resource.getrusage(who).ru_maxrss / 1024.0
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     names = sorted({s for r in runs for s in r["stages"]})
     stage_runs = {s: [r["stages"].get(s, 0.0) for r in runs] for s in names}
     totals = [r["total"] for r in runs]
@@ -143,14 +150,15 @@ def main() -> None:
         "total_quartiles_s": quartiles_of(totals),
         "stages_best_s": best,
         "stages_quartiles_s": quartiles,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / 1024.0,
+        "peak_rss_mb": peak_rss_mb,
+        "children_peak_rss_mb": children_peak_rss_mb,
         "verify_csv_sha256": hashlib.sha256(csv).hexdigest(),
     }
     q1, med, q3 = record["total_quartiles_s"]
     print(f"{args.label}: verify best {record['total_best_s']:.3f} s of "
           f"{args.repeat} (median {med:.3f}, quartiles {q1:.3f}-{q3:.3f}), "
-          f"peak RSS {record['peak_rss_mb']:.0f} MB")
+          f"peak RSS {peak_rss_mb:.0f} MB (largest child "
+          f"{children_peak_rss_mb:.0f} MB)")
     for s in names:
         q1, med, q3 = quartiles[s]
         print(f"  {s:<18s} best {best[s]:8.3f} s  median {med:8.3f} s  "

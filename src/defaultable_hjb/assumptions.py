@@ -52,6 +52,10 @@ class WindowViolation(ValueError):
         super().__init__(f"moment bound window violated: {expression} = "
                          f"{value:.6g} must be positive")
 
+    def __reduce__(self):
+        # rebuilt from the __init__ arguments, so that it pickles
+        return type(self), (self.expression, self.value)
+
 
 @dataclass(frozen=True)
 class AssumptionEntry:

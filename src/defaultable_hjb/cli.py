@@ -420,11 +420,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
 
     # one simulation: the perturbed policy rides the same paths as the
-    # optimal one (common random numbers)
+    # optimal one (common random numbers); its two path halves run on up
+    # to two CPUs
     pert = Surface(grid=grid, values=pol.values + 0.5)
     noise = mc.draw_noise(sim)
-    opt, perturbed = mc.simulate_policies(m, noise, pref.horizon_T,
-                                          [pol, pert])
+    opt, perturbed = mc.simulate_halves(m, noise, pref.horizon_T,
+                                        [pol, pert])
     ce = mc.estimate_certainty_equivalent(opt, claim, pref, label="ce")
     mc.dual_density_terminal(G, opt, pref)
     mass = mc.estimate_martingale_mass(opt)

@@ -5,12 +5,19 @@ wealth under replayed trading policies in one time loop that keeps only
 per-path state; then fills the terminal dual density and estimates the
 certainty equivalent, the dual value and martingale mass from the
 terminal state.  Everything is driven by a counter-based RNG (Philox) so
-that a fixed seed reproduces estimates bit for bit.
+that a fixed seed reproduces estimates bit for bit.  The loop is
+elementwise across paths, so simulate_halves can run the two halves of
+the paths on two CPUs (fork_map) with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -285,6 +292,34 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
             for W in wealth]
 
 
+def simulate_halves(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
+                    rate_field=None) -> list:
+    """simulate_policies on the paths [0, ceil(n/2)) and [ceil(n/2), n),
+    mapped over up to two CPUs by fork_map, and joined in path order.
+
+    The loop is elementwise across paths, so the bundles are bit for bit
+    those of one simulate_policies call, sharing x_T, delta and
+    default_step as they do.  Each half reads a view of the noise, which
+    a forked worker shares copy-on-write.
+    """
+    cfg = noise.cfg
+    if cfg.n_paths == 1:
+        return simulate_policies(m, noise, horizon, pi_fields, rate_field)
+    cuts = (0, (cfg.n_paths + 1) // 2, cfg.n_paths)
+    halves = [Noise(cfg=replace(cfg, n_paths=hi - lo), z=noise.z[:, lo:hi],
+                    z0=noise.z0[:, lo:hi], exp_draws=noise.exp_draws[lo:hi])
+              for lo, hi in zip(cuts, cuts[1:])]
+    parts = fork_map(lambda half: simulate_policies(m, half, horizon,
+                                                    pi_fields, rate_field),
+                     halves)
+    shared = {name: np.concatenate([getattr(part[0], name) for part in parts])
+              for name in ("x_T", "delta", "default_step")}
+    return [PathBundle(cfg=cfg, horizon=horizon, **shared,
+                       w_T=np.concatenate([b.w_T for b in per_half]),
+                       protected=rate_field is not None)
+            for per_half in zip(*parts)]
+
+
 def _correlation(m: ModelSpec):
     """x -> (rho, sqrt(max(1 - rho^2, 0))): Python scalars for the built-in
     kinds, whose rho is rho_const, per-path arrays for a custom model."""
@@ -370,3 +405,112 @@ def estimate_martingale_mass(bundle: PathBundle,
                              label: str = "mass") -> MCEstimate:
     """E[Z_T]; equals 1 for a true density process."""
     return _sample_mean(_terminal_density(bundle), label)
+
+
+# True while this process runs a fork_map, and in the child it forks: a
+# map started from inside one runs in process, so maps never nest
+_mapping = False
+
+
+def fork_map(fn, items) -> list:
+    """[fn(item) for item in items], on up to two CPUs.
+
+    Where this process may use two or more CPUs and there are two or more
+    items, the odd-numbered items run in one child forked for this call,
+    which inherits fn and the items (numpy arrays copy-on-write), and the
+    even-numbered ones in this process.  The child sends back, as one
+    pickle over a pipe, its results, or its first exception, and the
+    warnings it recorded under the filters it inherited.  The caller
+    re-emits those warnings and raises the first failing item's
+    exception, in item order.  The child is reaped before the call
+    returns, and killed first if the call raises; a child that ends
+    without sending raises RuntimeError.  On one CPU, for one item, and
+    for a call made from inside a map (in the child, or from fn in the
+    caller), it is the plain loop.
+    """
+    global _mapping
+    items = list(items)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    if _mapping or cpus < 2 or len(items) < 2:
+        return [fn(item) for item in items]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _worker(fn, items[1::2], write_fd)
+    os.close(write_fd)
+    _mapping = True
+    reaped = False
+    try:
+        mine, failure = _run_share(fn, items[0::2])
+        # this process's item i is item 2i, the child's item i is 2i + 1:
+        # a failure at item 0 comes before all of the child's
+        if failure is not None and failure[0] == 0:
+            raise failure[1]
+        chunks = []
+        while chunk := os.read(read_fd, 1 << 20):
+            chunks.append(chunk)
+        payload = b"".join(chunks)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code != 0 or not payload:
+            raise RuntimeError(f"fork_map worker {pid} ended with exit code "
+                               f"{code} before sending its results")
+        theirs, child_failure, warned = pickle.loads(payload)
+        for message, category, filename, lineno in warned:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if child_failure is not None and (
+                failure is None or child_failure[0] < failure[0]):
+            failure = child_failure
+        if failure is not None:
+            raise failure[1]
+        results = [None] * len(items)
+        results[0::2], results[1::2] = mine, theirs
+        return results
+    finally:
+        _mapping = False
+        os.close(read_fd)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(fn, share: list):
+    """fn on the items of share up to the first exception: (the results,
+    (the failing item's index in share, its exception) or None)."""
+    done = []
+    for item in share:
+        try:
+            done.append(fn(item))
+        except Exception as exc:
+            return done, (len(done), exc)
+    return done, None
+
+
+def _worker(fn, share: list, write_fd: int):
+    """The body of the forked child: run its share, send it, and exit
+    without returning into the caller's stack."""
+    global _mapping
+    _mapping = True
+    status = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            done, failure = _run_share(fn, share)
+        warned = [(str(w.message), w.category, w.filename, w.lineno)
+                  for w in caught]
+        view = memoryview(pickle.dumps((done, failure, warned)))
+        while view:
+            view = view[os.write(write_fd, view):]
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    finally:
+        os._exit(status)

@@ -26,6 +26,10 @@ class RadicandNegative(RuntimeError):
             f"insurance-rate radicand {value:.3e} at node {node_index}; "
             "the surface is inconsistent (Newton likely did not converge)")
 
+    def __reduce__(self):
+        # rebuilt from the __init__ arguments, so that it pickles
+        return type(self), (self.node_index, self.value)
+
 
 # radicand values in [-_RADICAND_CLAMP, 0) are rounding noise and clamped to 0
 _RADICAND_CLAMP = 1e-10

@@ -59,6 +59,10 @@ class NewtonDivergence(RuntimeError):
             f"Newton diverged at time step {step_index}: "
             f"residual {residual_norm:.3e}")
 
+    def __reduce__(self):
+        # rebuilt from the __init__ arguments, so that it pickles
+        return type(self), (self.step_index, self.residual_norm)
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -1,9 +1,11 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line each.
 
 The Monte Carlo battery (criteria 12-13) runs 10 seeds x 1e5 paths x 1000
-steps in 20k-path chunks, whose noise (2 x 160 MB) sets the peak memory,
-with a Brownian-coupled step-halved (500-step) rerun per chunk.  Run with
-pytest -s to see the per-criterion lines.
+steps in 20k-path chunks, with a Brownian-coupled step-halved (500-step)
+rerun per chunk.  The chunks run two at a time where two CPUs are free
+(montecarlo.fork_map); each process holds one chunk's noise (2 x 160 MB),
+which sets the peak memory.  Run with pytest -s to see the per-criterion
+lines.
 """
 
 import numpy as np
@@ -236,29 +238,34 @@ def mc_battery(paper_model, paper_pref, G_zero):
                      values=dh.optimal_policy(G_zero, paper_model,
                                               paper_pref).values)
     pert = dh.Surface(grid=G_zero.grid, values=pol.values + 0.5)
-    ces, ces_half, masses, duals, ces_pert = [], [], [], [], []
-    for seed in range(_N_SEEDS):
-        for j in range(_CHUNKS_PER_SEED):
-            cfg = mc.SimConfig(n_paths=_CHUNK, n_steps=_N_STEPS,
-                               seed=seed * 100 + j, x0=0.06)
-            noise = mc.draw_noise(cfg)
-            # seed 0 also replays the perturbed policy, in the same loop
-            fields = [pol, pert] if seed == 0 else [pol]
-            opt, *perturbed = mc.simulate_policies(paper_model, noise, 1.0,
-                                                   fields)
-            ces.append(mc.estimate_certainty_equivalent(opt, claim,
-                                                        paper_pref))
-            mc.dual_density_terminal(G_zero, opt, paper_pref)
-            masses.append(mc.estimate_martingale_mass(opt))
-            duals.append(mc.estimate_dual_value(opt, claim, paper_pref))
-            (half,) = mc.simulate_policies(paper_model, _coarsen(noise, 1.0),
-                                           1.0, [pol])
-            ces_half.append(
-                mc.estimate_certainty_equivalent(half, claim, paper_pref))
-            for bp in perturbed:
-                ces_pert.append(mc.estimate_certainty_equivalent(
-                    bp, claim, paper_pref, label="ce-perturbed"))
-            del noise
+
+    def chunk(seed_j):
+        seed, j = seed_j
+        cfg = mc.SimConfig(n_paths=_CHUNK, n_steps=_N_STEPS,
+                           seed=seed * 100 + j, x0=0.06)
+        noise = mc.draw_noise(cfg)
+        # seed 0 also replays the perturbed policy, in the same loop
+        fields = [pol, pert] if seed == 0 else [pol]
+        opt, *perturbed = mc.simulate_policies(paper_model, noise, 1.0,
+                                               fields)
+        ce = mc.estimate_certainty_equivalent(opt, claim, paper_pref)
+        mc.dual_density_terminal(G_zero, opt, paper_pref)
+        mass = mc.estimate_martingale_mass(opt)
+        dual = mc.estimate_dual_value(opt, claim, paper_pref)
+        (half,) = mc.simulate_policies(paper_model, _coarsen(noise, 1.0),
+                                       1.0, [pol])
+        ce_half = mc.estimate_certainty_equivalent(half, claim, paper_pref)
+        ce_pert = [mc.estimate_certainty_equivalent(bp, claim, paper_pref,
+                                                    label="ce-perturbed")
+                   for bp in perturbed]
+        return ce, ce_half, mass, dual, ce_pert
+
+    # the chunks run two at a time where two CPUs are free, each worker
+    # forked after G_zero is solved; the estimates pool in chunk order
+    chunks = mc.fork_map(chunk, [(seed, j) for seed in range(_N_SEEDS)
+                                 for j in range(_CHUNKS_PER_SEED)])
+    ces, ces_half, masses, duals, ces_pert = zip(*chunks)
+    ces_pert = [e for per_chunk in ces_pert for e in per_chunk]
     paired = np.array([h.mean - f.mean for h, f in zip(ces_half, ces)])
     return {
         "g0": float(G_zero.at(0.0, np.atleast_1d(0.06))[0]),

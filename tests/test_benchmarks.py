@@ -55,3 +55,4 @@ def test_bench_verify_times_every_stage(tmp_path):
     assert all(s > 0 for s in record["stages_best_s"].values())
     assert len(record["total_runs_s"]) == 1
     assert len(record["verify_csv_sha256"]) == 64
+    assert record["children_peak_rss_mb"] >= 0

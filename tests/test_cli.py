@@ -211,6 +211,22 @@ def test_verify_passes_and_is_reproducible(tmp_path):
         (out1 / "verify.csv").read_bytes()
 
 
+def test_verify_on_one_cpu_writes_the_same_bytes(tmp_path, capsys,
+                                                 monkeypatch):
+    # the two path halves on two CPUs give the one-process run's bits
+    cfgp = _write(tmp_path, nx=48, nt=24, paths=301, steps=50, seed=7)
+    outs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        rc = main(["verify", "--config", cfgp, "--out", str(out)])
+        outs.append((rc, capsys.readouterr(),
+                     (out / "verify.csv").read_bytes()))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outs[0] == outs[1]
+
+
 def test_verify_debug_fails(tmp_path, capsys):
     cfgp = _write(tmp_path, nx=64, nt=64, paths=2000, steps=50)
     out = tmp_path / "out"
@@ -482,6 +498,7 @@ _INI_BOX = st.fixed_dictionaries({
     "preferences": st.fixed_dictionaries({"alpha": st.floats(0.01, 30.0),
                                           "horizon": st.floats(0.1, 3.0)}),
     "grid": st.just({"nx": 48, "nt": 24}),
+    "mc": st.just({"paths": 200, "steps": 50}),
 })
 
 
@@ -494,17 +511,18 @@ def _ini_text(ini: dict) -> str:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_INI_BOX)
 @example({"model": {"kind": "ou", "mu2": 30.0},
-          "grid": {"nx": 48, "nt": 24}})
+          "grid": {"nx": 48, "nt": 24}, "mc": {"paths": 200, "steps": 50}})
 def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
                                                         ini):
-    # every call returns 0, 1 or 2 with at most one line on stderr, and
-    # the library warns of nothing
+    # every call returns 0, 1 or 2 with at most one line on stderr, the
+    # library warns of nothing (verify's worker forwards its warnings),
+    # and no worker process outlives its call
     out = tmp_path_factory.mktemp("box")
     p = out / "run.ini"
     p.write_text(_ini_text(ini))
     for argv in (["solve"], ["solve", "--mode", "local:3"],
                  ["solve", "--mode", "protected"], ["price-bond"],
-                 ["price-insurance"], ["check-assumptions"]):
+                 ["price-insurance"], ["check-assumptions"], ["verify"]):
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(io.StringIO()), \
@@ -515,6 +533,8 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
         assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], argv
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_an_unwritable_output_file_is_a_config_error(tmp_path):

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import pickle
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -485,3 +489,156 @@ def test_estimates_to_csv(tmp_path):
     assert lines[0] == "# paths = 10"
     assert lines[1] == "label,mean,std_error,n_paths,seed"
     assert lines[2] == "ce,0.5,0.01,10,42"
+
+
+# --------------------------------------------------------------------------
+# the two path halves on two CPUs, and the map that runs them
+# --------------------------------------------------------------------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 301])
+@pytest.mark.parametrize("kind", ["cir", "ou-b2", "custom-rho"])
+def test_simulate_halves_equals_one_run_bit_for_bit(paper_model, paper_pref,
+                                                    G_64, kind, n_paths):
+    m = _bit_identity_models()[kind]
+    cfg = SimConfig(n_paths=n_paths, n_steps=49, seed=5,
+                    x0=0.06 if kind == "cir" else 0.3)
+    pol = dh.optimal_policy(G_64, paper_model, paper_pref)
+    rate = dh.Surface(grid=G_64.grid,
+                      values=dh.insurance_rate(G_64, paper_model, paper_pref))
+    fields = [pol, lambda t, x: 0.4 + t * np.tanh(x)]
+    noise = draw_noise(cfg)
+    for kw in ({}, {"rate_field": rate}):
+        want = simulate_policies(m, noise, 1.0, fields, **kw)
+        got = mc.simulate_halves(m, noise, 1.0, fields, **kw)
+        _no_child_left()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.cfg == cfg and g.protected == w.protected
+            for name in ("x_T", "delta", "default_step", "w_T"):
+                assert getattr(g, name).tobytes() == \
+                    getattr(w, name).tobytes(), name
+        assert got[0].x_T is got[1].x_T and got[0].delta is got[1].delta
+
+
+def test_fork_map_returns_the_results_in_item_order():
+    got = mc.fork_map(lambda i: (i * i, os.getpid()), range(7))
+    _no_child_left()
+    assert [v for v, _ in got] == [i * i for i in range(7)]
+    pids = [pid for _, pid in got]
+    # item j runs in worker j mod 2; worker 0 is this process
+    assert set(pids[0::2]) == {os.getpid()}
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
+
+
+@pytest.mark.parametrize("failing, first", [
+    ({3, 4}, 3), ({2, 5}, 2), ({1}, 1), ({0, 1}, 0), ({5, 6}, 5)])
+def test_fork_map_raises_the_first_failing_items_exception(failing, first):
+    def fn(i):
+        if i in failing:
+            raise dh.NewtonDivergence(i, 0.5)
+        return i
+
+    with pytest.raises(dh.NewtonDivergence) as exc:
+        mc.fork_map(fn, range(7))
+    _no_child_left()
+    assert exc.value.step_index == first
+    assert str(exc.value) == str(dh.NewtonDivergence(first, 0.5))
+
+
+def test_fork_map_does_not_wait_for_a_child_when_item_0_fails():
+    def fn(i):
+        if i == 0:
+            raise ValueError("item 0")
+        time.sleep(60.0)
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="item 0"):
+        mc.fork_map(fn, range(2))
+    _no_child_left()
+    assert time.perf_counter() - start < 30.0
+
+
+def test_fork_map_forwards_the_warnings_of_every_item():
+    def fn(i):
+        warnings.warn(f"item {i}", UserWarning)
+        return i
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert mc.fork_map(fn, range(4)) == list(range(4))
+    _no_child_left()
+    assert sorted(str(w.message) for w in caught) == \
+        [f"item {i}" for i in range(4)]
+    assert {w.category for w in caught} == {UserWarning}
+
+
+def test_fork_map_raises_a_warning_that_the_filters_make_an_error():
+    # Tier-1 runs with RuntimeWarnings as errors; a child inherits that
+    def fn(i):
+        if i == 1:
+            warnings.warn("overflow in the child", RuntimeWarning)
+        return i
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow in the child"):
+            mc.fork_map(fn, range(2))
+    _no_child_left()
+
+
+def test_a_child_that_dies_raises_runtime_error():
+    def fn(i):
+        if i == 1:
+            os._exit(3)
+        return i
+
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs to fork a child")
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        mc.fork_map(fn, range(4))
+    _no_child_left()
+
+
+def test_fork_map_on_one_cpu_runs_in_process(monkeypatch):
+    def fn(i):
+        if i >= 1:
+            raise ValueError(f"item {i}")
+        return i
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert mc.fork_map(lambda i: (i, os.getpid()), range(3)) == \
+        [(i, os.getpid()) for i in range(3)]
+    with pytest.raises(ValueError, match="item 1"):
+        mc.fork_map(fn, range(3))
+    _no_child_left()
+
+
+def test_fork_map_does_not_nest():
+    def inner(i):
+        return os.getpid()
+
+    def outer(i):
+        return mc.fork_map(inner, range(3))
+
+    for pids in mc.fork_map(outer, range(2)):
+        assert len(set(pids)) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc", [
+    dh.NewtonDivergence(3, 1.0), dh.RadicandNegative((1, 2), -1.0),
+    dh.WindowViolation("2 kappa - xi^2", -0.25)],
+    ids=lambda e: type(e).__name__)
+def test_the_typed_errors_survive_pickling(exc):
+    # fork_map carries a child's exception across a pipe
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
