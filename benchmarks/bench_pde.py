@@ -14,9 +14,13 @@ times, --repeat times each in this process:
 * one backends.tridiag_solve of a random diagonally dominant 401-node
   system;
 * one theta_of_log of 401 values evenly spaced on [-20, 20];
-* one full-mode solver._Operator call with its Jacobian on a (1, 401)
+* one full-mode solver._Operator call with its Jacobian on a 401-node
   row of the zero-claim surface;
 * residual of the zero-claim surface;
+* the solves behind one `solve` of each mode on perfbench/reference.ini:
+  the 100^2, 200^2 and 400^2 levels and the finest level's step
+  residuals (cli._solve_levels where the package has it, else one
+  cli._solve_mode per level and residual);
 * cli._surface_lines of that surface, consumed line by line as the CLI
   writes it, so that only one line is alive at a time;
 * the subcommands solve, solve --mode protected, solve --mode local:4,
@@ -57,6 +61,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "perfbench" / "reference.ini"
 QS = (1.0, 3.0, 5.0, 10.0)
 SOLVE_FILES = ["surface.csv", "residual_summary.txt", "convergence.csv"]
+# ladder case name: the --mode of its solve
+LADDERS = {"ladder_full_400": "full", "ladder_protected_400": "protected",
+           "ladder_local_400": "local:4"}
 # case name: (CLI arguments, the files it writes)
 COMMANDS = {"solve": (["solve"], SOLVE_FILES),
             "solve-protected": (["solve", "--mode", "protected"],
@@ -101,9 +108,29 @@ def cases(out_dir: str) -> dict:
               rng.random(n))
     us = np.linspace(-20.0, 20.0, n)
     xs = grid.xs
-    op = solver._Operator(solver._Coeffs(m, xs, pref.alpha), grid.dx,
-                          np.ones_like(xs))
-    row = G.values[grid.n_time // 2][None].copy()
+    coef = solver._Coeffs(m, xs, pref.alpha)
+    row = G.values[grid.n_time // 2].copy()
+    if hasattr(solver, "_Layout"):
+        # an operator over segments laid end to end takes a flat row
+        op = solver._Operator([(coef, grid.dx, np.ones_like(xs))])
+    else:
+        op = solver._Operator(coef, grid.dx, np.ones_like(xs))
+        row = row[None]
+
+    def ladder(mode):
+        cfg = cli.parse_config(str(CONFIG), argparse.Namespace(mode=mode))
+        m, claims, pref = cli.build_problem(cfg)
+        grids = [cli.make_grid(cfg, m, pref, nx=max(cfg.nx // div, 16),
+                               nt=max(cfg.nt // div, 16))
+                 for div in (4, 2, 1)]
+        if hasattr(cli, "_solve_levels"):
+            return lambda: cli._solve_levels(cfg, m, claims[0], pref, grids)
+
+        def separately():
+            levels = [cli._solve_mode(cfg, m, claims[0], pref, g)
+                      for g in grids]
+            return levels, dh.residual(levels[-1], m, pref)
+        return separately
 
     def command(name):
         argv = COMMANDS[name][0] + ["--config", str(CONFIG),
@@ -124,6 +151,7 @@ def cases(out_dir: str) -> dict:
         "theta_of_log_401": lambda: dh.theta_of_log(us),
         "operator_401": lambda: op(row),
         "residual_400": lambda: dh.residual(G, m, pref),
+        **{name: ladder(mode) for name, mode in LADDERS.items()},
         "surface_lines_400": lambda: deque(cli._surface_lines(G), maxlen=0),
         **{f"cmd_{name}": command(name) for name in COMMANDS},
     }

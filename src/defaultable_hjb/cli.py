@@ -28,8 +28,10 @@ from .model import (ModelError, OUParams, CIRParams, Preferences,
                     bond_claim, build_localization, default_truncation,
                     invariant_band, make_cir_model, make_ou_model,
                     paper_cir_params, zero_claim)
-from .solver import (GridSpec, NewtonDivergence, Surface, residual,
-                     solve_claims, solve_full, solve_local, solve_protected)
+from .lambertw import ThetaDomainError
+from .solver import (GridSpec, NewtonDivergence, Surface, _full_segment,
+                     _local_segment, _protected_segment, _solve,
+                     solve_claims, solve_full)
 
 
 class ConfigError(ValueError):
@@ -305,42 +307,69 @@ def _report_lines(report: asm.AssumptionReport) -> list:
     return lines
 
 
-def _solve_mode(cfg: RunConfig, m, claim, pref, grid) -> Surface:
+def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list) -> list:
+    """(surface, step residuals) of cfg.mode on each grid, the grids
+    marched as one lockstep block, each bit for bit its own solve.  In
+    protected mode the zero claim's full-equation ladder marches first,
+    then the protected ladder on its insurance rates."""
     if cfg.mode == "local":
         try:
             loc = build_localization(m, cfg.local_n)
         except ModelError as exc:
             raise ConfigError(f"bad --mode local:{cfg.local_n}: {exc}") \
                 from exc
-        lgrid = replace(grid, x_min=loc.outer[0], x_max=loc.outer[1])
-        return solve_local(m, claim, pref, loc, lgrid)
-    if cfg.mode == "protected":
-        G = solve_full(m, zero_claim(), pref, grid)
-        f_field = pricing.insurance_rate(G, m, pref)
-        return solve_protected(m, pref, f_field, grid)
-    return solve_full(m, claim, pref, grid)
+        segments = [_local_segment(m, claim, pref, loc,
+                                   replace(g, x_min=loc.outer[0],
+                                           x_max=loc.outer[1]))
+                    for g in grids]
+    elif cfg.mode == "protected":
+        zero = _solve([_full_segment(m, zero_claim(), pref, g)
+                       for g in grids])[0]
+        # each zero-claim surface is dropped once its rate is formed
+        segments = [_protected_segment(
+                        m, pref, pricing.insurance_rate(zero.pop(0), m, pref),
+                        g) for g in grids]
+    else:
+        segments = [_full_segment(m, claim, pref, g) for g in grids]
+    return list(zip(*_solve(segments, record=True)))
+
+
+# what fails a lockstep ladder: the levels are then solved one by one
+_LADDER_FAILURES = (NewtonDivergence, ThetaDomainError, ModelError,
+                    pricing.RadicandNegative)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     m, claims, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
-    G = _solve_mode(cfg, m, claims[0], pref, grid)
+    # self-convergence at (t=0, x0) on nx/4, nx/2 and nx; the finest level
+    # is written to surface.csv
+    dims = [(max(cfg.nx // div, 16), max(cfg.nt // div, 16))
+            for div in (4, 2, 1)]
+    grids = [make_grid(cfg, m, pref, nx=nx, nt=nt)
+             for nx, nt in dims[:2]] + [grid]
+    try:
+        levels = _solve_levels(cfg, m, claims[0], pref, grids)
+    except _LADDER_FAILURES:
+        # level by level, nx first, then nx/4 and nx/2, with the files of
+        # nx written before the next: the first level that fails alone
+        # raises its own error
+        levels = [None, None] + _solve_levels(cfg, m, claims[0], pref,
+                                              [grid])
+    G, res = levels[-1]
     _write(cfg, "surface.csv", header, _surface_lines(G))
-
-    res = np.abs(residual(G, m, pref))
+    res = np.abs(res)
     _write(cfg, "residual_summary.txt", header,
            [f"max_abs_residual = {float(np.max(res)):.17g}",
             f"mean_abs_residual = {float(np.mean(res)):.17g}"])
 
-    # self-convergence at (t=0, x0); the finest level is G itself
     x0 = _default_x0(cfg, m)
     rows, prev = ["nx,nt,value_at_x0,diff_from_previous"], None
-    for div in (4, 2, 1):
-        nx, nt = max(cfg.nx // div, 16), max(cfg.nt // div, 16)
-        g = G if div == 1 else _solve_mode(
-            cfg, m, claims[0], pref, make_grid(cfg, m, pref, nx=nx, nt=nt))
-        v = float(g.at(0.0, np.atleast_1d(x0))[0])
+    for (nx, nt), g, level in zip(dims, grids, levels):
+        if level is None:
+            level = _solve_levels(cfg, m, claims[0], pref, [g])[0]
+        v = float(level[0].at(0.0, np.atleast_1d(x0))[0])
         d = "" if prev is None else f"{v - prev:.17g}"
         rows.append(f"{nx},{nt},{v:.17g},{d}")
         prev = v

@@ -87,10 +87,21 @@ def insurance_rate(G: Surface, m: ModelSpec, pref: Preferences) -> np.ndarray:
 
 def _radicand(G: Surface, m: ModelSpec, pref: Preferences):
     coef, x_tilde, theta_g, log_y = _node_fields(G, m, pref)
-    # an overflow to inf passes on to the rate (-inf), with no warning
+    # x-tilde^2 - (theta^2 + 2 theta - 2 y), in this order, in place and
+    # dropping each operand after its last use: a surface-sized array
+    # fewer is alive at once.  An overflow to inf passes on to the rate
+    # (-inf), with no warning
     with np.errstate(over="ignore"):
-        rad = x_tilde ** 2 - (theta_g ** 2 + 2.0 * theta_g
-                              - 2.0 * np.exp(log_y))
+        inner = theta_g ** 2
+        inner += 2.0 * theta_g
+        del theta_g
+        y2 = np.exp(log_y)
+        del log_y
+        y2 *= 2.0
+        inner -= y2
+        del y2
+        rad = x_tilde ** 2
+        rad -= inner
     bad = rad < -_RADICAND_CLAMP
     if bad.any():
         idx = tuple(int(k[0]) for k in np.nonzero(bad))

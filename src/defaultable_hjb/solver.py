@@ -13,32 +13,39 @@ The nonlinear source is treated fully implicitly; the Newton Jacobian is
 tridiagonal, with the product-log derivatives obtained from the identity
 y * theta'(y) * (1 + theta(y)) = theta(y).
 
-The marcher steps a block of k surfaces that share a model, grid and
-preferences (a single solve is a block of one): each Newton iterate
-evaluates the operator once and solves one block-diagonal system for
-every surface still iterating, while each surface keeps its own
-convergence test and line search, and so takes exactly the Newton path
-it takes alone.  A block fails as a whole, at the first failure of any
-surface; solve_claims then marches the claims one by one to raise the
-first failing claim's own error.
+The marcher steps a block of surfaces that share a model, a mode and
+preferences, laid end to end as segments of one array (a single solve is
+a block of one).  Each segment has its own grid, time step and terminal
+row: the claims of solve_claims are equal segments, and the CLI's
+convergence ladder marches its three grids as one block.  The segments
+step in lockstep: each Newton iterate evaluates the operator once and
+solves one block-diagonal tridiagonal system for every segment still
+iterating, while each segment keeps its own convergence test and line
+search, and so takes exactly the Newton path it takes alone.  A block
+fails as a whole, at the first failure of any segment; solve_claims then
+marches the claims one by one to raise the first failing claim's own
+error.
 
 The marcher carries the operator evaluation (F, Jacobian) of the
 current iterate along, always equal to evaluating it afresh: an
 accepted line-search trial's serves the next Newton iterate, and a
 converged row's serves the next step as its explicit half and as its
 first iterate, unless the source row changes (protected mode) or the
-Dirichlet edge reset changed a bit.  A trial that every row still
+Dirichlet edge reset changed a bit.  A trial that every segment still
 iterating accepts also passes its residual to the next convergence
 test, and the explicit half w_expl F(G_next) is formed once per step.
 Each reuse stands for a computation on identical inputs, so no value
-changes.
+changes.  The residual of each step at convergence can be recorded: it
+is the array that residual() computes afresh.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -228,9 +235,8 @@ class _Coeffs:
 
     The one place that samples a model on a grid: the marcher, the
     residual and the pricing maps all read their coefficients from here.
-    Each is a (1, n) row, which broadcasts over a block of surface rows;
-    on a block of one the operands have one shape, which numpy handles
-    without the set-up of a broadcast.
+    Each is a (1, n) row, which broadcasts over the time rows of a
+    surface.
     """
 
     def __init__(self, m: ModelSpec, xs: np.ndarray, alpha: float):
@@ -276,90 +282,189 @@ class _Coeffs:
         self.alpha = alpha
 
 
-class _Operator:
-    """F(G) = (1/2) A G_xx + b G_x + N(G, G_x) on a grid, extrapolated at
-    the edges, with its tridiagonal Jacobian dF/dG.
+def _index(positions: list):
+    """Ascending node positions as an index: a slice, so views, where they
+    are evenly spaced."""
+    step = positions[1] - positions[0] if len(positions) > 1 else 1
+    if all(b - a == step for a, b in zip(positions, positions[1:])):
+        return slice(positions[0], positions[-1] + 1, step)
+    return np.array(positions, dtype=np.intp)
 
-    G holds one surface row per row of a (k, n) block.  The source N is the
-    full/local one with cutoff chi, or the protected one (chi None), which
-    takes a row of the insurance rate.  The products of coefficients that
-    do not depend on G are formed once, each exactly as the formulas below
-    group it, so no value changes.
+
+def _within(outer, inner) -> slice:
+    """The nodes of the span inner as a slice of the span outer."""
+    base = outer.at.start
+    return slice(inner.at.start - base, inner.at.stop - base)
+
+
+class _Span:
+    """Segments a, ..., b - 1 of a block, laid end to end.
+
+    at is their nodes in the block and band their entries of a sub- or
+    super-diagonal (entry j couples nodes j + 1 and j); below is the
+    nodes whose sub-diagonal entries those are.  Relative to the span:
+    parts is each segment's nodes, starts their first nodes, lo and hi
+    the first and last node of every segment (lo1 and hi1 the nodes next
+    to them), and joints the band entries that couple two segments
+    (None for one segment).
     """
 
-    def __init__(self, coef: _Coeffs, dx: float, chi=None):
-        al = coef.alpha
-        self.coef, self.dx, self.protected = coef, dx, chi is None
-        self.half_A = 0.5 * coef.A
-        self.quad = -0.5 * al * coef.A  # of G_x^2 in N
-        self.lin = -al * coef.A         # of G_x in dN/dG_x
-        self.two_g = 2.0 * coef.g_ratio
-        if self.protected:
-            self.scale = coef.s2 / (2.0 * al)
-            self.dG = -coef.gam
-            self.dGx = coef.s2 / al * coef.c
-        else:
-            self.scale = coef.s2 * chi / (2.0 * al)
-            self.dG = -coef.s2 * chi
-            self.dGx = coef.s2 * chi / al * coef.c
-        Ai = coef.A[:, 1:-1]
-        self.jac_diag = -Ai / dx ** 2
-        self.jac_off = 0.5 * Ai / dx ** 2
+    def __init__(self, offsets: list, a: int, b: int):
+        base = offsets[a]
+        self.a, self.b = a, b
+        self.at = slice(base, offsets[b])
+        self.band = slice(base, offsets[b] - 1)
+        self.below = slice(base + 1, offsets[b])
+        starts = [o - base for o in offsets[a:b]]
+        ends = [o - base - 1 for o in offsets[a + 1:b + 1]]
+        self.parts = [slice(s, e + 1) for s, e in zip(starts, ends)]
+        self.starts = np.array(starts, dtype=np.intp)
+        self.lo, self.hi = _index(starts), _index(ends)
+        self.lo1 = _index([s + 1 for s in starts])
+        self.hi1 = _index([e - 1 for e in ends])
+        self.edges = self.lo, self.hi
+        self.joints = _index(ends[:-1]) if b - a > 1 else None
 
-    def _source(self, G, Gx, f_row):
+
+class _Layout:
+    """Segments of the given node counts laid end to end in one block;
+    span(a, b) is made once per pair."""
+
+    def __init__(self, sizes: list):
+        self.offsets = [0, *itertools.accumulate(sizes)]
+        self.count = len(sizes)
+        self._spans = {}
+
+    def span(self, a: int, b: int) -> _Span:
+        sp = self._spans.get((a, b))
+        if sp is None:
+            sp = self._spans[a, b] = _Span(self.offsets, a, b)
+        return sp
+
+
+class _Operator:
+    """F(G) = (1/2) A G_xx + b G_x + N(G, G_x) on a block of segments laid
+    end to end, each on its own grid and extrapolated at its edges, with
+    the tridiagonal Jacobian dF/dG.
+
+    parts holds (coefficients, dx, chi) per segment.  The source N is the
+    full/local one with cutoff chi, or the protected one (chi None), which
+    takes a row of the insurance rate; every segment has the same kind of
+    source and the same alpha.  Every coefficient, and dx, is a per-node
+    array over the block, so a segment's values are those of its grid
+    alone; the products of coefficients that do not depend on G are
+    formed once per segment, each exactly as the formulas below group it,
+    so no value changes.  A call evaluates the nodes of one span: its
+    first and last nodes are edges, and both bands hold a zero coupling
+    at each joint, so the block's tridiagonal system is block-diagonal.
+    """
+
+    def __init__(self, parts: list):
+        coef0, _, chi0 = parts[0]
+        self.alpha, self.protected = coef0.alpha, chi0 is None
+        self.layout = _Layout([coef.b.size for coef, _, _ in parts])
+        # a part given several times (residual's time rows) is made once
+        made = {}
+        for coef, dx, chi in parts:
+            key = id(coef), dx, id(chi)
+            if key not in made:
+                made[key] = self._rows(coef, dx, chi)
+        rows = [made[id(coef), dx, id(chi)] for coef, dx, chi in parts]
+        self._flat = {k: np.concatenate([r[k] for r in rows])
+                      for k in rows[0]}
+        self._views = {}
+
+    def _rows(self, coef: _Coeffs, dx: float, chi) -> dict:
+        al, A, n = coef.alpha, coef.A[0], coef.b.size
+        rows = {"b": coef.b[0], "mu": coef.mu[0], "s2": coef.s2[0],
+                "c": coef.c[0], "m_ratio": coef.m_ratio[0],
+                "log_g_ratio": coef.log_g_ratio[0],
+                "half_A": 0.5 * A,
+                "quad": -0.5 * al * A,  # of G_x^2 in N
+                "lin": -al * A,         # of G_x in dN/dG_x
+                "two_g": 2.0 * coef.g_ratio[0],
+                "jac_diag": -A / dx ** 2, "jac_off": 0.5 * A / dx ** 2,
+                "dx": np.full(n, dx), "two_dx": np.full(n, 2.0 * dx),
+                "dx2": np.full(n, dx * dx)}
+        s2, c = rows["s2"], rows["c"]
+        if chi is None:
+            rows.update(scale=s2 / (2.0 * al), dG=-coef.gam[0],
+                        dGx=s2 / al * c)
+        else:
+            rows.update(scale=s2 * chi / (2.0 * al), dG=-s2 * chi,
+                        dGx=s2 * chi / al * c)
+        return rows
+
+    def _on(self, sp: _Span) -> SimpleNamespace:
+        """The per-node arrays over the nodes of sp, as views."""
+        v = self._views.get((sp.a, sp.b))
+        if v is None:
+            f = {k: a[sp.at] for k, a in self._flat.items()}
+            v = self._views[sp.a, sp.b] = SimpleNamespace(
+                **f, two_dx_in=f["two_dx"][1:-1], dx2_in=f["dx2"][1:-1],
+                dx_lo=f["dx"][sp.lo], dx_hi=f["dx"][sp.hi],
+                off_below=f["jac_off"][1:], off_above=f["jac_off"][:-1])
+        return v
+
+    def _source(self, c, G, Gx, f_row):
         """Nonlinear source N and its derivatives in G and G_x."""
-        coef = self.coef
+        al = self.alpha
         if self.protected:
-            xt = (coef.mu - f_row) / coef.s2 - coef.c * Gx
+            xt = (c.mu - f_row) / c.s2 - c.c * Gx
             # a trial that overflows is rejected by its residual, not warned of
             with np.errstate(over="ignore", invalid="ignore"):
-                eg = np.exp(coef.alpha * G)
-                N = (self.quad * Gx * Gx
-                     + self.scale * (self.two_g * (1.0 - eg) + xt * xt))
-                return N, self.dG * eg, self.lin * Gx - self.dGx * xt
-        xt = coef.m_ratio - coef.c * Gx
-        th = theta_of_log(coef.log_g_ratio + xt + coef.alpha * G)
-        bracket = self.two_g + xt * xt - th * th - 2.0 * th
-        N = self.quad * Gx * Gx + self.scale * bracket
-        return N, self.dG * th, self.lin * Gx - self.dGx * (xt - th)
+                eg = np.exp(al * G)
+                N = (c.quad * Gx * Gx
+                     + c.scale * (c.two_g * (1.0 - eg) + xt * xt))
+                return N, c.dG * eg, c.lin * Gx - c.dGx * xt
+        xt = c.m_ratio - c.c * Gx
+        th = theta_of_log(c.log_g_ratio + xt + al * G)
+        bracket = c.two_g + xt * xt - th * th - 2.0 * th
+        N = c.quad * Gx * Gx + c.scale * bracket
+        return N, c.dG * th, c.lin * Gx - c.dGx * (xt - th)
 
-    def __call__(self, G: np.ndarray, f_row=None, want_jacobian=True):
-        """(F, (sub, diag, sup)), or (F, None) when want_jacobian is False."""
-        dx, coef = self.dx, self.coef
-        Gx = central_gradient(G, dx)  # dirichlet: edge rows are overwritten
-        # (G[2:] - 2 G[1:-1] + G[:-2]) / dx^2 in place over the rows laid
-        # end to end; the cells that straddle two rows are the edges, where
-        # extrapolation sets a zero second derivative
-        Gxx = np.empty_like(G, order="C")
-        flat, inner = G.reshape(-1), Gxx.reshape(-1)[1:-1]
-        np.multiply(2.0, flat[1:-1], out=inner)
-        np.subtract(flat[2:], inner, out=inner)
-        inner += flat[:-2]
-        inner /= dx * dx
-        Gxx[:, 0] = Gxx[:, -1] = 0.0
-        N, nG, nGx = self._source(G, Gx, f_row)
-        F = self.half_A * Gxx + coef.b * Gx + N
+    def __call__(self, G: np.ndarray, sp: _Span = None, f_row=None,
+                 want_jacobian=True):
+        """(F, (sub, diag, sup)) on the nodes G of the span sp (the whole
+        block by default), or (F, None) when want_jacobian is False."""
+        if sp is None:
+            sp = self.layout.span(0, self.layout.count)
+        c, lo, hi = self._on(sp), sp.lo, sp.hi
+        # central in the interior; the cells that straddle two segments
+        # are edges, overwritten one-sided (dirichlet: overwritten again)
+        Gx = np.empty_like(G)
+        Gx[1:-1] = (G[2:] - G[:-2]) / c.two_dx_in
+        Gx[lo] = (G[sp.lo1] - G[lo]) / c.dx_lo
+        Gx[hi] = (G[hi] - G[sp.hi1]) / c.dx_hi
+        # (G[2:] - 2 G[1:-1] + G[:-2]) / dx^2 in place; extrapolation sets
+        # a zero second derivative at the edges
+        Gxx = np.empty_like(G)
+        inner = Gxx[1:-1]
+        np.multiply(2.0, G[1:-1], out=inner)
+        np.subtract(G[2:], inner, out=inner)
+        inner += G[:-2]
+        inner /= c.dx2_in
+        Gxx[lo] = Gxx[hi] = 0.0
+        N, nG, nGx = self._source(c, G, Gx, f_row)
+        F = c.half_A * Gxx + c.b * Gx + N
         if not want_jacobian:
             return F, None
 
-        k, n = G.shape
-        # every entry of the bands is written below
-        sub = np.empty((k, n - 1))
-        diag = np.empty_like(G)
-        sup = np.empty_like(sub)
-        nGx += coef.b  # the drift b + dN/dG_x
-        # interior rows
-        drift = nGx[:, 1:-1] / (2.0 * dx)
-        diag[:, 1:-1] = self.jac_diag + nG[:, 1:-1]
-        sub[:, :-1] = self.jac_off - drift
-        sup[:, 1:] = self.jac_off + drift
-        # boundary rows: one-sided drift (dirichlet rows are overwritten)
-        lo = nGx[:, 0] / dx
-        hi = nGx[:, -1] / dx
-        diag[:, 0] = nG[:, 0] - lo
-        sup[:, 0] = lo
-        diag[:, -1] = hi + nG[:, -1]
-        sub[:, -1] = -hi
+        nGx += c.b  # the drift b + dN/dG_x
+        # interior nodes; the edge entries are overwritten below
+        drift = nGx / c.two_dx
+        diag = c.jac_diag + nG
+        sub = c.off_below - drift[1:]
+        sup = c.off_above + drift[:-1]
+        # edge nodes: one-sided drift (dirichlet rows are overwritten)
+        lo_v = nGx[lo] / c.dx_lo
+        hi_v = nGx[hi] / c.dx_hi
+        diag[lo] = nG[lo] - lo_v
+        sup[lo] = lo_v
+        diag[hi] = hi_v + nG[hi]
+        sub[sp.hi1] = -hi_v
+        if sp.joints is not None:
+            sub[sp.joints] = sup[sp.joints] = 0.0
         return F, (sub, diag, sup)
 
 
@@ -370,171 +475,311 @@ def _weights(scheme: str, dt: float) -> tuple[float, float]:
     return dt, 0.0
 
 
-def _step_residual(U, G_next, F_U, expl, w_impl, dirichlet):
+def _step_residual(U, G_next, F_U, expl, w_impl, edges=None):
     """U - G_next - w_impl F(U) - expl, where expl is the explicit half
-    w_expl F(G_next) that the caller forms (0.0 for backward Euler)."""
+    w_expl F(G_next) that the caller forms (0.0 for backward Euler).  The
+    Dirichlet closure holds U at the nodes of edges = (lo, hi) to zero."""
     R = U - G_next - w_impl * F_U - expl
-    if dirichlet:
-        R[..., 0] = U[..., 0]
-        R[..., -1] = U[..., -1]
+    if edges is not None:
+        for e in edges:
+            R[e] = U[e]
     return R
 
 
-def _rows(rows: list):
-    """Ascending row numbers as an index: a slice, so views, where they
-    are contiguous."""
-    if rows and rows[-1] - rows[0] == len(rows) - 1:
-        return slice(rows[0], rows[-1] + 1)
-    return rows
+def _runs(segs: list) -> list:
+    """Ascending segment numbers as (a, b) runs of consecutive ones."""
+    runs = []
+    for s in segs:
+        if runs and runs[-1][1] == s:
+            runs[-1][1] = s + 1
+        else:
+            runs.append([s, s + 1])
+    return runs
 
 
-def _solve_step(evaluate, G_next: np.ndarray, expl, U: np.ndarray,
-                ev: list, w_impl: float, opt: SolverOptions,
-                dirichlet: bool, step_index: int):
-    """Damped Newton on every row of the block U, in place.
+def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
+                U: np.ndarray, ev: list, w: tuple, opt: SolverOptions,
+                dirichlet: bool, steps: list, record=None):
+    """Damped Newton on every segment of the block U, in place.
 
-    expl is the explicit half of the step's residual (see _step_residual).
-    ev = [F, sub, diag, sup] holds evaluate(U) on entry and on exit; both
-    are updated in place, and a line search that accepts no trial
-    evaluates the point it steps to at once.  A trial that every row
-    still iterating accepts is their next iterate: its residual serves
-    the next convergence test, and when those rows are the whole block
-    its evaluation becomes ev.  Each row iterates until its own residual
-    converges, with its own line search, as it would alone.
-    The block fails as a whole, at the first failure of any row: a residual
-    that is not finite (it cannot be reduced) or not converged after
-    newton_max_iter iterations, a Jacobian that is not finite or singular
-    raise NewtonDivergence, and an evaluation outside the product-log's
-    domain ThetaDomainError.  On a block of one row that is the row's own
-    error.  The row bookkeeping is in lists: a block has a handful of rows.
+    evaluate(X, sp) evaluates the operator on the nodes X of the span sp.
+    expl is the explicit half of the step's residual (see _step_residual)
+    and w = (w_impl, -w_impl) the implicit weight on every node.  ev =
+    [F, sub, diag, sup] holds the evaluation of U on entry and on exit;
+    both are updated in place, and a line search that accepts no trial
+    evaluates the point it steps to at once.  Each segment iterates until
+    its own residual converges, with its own line search, as it would
+    alone; record[s], when given, receives segment s's residual at
+    convergence.  An iteration evaluates and solves the span from the
+    first to the last segment still iterating: a converged segment
+    inside it solves the identity, and keeps its values.  A trial that
+    every segment still iterating accepts is their next iterate: its
+    residual serves the next convergence test, and when those segments
+    are the whole block its evaluation becomes ev.
+    The block fails as a whole, at the first failure of any segment: a
+    residual that is not finite (it cannot be reduced) or not converged
+    after newton_max_iter iterations, a Jacobian that is not finite or
+    singular, and, on several segments, a Newton step that is not finite
+    (an overflow reaches the next segment through a zero coupling) raise
+    NewtonDivergence with the failing segment s's step number steps[s],
+    and an evaluation outside the product-log's domain ThetaDomainError.  On a
+    block of one segment that is the segment's own error.  The segment
+    bookkeeping is in lists: a block has a handful of segments.
     """
-    rnorm = [0.0] * len(U)
-    todo = list(range(len(U)))  # rows still iterating, ascending
-    kept = None  # (R, norms) of the accepted trial that is U[todo]
+    w_impl, w_neg = w
+    rnorm = [0.0] * len(steps)
+    todo = list(range(len(steps)))  # segments still iterating, ascending
+    kept = None  # (R, norms) of the accepted trial that is U over todo
 
-    def residual_of(at, X, F_X):
+    def residual_of(sp, X, F_X):
+        at = sp.at
         return _step_residual(X, G_next[at], F_X,
                               expl if isinstance(expl, float) else expl[at],
-                              w_impl, dirichlet)
+                              w_impl[at], sp.edges if dirichlet else None)
 
-    def max_norms(R):
-        return np.maximum.reduce(np.abs(R), axis=1).tolist()
+    def max_norms(sp, R):
+        return np.maximum.reduceat(np.abs(R), sp.starts).tolist()
 
-    def store(rows, e, pick=slice(None)):
-        at = _rows(rows)
-        ev[0][at] = e[0][pick]
-        for a, b in zip(ev[1:], e[1]):
-            a[at] = b[pick]
+    def take(segs, sp, X, e):
+        """U and ev of the segments segs of the span sp from X and e."""
+        for a, b in _runs(segs):
+            run = layout.span(a, b)
+            rel = _within(sp, run)
+            U[run.at] = X[rel]
+            ev[0][run.at] = e[0][rel]
+            ev[2][run.at] = e[1][1][rel]
+            band = slice(rel.start, rel.stop - 1)
+            ev[1][run.band] = e[1][0][band]
+            ev[3][run.band] = e[1][2][band]
+
+    def diverged(s):
+        return NewtonDivergence(steps[s], rnorm[s])
 
     for it in range(opt.newton_max_iter + 1):
-        t = _rows(todo)
+        sp = layout.span(todo[0], todo[-1] + 1)
         if kept is None:
-            R = residual_of(t, U[t], ev[0][t])
-            norms = max_norms(R)
+            R = residual_of(sp, U[sp.at], ev[0][sp.at])
+            norms = max_norms(sp, R)
         else:
             (R, norms), kept = kept, None
         going = []
-        for pos, (r, v) in enumerate(zip(todo, norms)):
-            rnorm[r] = v
+        for s in todo:
+            v = rnorm[s] = norms[s - sp.a]
             if not v <= opt.newton_tol:
-                going.append(pos)
-        if len(going) < len(todo):
-            todo, R = [todo[pos] for pos in going], R[_rows(going)]
-        if not todo:
+                going.append(s)
+            elif record is not None:
+                record[s][...] = R[sp.parts[s - sp.a]]
+        if not going:
             return
-        bad = [r for r in todo if not math.isfinite(rnorm[r])] \
+        if len(going) < len(todo):
+            todo = going
+            inner = layout.span(todo[0], todo[-1] + 1)
+            R, sp = R[_within(sp, inner)], inner
+        bad = [s for s in todo if not math.isfinite(rnorm[s])] \
             if it < opt.newton_max_iter else todo
         if bad:
-            raise NewtonDivergence(step_index, rnorm[bad[0]])
-        t = _rows(todo)
-        jd = 1.0 - w_impl * ev[2][t]
-        jsub = -w_impl * ev[1][t]
-        jsup = -w_impl * ev[3][t]
+            raise diverged(bad[0])
+        at, band = sp.at, sp.band
+        jd = 1.0 - w_impl[at] * ev[2][at]
+        jsub = w_neg[sp.below] * ev[1][band]
+        jsup = w_neg[band] * ev[3][band]
         if dirichlet:
-            jd[:, 0] = jd[:, -1] = 1.0
-            jsup[:, 0] = 0.0
-            jsub[:, -1] = 0.0
+            jd[sp.lo] = jd[sp.hi] = 1.0
+            jsup[sp.lo] = 0.0
+            jsub[sp.hi1] = 0.0
+        rhs = -R
+        if len(todo) < sp.b - sp.a:
+            for s in set(range(sp.a, sp.b)).difference(todo):
+                part = sp.parts[s - sp.a]
+                inside = slice(part.start, part.stop - 1)
+                jd[part], rhs[part] = 1.0, 0.0
+                jsub[inside] = jsup[inside] = 0.0
         if not (np.isfinite(jd).all() and np.isfinite(jsub).all()
                 and np.isfinite(jsup).all()):
-            raise NewtonDivergence(step_index, rnorm[todo[0]])
+            raise diverged(todo[0])
         try:
-            delta = backends.tridiag_solve(jsub, jd, jsup, -R)
+            delta = backends.tridiag_solve(jsub, jd, jsup, rhs)
         except backends.SingularBlock:
-            raise NewtonDivergence(step_index, rnorm[todo[0]]) from None
-        # damped line search; an accepted trial's evaluation is reused
-        pend = list(range(len(todo)))  # positions in todo still searching
-        rows, at = todo, t
+            raise diverged(todo[0]) from None
+        if sp.joints is not None and not np.isfinite(delta).all():
+            raise diverged(todo[0])
+        # damped line search; an accepted trial's evaluation is reused, and
+        # a segment that accepts steps by zero from then on
+        segs, lsp = todo, sp
         s = 1.0
         for _ in range(10):
-            step = delta[_rows(pend)]
-            trial = U[at] + (step if s == 1.0 else s * step)
-            e = evaluate(trial)
-            R = residual_of(at, trial, e[0])
-            norms = max_norms(R)
-            ok = [i for i, (r, v) in enumerate(zip(rows, norms))
-                  if v < rnorm[r]]
-            if len(ok) == len(rows):
-                U[at] = trial
-                if rows is todo:
+            step = delta[_within(sp, lsp)]
+            trial = U[lsp.at] + (step if s == 1.0 else s * step)
+            e = evaluate(trial, lsp)
+            R = residual_of(lsp, trial, e[0])
+            norms = max_norms(lsp, R)
+            ok = [g for g in segs if norms[g - lsp.a] < rnorm[g]]
+            if len(ok) == len(segs):
+                if segs is todo:
                     kept = R, norms
-                if rows is todo and len(todo) == len(U):
+                if segs is todo and len(todo) == len(steps):
+                    U[:] = trial
                     ev[:] = [e[0], *e[1]]
                 else:
-                    store(rows, e)
+                    take(segs, lsp, trial, e)
                 break
             if ok:
-                U[_rows([rows[i] for i in ok])] = trial[_rows(ok)]
-                store([rows[i] for i in ok], e, _rows(ok))
-                pend = [pos for i, pos in enumerate(pend) if i not in ok]
-                rows = [todo[pos] for pos in pend]
-                at = _rows(rows)
+                take(ok, lsp, trial, e)
+                for g in ok:
+                    delta[sp.parts[g - sp.a]] = 0.0
+                segs = [g for g in segs if g not in ok]
+                lsp = layout.span(segs[0], segs[-1] + 1)
             s *= 0.5
         else:
             # a point no trial evaluated
-            U[at] = U[at] + s * delta[_rows(pend)]
-            store(rows, evaluate(U[at]))
+            X = U[lsp.at] + s * delta[_within(sp, lsp)]
+            take(segs, lsp, X, evaluate(X, lsp))
 
 
-def _march(op: _Operator, grid: GridSpec, terminal: np.ndarray,
-           opt: SolverOptions, f_surface=None,
-           dirichlet: bool = False) -> np.ndarray:
-    """Surfaces marched backward from the terminal rows, as one block.
+@dataclass(frozen=True, eq=False)
+class _Segment:
+    """One surface of a march: its mode and grid, the model coefficients
+    on its nodes, its terminal row, and the cutoff chi (full and local
+    mode) or the insurance rate on the grid (protected mode)."""
 
-    terminal is (k, n_space + 1), one row per surface; returns the
-    (k, n_time + 1, n_space + 1) values.  A protected operator takes its
-    rate rows from f_surface.  The edges extrapolate, or are held at zero
-    if dirichlet.  ev always holds the evaluation of the current rows: a
-    step's first iterate is evaluated afresh only when the source row
-    changes (protected) or the edge reset changed a bit.  The march fails
-    as a whole, with the error of the first failing step (see
-    _solve_step).
+    mode: str
+    grid: GridSpec
+    coef: _Coeffs
+    terminal: np.ndarray
+    chi: Optional[np.ndarray] = None
+    rate_field: Optional[np.ndarray] = None
+
+    def surface(self, values: np.ndarray) -> Surface:
+        return Surface(grid=self.grid, values=values, mode=self.mode,
+                       chi=self.chi if self.mode == "local" else None,
+                       rate_field=self.rate_field)
+
+
+def _march(segments: list, opt: SolverOptions, record: bool = False) -> tuple:
+    """Segments marched backward in lockstep, as one block laid end to end.
+
+    Returns (values, residuals), in the order of segments: each
+    segment's (n_time + 1, n_space + 1) values and, if record, its
+    (n_time, n_space + 1) step residuals at convergence, the array that
+    residual returns for its surface (else None).  The segments share a
+    mode, a model and preferences; each has its own grid, time step and
+    terminal row.  The block holds them by n_time, descending, and
+    segment s steps on the first n_time_s ticks, so the segments that
+    step form a prefix of the block.  The edges extrapolate, or are held at zero in local mode.  ev
+    always holds the evaluation of the current rows: a tick's first
+    iterate is evaluated afresh only when the source rows change
+    (protected) or the edge reset changed a bit, and the explicit half
+    w_expl F(G_next) is formed once per tick.  The march fails as a
+    whole, with the error of the first failing step (see _solve_step).
     """
-    k, n = terminal.shape
-    w_impl, w_expl = _weights(opt.scheme, grid.dt)
+    order = sorted(range(len(segments)),
+                   key=lambda k: -segments[k].grid.n_time)
+    segs = [segments[k] for k in order]
+    protected = segs[0].mode == "protected"
+    # a protected segment has no chi: the operator's protected source
+    op = _Operator([(seg.coef, seg.grid.dx, seg.chi) for seg in segs])
+    layout = op.layout
+    dirichlet = segs[0].mode == "local"
+    n_times = [seg.grid.n_time for seg in segs]
+    weights = [_weights(opt.scheme, seg.grid.dt) for seg in segs]
+    w_impl = np.concatenate([np.full(seg.terminal.size, wi)
+                             for seg, (wi, _) in zip(segs, weights)])
+    w_neg = -w_impl
+    w_expl = np.concatenate([np.full(seg.terminal.size, we)
+                             for seg, (_, we) in zip(segs, weights)]) \
+        if weights[0][1] > 0.0 else None
+    values = [np.empty((seg.grid.n_time + 1, seg.terminal.size))
+              for seg in segs]
+    residuals = [np.empty((seg.grid.n_time, seg.terminal.size)) if record
+                 else None for seg in segs]
+    for v, seg in zip(values, segs):
+        v[-1] = seg.terminal
 
-    def evaluator(i):
-        f_row = None if f_surface is None else f_surface[i]
-        return lambda G: op(G, f_row)
+    def rates(rows):
+        return np.concatenate([seg.rate_field[i]
+                               for seg, i in zip(segs, rows)]) \
+            if protected else None
 
-    values = np.empty((k, grid.n_time + 1, n))
-    values[:, -1] = terminal
-    # the evaluation at values[:, i + 1]
-    F, jac = evaluator(grid.n_time)(values[:, -1])
+    count = len(segs)
+    whole = layout.span(0, count)
+    G = np.concatenate([seg.terminal for seg in segs])
+    # the evaluation at the current rows G
+    F, jac = op(G, whole, rates(n_times))
     ev = [F, *jac]
-    for i in range(grid.n_time - 1, -1, -1):
-        G_next = values[:, i + 1]
-        expl = w_expl * ev[0] if w_expl > 0.0 else 0.0
-        U = G_next.copy()
-        evaluate = evaluator(i)
+    for tick in range(n_times[0]):
+        if n_times[count - 1] <= tick:
+            while n_times[count - 1] <= tick:
+                count -= 1
+            whole = layout.span(0, count)
+            G = G[whole.at]
+            ev = [ev[0][whole.at], ev[1][whole.band], ev[2][whole.at],
+                  ev[3][whole.band]]
+        steps = [n - 1 - tick for n in n_times[:count]]
+        at = whole.at
+        expl = w_expl[at] * ev[0] if w_expl is not None else 0.0
+        U = G.copy()
+        f_row = rates(steps)
+
+        def evaluate(X, sp, f_row=f_row):
+            return op(X, sp, None if f_row is None else f_row[sp.at])
+
         if dirichlet:
-            U[:, 0] = U[:, -1] = 0.0
-        if f_surface is not None or dirichlet and (
-                U.view(np.uint64) != G_next.view(np.uint64)).any():
-            F, jac = evaluate(U)
+            U[whole.lo] = U[whole.hi] = 0.0
+        if protected or dirichlet and (
+                U.view(np.uint64) != G.view(np.uint64)).any():
+            F, jac = evaluate(U, whole)
             ev = [F, *jac]
-        _solve_step(evaluate, G_next, expl, U, ev, w_impl, opt, dirichlet, i)
-        values[:, i] = U
-    return values
+        _solve_step(evaluate, layout, G, expl, U, ev,
+                    (w_impl[at], w_neg[at]), opt, dirichlet, steps,
+                    [r[i] for r, i in zip(residuals, steps)] if record
+                    else None)
+        for v, i, part in zip(values, steps, whole.parts):
+            v[i] = U[part]
+        G = U
+    back = sorted(range(len(order)), key=order.__getitem__)
+    return [values[p] for p in back], [residuals[p] for p in back]
+
+
+def _solve(segments: list, opt: SolverOptions = SolverOptions(),
+           record: bool = False) -> tuple:
+    """(Surfaces, step residuals if record) of the segments, marched as
+    one block (see _march)."""
+    values, residuals = _march(segments, opt, record)
+    return [seg.surface(v) for seg, v in zip(segments, values)], residuals
+
+
+def _full_segment(m: ModelSpec, c: ClaimSpec, pref: Preferences,
+                  grid: GridSpec, coef: Optional[_Coeffs] = None) -> _Segment:
+    """The full equation from G(T, .) = q * phi on grid."""
+    xs = grid.xs
+    if coef is None:
+        coef = _Coeffs(m, xs, pref.alpha)
+    return _Segment("full", grid, coef,
+                    c.q * np.asarray(c.phi(xs), dtype=float),
+                    chi=np.ones_like(xs))
+
+
+def _local_segment(m: ModelSpec, c: ClaimSpec, pref: Preferences,
+                   loc: LocalizationSpec, grid: GridSpec) -> _Segment:
+    """The mollified equation on E_n, grid its interval."""
+    if not (np.isclose(grid.x_min, loc.outer[0]) and
+            np.isclose(grid.x_max, loc.outer[1])):
+        raise ValueError("grid must coincide with the localization interval E_n")
+    xs = grid.xs
+    chi = np.asarray(loc.chi(xs), dtype=float)
+    coef = _Coeffs(m, xs, pref.alpha)
+    return _Segment("local", grid, coef,
+                    chi * c.q * np.asarray(c.phi(xs), dtype=float), chi=chi)
+
+
+def _protected_segment(m: ModelSpec, pref: Preferences,
+                       f_surface: np.ndarray, grid: GridSpec) -> _Segment:
+    """The protected-market equation from zero, with the rate f_surface."""
+    f_surface = np.asarray(f_surface, dtype=float)
+    if f_surface.shape != (grid.n_time + 1, grid.n_space + 1):
+        raise ValueError("rate field not aligned with the grid")
+    return _Segment("protected", grid, _Coeffs(m, grid.xs, pref.alpha),
+                    np.zeros(grid.n_space + 1), rate_field=f_surface)
 
 
 def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
@@ -548,22 +793,18 @@ def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
     """
     if not claims:
         raise ValueError("need at least one claim")
-    xs = grid.xs
-    op = _Operator(_Coeffs(m, xs, pref.alpha), grid.dx, np.ones_like(xs))
-    terminal = np.array([c.q * np.asarray(c.phi(xs), dtype=float)
-                         for c in claims])
+    coef = _Coeffs(m, grid.xs, pref.alpha)
+    segments = [_full_segment(m, c, pref, grid, coef) for c in claims]
     try:
-        values = _march(op, grid, terminal, opt)
+        return _solve(segments, opt)[0]
     except (NewtonDivergence, ThetaDomainError) as exc:
         if len(claims) == 1:
             raise
         error = exc
-    else:
-        return [Surface(grid=grid, values=v, mode="full") for v in values]
     # the first claim that fails alone raises its own error; the block's
     # is raised only if none does
-    for row in terminal:
-        _march(op, grid, row[None], opt)
+    for segment in segments:
+        _march([segment], opt)
     raise error
 
 
@@ -577,15 +818,7 @@ def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
                 loc: LocalizationSpec, grid: GridSpec,
                 opt: SolverOptions = SolverOptions()) -> Surface:
     """Solve the mollified equation on E_n with zero Dirichlet lateral data."""
-    if not (np.isclose(grid.x_min, loc.outer[0]) and
-            np.isclose(grid.x_max, loc.outer[1])):
-        raise ValueError("grid must coincide with the localization interval E_n")
-    xs = grid.xs
-    chi = np.asarray(loc.chi(xs), dtype=float)
-    op = _Operator(_Coeffs(m, xs, pref.alpha), grid.dx, chi)
-    terminal = chi * c.q * np.asarray(c.phi(xs), dtype=float)
-    values = _march(op, grid, terminal[None], opt, dirichlet=True)[0]
-    return Surface(grid=grid, values=values, mode="local", chi=chi)
+    return _solve([_local_segment(m, c, pref, loc, grid)], opt)[0][0]
 
 
 def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
@@ -595,14 +828,7 @@ def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
 
     f_surface is the insurance rate on the same (time x space) grid.
     """
-    f_surface = np.asarray(f_surface, dtype=float)
-    if f_surface.shape != (grid.n_time + 1, grid.n_space + 1):
-        raise ValueError("rate field not aligned with the grid")
-    op = _Operator(_Coeffs(m, grid.xs, pref.alpha), grid.dx)
-    values = _march(op, grid, np.zeros((1, grid.n_space + 1)), opt,
-                    f_surface=f_surface)[0]
-    return Surface(grid=grid, values=values, mode="protected",
-                   rate_field=f_surface)
+    return _solve([_protected_segment(m, pref, f_surface, grid)], opt)[0][0]
 
 
 # time rows per operator evaluation of residual: blocks this size keep the
@@ -626,25 +852,37 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
     protected = surface.mode == "protected" or rate_field is not None
     chi = surface.chi if surface.chi is not None else np.ones_like(grid.xs)
     f_field = rate_field if rate_field is not None else surface.rate_field
-    op = _Operator(_Coeffs(m, grid.xs, pref.alpha), grid.dx,
-                   None if protected else chi)
-    dirichlet = surface.mode == "local"
+    # blocks of time rows, laid end to end as segments of one grid
+    block = min(_RESIDUAL_ROWS, len(values))
+    op = _Operator([(_Coeffs(m, grid.xs, pref.alpha), grid.dx,
+                     None if protected else chi)] * block)
+    edges = surface.mode == "local"
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
+
+    def blocks(n_rows):
+        for a in range(0, n_rows, block):
+            yield (slice(a, a + block),
+                   op.layout.span(0, min(block, n_rows - a)))
+
+    def flat(a):
+        return a.reshape(-1)
+
     # the time nodes are evaluated as blocks of rows (each row once: row
     # i + 1 is also the explicit half of row i)
     F = np.empty_like(values)
-    for a in range(0, len(values), _RESIDUAL_ROWS):
-        rows = slice(a, a + _RESIDUAL_ROWS)
-        F[rows] = op(values[rows], f_field[rows] if protected else None,
-                     want_jacobian=False)[0]
+    for rows, sp in blocks(len(values)):
+        F[rows] = op(flat(values[rows]), sp,
+                     flat(f_field[rows]) if protected else None,
+                     want_jacobian=False)[0].reshape(F[rows].shape)
     # and so are the steps, whose temporaries then stay block-sized
     U, G_next, F_U, F_next = values[:-1], values[1:], F[:-1], F[1:]
     R = np.empty_like(U)
-    for a in range(0, len(R), _RESIDUAL_ROWS):
-        rows = slice(a, a + _RESIDUAL_ROWS)
-        expl = w_expl * F_next[rows] if w_expl > 0.0 else 0.0
-        R[rows] = _step_residual(U[rows], G_next[rows], F_U[rows], expl,
-                                 w_impl, dirichlet)
+    for rows, sp in blocks(len(R)):
+        expl = w_expl * flat(F_next[rows]) if w_expl > 0.0 else 0.0
+        R[rows] = _step_residual(flat(U[rows]), flat(G_next[rows]),
+                                 flat(F_U[rows]), expl, w_impl,
+                                 sp.edges if edges else None
+                                 ).reshape(R[rows].shape)
     return R
 
 

@@ -29,39 +29,50 @@ def _systems(rng, k, n):
     return dl, d, du, rhs
 
 
+def _laid_end_to_end(dl, d, du, rhs):
+    """One system of the rows of each band, laid end to end, coupled by
+    zero entries."""
+    def bands(rows):
+        return np.concatenate([np.append(r, 0.0) for r in rows])[:-1]
+    return bands(dl), np.concatenate(d), bands(du), np.concatenate(rhs)
+
+
 def test_tridiag_block_equals_rows_alone_bit_for_bit():
     rng = np.random.default_rng(9)
-    for k, n in ((5, 401), (3, 17), (1, 2)):
-        dl, d, du, rhs = _systems(rng, k, n)
-        # weak diagonals make gtsv pivot inside the rows
-        d[:, ::3] *= 1e-3
-        x = backends.tridiag_solve(dl, d, du, rhs)
-        for r in range(k):
-            alone = backends.tridiag_solve(dl[r], d[r], du[r], rhs[r])
-            assert x[r].tobytes() == alone.tobytes()
+    for sizes in ((401,) * 5, (17,) * 3, (2,), (401, 201, 101), (17, 3, 9)):
+        rows = [_systems(rng, 1, n) for n in sizes]
+        for dl, d, du, rhs in rows:
+            # weak diagonals make gtsv pivot inside the rows
+            d[:, ::3] *= 1e-3
+        x = backends.tridiag_solve(*_laid_end_to_end(
+            *([r[i][0] for r in rows] for i in range(4))))
+        start = 0
+        for (dl, d, du, rhs), n in zip(rows, sizes):
+            alone = backends.tridiag_solve(dl[0], d[0], du[0], rhs[0])
+            assert x[start:start + n].tobytes() == alone.tobytes()
+            start += n
             ab = np.zeros((3, n))
-            ab[0, 1:], ab[1], ab[2, :-1] = du[r], d[r], dl[r]
+            ab[0, 1:], ab[1], ab[2, :-1] = du[0], d[0], dl[0]
             assert alone.tobytes() == solve_banded((1, 1), ab,
-                                                   rhs[r]).tobytes()
+                                                   rhs[0]).tobytes()
 
 
-def test_tridiag_block_with_an_overflowing_row_raises():
-    # row 1 overflows to inf alone; in a block 0 * inf at the zero
-    # coupling could turn row 0 into NaN, so the block raises
+def test_tridiag_block_with_an_overflowing_row_spreads_to_the_next():
+    # row 1 overflows to inf alone; laid end to end, 0 * inf at the zero
+    # coupling turns row 0 into NaN, so a caller that solves several rows
+    # in one system must fail them all when the solution is not finite
     n = 5
     d = np.full((2, n), 2.0)
     dl = du = np.full((2, n - 1), 0.5)
     rhs = np.ones((2, n))
     d[1], rhs[1] = 1e-300, 1e308
-    with pytest.raises(backends.SingularBlock):
-        backends.tridiag_solve(dl, d, du, rhs)
+    x = backends.tridiag_solve(*_laid_end_to_end(dl, d, du, rhs))
+    assert np.isnan(x[:n]).any()
     # alone, each row returns its own solution, finite or not
     assert np.isfinite(backends.tridiag_solve(dl[0], d[0], du[0],
                                               rhs[0])).all()
     assert not np.isfinite(backends.tridiag_solve(dl[1], d[1], du[1],
                                                   rhs[1])).all()
-    assert not np.isfinite(backends.tridiag_solve(dl[1:], d[1:], du[1:],
-                                                  rhs[1:])).all()
 
 
 def test_tridiag_block_with_a_singular_row_raises():
@@ -74,7 +85,7 @@ def test_tridiag_block_with_a_singular_row_raises():
             ll[r, 3] = uu[r, 4] = 0.0  # node 4 decouples: a zero pivot
             uu[r, 3] = ll[r, 4] = 0.0
         with pytest.raises(backends.SingularBlock):
-            backends.tridiag_solve(ll, dd, uu, rhs)
+            backends.tridiag_solve(*_laid_end_to_end(ll, dd, uu, rhs))
         r = rows[0]
         with pytest.raises(backends.SingularBlock):
             backends.tridiag_solve(ll[r], dd[r], uu[r], rhs[r])

@@ -37,6 +37,7 @@ def test_bench_pde_records_every_case(tmp_path):
     assert set(record["best_s"]) == {
         "solve_full_400", "price_bond_claims_400", "tridiag_solve_401",
         "theta_of_log_401", "operator_401", "residual_400",
+        "ladder_full_400", "ladder_protected_400", "ladder_local_400",
         "surface_lines_400", "cmd_solve", "cmd_solve-protected",
         "cmd_solve-local", "cmd_price-bond", "cmd_price-insurance"}
     assert all(s > 0 for s in record["best_s"].values())

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import defaultable_hjb as dh
 from defaultable_hjb import cli
+from defaultable_hjb import montecarlo as mc
 from defaultable_hjb.cli import ConfigError, main, parse_config
 from defaultable_hjb.solver import CornerBlock, GridLookup
 
@@ -213,7 +214,9 @@ def test_verify_passes_and_is_reproducible(tmp_path):
 
 def test_verify_on_one_cpu_writes_the_same_bytes(tmp_path, capsys,
                                                  monkeypatch):
-    # the two path halves on two CPUs give the one-process run's bits
+    # the two path halves on two CPUs give the one-process run's bits;
+    # with no work floor, even this small run is split in two
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
     cfgp = _write(tmp_path, nx=48, nt=24, paths=301, steps=50, seed=7)
     outs = []
     for cpus in ({0, 1}, {0}):
@@ -414,6 +417,45 @@ def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     assert err.count("\n") == 1  # one line, no warnings before it
     if message.startswith("solver error"):
         assert "residual" in err
+
+
+# the paper's CIR model at alpha q = 66 and 150, T >= 1.7, on 64 x 32: the
+# levels are 16 x 16, 32 x 16 and 64 x 32
+_LADDER_INI = ("[model]\nkind = cir\n[claim]\nphi = one\nq = {}\n"
+               "[preferences]\nalpha = 3\nhorizon = {}\n"
+               "[grid]\nnx = 64\nnt = 32\n")
+
+
+@pytest.mark.parametrize("q, horizon, message, written", [
+    # 64 x 32 converges and is written; 16 x 16 then fails first
+    (22, 2.5, "Newton diverged at time step 3: residual 2.329e+01",
+     {"surface.csv", "residual_summary.txt"}),
+    # 64 x 32 fails, before anything is written
+    (50, 1.7, "Newton diverged at time step 19: residual 5.824e+02", set()),
+])
+def test_a_diverging_ladder_level_fails_as_its_own_solve(tmp_path, capsys, q,
+                                                         horizon, message,
+                                                         written):
+    # the lockstep ladder fails; the levels are then solved one by one,
+    # nx first, then nx/4 and nx/2, as if each were solved alone
+    m = dh.make_cir_model(dh.paper_cir_params())
+    pref = dh.Preferences(alpha=3.0, horizon_T=horizon)
+    errors = []
+    for nx, nt in ((64, 32), (16, 16), (32, 16)):
+        try:
+            dh.solve_full(m, dh.bond_claim(q), pref,
+                          dh.default_grid(m, pref, nx, nt))
+        except dh.NewtonDivergence as exc:
+            errors.append(str(exc))
+    assert errors[0] == message
+    p = tmp_path / "run.ini"
+    p.write_text(_LADDER_INI.format(q, horizon))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"solver error: {message}\n"
+    assert captured.out == ""
+    assert {f.name for f in out.iterdir()} == written
 
 
 @pytest.mark.parametrize("value", ["mu2 = 1e308", "mu1 = 1e300"])

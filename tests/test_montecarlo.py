@@ -503,8 +503,11 @@ def _no_child_left():
 
 @pytest.mark.parametrize("n_paths", [1, 2, 301])
 @pytest.mark.parametrize("kind", ["cir", "ou-b2", "custom-rho"])
-def test_simulate_halves_equals_one_run_bit_for_bit(paper_model, paper_pref,
-                                                    G_64, kind, n_paths):
+def test_simulate_halves_equals_one_run_bit_for_bit(monkeypatch, paper_model,
+                                                    paper_pref, G_64, kind,
+                                                    n_paths):
+    # with no work floor, even these small runs are split in two
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
     m = _bit_identity_models()[kind]
     cfg = SimConfig(n_paths=n_paths, n_steps=49, seed=5,
                     x0=0.06 if kind == "cir" else 0.3)
@@ -524,6 +527,40 @@ def test_simulate_halves_equals_one_run_bit_for_bit(paper_model, paper_pref,
                 assert getattr(g, name).tobytes() == \
                     getattr(w, name).tobytes(), name
         assert got[0].x_T is got[1].x_T and got[0].delta is got[1].delta
+
+
+def test_simulate_halves_forks_only_above_the_work_floor(monkeypatch,
+                                                         paper_model,
+                                                         paper_pref, G_64):
+    pol = dh.optimal_policy(G_64, paper_model, paper_pref)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    def refuse_fork():
+        raise AssertionError("forked below the work floor")
+
+    for n_steps, must_fork in ((50, False), (100, True)):
+        # 4000 x 50 path-steps lie below the floor, 4000 x 100 at it
+        n_paths = mc._FORK_FLOOR // 100
+        noise = draw_noise(SimConfig(n_paths=n_paths, n_steps=n_steps,
+                                     seed=3, x0=0.06))
+        monkeypatch.setattr(os, "fork",
+                            counting_fork if must_fork else refuse_fork)
+        forks.clear()
+        got = mc.simulate_halves(paper_model, noise, 1.0, [pol])[0]
+        _no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = mc.simulate_halves(paper_model, noise, 1.0, [pol])[0]
+        monkeypatch.undo()
+        assert len(forks) == (must_fork and
+                              len(os.sched_getaffinity(0)) >= 2)
+        for name in ("x_T", "delta", "default_step", "w_T"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), name
 
 
 def test_fork_map_returns_the_results_in_item_order():

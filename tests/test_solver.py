@@ -59,10 +59,10 @@ def test_local_with_unit_cutoff_equals_dirichlet_full(paper_model, paper_pref):
         chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     G_local = dh.solve_local(paper_model, claim, paper_pref, unit, grid)
     xs = grid.xs
-    op = solver._Operator(solver._Coeffs(paper_model, xs, paper_pref.alpha),
-                          grid.dx, np.ones_like(xs))
-    full = solver._march(op, grid, (claim.q * claim.phi(xs))[None],
-                         SolverOptions(), dirichlet=True)[0]
+    unit_segment = solver._Segment(
+        "local", grid, solver._Coeffs(paper_model, xs, paper_pref.alpha),
+        claim.q * claim.phi(xs), chi=np.ones_like(xs))
+    full = solver._march([unit_segment], SolverOptions())[0][0]
     assert np.max(np.abs(G_local.values - full)) <= 1e-10
     # the residual of a local surface uses the same closure
     assert np.max(np.abs(dh.residual(G_local, paper_model,
@@ -239,10 +239,10 @@ def test_hjb_rhs_pointwise(constant_model):
     want = 0.5 * (2.0 + 4.0 - th * th - 2 * th)
     grid = dh.GridSpec(-5.0, 5.0, 16, 16)
     xs = grid.xs
-    op = solver._Operator(solver._Coeffs(constant_model, xs, 1.0), grid.dx,
-                          np.ones_like(xs))
-    F, _ = op(np.zeros((1, len(xs))), want_jacobian=False)
-    assert F[0] == pytest.approx(np.full_like(xs, want), rel=1e-12)
+    op = solver._Operator([(solver._Coeffs(constant_model, xs, 1.0), grid.dx,
+                            np.ones_like(xs))])
+    F, _ = op(np.zeros(len(xs)), want_jacobian=False)
+    assert F == pytest.approx(np.full_like(xs, want), rel=1e-12)
 
 
 def test_protected_rejects_misaligned_rate(paper_model, paper_pref,
@@ -366,9 +366,9 @@ def test_a_failing_block_is_re_marched_up_to_the_first_failing_claim(
     marched = []
     march = solver._march
 
-    def counting(op, grid, terminal, *args, **kwargs):
-        marched.append(len(terminal))
-        return march(op, grid, terminal, *args, **kwargs)
+    def counting(segments, *args, **kwargs):
+        marched.append(len(segments))
+        return march(segments, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_march", counting)
     grid = dh.default_grid(paper_model, paper_pref, 32, 16)
@@ -384,27 +384,38 @@ def test_a_failing_block_is_re_marched_up_to_the_first_failing_claim(
     assert marched == [3, 1, 1]
 
 
-def test_bad_newton_jacobian_rows_fail_the_block():
-    # a linear operator F = -G whose Jacobian is tagged by the row's
-    # value: 1 -> a NaN diagonal (gtsv reports no zero pivot, and the NaN
-    # would reach the row before it through the zero coupling), 2 -> a
-    # zero pivot
-    n, w = 8, 0.5
+def _tagged_step(tags, n, w, diag_of):
+    """One Newton step on segments of n nodes each, laid end to end, of
+    the linear operator F = -G whose Jacobian diagonal on a segment is
+    diag_of(tag), tag the segment's value at its first node; G_next holds
+    each segment's tag on every node.  Returns (G_next, U) as (k, n)."""
+    layout = solver._Layout([n] * len(tags))
 
-    def evaluate(G):
-        tag = G[:, :1]
-        diag = np.where(tag == 1.0, np.nan, np.where(tag == 2.0, 1.0 / w,
-                                                     -1.0)) * np.ones(n)
-        zeros = np.zeros((len(G), n - 1))
+    def evaluate(G, sp):
+        diag = np.repeat(diag_of(G[sp.starts]), n)
+        zeros = np.zeros(len(G) - 1)
         return -G, (zeros, diag, zeros)
 
+    G_next = np.repeat(np.array(tags), n)
+    U = G_next.copy()
+    F, jac = evaluate(U, layout.span(0, len(tags)))
+    w_impl = np.full(len(U), w)
+    solver._solve_step(evaluate, layout, G_next, 0.0, U, [F, *jac],
+                       (w_impl, -w_impl), SolverOptions(), False,
+                       [7] * len(tags))
+    return G_next.reshape(len(tags), n), U.reshape(len(tags), n)
+
+
+def test_bad_newton_jacobian_rows_fail_the_block():
+    # a linear operator F = -G whose Jacobian is tagged by the segment's
+    # value: 1 -> a NaN diagonal (gtsv reports no zero pivot, and the NaN
+    # would reach the segment before it through the zero coupling), 2 ->
+    # a zero pivot
+    n, w = 8, 0.5
+
     def step(tags):
-        G_next = np.repeat(np.array(tags)[:, None], n, axis=1)
-        U = G_next.copy()
-        F, jac = evaluate(U)
-        solver._solve_step(evaluate, G_next, 0.0, U, [F, *jac], w,
-                           SolverOptions(), False, 7)
-        return G_next, U
+        return _tagged_step(tags, n, w, lambda tag: np.where(
+            tag == 1.0, np.nan, np.where(tag == 2.0, 1.0 / w, -1.0)))
 
     for tags in ((3.0, 0.0), (0.0, 3.0, -2.0), (5.0,)):
         G_next, U = step(tags)
@@ -424,6 +435,49 @@ def test_bad_newton_jacobian_rows_fail_the_block():
         assert err.value.step_index == 7
 
 
+@pytest.mark.parametrize("hole_diag", [np.nan, 2.0], ids=["nan", "singular"])
+def test_a_converged_segment_inside_the_span_solves_the_identity(hole_diag):
+    # tag 0 converges at once (its residual is 0) with a Jacobian that is
+    # not finite or singular, which alone it never solves; between two
+    # iterating segments it solves the identity, and the block converges
+    # as each segment does alone
+    n, w = 8, 0.5
+
+    def step(tags):
+        return _tagged_step(tags, n, w, lambda tag: np.where(
+            tag == 0.0, hole_diag, -1.0))
+
+    G_next, U = step((3.0, 0.0, 5.0))
+    for row, tag in zip(U, (3.0, 0.0, 5.0)):
+        assert row.tobytes() == step((tag,))[1][0].tobytes()
+    assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
+
+
+def test_a_newton_step_that_overflows_fails_a_block_at_once():
+    # tag 1e300 -> a diagonal whose step 1 - w diag is 2^-52, so the
+    # Newton step overflows to -inf; laid end to end, the segment before
+    # it would turn NaN through the zero coupling.  A block fails at once,
+    # with the first segment's own residual, w * 3
+    n, w = 8, 0.5
+
+    def step(tags):
+        return _tagged_step(tags, n, w, lambda tag: np.where(
+            tag == 1e300, (1.0 - 2.0 ** -52) / w, -1.0))
+
+    for tags in ((3.0, 1e300), (1e300, 3.0), (3.0, 1e300, 3.0)):
+        with pytest.raises(NewtonDivergence) as err:
+            step(tags)
+        assert err.value.step_index == 7
+        assert err.value.residual_norm == w * tags[0]
+    # alone, the overflowing segment fails on its own, with a residual
+    # that is not finite, and the other converges
+    with pytest.raises(NewtonDivergence) as err:
+        step((1e300,))
+    assert not np.isfinite(err.value.residual_norm)
+    G_next, U = step((3.0,))
+    assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
+
+
 def test_block_residual_equals_row_by_row(paper_model, paper_pref):
     grid = dh.default_grid(paper_model, paper_pref, 64, 48)
     xs = grid.xs
@@ -441,21 +495,75 @@ def test_block_residual_equals_row_by_row(paper_model, paper_pref):
         g = surface.grid
         chi = surface.chi if surface.chi is not None else np.ones_like(xs)
         f_field = rate_field if rate_field is not None else surface.rate_field
-        op = solver._Operator(solver._Coeffs(paper_model, g.xs,
-                                             paper_pref.alpha),
-                              g.dx, chi if f_field is None else None)
+        op = solver._Operator([(solver._Coeffs(paper_model, g.xs,
+                                               paper_pref.alpha),
+                                g.dx, chi if f_field is None else None)])
+        edges = op.layout.span(0, 1).edges
         w_impl, w_expl = solver._weights(opt.scheme, g.dt)
-        F = [op(row[None], None if f_field is None else f_field[i],
-                want_jacobian=False)[0][0]
+        F = [op(row, f_row=None if f_field is None else f_field[i],
+                want_jacobian=False)[0]
              for i, row in enumerate(surface.values)]
         want = [solver._step_residual(
                     surface.values[i], surface.values[i + 1], F[i],
                     w_expl * F[i + 1] if w_expl > 0.0 else 0.0, w_impl,
-                    surface.mode == "local")
+                    edges if surface.mode == "local" else None)
                 for i in range(g.n_time)]
         got = dh.residual(surface, paper_model, paper_pref, opt,
                           rate_field=rate_field)
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+# (kind, nx, nt): the paper's 400-node ladder; levels that do not nest
+# (nt = 70 gives 17/35/70); repeated levels (max(20 // 4, 16) = max(20 //
+# 2, 16) = 16)
+@pytest.mark.parametrize("mode", ["full", "local", "protected"])
+@pytest.mark.parametrize("kind, nx, nt", [("cir", 400, 400), ("cir", 64, 70),
+                                          ("ou", 20, 20), ("ou", 64, 70)])
+def test_lockstep_ladder_levels_equal_their_own_solves(paper_model, paper_pref,
+                                                       mode, kind, nx, nt):
+    m = paper_model if kind == "cir" else dh.make_ou_model(
+        dh.OUParams(1.0, 0.1, 0.5, 1.0, 0.3, 0.2))
+    claim = dh.bond_claim(2.0)
+    grids = [dh.default_grid(m, paper_pref, max(nx // div, 16),
+                             max(nt // div, 16)) for div in (4, 2, 1)]
+    cfg = cli.RunConfig(kind=kind, mode=mode, local_n=4)
+    levels = cli._solve_levels(cfg, m, claim, paper_pref, grids)
+    loc = dh.build_localization(m, 4)
+    for (G, res), g in zip(levels, grids):
+        if mode == "local":
+            g = dh.GridSpec(loc.outer[0], loc.outer[1], g.n_space, g.n_time,
+                            g.t_end)
+            alone = dh.solve_local(m, claim, paper_pref, loc, g)
+        elif mode == "protected":
+            rate = dh.insurance_rate(
+                dh.solve_full(m, dh.zero_claim(), paper_pref, g), m,
+                paper_pref)
+            alone = dh.solve_protected(m, paper_pref, rate, g)
+            assert _same_bits(G.rate_field, alone.rate_field)
+        else:
+            alone = dh.solve_full(m, claim, paper_pref, g)
+        assert G.grid == alone.grid and G.mode == alone.mode
+        assert _same_bits(G.values, alone.values)
+        # the march's own residual record is the independent check's
+        assert _same_bits(res, dh.residual(alone, m, paper_pref))
+
+
+@pytest.mark.parametrize("scheme", ["crank-nicolson", "backward-euler"])
+def test_the_march_records_each_claims_residual(paper_model, paper_pref,
+                                               scheme):
+    grid = dh.default_grid(paper_model, paper_pref, 64, 48)
+    opt = SolverOptions(scheme=scheme)
+    coef = solver._Coeffs(paper_model, grid.xs, paper_pref.alpha)
+    segments = [solver._full_segment(paper_model, c, paper_pref, grid, coef)
+                for c in _claims((0, 1.0, 10.0))]
+    surfaces, residuals = solver._solve(segments, opt, record=True)
+    for G, res in zip(surfaces, residuals):
+        assert _same_bits(res, dh.residual(G, paper_model, paper_pref, opt))
 
 
 def test_theta_calls_do_not_grow_with_the_block(monkeypatch, paper_model,
@@ -492,6 +600,10 @@ def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
         n_index=loc.n_index, inner=loc.inner, outer=loc.outer,
         chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     claims = _claims((0, 1.0, 3.0, 5.0, 10.0))
+    ladder = [solver._full_segment(paper_model, dh.zero_claim(), paper_pref,
+                                   dh.default_grid(paper_model, paper_pref,
+                                                   n, n))
+              for n in (50, 100, 200)]
     counts = {}
 
     def counting(module, name):
@@ -519,6 +631,9 @@ def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
                                   paper_model, dh.bond_claim(1.0),
                                   paper_pref, unit, lgrid),
                               (411, 409, 1018 - 409)),
+        # the zero claim's 50^2, 100^2 and 200^2 levels in lockstep: alone
+        # they take 100 + 192 + 200 = 492 tridiag_solve calls
+        "ladder": (lambda: solver._solve(ladder), (293, 292, 492)),
     }
     for name, (solve, want) in cases.items():
         counts.clear()
