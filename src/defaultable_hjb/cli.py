@@ -30,7 +30,7 @@ from .model import (ModelError, OUParams, CIRParams, Preferences,
                     paper_cir_params, zero_claim)
 from .lambertw import ThetaDomainError
 from .solver import (GridSpec, NewtonDivergence, Surface, _full_segment,
-                     _local_segment, _protected_segment, _solve,
+                     _local_segment, _march, _protected_segment,
                      solve_claims, solve_full)
 
 
@@ -323,7 +323,7 @@ def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list) -> list:
                                            x_max=loc.outer[1]))
                     for g in grids]
     elif cfg.mode == "protected":
-        zero = _solve([_full_segment(m, zero_claim(), pref, g)
+        zero = _march([_full_segment(m, zero_claim(), pref, g)
                        for g in grids])[0]
         # each zero-claim surface is dropped once its rate is formed
         segments = [_protected_segment(
@@ -331,7 +331,7 @@ def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list) -> list:
                         g) for g in grids]
     else:
         segments = [_full_segment(m, claim, pref, g) for g in grids]
-    return list(zip(*_solve(segments, record=True)))
+    return list(zip(*_march(segments, record=True)))
 
 
 # what fails a lockstep ladder: the levels are then solved one by one
@@ -473,7 +473,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     ]
     _write(cfg, "verify.csv", header + [f"pde_value = {g0:.17g}"],
            _estimate_lines([ce, mass, dual, ce_pert], cfg.seed))
-    failures = [name for name, gap, tol in checks if gap > tol]
+    failures = [name for name, gap, tol in checks if not gap <= tol]
     for name, gap, tol in checks:
         status = "pass" if gap <= tol else "FAIL"
         print(f"verify: {name}: gap={gap:.6g} tol={tol:.6g} [{status}]")

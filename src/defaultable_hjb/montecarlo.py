@@ -49,7 +49,6 @@ class MCEstimate:
     std_error: float
     n_paths: int
     label: str = ""
-    note: str = ""
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -86,7 +85,6 @@ class PathBundle:
     horizon: float
     x_T: np.ndarray           # (n_paths,) factor at the last simulation time
     delta: np.ndarray         # (n_paths,) default times (inf = no default)
-    default_step: np.ndarray  # (n_paths,) step of the default (n_steps: none)
     w_T: np.ndarray           # (n_paths,) terminal wealth
     protected: bool = False
     z_T: Optional[np.ndarray] = None  # terminal dual density Z_T
@@ -239,7 +237,6 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
     cum = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
     delta = np.full(n_paths, np.inf)
-    default_step = np.full(n_paths, n_steps, dtype=np.int64)
     wealth = [np.zeros(n_paths) for _ in pi_fields]
     for k in range(n_steps):
         t_k = dt * k
@@ -256,7 +253,6 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
             frac = np.clip((e[rows] - lo) / denom, 0.0, 1.0)
             delta_rows = dt * (k + frac)
             delta[rows] = delta_rows
-            default_step[rows] = k
             alive[rows] = False
             part = np.clip(delta_rows - t_k, 0.0, dt)
 
@@ -287,8 +283,8 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
                 inc[rows] = jump
             np.add(W, inc, out=W)
         x, gam, cum = x_next, gam_next, cum_next
-    return [PathBundle(cfg=cfg, horizon=horizon, x_T=x, delta=delta,
-                       default_step=default_step, w_T=W, protected=protected)
+    return [PathBundle(cfg=cfg, horizon=horizon, x_T=x, delta=delta, w_T=W,
+                       protected=protected)
             for W in wealth]
 
 
@@ -307,9 +303,9 @@ def simulate_halves(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
     below _FORK_FLOOR path-steps, one simulate_policies call in process.
 
     The loop is elementwise across paths, so the bundles are bit for bit
-    those of one simulate_policies call, sharing x_T, delta and
-    default_step as they do.  Each half reads a view of the noise, which
-    a forked worker shares copy-on-write.
+    those of one simulate_policies call, sharing x_T and delta as they
+    do.  Each half reads a view of the noise, which a forked worker
+    shares copy-on-write.
     """
     cfg = noise.cfg
     if cfg.n_paths == 1 or cfg.n_paths * cfg.n_steps < _FORK_FLOOR:
@@ -322,7 +318,7 @@ def simulate_halves(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
                                                     pi_fields, rate_field),
                      halves)
     shared = {name: np.concatenate([getattr(part[0], name) for part in parts])
-              for name in ("x_T", "delta", "default_step")}
+              for name in ("x_T", "delta")}
     return [PathBundle(cfg=cfg, horizon=horizon, **shared,
                        w_T=np.concatenate([b.w_T for b in per_half]),
                        protected=rate_field is not None)
@@ -367,9 +363,19 @@ def estimate_certainty_equivalent(bundle: PathBundle, claim: ClaimSpec,
     if not bundle.protected and surv.any():
         payoff[surv] += claim.q * np.asarray(
             claim.phi(bundle.x_T[surv]), dtype=float)
-    y = _sample_mean(np.exp(-al * payoff), label)
+    exponent = -al * payoff
+    top = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _sample_mean(np.exp(exponent), label)
+    if not (0.0 < y.mean < math.inf and math.isfinite(y.std_error)):
+        # e^{-alpha payoff} or its square leaves the doubles: the mean of
+        # e^{-alpha payoff - top} (log-sum-exp), whose log transform has
+        # the same standard error
+        top = float(exponent.max())
+        with np.errstate(invalid="ignore"):
+            y = _sample_mean(np.exp(exponent - top), label)
     # the delta method for the log transform
-    return replace(y, mean=float(-np.log(y.mean) / al),
+    return replace(y, mean=float(-(np.log(y.mean) + top) / al),
                    std_error=y.std_error / (al * y.mean))
 
 

@@ -18,13 +18,14 @@ preferences, laid end to end as segments of one array (a single solve is
 a block of one).  Each segment has its own grid, time step and terminal
 row: the claims of solve_claims are equal segments, and the CLI's
 convergence ladder marches its three grids as one block.  The segments
-step in lockstep: each Newton iterate evaluates the operator once and
-solves one block-diagonal tridiagonal system for every segment still
-iterating, while each segment keeps its own convergence test and line
-search, and so takes exactly the Newton path it takes alone.  A block
-fails as a whole, at the first failure of any segment; solve_claims then
-marches the claims one by one to raise the first failing claim's own
-error.
+step in lockstep: each Newton iteration evaluates the operator once and
+solves one block-diagonal tridiagonal system on the span from the first
+to the last segment still iterating, while each segment keeps its own
+convergence test and takes the first line-search trial that lowers its
+own residual, and so takes exactly the Newton path it takes alone.  A
+block fails as a whole, at the first failure of any segment;
+solve_claims then marches the claims one by one to raise the first
+failing claim's own error.
 
 The marcher carries the operator evaluation (F, Jacobian) of the
 current iterate along, always equal to evaluating it afresh: an
@@ -291,12 +292,6 @@ def _index(positions: list):
     return np.array(positions, dtype=np.intp)
 
 
-def _within(outer, inner) -> slice:
-    """The nodes of the span inner as a slice of the span outer."""
-    base = outer.at.start
-    return slice(inner.at.start - base, inner.at.stop - base)
-
-
 class _Span:
     """Segments a, ..., b - 1 of a block, laid end to end.
 
@@ -363,13 +358,7 @@ class _Operator:
         coef0, _, chi0 = parts[0]
         self.alpha, self.protected = coef0.alpha, chi0 is None
         self.layout = _Layout([coef.b.size for coef, _, _ in parts])
-        # a part given several times (residual's time rows) is made once
-        made = {}
-        for coef, dx, chi in parts:
-            key = id(coef), dx, id(chi)
-            if key not in made:
-                made[key] = self._rows(coef, dx, chi)
-        rows = [made[id(coef), dx, id(chi)] for coef, dx, chi in parts]
+        rows = [self._rows(coef, dx, chi) for coef, dx, chi in parts]
         self._flat = {k: np.concatenate([r[k] for r in rows])
                       for k in rows[0]}
         self._views = {}
@@ -486,17 +475,6 @@ def _step_residual(U, G_next, F_U, expl, w_impl, edges=None):
     return R
 
 
-def _runs(segs: list) -> list:
-    """Ascending segment numbers as (a, b) runs of consecutive ones."""
-    runs = []
-    for s in segs:
-        if runs and runs[-1][1] == s:
-            runs[-1][1] = s + 1
-        else:
-            runs.append([s, s + 1])
-    return runs
-
-
 def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
                 U: np.ndarray, ev: list, w: tuple, opt: SolverOptions,
                 dirichlet: bool, steps: list, record=None):
@@ -510,10 +488,11 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
     evaluates the point it steps to at once.  Each segment iterates until
     its own residual converges, with its own line search, as it would
     alone; record[s], when given, receives segment s's residual at
-    convergence.  An iteration evaluates and solves the span from the
-    first to the last segment still iterating: a converged segment
-    inside it solves the identity, and keeps its values.  A trial that
-    every segment still iterating accepts is their next iterate: its
+    convergence.  An iteration evaluates, solves and searches the span
+    from the first to the last segment still iterating: a converged
+    segment inside it solves the identity, and keeps its values, and a
+    segment takes the first trial that lowers its own residual.  A trial
+    that every segment still iterating accepts is their next iterate: its
     residual serves the next convergence test, and when those segments
     are the whole block its evaluation becomes ev.
     The block fails as a whole, at the first failure of any segment: a
@@ -537,29 +516,27 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
                               expl if isinstance(expl, float) else expl[at],
                               w_impl[at], sp.edges if dirichlet else None)
 
-    def max_norms(sp, R):
-        return np.maximum.reduceat(np.abs(R), sp.starts).tolist()
-
     def take(segs, sp, X, e):
         """U and ev of the segments segs of the span sp from X and e."""
-        for a, b in _runs(segs):
-            run = layout.span(a, b)
-            rel = _within(sp, run)
-            U[run.at] = X[rel]
-            ev[0][run.at] = e[0][rel]
-            ev[2][run.at] = e[1][1][rel]
-            band = slice(rel.start, rel.stop - 1)
-            ev[1][run.band] = e[1][0][band]
-            ev[3][run.band] = e[1][2][band]
-
-    def diverged(s):
-        return NewtonDivergence(steps[s], rnorm[s])
+        base = sp.at.start
+        if len(segs) == sp.b - sp.a:
+            parts = [slice(0, X.size)]
+        else:
+            parts = [sp.parts[s - sp.a] for s in segs]
+        for part in parts:
+            at = slice(base + part.start, base + part.stop)
+            band = slice(part.start, part.stop - 1)
+            U[at] = X[part]
+            ev[0][at] = e[0][part]
+            ev[2][at] = e[1][1][part]
+            ev[1][at.start:at.stop - 1] = e[1][0][band]
+            ev[3][at.start:at.stop - 1] = e[1][2][band]
 
     for it in range(opt.newton_max_iter + 1):
         sp = layout.span(todo[0], todo[-1] + 1)
         if kept is None:
             R = residual_of(sp, U[sp.at], ev[0][sp.at])
-            norms = max_norms(sp, R)
+            norms = np.maximum.reduceat(np.abs(R), sp.starts).tolist()
         else:
             (R, norms), kept = kept, None
         going = []
@@ -574,11 +551,12 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
         if len(going) < len(todo):
             todo = going
             inner = layout.span(todo[0], todo[-1] + 1)
-            R, sp = R[_within(sp, inner)], inner
+            R = R[inner.at.start - sp.at.start:inner.at.stop - sp.at.start]
+            sp = inner
         bad = [s for s in todo if not math.isfinite(rnorm[s])] \
             if it < opt.newton_max_iter else todo
         if bad:
-            raise diverged(bad[0])
+            raise NewtonDivergence(steps[bad[0]], rnorm[bad[0]])
         at, band = sp.at, sp.band
         jd = 1.0 - w_impl[at] * ev[2][at]
         jsub = w_neg[sp.below] * ev[1][band]
@@ -594,46 +572,43 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
                 inside = slice(part.start, part.stop - 1)
                 jd[part], rhs[part] = 1.0, 0.0
                 jsub[inside] = jsup[inside] = 0.0
+        first = todo[0]
         if not (np.isfinite(jd).all() and np.isfinite(jsub).all()
                 and np.isfinite(jsup).all()):
-            raise diverged(todo[0])
+            raise NewtonDivergence(steps[first], rnorm[first])
         try:
             delta = backends.tridiag_solve(jsub, jd, jsup, rhs)
         except backends.SingularBlock:
-            raise diverged(todo[0]) from None
+            raise NewtonDivergence(steps[first], rnorm[first]) from None
         if sp.joints is not None and not np.isfinite(delta).all():
-            raise diverged(todo[0])
-        # damped line search; an accepted trial's evaluation is reused, and
-        # a segment that accepts steps by zero from then on
-        segs, lsp = todo, sp
+            raise NewtonDivergence(steps[first], rnorm[first])
+        # damped line search on sp; an accepted trial's evaluation is
+        # reused, and a segment that accepts leaves the search
+        searching = todo
         s = 1.0
         for _ in range(10):
-            step = delta[_within(sp, lsp)]
-            trial = U[lsp.at] + (step if s == 1.0 else s * step)
-            e = evaluate(trial, lsp)
-            R = residual_of(lsp, trial, e[0])
-            norms = max_norms(lsp, R)
-            ok = [g for g in segs if norms[g - lsp.a] < rnorm[g]]
-            if len(ok) == len(segs):
-                if segs is todo:
+            trial = U[sp.at] + (delta if s == 1.0 else s * delta)
+            e = evaluate(trial, sp)
+            R = residual_of(sp, trial, e[0])
+            norms = np.maximum.reduceat(np.abs(R), sp.starts).tolist()
+            ok = [g for g in searching if norms[g - sp.a] < rnorm[g]]
+            if len(ok) == len(searching):
+                if searching is todo:
                     kept = R, norms
-                if segs is todo and len(todo) == len(steps):
+                if searching is todo and len(todo) == len(steps):
                     U[:] = trial
                     ev[:] = [e[0], *e[1]]
                 else:
-                    take(segs, lsp, trial, e)
+                    take(searching, sp, trial, e)
                 break
             if ok:
-                take(ok, lsp, trial, e)
-                for g in ok:
-                    delta[sp.parts[g - sp.a]] = 0.0
-                segs = [g for g in segs if g not in ok]
-                lsp = layout.span(segs[0], segs[-1] + 1)
+                take(ok, sp, trial, e)
+                searching = [g for g in searching if g not in ok]
             s *= 0.5
         else:
             # a point no trial evaluated
-            X = U[lsp.at] + s * delta[_within(sp, lsp)]
-            take(segs, lsp, X, evaluate(X, lsp))
+            X = U[sp.at] + s * delta
+            take(searching, sp, X, evaluate(X, sp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,17 +630,18 @@ class _Segment:
                        rate_field=self.rate_field)
 
 
-def _march(segments: list, opt: SolverOptions, record: bool = False) -> tuple:
+def _march(segments: list, opt: SolverOptions = SolverOptions(),
+           record: bool = False) -> tuple:
     """Segments marched backward in lockstep, as one block laid end to end.
 
-    Returns (values, residuals), in the order of segments: each
-    segment's (n_time + 1, n_space + 1) values and, if record, its
-    (n_time, n_space + 1) step residuals at convergence, the array that
-    residual returns for its surface (else None).  The segments share a
-    mode, a model and preferences; each has its own grid, time step and
-    terminal row.  The block holds them by n_time, descending, and
-    segment s steps on the first n_time_s ticks, so the segments that
-    step form a prefix of the block.  The edges extrapolate, or are held at zero in local mode.  ev
+    Returns (surfaces, residuals), in the order of segments: each
+    segment's Surface and, if record, its (n_time, n_space + 1) step
+    residuals at convergence, the array that residual returns for its
+    surface (else None).  The segments share a mode, a model and
+    preferences; each has its own grid, time step and terminal row.  The
+    block holds them by n_time, descending, and segment s steps on the
+    first n_time_s ticks, so the segments that step form a prefix of the
+    block.  The edges extrapolate, or are held at zero in local mode.  ev
     always holds the evaluation of the current rows: a tick's first
     iterate is evaluated afresh only when the source rows change
     (protected) or the edge reset changed a bit, and the explicit half
@@ -737,15 +713,8 @@ def _march(segments: list, opt: SolverOptions, record: bool = False) -> tuple:
             v[i] = U[part]
         G = U
     back = sorted(range(len(order)), key=order.__getitem__)
-    return [values[p] for p in back], [residuals[p] for p in back]
-
-
-def _solve(segments: list, opt: SolverOptions = SolverOptions(),
-           record: bool = False) -> tuple:
-    """(Surfaces, step residuals if record) of the segments, marched as
-    one block (see _march)."""
-    values, residuals = _march(segments, opt, record)
-    return [seg.surface(v) for seg, v in zip(segments, values)], residuals
+    return ([seg.surface(values[p]) for seg, p in zip(segments, back)],
+            [residuals[p] for p in back])
 
 
 def _full_segment(m: ModelSpec, c: ClaimSpec, pref: Preferences,
@@ -796,7 +765,7 @@ def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
     coef = _Coeffs(m, grid.xs, pref.alpha)
     segments = [_full_segment(m, c, pref, grid, coef) for c in claims]
     try:
-        return _solve(segments, opt)[0]
+        return _march(segments, opt)[0]
     except (NewtonDivergence, ThetaDomainError) as exc:
         if len(claims) == 1:
             raise
@@ -818,7 +787,7 @@ def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
                 loc: LocalizationSpec, grid: GridSpec,
                 opt: SolverOptions = SolverOptions()) -> Surface:
     """Solve the mollified equation on E_n with zero Dirichlet lateral data."""
-    return _solve([_local_segment(m, c, pref, loc, grid)], opt)[0][0]
+    return _march([_local_segment(m, c, pref, loc, grid)], opt)[0][0]
 
 
 def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
@@ -828,13 +797,7 @@ def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
 
     f_surface is the insurance rate on the same (time x space) grid.
     """
-    return _solve([_protected_segment(m, pref, f_surface, grid)], opt)[0][0]
-
-
-# time rows per operator evaluation of residual: blocks this size keep the
-# temporaries in cache (a whole 401-row surface at once is twice as slow
-# and holds about 20 MB of temporaries)
-_RESIDUAL_ROWS = 32
+    return _march([_protected_segment(m, pref, f_surface, grid)], opt)[0][0]
 
 
 def residual(surface: Surface, m: ModelSpec, pref: Preferences,
@@ -842,48 +805,27 @@ def residual(surface: Surface, m: ModelSpec, pref: Preferences,
              rate_field: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete stepping residual of the surface, one row per time step.
 
-    Uses exactly the operators and the closure the stepper drives to
-    newton_tol; a converged solve therefore has max-norm residual
-    <= 10 * newton_tol.  For protected-mode evaluation of a full-mode
-    surface, pass rate_field.
+    The reference check on a march, independent of it: it evaluates the
+    operator row by row, with exactly the operators and the closure the
+    stepper drives to newton_tol, so a converged solve has max-norm
+    residual <= 10 * newton_tol.  For protected-mode evaluation of a
+    full-mode surface, pass rate_field.
     """
     grid = surface.grid
     values = surface.values
     protected = surface.mode == "protected" or rate_field is not None
     chi = surface.chi if surface.chi is not None else np.ones_like(grid.xs)
     f_field = rate_field if rate_field is not None else surface.rate_field
-    # blocks of time rows, laid end to end as segments of one grid
-    block = min(_RESIDUAL_ROWS, len(values))
     op = _Operator([(_Coeffs(m, grid.xs, pref.alpha), grid.dx,
-                     None if protected else chi)] * block)
-    edges = surface.mode == "local"
+                     None if protected else chi)])
+    edges = op.layout.span(0, 1).edges if surface.mode == "local" else None
     w_impl, w_expl = _weights(opt.scheme, grid.dt)
-
-    def blocks(n_rows):
-        for a in range(0, n_rows, block):
-            yield (slice(a, a + block),
-                   op.layout.span(0, min(block, n_rows - a)))
-
-    def flat(a):
-        return a.reshape(-1)
-
-    # the time nodes are evaluated as blocks of rows (each row once: row
-    # i + 1 is also the explicit half of row i)
-    F = np.empty_like(values)
-    for rows, sp in blocks(len(values)):
-        F[rows] = op(flat(values[rows]), sp,
-                     flat(f_field[rows]) if protected else None,
-                     want_jacobian=False)[0].reshape(F[rows].shape)
-    # and so are the steps, whose temporaries then stay block-sized
-    U, G_next, F_U, F_next = values[:-1], values[1:], F[:-1], F[1:]
-    R = np.empty_like(U)
-    for rows, sp in blocks(len(R)):
-        expl = w_expl * flat(F_next[rows]) if w_expl > 0.0 else 0.0
-        R[rows] = _step_residual(flat(U[rows]), flat(G_next[rows]),
-                                 flat(F_U[rows]), expl, w_impl,
-                                 sp.edges if edges else None
-                                 ).reshape(R[rows].shape)
-    return R
+    F = [op(row, f_row=f_field[i] if protected else None,
+            want_jacobian=False)[0] for i, row in enumerate(values)]
+    return np.array([_step_residual(
+        values[i], values[i + 1], F[i],
+        w_expl * F[i + 1] if w_expl > 0.0 else 0.0, w_impl, edges)
+        for i in range(grid.n_time)])
 
 
 def default_grid(m: ModelSpec, pref: Preferences, n_space: int = 200,

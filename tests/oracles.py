@@ -319,11 +319,12 @@ def mc_exponential_functional(drift: Callable, diffusion: Callable,
                               n_paths: int, n_steps: int, seed: int,
                               floor_at_zero: bool = False,
                               cap: float = 1e7,
-                              label: str = "expfun") -> MCEstimate:
-    """Euler estimate of E[exp(int_0^T weight(X_u) du)] with X_0 = x0.
+                              label: str = "expfun") -> tuple:
+    """(Euler estimate of E[exp(int_0^T weight(X_u) du)] with X_0 = x0,
+    exploded).
 
-    Trapezoidal time integral; paths escaping |x| > cap mark the estimate
-    with note="explosion" (the caller reports Unverified, not Fails).
+    Trapezoidal time integral; exploded is True when a path escapes
+    |x| > cap (the caller reports Unverified, not Fails).
     """
     dt = T / n_steps
     rng = np.random.Generator(np.random.Philox(seed))
@@ -347,18 +348,19 @@ def mc_exponential_functional(drift: Callable, diffusion: Callable,
     y = np.exp(integral)
     mean = float(np.mean(y))
     se = float(np.std(y, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths, label=label,
-                      note="explosion" if exploded.any() else "")
+    return (MCEstimate(mean=mean, std_error=se, n_paths=n_paths, label=label),
+            bool(exploded.any()))
 
 
 def mc_integrability_probe(m: ModelSpec, measure: str, eps: float, x: float,
                            T: float, n_paths: int, n_steps: int,
-                           seed: int = 0, p_exp: float = 1.5) -> MCEstimate:
-    """MC estimate of E[exp(eps int_0^T ell^2(X_u) du)] under a chosen drift.
+                           seed: int = 0, p_exp: float = 1.5) -> tuple:
+    """(MC estimate of E[exp(eps int_0^T ell^2(X_u) du)] under a chosen
+    drift, exploded), as mc_exponential_functional returns them.
 
     measure is "physical", "p0" (dual drift b - ell a rho) or "pp"
-    (b + (p-1) ell a rho).  Paths hitting the hard cap mark the estimate
-    with note="explosion"; callers should report Unverified in that case.
+    (b + (p-1) ell a rho).  exploded is True when a path hits the hard
+    cap; callers should report Unverified in that case.
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
@@ -408,7 +410,7 @@ def mc_cir_weight_probe(p, A_coef: float, B_coef: float, x0: float, T: float,
         lambda xv: p.xi * np.sqrt(np.maximum(np.asarray(xv, dtype=float),
                                              0.0)),
         weight, x0=x0, T=T, n_paths=n_paths, n_steps=n_steps, seed=seed,
-        floor_at_zero=True, label="cir-moment-probe")
+        floor_at_zero=True, label="cir-moment-probe")[0]
 
 
 def rk4_constant_oracle(mu, sigma, gamma, alpha, T, n_steps):

@@ -223,8 +223,8 @@ def test_check_model_dispatch(paper_model, paper_pref):
 
 
 def test_mc_integrability_probe_eps_zero_is_one(paper_model):
-    est = mc_integrability_probe(paper_model, "physical", 0.0, 0.06, 1.0,
-                                 n_paths=200, n_steps=50)
+    est, _ = mc_integrability_probe(paper_model, "physical", 0.0, 0.06, 1.0,
+                                    n_paths=200, n_steps=50)
     assert est.mean == pytest.approx(1.0, abs=1e-14)
     assert est.std_error == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
@@ -236,9 +236,10 @@ def test_mc_integrability_probe_eps_zero_is_one(paper_model):
 
 
 def test_mc_probe_finite_for_paper_model(paper_model):
-    est = mc_integrability_probe(paper_model, "p0", 0.05, 0.06, 1.0,
-                                 n_paths=2000, n_steps=100, seed=4)
-    assert est.note != "explosion"
+    est, exploded = mc_integrability_probe(paper_model, "p0", 0.05, 0.06,
+                                           1.0, n_paths=2000, n_steps=100,
+                                           seed=4)
+    assert not exploded
     assert 1.0 < est.mean < 2.0
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -550,33 +551,87 @@ def _ini_text(ini: dict) -> str:
         for section, keys in ini.items())
 
 
+def _verdict_agrees(out: str, err: str, code: int):
+    """verify's tolerances are finite, and its [FAIL] lines name exactly
+    the checks of its check failure line, which it prints exactly when it
+    exits 1."""
+    tols = re.findall(r" tol=(\S+) \[", out)
+    assert all(np.isfinite(float(t)) for t in tols), out
+    failed = re.findall(r"^verify: ([\w-]+): .*\[FAIL\]$", out, re.M)
+    listed = re.findall(r"^check failure: verification failed: (.*)$", err,
+                        re.M)
+    assert (code == 1) == bool(listed), (code, err)
+    assert failed == (listed[0].split(", ") if listed else []), (out, err)
+
+
+# e^{-alpha payoff} overflows in verify's CE estimates: its square (A),
+# and the exponential itself (A at alpha = 60, B)
+_CE_OVERFLOW_A = {
+    "model": {"kind": "ou", "mu2": 3.442, "gamma": 0.01679, "sigma": 9.177,
+              "b": 2.318, "rho": 0.943},
+    "claim": {"phi": "zero", "q": "0.2169 1.224"},
+    "preferences": {"alpha": 22.48, "horizon": 1.17},
+    "grid": {"nx": 48, "nt": 24}, "mc": {"paths": 200, "steps": 50}}
+_CE_OVERFLOW_B = {
+    "model": {"kind": "ou", "mu2": 83.32, "gamma": 0.02983, "sigma": 5.756,
+              "b": 0.4269, "rho": 0.121},
+    "claim": {"phi": "one", "q": "0.4722 96.14"},
+    "preferences": {"alpha": 20.83, "horizon": 2.07},
+    "grid": {"nx": 48, "nt": 24}, "mc": {"paths": 200, "steps": 50}}
+_CE_OVERFLOW_A60 = {**_CE_OVERFLOW_A,
+                    "preferences": {"alpha": 60.0, "horizon": 1.17}}
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_INI_BOX)
 @example({"model": {"kind": "ou", "mu2": 30.0},
           "grid": {"nx": 48, "nt": 24}, "mc": {"paths": 200, "steps": 50}})
+@example(_CE_OVERFLOW_A)
+@example(_CE_OVERFLOW_A60)
+@example(_CE_OVERFLOW_B)
 def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
                                                         ini):
     # every call returns 0, 1 or 2 with at most one line on stderr, the
     # library warns of nothing (verify's worker forwards its warnings),
-    # and no worker process outlives its call
+    # no worker process outlives its call, and verify's verdict lines
+    # agree with its exit code
     out = tmp_path_factory.mktemp("box")
     p = out / "run.ini"
     p.write_text(_ini_text(ini))
     for argv in (["solve"], ["solve", "--mode", "local:3"],
                  ["solve", "--mode", "protected"], ["price-bond"],
                  ["price-insurance"], ["check-assumptions"], ["verify"]):
-        err = io.StringIO()
+        out_text, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stdout(out_text), \
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(argv + ["--config", str(p), "--out", str(out)])
         assert code in (0, 1, 2), argv
+        if argv == ["verify"]:
+            _verdict_agrees(out_text.getvalue(), err.getvalue(), code)
         assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], argv
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_nan_gap_is_a_listed_failure(monkeypatch, tmp_path, capsys):
+    # a check whose gap or tolerance is NaN fails, and is listed
+    def nan_mass(bundle, label="mass"):
+        return mc.MCEstimate(mean=np.nan, std_error=0.0, n_paths=1,
+                             label=label)
+
+    monkeypatch.setattr(mc, "estimate_martingale_mass", nan_mass)
+    p = tmp_path / "run.ini"
+    p.write_text(PAPER_INI.format(xi=0.1, mu1=0.0, phi="one", q=1.0, nx=48,
+                                  nt=24, paths=200, steps=50, seed=0))
+    code = main(["verify", "--config", str(p), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "martingale-mass: gap=nan tol=3e-12 [FAIL]" in captured.out
+    _verdict_agrees(captured.out, captured.err, code)
 
 
 def test_an_unwritable_output_file_is_a_config_error(tmp_path):

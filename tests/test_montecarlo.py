@@ -100,7 +100,7 @@ def test_determinism_bit_identical(paper_model):
     cfg = SimConfig(n_paths=500, n_steps=50, seed=123, x0=0.06)
     (b1,) = _simulate(paper_model, cfg, 1.0, [lambda t, x: 0.3 + x])
     (b2,) = _simulate(paper_model, cfg, 1.0, [lambda t, x: 0.3 + x])
-    for name in ("x_T", "delta", "default_step", "w_T"):
+    for name in ("x_T", "delta", "w_T"):
         assert np.array_equal(getattr(b1, name), getattr(b2, name))
     cfg2 = SimConfig(n_paths=500, n_steps=50, seed=124, x0=0.06)
     (b3,) = _simulate(paper_model, cfg2, 1.0, [lambda t, x: 0.3 + x])
@@ -167,9 +167,6 @@ def test_survival_probability_constant_intensity():
     # crossing times are exact for piecewise-constant intensity
     hit = np.isfinite(b.delta)
     assert np.allclose(b.delta[hit], noise.exp_draws[hit] / 0.5, atol=1e-12)
-    assert np.array_equal(b.default_step[hit],
-                          np.floor(b.delta[hit] * 20).astype(np.int64))
-    assert np.all(b.default_step[~hit] == cfg.n_steps)
 
 
 def test_wealth_jump_and_freeze_at_default():
@@ -194,7 +191,7 @@ def test_wealth_jump_and_freeze_at_default():
     # and the one loop ends with that wealth
     (b,) = _simulate(m, cfg, 1.0, policy)
     assert np.array_equal(b.w_T, rb.wealth[:, -1])
-    assert np.array_equal(b.default_step, ds)
+    assert np.array_equal(b.delta, ref.delta)
 
 
 def test_zero_policy_gives_zero_certainty_equivalent(paper_model, paper_pref):
@@ -283,7 +280,7 @@ def test_one_value_for_every_path():
     (want,) = simulate_policies(per_path, noise, 1.0,
                                 [lambda t, x: 0.7 * np.ones_like(x)])
     (got,) = simulate_policies(scalar, noise, 1.0, [lambda t, x: 0.7])
-    assert (want.default_step < 40).any()
+    assert np.isfinite(want.delta).any()
     assert got.delta.tobytes() == want.delta.tobytes()
     assert got.w_T.tobytes() == want.w_T.tobytes()
 
@@ -386,7 +383,6 @@ def test_terminal_state_equals_the_pipeline_bit_for_bit(
         b = got[0]
         assert b.x_T.tobytes() == ref.x[:, -1].tobytes()
         assert b.delta.tobytes() == ref.delta.tobytes()
-        assert b.default_step.tobytes() == ref.default_step.tobytes()
         for g, w in zip(got, want):
             assert g.w_T.tobytes() == w.wealth[:, -1].tobytes()
 
@@ -465,19 +461,20 @@ def test_oracle_crossing_times_constant_intensity():
 
 def test_mc_exponential_functional_deterministic_weight():
     # zero diffusion, weight = 1: E[exp(int 1 dt)] = e^T exactly
-    est = mc_exponential_functional(lambda x: 0.0 * x, lambda x: 0.0 * x,
-                                    lambda x: np.ones_like(x), x0=1.0, T=2.0,
-                                    n_paths=8, n_steps=64, seed=0)
+    est, exploded = mc_exponential_functional(
+        lambda x: 0.0 * x, lambda x: 0.0 * x, lambda x: np.ones_like(x),
+        x0=1.0, T=2.0, n_paths=8, n_steps=64, seed=0)
     assert est.mean == pytest.approx(np.exp(2.0), rel=1e-12)
-    assert est.note == ""
+    assert not exploded
 
 
 def test_mc_exponential_functional_flags_explosion():
-    est = mc_exponential_functional(lambda x: x ** 2 + 10.0,
-                                    lambda x: 0.0 * x,
-                                    lambda x: np.zeros_like(x), x0=1e6,
-                                    T=1.0, n_paths=4, n_steps=50, seed=0)
-    assert est.note == "explosion"
+    _, exploded = mc_exponential_functional(lambda x: x ** 2 + 10.0,
+                                            lambda x: 0.0 * x,
+                                            lambda x: np.zeros_like(x),
+                                            x0=1e6, T=1.0, n_paths=4,
+                                            n_steps=50, seed=0)
+    assert exploded
 
 
 def test_estimates_to_csv(tmp_path):
@@ -523,7 +520,7 @@ def test_simulate_halves_equals_one_run_bit_for_bit(monkeypatch, paper_model,
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.cfg == cfg and g.protected == w.protected
-            for name in ("x_T", "delta", "default_step", "w_T"):
+            for name in ("x_T", "delta", "w_T"):
                 assert getattr(g, name).tobytes() == \
                     getattr(w, name).tobytes(), name
         assert got[0].x_T is got[1].x_T and got[0].delta is got[1].delta
@@ -558,7 +555,7 @@ def test_simulate_halves_forks_only_above_the_work_floor(monkeypatch,
         monkeypatch.undo()
         assert len(forks) == (must_fork and
                               len(os.sched_getaffinity(0)) >= 2)
-        for name in ("x_T", "delta", "default_step", "w_T"):
+        for name in ("x_T", "delta", "w_T"):
             assert getattr(got, name).tobytes() == \
                 getattr(want, name).tobytes(), name
 

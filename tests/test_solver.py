@@ -63,7 +63,7 @@ def test_local_with_unit_cutoff_equals_dirichlet_full(paper_model, paper_pref):
         "local", grid, solver._Coeffs(paper_model, xs, paper_pref.alpha),
         claim.q * claim.phi(xs), chi=np.ones_like(xs))
     full = solver._march([unit_segment], SolverOptions())[0][0]
-    assert np.max(np.abs(G_local.values - full)) <= 1e-10
+    assert np.max(np.abs(G_local.values - full.values)) <= 1e-10
     # the residual of a local surface uses the same closure
     assert np.max(np.abs(dh.residual(G_local, paper_model,
                                      paper_pref))) <= 1e-9
@@ -281,12 +281,15 @@ def _claims(qs):
 
 def test_solve_claims_bit_identical_to_solve_full(paper_model, paper_pref):
     grid = dh.default_grid(paper_model, paper_pref, 200, 200)
-    claims = _claims((0, 1.0, 3.0, 5.0, 10.0))
-    block = dh.solve_claims(paper_model, claims, paper_pref, grid)
-    for c, G in zip(claims, block):
-        alone = dh.solve_full(paper_model, c, paper_pref, grid)
-        assert G.values.tobytes() == alone.values.tobytes()
-        assert G.gradient.tobytes() == alone.gradient.tobytes()
+    # (10, 0, 5): the zero claim converges first at every tick, a
+    # converged segment between two that still iterate
+    for qs in ((0, 1.0, 3.0, 5.0, 10.0), (10.0, 0, 5.0)):
+        claims = _claims(qs)
+        block = dh.solve_claims(paper_model, claims, paper_pref, grid)
+        for c, G in zip(claims, block):
+            alone = dh.solve_full(paper_model, c, paper_pref, grid)
+            assert G.values.tobytes() == alone.values.tobytes()
+            assert G.gradient.tobytes() == alone.gradient.tobytes()
     # on a coarse grid a large notional needs its own damped line search
     grid = dh.default_grid(paper_model, paper_pref, 32, 16)
     claims = _claims((0, 3.0, 30.0, 100.0))
@@ -561,7 +564,7 @@ def test_the_march_records_each_claims_residual(paper_model, paper_pref,
     coef = solver._Coeffs(paper_model, grid.xs, paper_pref.alpha)
     segments = [solver._full_segment(paper_model, c, paper_pref, grid, coef)
                 for c in _claims((0, 1.0, 10.0))]
-    surfaces, residuals = solver._solve(segments, opt, record=True)
+    surfaces, residuals = solver._march(segments, opt, record=True)
     for G, res in zip(surfaces, residuals):
         assert _same_bits(res, dh.residual(G, paper_model, paper_pref, opt))
 
@@ -633,7 +636,7 @@ def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
                               (411, 409, 1018 - 409)),
         # the zero claim's 50^2, 100^2 and 200^2 levels in lockstep: alone
         # they take 100 + 192 + 200 = 492 tridiag_solve calls
-        "ladder": (lambda: solver._solve(ladder), (293, 292, 492)),
+        "ladder": (lambda: solver._march(ladder), (293, 292, 492)),
     }
     for name, (solve, want) in cases.items():
         counts.clear()
