@@ -9,8 +9,8 @@ On the paper's square-root model at 400x400 (perfbench/reference.ini) it
 times, --repeat times each in this process:
 
 * solve_full of the zero claim;
-* the five claims of price-bond (the zero claim and q = 1, 3, 5, 10):
-  solve_claims where the package has it, else one solve_full per claim;
+* solve_claims of the five claims of price-bond (the zero claim and
+  q = 1, 3, 5, 10);
 * one backends.tridiag_solve of a random diagonally dominant 401-node
   system;
 * one theta_of_log of 401 values evenly spaced on [-20, 20];
@@ -18,9 +18,8 @@ times, --repeat times each in this process:
   row of the zero-claim surface;
 * residual of the zero-claim surface;
 * the solves behind one `solve` of each mode on perfbench/reference.ini:
-  the 100^2, 200^2 and 400^2 levels and the finest level's step
-  residuals (cli._solve_levels where the package has it, else one
-  cli._solve_mode per level and residual);
+  cli._solve_levels of the 100^2, 200^2 and 400^2 levels, with the
+  finest level's step residuals;
 * cli._surface_lines of that surface, consumed line by line as the CLI
   writes it, so that only one line is alive at a time;
 * the subcommands solve, solve --mode protected, solve --mode local:4,
@@ -98,9 +97,6 @@ def cases(out_dir: str) -> dict:
     pref = dh.Preferences(alpha=3.0, horizon_T=1.0)
     grid = dh.default_grid(m, pref, 400, 400)
     claims = [dh.zero_claim()] + [dh.bond_claim(q) for q in QS]
-    solve_claims = getattr(dh, "solve_claims", None) or (
-        lambda m, cs, pref, grid: [dh.solve_full(m, c, pref, grid)
-                                   for c in cs])
     G = dh.solve_full(m, claims[0], pref, grid)
     rng = np.random.default_rng(0)
     n = grid.n_space + 1
@@ -110,12 +106,7 @@ def cases(out_dir: str) -> dict:
     xs = grid.xs
     coef = solver._Coeffs(m, xs, pref.alpha)
     row = G.values[grid.n_time // 2].copy()
-    if hasattr(solver, "_Layout"):
-        # an operator over segments laid end to end takes a flat row
-        op = solver._Operator([(coef, grid.dx, np.ones_like(xs))])
-    else:
-        op = solver._Operator(coef, grid.dx, np.ones_like(xs))
-        row = row[None]
+    op = solver._Operator([(coef, grid.dx, np.ones_like(xs))])
 
     def ladder(mode):
         cfg = cli.parse_config(str(CONFIG), argparse.Namespace(mode=mode))
@@ -123,14 +114,7 @@ def cases(out_dir: str) -> dict:
         grids = [cli.make_grid(cfg, m, pref, nx=max(cfg.nx // div, 16),
                                nt=max(cfg.nt // div, 16))
                  for div in (4, 2, 1)]
-        if hasattr(cli, "_solve_levels"):
-            return lambda: cli._solve_levels(cfg, m, claims[0], pref, grids)
-
-        def separately():
-            levels = [cli._solve_mode(cfg, m, claims[0], pref, g)
-                      for g in grids]
-            return levels, dh.residual(levels[-1], m, pref)
-        return separately
+        return lambda: cli._solve_levels(cfg, m, claims[0], pref, grids)
 
     def command(name):
         argv = COMMANDS[name][0] + ["--config", str(CONFIG),
@@ -146,7 +130,8 @@ def cases(out_dir: str) -> dict:
 
     return {
         "solve_full_400": lambda: dh.solve_full(m, claims[0], pref, grid),
-        "price_bond_claims_400": lambda: solve_claims(m, claims, pref, grid),
+        "price_bond_claims_400": lambda: dh.solve_claims(m, claims, pref,
+                                                         grid),
         "tridiag_solve_401": lambda: backends.tridiag_solve(*system),
         "theta_of_log_401": lambda: dh.theta_of_log(us),
         "operator_401": lambda: op(row),

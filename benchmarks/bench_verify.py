@@ -11,8 +11,7 @@ times in this process.  Each Monte Carlo stage is timed by wrapping the
 montecarlo functions the CLI calls; a stage function called from another
 is booked to the outer one.  Stages: noise (draw_noise), loop
 (simulate_halves, the time loop of factor, default and wealth on both
-path halves, a forked worker's half and the wait for it included; or
-simulate_policies, where the package has no simulate_halves) and
+path halves, a forked worker's half and the wait for it included) and
 estimators (dual_density_terminal and the three estimates); "other" is
 the rest of the call (the 200x200 solve, the policy and the CSV).  Each
 stage and the total report the best of the runs and, for their spread,
@@ -54,7 +53,6 @@ ARGS = ["--grid", "200,200", "--seed", "3"]
 STAGES = {
     "draw_noise": "noise",
     "simulate_halves": "loop",
-    "simulate_policies": "loop",
     "dual_density_terminal": "estimators",
     "estimate_certainty_equivalent": "estimators",
     "estimate_martingale_mass": "estimators",
@@ -71,9 +69,7 @@ class StageTimer:
 
     def install(self) -> None:
         for name, stage in STAGES.items():
-            fn = getattr(mc, name, None)
-            if fn is not None:
-                setattr(mc, name, self._wrap(stage, fn))
+            setattr(mc, name, self._wrap(stage, getattr(mc, name)))
 
     def _wrap(self, stage, fn):
         @functools.wraps(fn)

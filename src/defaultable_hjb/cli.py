@@ -441,6 +441,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError(f"bad [mc] settings: {exc}") from exc
     if not m.domain.contains(x0):
         raise ConfigError(f"model.x0 = {x0:g} lies outside the model domain")
+    if not grid.x_min <= x0 <= grid.x_max:
+        raise ConfigError(f"model.x0 = {x0:g} lies outside the grid "
+                          f"[{grid.x_min:g}, {grid.x_max:g}]")
     G = solve_full(m, claim, pref, grid)
     if cfg.debug:
         # intentionally wrong surface: the martingale-mass check must fail
@@ -543,8 +546,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"cannot make output directory {cfg.out_dir}: {exc}") from exc
         return args.func(cfg)
-    except (ConfigError, ModelError) as exc:
-        # a ModelError here is a model that fails on the solver's grid nodes
+    except (ConfigError, ModelError, MemoryError) as exc:
+        # a ModelError here is a model that fails on the solver's grid
+        # nodes, a MemoryError a grid or path count too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NewtonDivergence as exc:

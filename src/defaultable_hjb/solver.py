@@ -21,23 +21,23 @@ convergence ladder marches its three grids as one block.  The segments
 step in lockstep: each Newton iteration evaluates the operator once and
 solves one block-diagonal tridiagonal system on the span from the first
 to the last segment still iterating, while each segment keeps its own
-convergence test and takes the first line-search trial that lowers its
-own residual, and so takes exactly the Newton path it takes alone.  A
-block fails as a whole, at the first failure of any segment;
+convergence test and its own line-search step length, halved until its
+own residual falls, and so takes exactly the Newton path it takes
+alone.  A block fails as a whole, at the first failure of any segment;
 solve_claims then marches the claims one by one to raise the first
 failing claim's own error.
 
 The marcher carries the operator evaluation (F, Jacobian) of the
-current iterate along, always equal to evaluating it afresh: an
-accepted line-search trial's serves the next Newton iterate, and a
-converged row's serves the next step as its explicit half and as its
-first iterate, unless the source row changes (protected mode) or the
-Dirichlet edge reset changed a bit.  A trial that every segment still
-iterating accepts also passes its residual to the next convergence
-test, and the explicit half w_expl F(G_next) is formed once per step.
-Each reuse stands for a computation on identical inputs, so no value
-changes.  The residual of each step at convergence can be recorded: it
-is the array that residual() computes afresh.
+current iterate along, always equal to evaluating it afresh: the last
+line-search trial's serves the next Newton iterate, and a converged
+row's serves the next step as its explicit half and as its first
+iterate, unless the source row changes (protected mode) or the
+Dirichlet edge reset changed a bit.  The last trial also passes its
+residual to the next convergence test, and the explicit half
+w_expl F(G_next) is formed once per step.  Each reuse stands for a
+computation on identical inputs, so no value changes.  The residual of
+each step at convergence can be recorded: it is the array that
+residual() computes afresh.
 """
 
 from __future__ import annotations
@@ -298,10 +298,10 @@ class _Span:
     at is their nodes in the block and band their entries of a sub- or
     super-diagonal (entry j couples nodes j + 1 and j); below is the
     nodes whose sub-diagonal entries those are.  Relative to the span:
-    parts is each segment's nodes, starts their first nodes, lo and hi
-    the first and last node of every segment (lo1 and hi1 the nodes next
-    to them), and joints the band entries that couple two segments
-    (None for one segment).
+    parts is each segment's nodes, sizes their counts, starts their
+    first nodes, lo and hi the first and last node of every segment (lo1
+    and hi1 the nodes next to them), and joints the band entries that
+    couple two segments (None for one segment).
     """
 
     def __init__(self, offsets: list, a: int, b: int):
@@ -313,6 +313,7 @@ class _Span:
         starts = [o - base for o in offsets[a:b]]
         ends = [o - base - 1 for o in offsets[a + 1:b + 1]]
         self.parts = [slice(s, e + 1) for s, e in zip(starts, ends)]
+        self.sizes = [e + 1 - s for s, e in zip(starts, ends)]
         self.starts = np.array(starts, dtype=np.intp)
         self.lo, self.hi = _index(starts), _index(ends)
         self.lo1 = _index([s + 1 for s in starts])
@@ -484,17 +485,18 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
     expl is the explicit half of the step's residual (see _step_residual)
     and w = (w_impl, -w_impl) the implicit weight on every node.  ev =
     [F, sub, diag, sup] holds the evaluation of U on entry and on exit;
-    both are updated in place, and a line search that accepts no trial
-    evaluates the point it steps to at once.  Each segment iterates until
-    its own residual converges, with its own line search, as it would
-    alone; record[s], when given, receives segment s's residual at
-    convergence.  An iteration evaluates, solves and searches the span
-    from the first to the last segment still iterating: a converged
-    segment inside it solves the identity, and keeps its values, and a
-    segment takes the first trial that lowers its own residual.  A trial
-    that every segment still iterating accepts is their next iterate: its
-    residual serves the next convergence test, and when those segments
-    are the whole block its evaluation becomes ev.
+    both are updated in place.  Each segment iterates until its own
+    residual converges, with its own line search, as it would alone;
+    record[s], when given, receives segment s's residual at convergence.
+    An iteration evaluates, solves and searches the span from the first
+    to the last segment still iterating: a converged segment inside it
+    solves the identity and keeps its values.  Segment g's line-search
+    trial is U + s_g delta: a segment whose residual falls keeps its step
+    length s_g, the others halve theirs, and after ten halvings the
+    eleventh trial is taken untested.  Every trial thus evaluates each
+    segment at its own point, and the last one is the next iterate: its
+    evaluation becomes ev, and its residual serves the next convergence
+    test.
     The block fails as a whole, at the first failure of any segment: a
     residual that is not finite (it cannot be reduced) or not converged
     after newton_max_iter iterations, a Jacobian that is not finite or
@@ -508,37 +510,18 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
     w_impl, w_neg = w
     rnorm = [0.0] * len(steps)
     todo = list(range(len(steps)))  # segments still iterating, ascending
-    kept = None  # (R, norms) of the accepted trial that is U over todo
+    sp = layout.span(0, len(steps))
 
-    def residual_of(sp, X, F_X):
+    def residual_of(X, F_X):
+        """The residual at X on sp, and each segment's max norm."""
         at = sp.at
-        return _step_residual(X, G_next[at], F_X,
-                              expl if isinstance(expl, float) else expl[at],
-                              w_impl[at], sp.edges if dirichlet else None)
+        R = _step_residual(X, G_next[at], F_X,
+                           expl if isinstance(expl, float) else expl[at],
+                           w_impl[at], sp.edges if dirichlet else None)
+        return R, np.maximum.reduceat(np.abs(R), sp.starts).tolist()
 
-    def take(segs, sp, X, e):
-        """U and ev of the segments segs of the span sp from X and e."""
-        base = sp.at.start
-        if len(segs) == sp.b - sp.a:
-            parts = [slice(0, X.size)]
-        else:
-            parts = [sp.parts[s - sp.a] for s in segs]
-        for part in parts:
-            at = slice(base + part.start, base + part.stop)
-            band = slice(part.start, part.stop - 1)
-            U[at] = X[part]
-            ev[0][at] = e[0][part]
-            ev[2][at] = e[1][1][part]
-            ev[1][at.start:at.stop - 1] = e[1][0][band]
-            ev[3][at.start:at.stop - 1] = e[1][2][band]
-
+    R, norms = residual_of(U, ev[0])
     for it in range(opt.newton_max_iter + 1):
-        sp = layout.span(todo[0], todo[-1] + 1)
-        if kept is None:
-            R = residual_of(sp, U[sp.at], ev[0][sp.at])
-            norms = np.maximum.reduceat(np.abs(R), sp.starts).tolist()
-        else:
-            (R, norms), kept = kept, None
         going = []
         for s in todo:
             v = rnorm[s] = norms[s - sp.a]
@@ -566,12 +549,14 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
             jsup[sp.lo] = 0.0
             jsub[sp.hi1] = 0.0
         rhs = -R
+        held = []  # the nodes of the converged segments inside sp
         if len(todo) < sp.b - sp.a:
             for s in set(range(sp.a, sp.b)).difference(todo):
                 part = sp.parts[s - sp.a]
                 inside = slice(part.start, part.stop - 1)
                 jd[part], rhs[part] = 1.0, 0.0
                 jsub[inside] = jsup[inside] = 0.0
+                held.append(part)
         first = todo[0]
         if not (np.isfinite(jd).all() and np.isfinite(jsub).all()
                 and np.isfinite(jsup).all()):
@@ -582,33 +567,32 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
             raise NewtonDivergence(steps[first], rnorm[first]) from None
         if sp.joints is not None and not np.isfinite(delta).all():
             raise NewtonDivergence(steps[first], rnorm[first])
-        # damped line search on sp; an accepted trial's evaluation is
-        # reused, and a segment that accepts leaves the search
+        # damped line search on sp, each segment at its own step length
+        # (per node from the first halving); held segments keep their bits,
+        # as delta there is a zero of either sign
+        base = U[at]
         searching = todo
-        s = 1.0
-        for _ in range(10):
-            trial = U[sp.at] + (delta if s == 1.0 else s * delta)
+        lengths, s_node = [1.0] * (sp.b - sp.a), None
+        for k in range(11):
+            trial = base + (delta if s_node is None else s_node * delta)
+            for part in held:
+                trial[part] = base[part]
             e = evaluate(trial, sp)
-            R = residual_of(sp, trial, e[0])
-            norms = np.maximum.reduceat(np.abs(R), sp.starts).tolist()
-            ok = [g for g in searching if norms[g - sp.a] < rnorm[g]]
-            if len(ok) == len(searching):
-                if searching is todo:
-                    kept = R, norms
-                if searching is todo and len(todo) == len(steps):
-                    U[:] = trial
-                    ev[:] = [e[0], *e[1]]
-                else:
-                    take(searching, sp, trial, e)
+            R, norms = residual_of(trial, e[0])
+            searching = [g for g in searching
+                         if not norms[g - sp.a] < rnorm[g]]
+            if not searching or k == 10:
                 break
-            if ok:
-                take(ok, sp, trial, e)
-                searching = [g for g in searching if g not in ok]
-            s *= 0.5
+            for g in searching:
+                lengths[g - sp.a] *= 0.5
+            s_node = np.repeat(lengths, sp.sizes)
+        if sp.b - sp.a == len(steps):
+            U[:] = trial
+            ev[:] = [e[0], *e[1]]
         else:
-            # a point no trial evaluated
-            X = U[sp.at] + s * delta
-            take(searching, sp, X, evaluate(X, sp))
+            U[at] = trial
+            ev[0][at], ev[2][at] = e[0], e[1][1]
+            ev[1][band], ev[3][band] = e[1][0], e[1][2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -391,6 +391,16 @@ _BLOCK_DIVERGES = _SINGULAR.replace("q = 1e8", "q = 1 1e8 3")
     # --out names the config file itself
     ("solve", "[model]\nkind = cir\n", ["--out", "{tmp}/bad.ini"],
      "config error: cannot make output directory"),
+    # arrays larger than the 128 TiB user address space: 71 PiB of path
+    # normals, 182 TiB of grid nodes
+    ("verify", "[model]\nkind = cir\n",
+     ["--grid", "48,24", "--paths", "10000000000000"],
+     "config error: Unable to allocate"),
+    ("solve", "[model]\nkind = cir\n", ["--grid", "100000000000000,16"],
+     "config error: Unable to allocate"),
+    # the paths would start outside the solved grid [0.00254, 0.337]
+    ("verify", "[model]\nkind = cir\nx0 = 5\n", ["--grid", "48,24"],
+     "config error: model.x0 = 5 lies outside the grid"),
 ], ids=["alpha-negative", "nx-too-small", "paths-zero",
         "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
         "x-min-outside-domain-price-insurance",
@@ -404,7 +414,8 @@ _BLOCK_DIVERGES = _SINGULAR.replace("q = 1e8", "q = 1 1e8 3")
         "ou-huge-mu2-verify", "cir-huge-mu2-price-bond",
         "cir-huge-mu1-price-insurance", "cir-huge-mu2-verify",
         "cir-x-min-zero", "price-bond-block-diverges", "seed-negative",
-        "out-is-a-file"])
+        "out-is-a-file", "paths-too-many-to-allocate",
+        "grid-too-large-to-allocate", "x0-outside-grid-verify"])
 def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     # model, grid and Monte Carlo validation errors are config errors too;
     # a solve that fails exits 2 with one line naming step and residual

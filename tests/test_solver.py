@@ -387,14 +387,18 @@ def test_a_failing_block_is_re_marched_up_to_the_first_failing_claim(
     assert marched == [3, 1, 1]
 
 
-def _tagged_step(tags, n, w, diag_of):
+def _tagged_step(tags, n, w, diag_of, calls=None):
     """One Newton step on segments of n nodes each, laid end to end, of
     the linear operator F = -G whose Jacobian diagonal on a segment is
     diag_of(tag), tag the segment's value at its first node; G_next holds
-    each segment's tag on every node.  Returns (G_next, U) as (k, n)."""
+    each segment's tag on every node.  Returns (G_next, U) as (k, n).
+    calls, when given, receives (a, b, X) for every evaluation of the
+    nodes X of segments a, ..., b - 1."""
     layout = solver._Layout([n] * len(tags))
 
     def evaluate(G, sp):
+        if calls is not None:
+            calls.append((sp.a, sp.b, G.copy()))
         diag = np.repeat(diag_of(G[sp.starts]), n)
         zeros = np.zeros(len(G) - 1)
         return -G, (zeros, diag, zeros)
@@ -454,6 +458,44 @@ def test_a_converged_segment_inside_the_span_solves_the_identity(hole_diag):
     for row, tag in zip(U, (3.0, 0.0, 5.0)):
         assert row.tobytes() == step((tag,))[1][0].tobytes()
     assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
+
+
+def test_every_trial_evaluates_each_segment_at_its_own_point():
+    # tag 5 reports the diagonal 0.8 / w of F = -G, whose true one is -1:
+    # its Newton step is 7.5 times too long, and it accepts the third
+    # trial, s = 1/4.  Tag 3 accepts the full step; the two later trials
+    # evaluate it at that accepted point, never past it
+    n, w = 8, 0.5
+    calls = []
+
+    def diag_of(tag):
+        return np.where(tag == 5.0, 0.8 / w, -1.0)
+
+    G_next, U = _tagged_step((3.0, 5.0), n, w, diag_of, calls)
+    trials = [X for a, b, X in calls[1:] if (a, b) == (0, 2)]
+    assert len(trials) == 3
+    for X in trials[1:]:
+        assert X[:n].tobytes() == trials[0][:n].tobytes()
+    full = trials[0][n:] - 5.0
+    for X, s in zip(trials, (1.0, 0.5, 0.25)):
+        assert (X[n:] - 5.0).tobytes() == (s * full).tobytes()
+    for row, tag in zip(U, (3.0, 5.0)):
+        assert row.tobytes() == _tagged_step((tag,), n, w, diag_of)[1][0] \
+            .tobytes()
+    assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
+
+
+def test_a_converged_segment_inside_the_span_keeps_its_bits():
+    # tag -0.0 converges at once; between two iterating segments its
+    # Newton step is a zero whose sign the solve does not fix, and
+    # -0.0 + 0.0 is +0.0: its nodes keep their -0.0
+    n, w = 8, 0.5
+    tags = (3.0, -0.0, 5.0)
+    G_next, U = _tagged_step(tags, n, w, lambda tag: np.full_like(tag, -1.0))
+    assert np.signbit(U[1]).all()
+    for row, tag in zip(U, tags):
+        assert row.tobytes() == _tagged_step(
+            (tag,), n, w, lambda t: np.full_like(t, -1.0))[1][0].tobytes()
 
 
 def test_a_newton_step_that_overflows_fails_a_block_at_once():
@@ -589,11 +631,11 @@ def test_theta_calls_do_not_grow_with_the_block(monkeypatch, paper_model,
 
 def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
     # CIR, Crank-Nicolson, 200x200.  Per solve: theta_of_log calls,
-    # tridiag_solve calls, and the step residuals formed.  An accepted
-    # line-search trial that every row still iterating accepted is the
-    # next iterate, so its residual serves the next convergence test:
-    # the count is the one that forms it afresh, less one per such trial
-    # (residuals 600/1004/600/1018 with 200/402/200/409 such trials).
+    # tridiag_solve calls, and the step residuals formed.  A step forms
+    # one residual at its start and one per line-search trial: the last
+    # trial is the next iterate, so its residual serves the next
+    # convergence test (residuals 600/1004/600/1018 less the 200/402/
+    # 200/409 that forming it afresh would add).
     grid = dh.default_grid(paper_model, paper_pref, 200, 200)
     G = dh.solve_full(paper_model, dh.zero_claim(), paper_pref, grid)
     rate = dh.insurance_rate(G, paper_model, paper_pref)
@@ -603,6 +645,7 @@ def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
         n_index=loc.n_index, inner=loc.inner, outer=loc.outer,
         chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     claims = _claims((0, 1.0, 3.0, 5.0, 10.0))
+    coarse = dh.default_grid(paper_model, paper_pref, 32, 16)
     ladder = [solver._full_segment(paper_model, dh.zero_claim(), paper_pref,
                                    dh.default_grid(paper_model, paper_pref,
                                                    n, n))
@@ -637,6 +680,13 @@ def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
         # the zero claim's 50^2, 100^2 and 200^2 levels in lockstep: alone
         # they take 100 + 192 + 200 = 492 tridiag_solve calls
         "ladder": (lambda: solver._march(ladder), (293, 292, 492)),
+        # a coarse block whose large notionals damp: after a partial
+        # acceptance the last trial's residual is reused too (157 formed
+        # it afresh)
+        "damped block": (lambda: dh.solve_claims(
+                             paper_model, _claims((0, 3.0, 30.0, 100.0)),
+                             paper_pref, coarse),
+                         (139, 79, 154)),
     }
     for name, (solve, want) in cases.items():
         counts.clear()
