@@ -8,8 +8,10 @@ Run from the root of a checkout:
 It runs ``verify`` on perfbench/reference.ini at grid 200x200 with 10^4
 paths x 1000 steps and seed 3 (the benchmark's mc-verify call), --repeat
 times in this process.  Each Monte Carlo stage is timed by wrapping the
-montecarlo functions the CLI calls; a stage function called from another
-is booked to the outer one.  Stages: noise (draw_noise), loop
+montecarlo functions and methods the CLI calls; a stage function called
+from another is booked to the outer one.  Stages: noise (NoiseDraw.wait,
+the caller's wait for the draw that a helper thread started before the
+solve: the part of the draw the solve does not hide), loop
 (simulate_halves, the time loop of factor, default and wealth on both
 path halves, a forked worker's half and the wait for it included) and
 estimators (dual_density_terminal and the three estimates); "other" is
@@ -51,7 +53,7 @@ CONFIG = ROOT / "perfbench" / "reference.ini"
 ARGS = ["--grid", "200,200", "--seed", "3"]
 
 STAGES = {
-    "draw_noise": "noise",
+    "NoiseDraw.wait": "noise",
     "simulate_halves": "loop",
     "dual_density_terminal": "estimators",
     "estimate_certainty_equivalent": "estimators",
@@ -69,7 +71,9 @@ class StageTimer:
 
     def install(self) -> None:
         for name, stage in STAGES.items():
-            setattr(mc, name, self._wrap(stage, getattr(mc, name)))
+            *outer, attr = name.split(".")
+            owner = getattr(mc, outer[0]) if outer else mc
+            setattr(owner, attr, self._wrap(stage, getattr(owner, attr)))
 
     def _wrap(self, stage, fn):
         @functools.wraps(fn)

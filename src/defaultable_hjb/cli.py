@@ -444,18 +444,22 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not grid.x_min <= x0 <= grid.x_max:
         raise ConfigError(f"model.x0 = {x0:g} lies outside the grid "
                           f"[{grid.x_min:g}, {grid.x_max:g}]")
-    G = solve_full(m, claim, pref, grid)
-    if cfg.debug:
-        # intentionally wrong surface: the martingale-mass check must fail
-        G = Surface(grid=grid, values=G.values + 0.2)
-    pol = pricing.optimal_policy(G, m, pref)
-    g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
-
-    # one simulation: the perturbed policy rides the same paths as the
-    # optimal one (common random numbers); its two path halves run on up
-    # to two CPUs
-    pert = Surface(grid=grid, values=pol.values + 0.5)
-    noise = mc.draw_noise(sim)
+    # the helper thread that draws the noise starts before the PDE solve,
+    # so that the kernel maps and zeroes the noise arrays while the PDE is
+    # solved; it is joined before the worker forks
+    with mc.NoiseDraw(sim) as draw:
+        G = solve_full(m, claim, pref, grid)
+        if cfg.debug:
+            # intentionally wrong surface: the martingale-mass check must
+            # fail
+            G = Surface(grid=grid, values=G.values + 0.2)
+        pol = pricing.optimal_policy(G, m, pref)
+        g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
+        # the perturbed policy rides the same paths as the optimal one
+        # (common random numbers)
+        pert = Surface(grid=grid, values=pol.values + 0.5)
+        noise = draw.wait()
+    # one simulation, its two path halves on up to two CPUs
     opt, perturbed = mc.simulate_halves(m, noise, pref.horizon_T,
                                         [pol, pert])
     ce = mc.estimate_certainty_equivalent(opt, claim, pref, label="ce")
@@ -551,8 +555,9 @@ def main(argv=None) -> int:
         # nodes, a MemoryError a grid or path count too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NewtonDivergence as exc:
-        # the values admit no converged solve on this grid
+    except (NewtonDivergence, ThetaDomainError) as exc:
+        # the values admit no converged solve on this grid, or overflow
+        # the product-log's argument
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

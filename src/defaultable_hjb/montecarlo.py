@@ -5,9 +5,11 @@ wealth under replayed trading policies in one time loop that keeps only
 per-path state; then fills the terminal dual density and estimates the
 certainty equivalent, the dual value and martingale mass from the
 terminal state.  Everything is driven by a counter-based RNG (Philox) so
-that a fixed seed reproduces estimates bit for bit.  The loop is
-elementwise across paths, so simulate_halves can run the two halves of
-the paths on two CPUs (fork_map) with the same bits.
+that a fixed seed reproduces estimates bit for bit.  The noise is read
+on a helper thread (NoiseDraw), which a caller can start before other
+work, such as the PDE solve, and wait for when it needs the noise.  The
+loop is elementwise across paths, so simulate_halves can run the two
+halves of the paths on two CPUs (fork_map) with the same bits.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import queue
 import signal
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -26,7 +30,7 @@ import numpy as np
 from .model import ClaimSpec, ModelSpec, Preferences
 from .solver import CornerBlock, GridLookup, Surface
 
-_DRAW_BLOCK = 1 << 17  # normals per draw: 1 MiB, whatever the path count
+_DRAW_BLOCK = 1 << 17  # normals a draw holds: 1 MiB, whatever the path count
 
 
 @dataclass(frozen=True)
@@ -110,23 +114,85 @@ def draw_noise(cfg: SimConfig) -> Noise:
     path's n_steps orthogonal normals, then one uniform per path for the
     default threshold.  The normals are drawn in blocks of whole paths and
     stored transposed, so the values are those of one (n_paths, n_steps)
-    draw, while the draw itself needs only a block.
+    draw, while the draw itself needs only a block.  It starts a NoiseDraw
+    and waits for it at once.
     """
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    z = _time_major_normals(rng, cfg)
-    z0 = _time_major_normals(rng, cfg)
-    u = rng.random(cfg.n_paths)
-    u = np.where(u <= 0.0, np.nextafter(0.0, 1.0), u)  # open interval (0,1)
-    return Noise(cfg=cfg, z=z, z0=z0, exp_draws=-np.log1p(-u))
+    with NoiseDraw(cfg) as draw:
+        return draw.wait()
 
 
-def _time_major_normals(rng, cfg: SimConfig) -> np.ndarray:
-    out = np.empty((cfg.n_steps, cfg.n_paths))
-    rows = max(1, _DRAW_BLOCK // cfg.n_steps)
-    for lo in range(0, cfg.n_paths, rows):
-        hi = min(lo + rows, cfg.n_paths)
-        out[:, lo:hi] = rng.standard_normal((hi - lo, cfg.n_steps)).T
-    return out
+class NoiseDraw:
+    """The draw of draw_noise on a helper thread, started on construction.
+
+    The helper first writes one value per 4 KiB page of the two noise
+    arrays, so that the kernel maps and zeroes them (with transparent
+    huge pages, a whole array at its first write) while the caller does
+    other work, such as verify's solve.  It then reads the normals a
+    quarter of _DRAW_BLOCK at a time and hands each block over through a
+    one-slot queue; wait() stores it transposed while the helper reads
+    the next.  numpy's draw, the page faults and the copy release the
+    GIL, so they run beside the caller, and the four quarter blocks alive
+    at most (stored, handed over, read, and for a moment the next) fit in
+    _DRAW_BLOCK normals.  The helper calls only numpy.  Leaving the with
+    block stops the helper after one more block at most and joins it,
+    whatever ends the block.
+    """
+
+    def __init__(self, cfg: SimConfig):
+        self.cfg = cfg
+        shape = (cfg.n_steps, cfg.n_paths)
+        self._out = (np.empty(shape), np.empty(shape))  # z, z0
+        self._rows = max(1, _DRAW_BLOCK // (4 * cfg.n_steps))
+        self._rng = np.random.Generator(np.random.Philox(cfg.seed))
+        self._handoff = queue.Queue(maxsize=1)  # a block, or an error
+        self._stop = threading.Event()
+        self._helper = threading.Thread(target=self._read,
+                                        name="draw_noise")
+        self._helper.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        # once the handoff is emptied the helper's next put fits, and it
+        # then sees the stop
+        self._stop.set()
+        try:
+            self._handoff.get_nowait()
+        except queue.Empty:
+            pass
+        self._helper.join()
+
+    def wait(self) -> Noise:
+        """Store the blocks the helper hands over and return the noise;
+        an error of the helper is raised here."""
+        cfg = self.cfg
+        for out in self._out:
+            for lo in range(0, cfg.n_paths, self._rows):
+                block = self._handoff.get()
+                if isinstance(block, BaseException):
+                    raise block
+                out[:, lo:lo + len(block)] = block.T
+        self._helper.join()
+        u = self._rng.random(cfg.n_paths)
+        u = np.where(u <= 0.0, np.nextafter(0.0, 1.0), u)  # open (0,1)
+        z, z0 = self._out
+        return Noise(cfg=cfg, z=z, z0=z0, exp_draws=-np.log1p(-u))
+
+    def _read(self) -> None:
+        """The helper: the page writes, then z and z0 block by block."""
+        cfg = self.cfg
+        try:
+            for out in self._out:
+                out.reshape(-1)[::512] = 0.0  # one write per 4 KiB page
+            for _ in self._out:
+                for lo in range(0, cfg.n_paths, self._rows):
+                    if self._stop.is_set():
+                        return
+                    self._handoff.put(self._rng.standard_normal(
+                        (min(self._rows, cfg.n_paths - lo), cfg.n_steps)))
+        except BaseException as exc:
+            self._handoff.put(exc)
 
 
 def _factor_step(m: ModelSpec, x0: float, dt: float, n_paths: int):

@@ -614,6 +614,9 @@ class _Segment:
                        rate_field=self.rate_field)
 
 
+# a trial that overflows fails its residual or Jacobian check, which
+# raises NewtonDivergence: it is not warned of
+@np.errstate(over="ignore", invalid="ignore")
 def _march(segments: list, opt: SolverOptions = SolverOptions(),
            record: bool = False) -> tuple:
     """Segments marched backward in lockstep, as one block laid end to end.

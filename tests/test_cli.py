@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -325,6 +326,13 @@ _OU_B = "[model]\nkind = ou\nb = {}\n[grid]\nnx = 32\nnt = 16\n"
 _CIR_32 = "[grid]\nnx = 32\nnt = 16\n[model]\nkind = cir\n{}\n"
 # the OU drift sigma (mu1 + mu2 x) overflows on the grid
 _OU_MU2 = "[model]\nkind = ou\nmu2 = 1e308\n[grid]\nnx = 32\nnt = 16\n"
+# the reference CIR model with phi = one on a 32x16 grid, ending with the
+# lines given: a notional or horizon that overflows the source
+_ONE_32 = ("[model]\nkind = cir\n[grid]\nnx = 32\nnt = 16\n"
+           "[claim]\nphi = one\n{}\n")
+_HUGE_Q = _ONE_32.format("q = 1e308")
+_OVERFLOWING_Q = _ONE_32.format("q = 1e300")
+_HUGE_HORIZON = _ONE_32.format("q = 1\n[preferences]\nhorizon = 1e300")
 # q = 1 and the singular q = 1e8 both fail at the first step: the error is
 # that of q = 1, the first failing claim, not the singular claim's 1.220e+32
 _BLOCK_DIVERGES = _SINGULAR.replace("q = 1e8", "q = 1 1e8 3")
@@ -401,6 +409,19 @@ _BLOCK_DIVERGES = _SINGULAR.replace("q = 1e8", "q = 1 1e8 3")
     # the paths would start outside the solved grid [0.00254, 0.337]
     ("verify", "[model]\nkind = cir\nx0 = 5\n", ["--grid", "48,24"],
      "config error: model.x0 = 5 lies outside the grid"),
+    # the product-log's argument overflows to inf: a solver error
+    ("solve", _HUGE_Q, [], "theta_of_log requires finite input"),
+    ("price-bond", _HUGE_Q, [], "theta_of_log requires finite input"),
+    ("verify", _HUGE_Q, [], "theta_of_log requires finite input"),
+    ("solve", _HUGE_HORIZON, [], "theta_of_log requires finite input"),
+    ("verify", _HUGE_HORIZON, [], "theta_of_log requires finite input"),
+    # the source's square overflows: no warning before the error line
+    ("solve", _OVERFLOWING_Q, [],
+     "solver error: Newton diverged at time step 15: residual inf"),
+    ("price-bond", _OVERFLOWING_Q, [],
+     "solver error: Newton diverged at time step 15: residual inf"),
+    ("verify", _OVERFLOWING_Q, [],
+     "solver error: Newton diverged at time step 15: residual inf"),
 ], ids=["alpha-negative", "nx-too-small", "paths-zero",
         "x-min-outside-domain-solve", "x-min-outside-domain-price-bond",
         "x-min-outside-domain-price-insurance",
@@ -415,15 +436,22 @@ _BLOCK_DIVERGES = _SINGULAR.replace("q = 1e8", "q = 1 1e8 3")
         "cir-huge-mu1-price-insurance", "cir-huge-mu2-verify",
         "cir-x-min-zero", "price-bond-block-diverges", "seed-negative",
         "out-is-a-file", "paths-too-many-to-allocate",
-        "grid-too-large-to-allocate", "x0-outside-grid-verify"])
+        "grid-too-large-to-allocate", "x0-outside-grid-verify",
+        "huge-q-solve", "huge-q-price-bond", "huge-q-verify",
+        "huge-horizon-solve", "huge-horizon-verify", "overflowing-q-solve",
+        "overflowing-q-price-bond", "overflowing-q-verify"])
 def test_invalid_values_exit_2(tmp_path, capsys, cmd, ini, extra, message):
     # model, grid and Monte Carlo validation errors are config errors too;
-    # a solve that fails exits 2 with one line naming step and residual
+    # a solve that fails exits 2 with one line naming step and residual.
+    # verify's draw of 10^5 paths, started before a solve that fails, is
+    # stopped and joined
     p = tmp_path / "bad.ini"
     p.write_text(ini)
     extra = [a.format(tmp=tmp_path) for a in extra]
+    threads = threading.active_count()
     assert main([cmd, "--config", str(p), "--out", str(tmp_path)]
                 + extra) == 2
+    assert threading.active_count() == threads
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1  # one line, no warnings before it
@@ -604,8 +632,9 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
                                                         ini):
     # every call returns 0, 1 or 2 with at most one line on stderr, the
     # library warns of nothing (verify's worker forwards its warnings),
-    # no worker process outlives its call, and verify's verdict lines
-    # agree with its exit code
+    # no worker process or thread outlives its call (verify's draw starts
+    # before its solve, which can fail), and verify's verdict lines agree
+    # with its exit code
     out = tmp_path_factory.mktemp("box")
     p = out / "run.ini"
     p.write_text(_ini_text(ini))
@@ -613,6 +642,7 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
                  ["solve", "--mode", "protected"], ["price-bond"],
                  ["price-insurance"], ["check-assumptions"], ["verify"]):
         out_text, err = io.StringIO(), io.StringIO()
+        threads = threading.active_count()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out_text), \
                 contextlib.redirect_stderr(err):
@@ -626,6 +656,28 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
                     if issubclass(w.category, RuntimeWarning)], argv
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == threads, argv
+
+
+def test_verify_forks_its_worker_with_one_thread_alive(monkeypatch,
+                                                       tmp_path):
+    # 4000 paths x 100 steps reach the fork floor; the noise draw's helper
+    # thread is joined before the worker forks
+    assert 4000 * 100 >= mc._FORK_FLOOR
+    alive_at_fork = []
+    fork = os.fork
+
+    def recording_fork():
+        alive_at_fork.append(threading.enumerate())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    caller = threading.enumerate()
+    cfg = _write(tmp_path, nx=48, nt=24, paths=4000, steps=100)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    forked = len(os.sched_getaffinity(0)) >= 2
+    assert alive_at_fork == ([caller] if forked else [])
+    assert threading.enumerate() == caller
 
 
 def test_a_nan_gap_is_a_listed_failure(monkeypatch, tmp_path, capsys):

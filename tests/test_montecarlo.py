@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pickle
+import threading
 import time
 import tracemalloc
 import warnings
@@ -74,7 +75,8 @@ def test_factor_validation(paper_model):
 
 
 @pytest.mark.parametrize("n_paths, n_steps, block", [
-    (33, 10, 64),    # 6 paths per block, the last block ragged
+    (33, 10, 64),    # one path per quarter block
+    (33, 10, 256),   # 6 paths per quarter block, the last one ragged
     (5, 100, 64),    # a path longer than a block: one path per draw
     (1, 1, 1 << 17),
     (300, 49, 1 << 17),
@@ -82,10 +84,13 @@ def test_factor_validation(paper_model):
 def test_draw_noise_reads_the_stream_path_by_path(monkeypatch, n_paths,
                                                   n_steps, block):
     # the stream of one (n_paths, n_steps) draw of each noise, then the
-    # uniforms, whatever the block the draw is split into
+    # uniforms, whatever the block the draw is split into; the helper
+    # that reads it is gone when the draw returns
     monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
     cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=9, x0=0.0)
+    threads = threading.active_count()
     noise = draw_noise(cfg)
+    assert threading.active_count() == threads
     rng = np.random.Generator(np.random.Philox(9))
     z = rng.standard_normal((n_paths, n_steps))
     z0 = rng.standard_normal((n_paths, n_steps))
@@ -94,6 +99,65 @@ def test_draw_noise_reads_the_stream_path_by_path(monkeypatch, n_paths,
     assert np.array_equal(noise.z, z.T) and np.array_equal(noise.z0, z0.T)
     assert np.array_equal(noise.exp_draws, -np.log1p(-u))
     assert np.all(noise.exp_draws > 0)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Generator whose draw number `bad` of normals raises, or returns
+    a block one step too long, which the caller cannot store."""
+
+    drawn = []
+    bad, fails = 0, True
+
+    def standard_normal(self, size=None, **kwargs):
+        k = len(self.drawn)
+        self.drawn.append(k)
+        if k == self.bad and self.fails:
+            raise ValueError("no normals today")
+        if k == self.bad:
+            size = (size[0], size[1] + 1)
+        return super().standard_normal(size, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+@pytest.mark.parametrize("fails", [True, False], ids=["helper", "caller"])
+def test_a_failed_draw_raises_and_leaves_no_thread(monkeypatch, bad, fails):
+    # an error of the helper is raised by draw_noise, and one of the
+    # caller's stores stops the helper after one more block at most; of
+    # the 800 quarter blocks, at most bad + 3 are read
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", 4 * 10)
+    monkeypatch.setattr(_CountingGenerator, "drawn", [])
+    monkeypatch.setattr(_CountingGenerator, "bad", bad)
+    monkeypatch.setattr(_CountingGenerator, "fails", fails)
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    threads = threading.active_count()
+    cfg = SimConfig(n_paths=400, n_steps=10, seed=1, x0=0.0)
+    with pytest.raises(ValueError,
+                       match="no normals" if fails else "broadcast"):
+        draw_noise(cfg)
+    assert threading.active_count() == threads
+    assert bad + 1 <= len(_CountingGenerator.drawn) <= bad + 3
+
+
+def test_a_draw_left_without_waiting_stops_its_helper(monkeypatch):
+    # a caller that leaves the with block (verify's solve failed) while the
+    # helper waits to hand over its second block stops it there: of the
+    # 800 quarter blocks, two are read
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", 4 * 10)
+    monkeypatch.setattr(_CountingGenerator, "drawn", [])
+    monkeypatch.setattr(_CountingGenerator, "bad", -1)
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    threads = threading.active_count()
+    cfg = SimConfig(n_paths=400, n_steps=10, seed=1, x0=0.0)
+    with pytest.raises(KeyError):
+        with mc.NoiseDraw(cfg) as draw:
+            deadline = time.monotonic() + 10
+            while len(_CountingGenerator.drawn) < 2 \
+                    and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            raise KeyError("the solve failed")
+    assert not draw._helper.is_alive()
+    assert threading.active_count() == threads
+    assert len(_CountingGenerator.drawn) == 2
 
 
 def test_determinism_bit_identical(paper_model):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -521,6 +523,20 @@ def test_a_newton_step_that_overflows_fails_a_block_at_once():
     assert not np.isfinite(err.value.residual_norm)
     G_next, U = step((3.0,))
     assert np.allclose(U, G_next / (1.0 + w), rtol=0, atol=1e-12)
+
+
+def test_an_overflowing_protected_residual_is_not_warned_of(paper_model,
+                                                            paper_pref):
+    # exp(alpha G) of the protected source overflows at G + 1000: outside
+    # a march too, residual returns a non-finite value with no warning
+    grid = dh.default_grid(paper_model, paper_pref, 16, 16)
+    G = dh.solve_full(paper_model, dh.zero_claim(), paper_pref, grid)
+    rate = dh.insurance_rate(G, paper_model, paper_pref)
+    high = dh.Surface(grid=grid, values=G.values + 1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dh.residual(high, paper_model, paper_pref, rate_field=rate)
+    assert np.isinf(res).any()
 
 
 def test_block_residual_equals_row_by_row(paper_model, paper_pref):
