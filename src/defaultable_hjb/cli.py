@@ -272,24 +272,153 @@ def _write(cfg: RunConfig, name: str, header, lines) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+# The block formatter.  A value x with 1e-4 <= |x| < 1e17 is written in
+# fixed notation from its 17 significant digits D = round(|x| * 10**(16-k)),
+# k = floor(log10|x|), which Dekker's error-free product gives exactly; every
+# other value (0, -0, exponent form, nan, inf) goes through '%.17g' itself.
+# A value's text is made in a 40-byte row of 8-byte words,
+#   - 0 . 0 0 0 d0 .  d1 . d2 . d3 . d4 .  ...  d13 . d14 . d15 . d16 ,
+# in which every layout that %g can give appears as a subsequence; a mask
+# of the bytes to keep, looked up by (sign, k, trailing zeros), cuts it out.
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _halves(a):
+    """(high, low) 26-bit halves of a with high + low == a."""
+    c = a * _SPLIT
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10 = np.array([float(10 ** s) for s in range(21)])  # exact in binary64
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+
+
+def _scaled(a, k):
+    """(p, e) with p + e == a * 10**(16 - k) exactly (Dekker, 1971)."""
+    s = 16 - k
+    bh, bl = _POW10_HIGH[s], _POW10_LOW[s]
+    ah, al = _halves(a)
+    p = a * _POW10[s]
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _decade(p, e):
+    """-1, 0 or 1 where p + e is below, in or above [1e16, 1e17)."""
+    above = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    below = (p < 1e16) | ((p == 1e16) & (e < 0))
+    return above.astype(np.int64) - below
+
+
+def _digit_tables():
+    """The 8-byte word "d.d.d.d." of each group of four digits 0..9999,
+    then the word "-0.000d." of each leading digit d at 10000 + d; and the
+    trailing zeros of each group."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    chars = np.full((10000, 8), ord("."), np.uint8)
+    chars[:, ::2] = digits.T + ord("0")
+    lead = b"".join(b"-0.000%d." % d for d in range(10))
+    words = np.concatenate([chars.view(np.uint64).ravel(),
+                            np.frombuffer(lead, np.uint64)])
+    zeros = np.logical_and.accumulate(digits[::-1] == 0).sum(
+        axis=0, dtype=np.uint8)
+    return words, zeros
+
+
+_WORDS, _QUAD_ZEROS = _digit_tables()
+
+
+def _keep_masks():
+    """The bytes of the 40-byte row to keep: one mask per (sign, k, trailing
+    zeros) of a fixed-notation value, then one per length 0..24 of a text
+    written at the start of the row."""
+    neg, k, z = (v.ravel()[:, None] for v in np.meshgrid(
+        [0, 1], np.arange(-4, 17), np.arange(17), indexing="ij"))
+    col = np.arange(40)
+    # digits kept: %g strips trailing zeros after the point, and the point
+    # with them
+    kept = np.where(k < 0, 17 - z, np.maximum(17 - z, k + 1))
+    fixed = ((col == 0) & (neg == 1)
+             | (k < 0) & (col >= 1) & (col < 2 - k)              # 0.00
+             | (col >= 6) & (col % 2 == 0) & (col < 6 + 2 * kept)
+             | (k >= 0) & (col == 7 + 2 * k) & (kept > k + 1)    # point
+             | (col == 39))                                      # separator
+    written = (col < np.arange(25)[:, None]) | (col == 39)
+    return np.vstack([fixed, written])
+
+
+_KEEP = _keep_masks()
+_WRITTEN = 2 * 21 * 17  # the first mask of a written text
+
+
+def _text_rows(block) -> list:
+    """Each row of a 2-D block as the comma-separated '%.17g' text of its
+    values, byte for byte."""
+    x = np.asarray(block, dtype=np.float64)
+    n_rows, n_cols = x.shape
+    x = x.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    p, e = _scaled(a, k)
+    # log10 only estimates k: the digits truncated at k set it
+    off = _decade(p, e)
+    if off.any():
+        k = np.clip(k + off, -4, 16)
+        p, e = _scaled(a, k)
+        # a value that log10 misjudged by more than one goes to '%.17g'
+        fast &= _decade(p, e) == 0
+        p = np.where(fast, p, 1e16)
+    # p is an even integer here, so round-half-even of p + e is p + rint(e);
+    # D < 10**17, as the double below each power of ten in the range lies
+    # more than half a unit of the 17th digit below it
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    # D as its leading digit's word and four groups of four digits
+    groups = np.empty((x.size, 5), np.int64)
+    for i in (4, 3, 2, 1):
+        q = d // 10000
+        groups[:, i] = d - q * 10000
+        d = q
+    groups[:, 0] = d + 10000
+    # D's trailing zeros: a group adds its own where all later groups are 0
+    zeros = _QUAD_ZEROS[groups[:, 4]]
+    for i in (3, 2, 1):
+        zeros += (zeros == 4 * (4 - i)) * _QUAD_ZEROS[groups[:, i]]
+    cls = (np.signbit(x) * 21 + k + 4) * 17 + zeros
+
+    words = _WORDS[groups]
+    text = words.view(np.uint8)
+    text[:, 39] = ord(",")
+    text.reshape(n_rows, n_cols, 40)[:, -1, 39] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        written = ["%.17g" % v for v in x[slow].tolist()]
+        text[slow, :24] = np.array(written, "S24").view(np.uint8).reshape(
+            -1, 24)
+        cls[slow] = _WRITTEN + np.array([len(s) for s in written])
+    kept = np.compress(_KEEP[cls].ravel(), text.ravel())
+    return kept.tobytes().decode("ascii").split("\n")[:-1]
+
+
 def _columns(columns: dict) -> list:
     """A row of column names, then the rows at 17 significant digits;
     columns of different lengths raise ValueError."""
-    table = np.column_stack(list(columns.values()))
-    return [",".join(columns)] + [",".join(f"{v:.17g}" for v in row)
-                                  for row in table]
+    return [",".join(columns)] + _text_rows(
+        np.column_stack(list(columns.values())))
+
+
+_BLOCK_ROWS = 16  # time rows formatted at a time: about 1 MB of temporaries
 
 
 def _surface_lines(G: Surface):
     """A row of the x nodes, then one row per time node, 17 digits."""
-    # one %-format call per row of Python floats (numpy scalars format
-    # slower, to the same text); row by row, so one row's floats are alive
-    xs = G.grid.xs.tolist()
-    cells = ",".join(["%.17g"] * len(xs))
-    yield "t," + cells % tuple(xs)
-    line = "%.17g," + cells
-    for t, row in zip(G.grid.ts.tolist(), G.values):
-        yield line % (t, *row.tolist())
+    yield "t," + _text_rows(G.grid.xs[None])[0]
+    values = G.values
+    ts = G.grid.ts[:len(values)]
+    for i in range(0, len(ts), _BLOCK_ROWS):
+        yield from _text_rows(np.column_stack(
+            (ts[i:i + _BLOCK_ROWS], values[i:i + _BLOCK_ROWS])))
 
 
 def _estimate_lines(estimates: list, seed: int) -> list:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import defaultable_hjb as dh
 from defaultable_hjb import cli
@@ -770,3 +771,35 @@ def test_surface_lines_are_the_17_digit_text_of_every_value():
     assert lines[1].split(",")[1:6] == ["-0", "4.9406564584124654e-324",
                                         "2.2250738585072014e-308", "inf",
                                         "-inf"]
+
+    def surface(values):
+        return dh.Surface(grid=grid, values=values,
+                          gradient=np.zeros_like(values))
+
+    # values the digit arithmetic can get wrong: ties at the 17th digit,
+    # powers of ten and their neighbours, where log10 can misjudge the
+    # exponent, and the edges of fixed notation, 1e-4 and 1e17
+    powers = 10.0 ** np.arange(-12, 18)
+    edges = np.array([1234567890123456.75, 1234567890123456.25, 1e-4, 1e17,
+                      99999999999999999.0, 0.1, 1.0 / 3.0, -0.0, 0.0])
+    hard = np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf), edges,
+                           np.nextafter(edges, 0.0),
+                           np.nextafter(edges, np.inf)])
+    hard = np.concatenate([hard, -hard])
+    S = surface(np.resize(hard, (-(-hard.size // 17), 17)))
+    assert list(cli._surface_lines(S)) == list(want(S))
+
+    # any doubles, nan, inf and subnormals among them, in surfaces of one
+    # row and of one block of rows less, as many and one more
+    block = cli._BLOCK_ROWS
+    rows = st.sampled_from([1, block - 1, block, block + 1])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows.flatmap(lambda n: arrays(np.float64, (n, 17),
+                                         elements=st.floats())))
+    def arbitrary(values):
+        S = surface(values)
+        assert list(cli._surface_lines(S)) == list(want(S))
+
+    arbitrary()
