@@ -21,8 +21,9 @@ times, --repeat times each in this process:
   cli._solve_levels of the 100^2, 200^2 and 400^2 levels, with the
   finest level's step residuals;
 * cli._surface_lines of that surface, consumed line by line as the CLI
-  writes it; the lines come a block of 16 time rows at a time, so only
-  one block's lines are alive at once;
+  writes it; the lines come a block of 8 time rows at a time (a block
+  keeps its temporaries below glibc's mmap threshold), so only one
+  block's lines are alive at once;
 * the subcommands solve, solve --mode protected, solve --mode local:4,
   price-bond and price-insurance through cli.main, each writing to its
   own temporary directory.

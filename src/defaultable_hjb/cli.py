@@ -30,7 +30,7 @@ from .model import (ModelError, OUParams, CIRParams, Preferences,
                     paper_cir_params, zero_claim)
 from .lambertw import ThetaDomainError
 from .solver import (GridSpec, NewtonDivergence, Surface, _full_segment,
-                     _local_segment, _march, _protected_segment,
+                     _local_segment, _march, _protected_segment, block_rows,
                      solve_claims, solve_full)
 
 
@@ -374,6 +374,9 @@ def _text_rows(block) -> list:
     # D < 10**17, as the double below each power of ten in the range lies
     # more than half a unit of the 17th digit below it
     d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    # each temporary is dropped after its last use, which keeps a block's
+    # working set, and so the heap top that glibc may trim after it, small
+    del a, p, e, off
     # D as its leading digit's word and four groups of four digits
     groups = np.empty((x.size, 5), np.int64)
     for i in (4, 3, 2, 1):
@@ -386,19 +389,23 @@ def _text_rows(block) -> list:
     for i in (3, 2, 1):
         zeros += (zeros == 4 * (4 - i)) * _QUAD_ZEROS[groups[:, i]]
     cls = (np.signbit(x) * 21 + k + 4) * 17 + zeros
+    del k, zeros
 
     words = _WORDS[groups]
+    del groups
     text = words.view(np.uint8)
     text[:, 39] = ord(",")
-    text.reshape(n_rows, n_cols, 40)[:, -1, 39] = ord("\n")
     slow = np.flatnonzero(~fast)
     if slow.size:
         written = ["%.17g" % v for v in x[slow].tolist()]
         text[slow, :24] = np.array(written, "S24").view(np.uint8).reshape(
             -1, 24)
         cls[slow] = _WRITTEN + np.array([len(s) for s in written])
-    kept = np.compress(_KEEP[cls].ravel(), text.ravel())
-    return kept.tobytes().decode("ascii").split("\n")[:-1]
+    # row by row, as compress takes an index of 8 bytes per byte it keeps;
+    # each row's last separator is dropped
+    rows = zip(cls.reshape(n_rows, n_cols), text.reshape(n_rows, n_cols, 40))
+    return [np.compress(_KEEP[c].ravel(), t.ravel())[:-1].tobytes()
+            .decode("ascii") for c, t in rows]
 
 
 def _columns(columns: dict) -> list:
@@ -408,17 +415,22 @@ def _columns(columns: dict) -> list:
         np.column_stack(list(columns.values())))
 
 
-_BLOCK_ROWS = 16  # time rows formatted at a time: about 1 MB of temporaries
+# the bytes per value of _text_rows' largest temporaries, its text rows and
+# digit groups
+_TEXT_BYTES = 40
 
 
 def _surface_lines(G: Surface):
-    """A row of the x nodes, then one row per time node, 17 digits."""
+    """A row of the x nodes, then one row per time node, 17 digits.  The
+    rows are formatted a block at a time (see block_rows), 8 rows at 401
+    nodes."""
     yield "t," + _text_rows(G.grid.xs[None])[0]
     values = G.values
     ts = G.grid.ts[:len(values)]
-    for i in range(0, len(ts), _BLOCK_ROWS):
-        yield from _text_rows(np.column_stack(
-            (ts[i:i + _BLOCK_ROWS], values[i:i + _BLOCK_ROWS])))
+    step = block_rows(values.shape[1] + 1, _TEXT_BYTES)
+    for i in range(0, len(ts), step):
+        yield from _text_rows(np.column_stack((ts[i:i + step],
+                                               values[i:i + step])))
 
 
 def _estimate_lines(estimates: list, seed: int) -> list:
@@ -488,7 +500,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                                               [grid])
     G, res = levels[-1]
     _write(cfg, "surface.csv", header, _surface_lines(G))
-    res = np.abs(res)
+    np.abs(res, out=res)  # the record is read only here
     _write(cfg, "residual_summary.txt", header,
            [f"max_abs_residual = {float(np.max(res)):.17g}",
             f"mean_abs_residual = {float(np.mean(res)):.17g}"])
@@ -524,8 +536,9 @@ def cmd_price_bond(cfg: RunConfig) -> int:
     lo, hi = invariant_band(m)
     mask = (grid.xs >= lo) & (grid.xs <= hi)
     cols = {"x": grid.xs[mask]}
+    # the price is nodewise and only the t = 0 row is written: map that row
     for q, Gq in zip(cfg.q_list, Gqs):
-        p = pricing.indifference_price(Gq, G0, q)
+        p = pricing.indifference_price(Gq.rows(0, 1), G0.rows(0, 1), q)
         cols[f"p_q{q:.17g}"] = p[0, mask]
     _write(cfg, "price_bond.csv", header, _columns(cols))
     print(f"price-bond: wrote price_bond.csv ({len(cfg.q_list)} notionals, "
@@ -537,9 +550,8 @@ def cmd_price_insurance(cfg: RunConfig) -> int:
     m, _, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
-    G = solve_full(m, zero_claim(), pref, grid)
     # the maps are nodewise and only the t = 0 row is written: map that row
-    G = Surface(grid=grid, values=G.values[:1], gradient=G.gradient[:1])
+    G = solve_full(m, zero_claim(), pref, grid).rows(0, 1)
     pol = pricing.optimal_policy(G, m, pref)
     f = pricing.insurance_rate(G, m, pref)
     upper, _ = pricing.insurance_bounds(G, pol, m, pref)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .lambertw import theta_of_log
 from .model import ModelSpec, Preferences
-from .solver import Surface, _Coeffs
+from .solver import Surface, _Coeffs, block_rows
 
 
 class RadicandNegative(RuntimeError):
@@ -44,20 +44,20 @@ def _gradient_term(coef: _Coeffs, G: Surface) -> np.ndarray:
     return (coef.alpha / coef.sig) * coef.a * coef.rho * G.gradient
 
 
-def _node_fields(G: Surface, m: ModelSpec, pref: Preferences):
-    """Node coefficients, x-tilde, theta and log y shared by the maps."""
-    coef = _Coeffs(m, G.grid.xs, pref.alpha)
+def _node_fields(coef: _Coeffs, G: Surface):
+    """x-tilde, theta and log y shared by the maps, on the rows of G."""
     x_tilde = coef.m_ratio - _gradient_term(coef, G)
     log_y = coef.log_g_ratio + coef.alpha * G.values
     theta_g = theta_of_log(log_y + x_tilde)
-    return coef, x_tilde, theta_g, log_y
+    return x_tilde, theta_g, log_y
 
 
 def optimal_policy(G: Surface, m: ModelSpec, pref: Preferences) -> Surface:
     """The optimal dollar position in the risky asset, pi-hat = (x-tilde -
     theta_G) / alpha, nodewise on the surface grid; a policy that is not
     finite raises ValueError."""
-    coef, x_tilde, theta_g, _ = _node_fields(G, m, pref)
+    coef = _Coeffs(m, G.grid.xs, pref.alpha)
+    x_tilde, theta_g, _ = _node_fields(coef, G)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (x_tilde - theta_g) / coef.alpha
     if not np.isfinite(values).all():
@@ -79,34 +79,39 @@ def insurance_rate(G: Surface, m: ModelSpec, pref: Preferences) -> np.ndarray:
 
     f = sigma^2 * (x-tilde - sqrt(x-tilde^2 - (theta^2 + 2 theta
     - 2 (gamma/sigma^2) e^{alpha G}))).  The radicand is non-negative in
-    exact arithmetic; values below -1e-10 raise RadicandNegative.
+    exact arithmetic; values below -1e-10 raise RadicandNegative, which
+    names the first such node.  The map is nodewise: the coefficients
+    are sampled once, and the rows are mapped in blocks that keep every
+    temporary small (see block_rows).
     """
-    rad, x_tilde, s2 = _radicand(G, m, pref)
-    return s2 * (x_tilde - np.sqrt(rad))
+    coef = _Coeffs(m, G.grid.xs, pref.alpha)
+    f = np.empty(G.values.shape)
+    step = block_rows(f.shape[-1], f.itemsize)
+    for start in range(0, len(f), step):
+        rad, x_tilde = _radicand(coef, G.rows(start, start + step), start)
+        f[start:start + step] = coef.s2 * (x_tilde - np.sqrt(rad))
+    return f
 
 
-def _radicand(G: Surface, m: ModelSpec, pref: Preferences):
-    coef, x_tilde, theta_g, log_y = _node_fields(G, m, pref)
-    # x-tilde^2 - (theta^2 + 2 theta - 2 y), in this order, in place and
-    # dropping each operand after its last use: a surface-sized array
-    # fewer is alive at once.  An overflow to inf passes on to the rate
-    # (-inf), with no warning
+def _radicand(coef: _Coeffs, G: Surface, first: int):
+    """The clamped radicand and x-tilde on the rows of G, which start at
+    row first of the surface."""
+    x_tilde, theta_g, log_y = _node_fields(coef, G)
+    # x-tilde^2 - (theta^2 + 2 theta - 2 y), in this order, in place.  An
+    # overflow to inf passes on to the rate (-inf), with no warning
     with np.errstate(over="ignore"):
         inner = theta_g ** 2
         inner += 2.0 * theta_g
-        del theta_g
         y2 = np.exp(log_y)
-        del log_y
         y2 *= 2.0
         inner -= y2
-        del y2
         rad = x_tilde ** 2
         rad -= inner
     bad = rad < -_RADICAND_CLAMP
     if bad.any():
-        idx = tuple(int(k[0]) for k in np.nonzero(bad))
-        raise RadicandNegative(idx, float(rad[idx]))
-    return np.maximum(rad, 0.0), x_tilde, coef.s2
+        i, j = (int(k[0]) for k in np.nonzero(bad))
+        raise RadicandNegative((first + i, j), float(rad[i, j]))
+    return np.maximum(rad, 0.0), x_tilde
 
 
 def insurance_rate_h_form(pi_hat: float, y: float):

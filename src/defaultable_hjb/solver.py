@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -209,21 +209,58 @@ class CornerBlock:
         return row0
 
 
-@dataclass
+# glibc's malloc serves a request of 128 KiB or more (its default mmap
+# threshold) from a fresh mmap, which the kernel faults in page by page and
+# which free hands back at once.  A row-by-row pass over a surface works
+# in blocks whose largest temporary stays below that size, so that each
+# block reuses the heap memory of the one before.
+_MMAP_THRESHOLD = 128 * 1024
+
+
+def block_rows(n_cols: int, item_bytes: int) -> int:
+    """Rows per block of a pass over rows of n_cols values whose largest
+    temporary takes item_bytes per value: the most that keep it below
+    glibc's default mmap threshold, with room for malloc's chunk header,
+    and at least one.  Float64 maps over 401 nodes take 40 rows."""
+    return max(1, (_MMAP_THRESHOLD - 32) // (n_cols * item_bytes))
+
+
 class Surface:
     """A field on the grid, such as the certainty equivalent, a policy or
-    a rate, together with its spatial gradient."""
+    a rate, with its spatial gradient.
 
-    grid: GridSpec
-    values: np.ndarray  # (n_time+1, n_space+1); last row = terminal data
-    gradient: np.ndarray = field(default=None)
-    mode: str = "full"  # "full" | "local" | "protected"
-    chi: Optional[np.ndarray] = None          # local mode cutoff on the x nodes
-    rate_field: Optional[np.ndarray] = None   # protected mode insurance rate
+    values holds one row per time node, the last the terminal data, or
+    only some of the rows, for the nodewise maps (see rows).  The
+    gradient is formed on its first read and then kept, so a surface that
+    is only written or looked up never holds one; a gradient given to the
+    constructor is used as it is.
+    """
 
-    def __post_init__(self):
-        if self.gradient is None:
-            self.gradient = central_gradient(self.values, self.grid.dx)
+    def __init__(self, grid: GridSpec, values: np.ndarray,
+                 gradient: Optional[np.ndarray] = None, mode: str = "full",
+                 chi: Optional[np.ndarray] = None,
+                 rate_field: Optional[np.ndarray] = None):
+        self.grid = grid
+        self.values = values
+        self._gradient = gradient
+        self.mode = mode  # "full" | "local" | "protected"
+        self.chi = chi  # local mode cutoff on the x nodes
+        self.rate_field = rate_field  # protected mode insurance rate
+
+    @property
+    def gradient(self) -> np.ndarray:
+        if self._gradient is None:
+            self._gradient = central_gradient(self.values, self.grid.dx)
+        return self._gradient
+
+    def rows(self, start: int, stop: int) -> Surface:
+        """The time rows start:stop on the same grid, as a field of the
+        nodewise maps (mode, chi and rate_field are not carried).  Their
+        gradient is the slice of one already formed, or else is formed from
+        these rows alone, with the same bits: the gradient is row by row."""
+        g = self._gradient
+        return Surface(self.grid, self.values[start:stop],
+                       None if g is None else g[start:stop])
 
     def at(self, t: float, x) -> np.ndarray:
         """Bilinear lookup in (t, x), clamped to the grid edges."""

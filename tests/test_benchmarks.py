@@ -43,7 +43,8 @@ OUTPUT_SHA256 = {
 }
 
 
-def _record(script: str, tmp_path: Path) -> dict:
+def _run(script: str, tmp_path: Path) -> dict:
+    """The record of one round of the script."""
     out = tmp_path / "bench.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(ROOT / "benchmarks" / script),
@@ -54,7 +55,11 @@ def _record(script: str, tmp_path: Path) -> dict:
     assert doc["script"] == f"benchmarks/{script}"
     assert set(doc["host"]) == {"machine", "cpus", "python", "numpy"}
     assert list(doc["records"]) == ["smoke"]
-    record = doc["records"]["smoke"]
+    return doc["records"]["smoke"]
+
+
+def _record(script: str, tmp_path: Path) -> dict:
+    record = _run(script, tmp_path)
     assert record["backend"] == "numpy" and record["repeat"] == 1
     assert record["peak_rss_mb"] > 0
     return record
@@ -81,3 +86,14 @@ def test_bench_verify_times_every_stage(tmp_path):
     assert len(record["total_runs_s"]) == 1
     assert len(record["verify_csv_sha256"]) == 64
     assert record["children_peak_rss_mb"] >= 0
+
+
+def test_bench_e2e_runs_every_subcommand_in_its_own_process(tmp_path):
+    record = _run("bench_e2e.py", tmp_path)
+    cases = {"startup", "solve", "solve-protected", "solve-local",
+             "price-bond", "price-insurance", "check-assumptions", "verify"}
+    assert set(record["runs"]) == set(record["summary"]) == cases
+    assert record["rounds"] == 1 and "revision" in record
+    for runs in record["runs"].values():
+        assert len(runs) == 1
+        assert runs[0]["wall_s"] > 0 and runs[0]["peak_rss_mb"] > 0

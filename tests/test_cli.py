@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,8 +18,12 @@ from hypothesis.extra.numpy import arrays
 import defaultable_hjb as dh
 from defaultable_hjb import cli
 from defaultable_hjb import montecarlo as mc
+from defaultable_hjb import solver
 from defaultable_hjb.cli import ConfigError, main, parse_config
-from defaultable_hjb.solver import CornerBlock, GridLookup
+from defaultable_hjb.solver import CornerBlock, GridLookup, central_gradient
+
+REFERENCE_INI = str(Path(__file__).resolve().parents[1] / "perfbench"
+                    / "reference.ini")
 
 
 PAPER_INI = """\
@@ -128,6 +133,56 @@ def test_solve_local_and_protected_modes(tmp_path, capsys):
     assert main(["solve", "--config", cfgp, "--out", str(out2),
                  "--mode", "protected"]) == 0
     assert (out2 / "surface.csv").exists()
+
+
+def test_price_bond_holds_only_the_surfaces_it_writes(tmp_path):
+    # price-bond writes the t = 0 row of five surfaces, the zero claim's
+    # and q = 1, 3, 5, 10's: besides their values it holds the march's
+    # per-node arrays over the block's five rows, stated as 100 float64
+    # arrays of 5 x 129 nodes (0.52 MB, the march takes 0.33 MB), and no
+    # gradient or price of a whole surface.  A surface-sized array more
+    # per claim (0.67 MB) exceeds the allowance.
+    argv = ["price-bond", "--config", REFERENCE_INI, "--out", str(tmp_path),
+            "--grid", "128,128"]
+    nodes = 129
+    surfaces = 5 * nodes * nodes * 8
+    allowance = 100 * 5 * nodes * 8
+    with contextlib.redirect_stdout(io.StringIO()):
+        # a first call, so that lazy imports and caches are in place
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= surfaces + allowance
+
+
+@pytest.mark.parametrize("mode", ["full", "local:4", "protected"])
+def test_solve_takes_gradients_only_of_rate_blocks(monkeypatch, tmp_path,
+                                                   mode):
+    # the surfaces solve writes are never differentiated; protected mode's
+    # insurance rates differentiate the zero claim's surfaces one rate
+    # block of rows at a time, and full and local mode not at all
+    calls = []
+
+    def counted(values, dx):
+        calls.append(values.shape)
+        return central_gradient(values, dx)
+
+    monkeypatch.setattr(solver, "central_gradient", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--mode", mode, "--config", REFERENCE_INI,
+                     "--out", str(tmp_path), "--grid", "128,128"]) == 0
+    blocks = []
+    if mode == "protected":
+        for n in (32, 64, 128):
+            step = solver.block_rows(n + 1, 8)
+            blocks += [(min(step, n + 1 - a), n + 1)
+                       for a in range(0, n + 1, step)]
+        assert len(blocks) == 4  # the finest level takes two blocks
+    assert calls == blocks
 
 
 def test_price_bond_outputs_and_monotonicity(tmp_path):
@@ -791,15 +846,17 @@ def test_surface_lines_are_the_17_digit_text_of_every_value():
     assert list(cli._surface_lines(S)) == list(want(S))
 
     # any doubles, nan, inf and subnormals among them, in surfaces of one
-    # row and of one block of rows less, as many and one more
-    block = cli._BLOCK_ROWS
+    # row and of one block of rows less, as many and one more: a block of
+    # 17 values and the time per row
+    block = solver.block_rows(17 + 1, cli._TEXT_BYTES)
     rows = st.sampled_from([1, block - 1, block, block + 1])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(rows.flatmap(lambda n: arrays(np.float64, (n, 17),
                                          elements=st.floats())))
     def arbitrary(values):
-        S = surface(values)
+        tall = dh.GridSpec(-0.1, 0.7, 16, max(len(values) - 1, 16))
+        S = dh.Surface(grid=tall, values=values)
         assert list(cli._surface_lines(S)) == list(want(S))
 
     arbitrary()

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defaultable_hjb as dh
-from defaultable_hjb.lambertw import theta
-from defaultable_hjb import cli, pricing
+from defaultable_hjb.lambertw import theta, theta_of_log
+from defaultable_hjb import cli, pricing, solver
 from defaultable_hjb.pricing import (RadicandNegative, insurance_rate_h_form,
                                      short_horizon_curve, zero_rate_position)
 
@@ -86,8 +86,8 @@ def test_rate_branches_and_h_form_agree(paper_model, paper_pref, G_zero):
     f = dh.insurance_rate(G_zero, paper_model, paper_pref)
     # the two roots s2 (x-tilde -+ sqrt(radicand)) of the quadratic; the
     # rate is the lower one
-    coef, x_tilde, theta_g, log_y = pricing._node_fields(
-        G_zero, paper_model, paper_pref)
+    coef = solver._Coeffs(paper_model, G_zero.grid.xs, paper_pref.alpha)
+    x_tilde, theta_g, log_y = pricing._node_fields(coef, G_zero)
     rad = np.maximum(x_tilde ** 2 - (theta_g ** 2 + 2.0 * theta_g
                                      - 2.0 * np.exp(log_y)), 0.0)
     assert np.array_equal(f, coef.s2 * (x_tilde - np.sqrt(rad)))
@@ -237,3 +237,36 @@ def test_maps_of_the_first_row_are_row_0_of_the_maps(paper_model, paper_pref,
     upper, _ = dh.insurance_bounds(G_zero, pol, paper_model, paper_pref)
     upper0, _ = dh.insurance_bounds(row0, pol0, paper_model, paper_pref)
     assert upper0.tobytes() == upper[:1].tobytes()
+
+
+def test_the_rate_map_is_row_by_row_across_its_blocks(monkeypatch,
+                                                      paper_model,
+                                                      paper_pref, G_zero):
+    # insurance_rate maps the rows a block at a time; G_zero spans several
+    grid = G_zero.grid
+    step = solver.block_rows(grid.n_space + 1, 8)
+    assert step < len(G_zero.values)
+    f = dh.insurance_rate(G_zero, paper_model, paper_pref)
+    # the last row of the first block and the first of the second
+    for i in (step - 1, step):
+        row = dh.Surface(grid=grid, values=G_zero.values[i:i + 1])
+        f_row = dh.insurance_rate(row, paper_model, paper_pref)
+        assert f_row.tobytes() == f[i:i + 1].tobytes()
+    # theta raised at one node past the first block drives its radicand
+    # below 0, which the map cannot reach otherwise; the error names the
+    # node on the whole surface
+    node = (step + 5, 100)
+    blocks = []
+
+    def raised(u):
+        th = theta_of_log(u)
+        if len(blocks) == node[0] // step:
+            th[node[0] % step, node[1]] += 100.0
+        blocks.append(u.shape)
+        return th
+
+    monkeypatch.setattr(pricing, "theta_of_log", raised)
+    with pytest.raises(RadicandNegative) as err:
+        dh.insurance_rate(G_zero, paper_model, paper_pref)
+    assert err.value.node_index == node
+    assert err.value.value < -1.0
