@@ -10,7 +10,7 @@ times, --repeat times each in this process:
 
 * solve_full of the zero claim;
 * solve_claims of the five claims of price-bond (the zero claim and
-  q = 1, 3, 5, 10);
+  q = 1, 3, 5, 10), each keeping its t = 0 row, as price-bond does;
 * one backends.tridiag_solve of a random diagonally dominant 401-node
   system;
 * one theta_of_log of 401 values evenly spaced on [-20, 20];
@@ -18,8 +18,9 @@ times, --repeat times each in this process:
   row of the zero-claim surface;
 * residual of the zero-claim surface;
 * the solves behind one `solve` of each mode on perfbench/reference.ini:
-  cli._solve_levels of the 100^2, 200^2 and 400^2 levels, with the
-  finest level's step residuals;
+  cli._solve_levels of the 100^2, 200^2 and 400^2 levels, kept as solve
+  keeps them: two time rows of each coarse level, the finest whole with
+  its step residuals;
 * cli._surface_lines of that surface, consumed line by line as the CLI
   writes it; the lines come a block of 8 time rows at a time (a block
   keeps its temporaries below glibc's mmap threshold), so only one
@@ -116,7 +117,8 @@ def cases(out_dir: str) -> dict:
         grids = [cli.make_grid(cfg, m, pref, nx=max(cfg.nx // div, 16),
                                nt=max(cfg.nt // div, 16))
                  for div in (4, 2, 1)]
-        return lambda: cli._solve_levels(cfg, m, claims[0], pref, grids)
+        return lambda: cli._solve_levels(cfg, m, claims[0], pref, grids,
+                                         [False, False, True])
 
     def command(name):
         argv = COMMANDS[name][0] + ["--config", str(CONFIG),
@@ -133,7 +135,7 @@ def cases(out_dir: str) -> dict:
     return {
         "solve_full_400": lambda: dh.solve_full(m, claims[0], pref, grid),
         "price_bond_claims_400": lambda: dh.solve_claims(m, claims, pref,
-                                                         grid),
+                                                         grid, rows=1),
         "tridiag_solve_401": lambda: backends.tridiag_solve(*system),
         "theta_of_log_401": lambda: dh.theta_of_log(us),
         "operator_401": lambda: op(row),

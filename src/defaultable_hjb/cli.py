@@ -448,11 +448,15 @@ def _report_lines(report: asm.AssumptionReport) -> list:
     return lines
 
 
-def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list) -> list:
+def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list,
+                  whole: list) -> list:
     """(surface, step residuals) of cfg.mode on each grid, the grids
-    marched as one lockstep block, each bit for bit its own solve.  In
-    protected mode the zero claim's full-equation ladder marches first,
-    then the protected ladder on its insurance rates."""
+    marched as one lockstep block, each bit for bit its own solve.  A
+    level whose entry of whole is true keeps every time row and its step
+    residuals; any other keeps the two time rows that Surface.at(0, x0)
+    reads, and no residuals (None).  In protected mode the zero claim's
+    full-equation ladder marches first, kept whole for the insurance
+    rates, then the protected ladder on those rates."""
     if cfg.mode == "local":
         try:
             loc = build_localization(m, cfg.local_n)
@@ -472,7 +476,8 @@ def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list) -> list:
                         g) for g in grids]
     else:
         segments = [_full_segment(m, claim, pref, g) for g in grids]
-    return list(zip(*_march(segments, record=True)))
+    return list(zip(*_march([replace(seg, rows=None if w else 2, record=w)
+                             for seg, w in zip(segments, whole)])))
 
 
 # what fails a lockstep ladder: the levels are then solved one by one
@@ -491,13 +496,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     grids = [make_grid(cfg, m, pref, nx=nx, nt=nt)
              for nx, nt in dims[:2]] + [grid]
     try:
-        levels = _solve_levels(cfg, m, claims[0], pref, grids)
+        levels = _solve_levels(cfg, m, claims[0], pref, grids,
+                               [False, False, True])
     except _LADDER_FAILURES:
         # level by level, nx first, then nx/4 and nx/2, with the files of
         # nx written before the next: the first level that fails alone
         # raises its own error
         levels = [None, None] + _solve_levels(cfg, m, claims[0], pref,
-                                              [grid])
+                                              [grid], [True])
     G, res = levels[-1]
     _write(cfg, "surface.csv", header, _surface_lines(G))
     np.abs(res, out=res)  # the record is read only here
@@ -509,7 +515,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     rows, prev = ["nx,nt,value_at_x0,diff_from_previous"], None
     for (nx, nt), g, level in zip(dims, grids, levels):
         if level is None:
-            level = _solve_levels(cfg, m, claims[0], pref, [g])[0]
+            level = _solve_levels(cfg, m, claims[0], pref, [g], [False])[0]
         v = float(level[0].at(0.0, np.atleast_1d(x0))[0])
         d = "" if prev is None else f"{v - prev:.17g}"
         rows.append(f"{nx},{nt},{v:.17g},{d}")
@@ -530,15 +536,16 @@ def cmd_price_bond(cfg: RunConfig) -> int:
     m, _, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
-    # the zero claim and every notional march as one block
+    # the zero claim and every notional march as one block; the price is
+    # nodewise and only the t = 0 row is written, so each keeps that row
     G0, *Gqs = solve_claims(
-        m, [zero_claim()] + [bond_claim(q) for q in cfg.q_list], pref, grid)
+        m, [zero_claim()] + [bond_claim(q) for q in cfg.q_list], pref, grid,
+        rows=1)
     lo, hi = invariant_band(m)
     mask = (grid.xs >= lo) & (grid.xs <= hi)
     cols = {"x": grid.xs[mask]}
-    # the price is nodewise and only the t = 0 row is written: map that row
     for q, Gq in zip(cfg.q_list, Gqs):
-        p = pricing.indifference_price(Gq.rows(0, 1), G0.rows(0, 1), q)
+        p = pricing.indifference_price(Gq, G0, q)
         cols[f"p_q{q:.17g}"] = p[0, mask]
     _write(cfg, "price_bond.csv", header, _columns(cols))
     print(f"price-bond: wrote price_bond.csv ({len(cfg.q_list)} notionals, "
@@ -550,8 +557,8 @@ def cmd_price_insurance(cfg: RunConfig) -> int:
     m, _, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
-    # the maps are nodewise and only the t = 0 row is written: map that row
-    G = solve_full(m, zero_claim(), pref, grid).rows(0, 1)
+    # the maps are nodewise and only the t = 0 row is written: keep that row
+    G = solve_full(m, zero_claim(), pref, grid, rows=1)
     pol = pricing.optimal_policy(G, m, pref)
     f = pricing.insurance_rate(G, m, pref)
     upper, _ = pricing.insurance_bounds(G, pol, m, pref)

@@ -493,6 +493,21 @@ def estimate_martingale_mass(bundle: PathBundle,
 _mapping = False
 
 
+def _fork():
+    """(pid, read_fd, write_fd) of a fork with a pipe from child to
+    parent, or None, with nothing left open, where either is refused."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        return os.fork(), read_fd, write_fd
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+
+
 def fork_map(fn, items) -> list:
     """[fn(item) for item in items], on up to two CPUs.
 
@@ -505,25 +520,24 @@ def fork_map(fn, items) -> list:
     re-emits those warnings and raises the first failing item's
     exception, in item order.  The child is reaped before the call
     returns, and killed first if the call raises; a child that ends
-    without sending raises RuntimeError.  On one CPU, for one item, and
-    for a call made from inside a map (in the child, or from fn in the
-    caller), it is the plain loop.
+    without sending raises RuntimeError.  On one CPU, for one item, for
+    a call made from inside a map (in the child, or from fn in the
+    caller), and where the system refuses the pipe or the process (an
+    OSError such as EAGAIN under a process limit), it is the plain loop,
+    whose fn(item) is the child's to the bit.
     """
     global _mapping
     items = list(items)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
-    if _mapping or cpus < 2 or len(items) < 2:
+    forked = None
+    if not (_mapping or cpus < 2 or len(items) < 2):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        forked = _fork()
+    if forked is None:
         return [fn(item) for item in items]
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    pid, read_fd, write_fd = forked
     if pid == 0:
         os.close(read_fd)
         _worker(fn, items[1::2], write_fd)

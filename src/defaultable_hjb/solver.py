@@ -37,7 +37,9 @@ residual to the next convergence test, and the explicit half
 w_expl F(G_next) is formed once per step.  Each reuse stands for a
 computation on identical inputs, so no value changes.  The residual of
 each step at convergence can be recorded: it is the array that
-residual() computes afresh.
+residual() computes afresh.  Each segment says what of it the march
+keeps: its leading time rows, all of them or fewer, and whether its
+record is filled.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Optional
 
@@ -230,10 +232,14 @@ class Surface:
     a rate, with its spatial gradient.
 
     values holds one row per time node, the last the terminal data, or
-    only some of the rows, for the nodewise maps (see rows).  The
-    gradient is formed on its first read and then kept, so a surface that
-    is only written or looked up never holds one; a gradient given to the
-    constructor is used as it is.
+    only some of the rows.  A march that keeps the first k rows (see
+    _Segment) gives a trimmed surface: its nodewise maps are those of
+    rows 0..k-1, and at looks up only the t whose time cell lies within
+    them, so at(0, x) needs two rows.  A surface of rows gives rows
+    start:stop, for the nodewise maps alone.  The gradient is formed on
+    its first read and then kept, so a surface that is only written or
+    looked up never holds one; a gradient given to the constructor is
+    used as it is.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray,
@@ -263,8 +269,14 @@ class Surface:
                        None if g is None else g[start:stop])
 
     def at(self, t: float, x) -> np.ndarray:
-        """Bilinear lookup in (t, x), clamped to the grid edges."""
+        """Bilinear lookup in (t, x), clamped to the grid edges.  It reads
+        the two rows of t's time cell; a trimmed surface that does not keep
+        both raises ValueError."""
         cell = GridLookup(self.grid.ts, self.grid.xs).cell(t, x)
+        if cell[0] + 1 >= len(self.values):
+            raise ValueError(f"t = {float(t):g} lies in time cell {cell[0]}, "
+                             f"past the {len(self.values)} rows the surface "
+                             "keeps")
         return CornerBlock(self.values).gather(cell)
 
 
@@ -524,7 +536,8 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
     [F, sub, diag, sup] holds the evaluation of U on entry and on exit;
     both are updated in place.  Each segment iterates until its own
     residual converges, with its own line search, as it would alone;
-    record[s], when given, receives segment s's residual at convergence.
+    record, when given, holds per segment an array that receives its
+    residual at convergence, or None.
     An iteration evaluates, solves and searches the span from the first
     to the last segment still iterating: a converged segment inside it
     solves the identity and keeps its values.  Segment g's line-search
@@ -564,7 +577,7 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
             v = rnorm[s] = norms[s - sp.a]
             if not v <= opt.newton_tol:
                 going.append(s)
-            elif record is not None:
+            elif record is not None and record[s] is not None:
                 record[s][...] = R[sp.parts[s - sp.a]]
         if not going:
             return
@@ -636,7 +649,13 @@ def _solve_step(evaluate, layout: _Layout, G_next: np.ndarray, expl,
 class _Segment:
     """One surface of a march: its mode and grid, the model coefficients
     on its nodes, its terminal row, and the cutoff chi (full and local
-    mode) or the insurance rate on the grid (protected mode)."""
+    mode) or the insurance rate on the grid (protected mode).
+
+    It also says what the march keeps of it: rows, the number of leading
+    time rows its Surface holds (None keeps all n_time + 1; with fewer the
+    surface is trimmed, see Surface), and record, whether the march fills
+    its step-residual record.  Neither changes how it is marched.
+    """
 
     mode: str
     grid: GridSpec
@@ -644,6 +663,18 @@ class _Segment:
     terminal: np.ndarray
     chi: Optional[np.ndarray] = None
     rate_field: Optional[np.ndarray] = None
+    rows: Optional[int] = None
+    record: bool = False
+
+    def __post_init__(self):
+        if self.rows is not None and self.rows < 1:
+            raise ValueError("a surface keeps at least one time row")
+
+    @property
+    def kept(self) -> int:
+        """The number of time rows its Surface holds."""
+        n = self.grid.n_time + 1
+        return n if self.rows is None else min(self.rows, n)
 
     def surface(self, values: np.ndarray) -> Surface:
         return Surface(grid=self.grid, values=values, mode=self.mode,
@@ -654,14 +685,15 @@ class _Segment:
 # a trial that overflows fails its residual or Jacobian check, which
 # raises NewtonDivergence: it is not warned of
 @np.errstate(over="ignore", invalid="ignore")
-def _march(segments: list, opt: SolverOptions = SolverOptions(),
-           record: bool = False) -> tuple:
+def _march(segments: list, opt: SolverOptions = SolverOptions()) -> tuple:
     """Segments marched backward in lockstep, as one block laid end to end.
 
     Returns (surfaces, residuals), in the order of segments: each
-    segment's Surface and, if record, its (n_time, n_space + 1) step
-    residuals at convergence, the array that residual returns for its
-    surface (else None).  The segments share a mode, a model and
+    segment's Surface, of the rows it keeps, and, if it records, its
+    (n_time, n_space + 1) step residuals at convergence, the array that
+    residual returns for its whole surface (else None).  Only what a
+    segment keeps is allocated; every row kept has the bits of the whole
+    surface's.  The segments share a mode, a model and
     preferences; each has its own grid, time step and terminal row.  The
     block holds them by n_time, descending, and segment s steps on the
     first n_time_s ticks, so the segments that step form a prefix of the
@@ -688,12 +720,12 @@ def _march(segments: list, opt: SolverOptions = SolverOptions(),
     w_expl = np.concatenate([np.full(seg.terminal.size, we)
                              for seg, (_, we) in zip(segs, weights)]) \
         if weights[0][1] > 0.0 else None
-    values = [np.empty((seg.grid.n_time + 1, seg.terminal.size))
-              for seg in segs]
-    residuals = [np.empty((seg.grid.n_time, seg.terminal.size)) if record
-                 else None for seg in segs]
+    values = [np.empty((seg.kept, seg.terminal.size)) for seg in segs]
+    residuals = [np.empty((seg.grid.n_time, seg.terminal.size))
+                 if seg.record else None for seg in segs]
     for v, seg in zip(values, segs):
-        v[-1] = seg.terminal
+        if len(v) > seg.grid.n_time:
+            v[-1] = seg.terminal
 
     def rates(rows):
         return np.concatenate([seg.rate_field[i]
@@ -731,10 +763,11 @@ def _march(segments: list, opt: SolverOptions = SolverOptions(),
             ev = [F, *jac]
         _solve_step(evaluate, layout, G, expl, U, ev,
                     (w_impl[at], w_neg[at]), opt, dirichlet, steps,
-                    [r[i] for r, i in zip(residuals, steps)] if record
-                    else None)
+                    [None if r is None else r[i]
+                     for r, i in zip(residuals, steps)])
         for v, i, part in zip(values, steps, whole.parts):
-            v[i] = U[part]
+            if i < len(v):
+                v[i] = U[part]
         G = U
     back = sorted(range(len(order)), key=order.__getitem__)
     return ([seg.surface(values[p]) for seg, p in zip(segments, back)],
@@ -776,18 +809,22 @@ def _protected_segment(m: ModelSpec, pref: Preferences,
 
 
 def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
-                 grid: GridSpec, opt: SolverOptions = SolverOptions()
-                 ) -> list:
+                 grid: GridSpec, opt: SolverOptions = SolverOptions(),
+                 rows: Optional[int] = None) -> list:
     """Solve the full equation for each claim, all marched as one block.
 
-    Each Surface is bit for bit the one the claim's own solve gives.  A
-    block fails as a whole; the claims are then marched one by one, in
-    order, so that the error raised is the first failing claim's own.
+    Each Surface is bit for bit the one the claim's own solve gives.
+    With rows it keeps only the first rows time rows, t = 0 first (see
+    Surface): rows = 1 serves the nodewise maps at t = 0, and lookups
+    need two.  A block fails as a whole; the claims are then marched one
+    by one, in order, so that the error raised is the first failing
+    claim's own.
     """
     if not claims:
         raise ValueError("need at least one claim")
     coef = _Coeffs(m, grid.xs, pref.alpha)
-    segments = [_full_segment(m, c, pref, grid, coef) for c in claims]
+    segments = [replace(_full_segment(m, c, pref, grid, coef), rows=rows)
+                for c in claims]
     try:
         return _march(segments, opt)[0]
     except (NewtonDivergence, ThetaDomainError) as exc:
@@ -802,9 +839,11 @@ def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
 
 
 def solve_full(m: ModelSpec, c: ClaimSpec, pref: Preferences, grid: GridSpec,
-               opt: SolverOptions = SolverOptions()) -> Surface:
-    """Solve the full equation backward from G(T, .) = q * phi."""
-    return solve_claims(m, [c], pref, grid, opt)[0]
+               opt: SolverOptions = SolverOptions(),
+               rows: Optional[int] = None) -> Surface:
+    """Solve the full equation backward from G(T, .) = q * phi, keeping
+    the first rows time rows (all by default; see solve_claims)."""
+    return solve_claims(m, [c], pref, grid, opt, rows)[0]
 
 
 def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,

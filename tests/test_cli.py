@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import re
@@ -135,28 +136,100 @@ def test_solve_local_and_protected_modes(tmp_path, capsys):
     assert (out2 / "surface.csv").exists()
 
 
-def test_price_bond_holds_only_the_surfaces_it_writes(tmp_path):
-    # price-bond writes the t = 0 row of five surfaces, the zero claim's
-    # and q = 1, 3, 5, 10's: besides their values it holds the march's
-    # per-node arrays over the block's five rows, stated as 100 float64
-    # arrays of 5 x 129 nodes (0.52 MB, the march takes 0.33 MB), and no
-    # gradient or price of a whole surface.  A surface-sized array more
-    # per claim (0.67 MB) exceeds the allowance.
-    argv = ["price-bond", "--config", REFERENCE_INI, "--out", str(tmp_path),
-            "--grid", "128,128"]
-    nodes = 129
-    surfaces = 5 * nodes * nodes * 8
-    allowance = 100 * 5 * nodes * 8
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak of a second call of main(argv), the first
+    putting lazy imports and caches in place."""
     with contextlib.redirect_stdout(io.StringIO()):
-        # a first call, so that lazy imports and caches are in place
         assert main(argv) == 0
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= surfaces + allowance
+
+
+def test_price_bond_holds_only_the_surfaces_it_writes(tmp_path):
+    # price-bond writes the t = 0 row of five surfaces, the zero claim's
+    # and q = 1, 3, 5, 10's, and the march keeps only that row of each:
+    # besides them it holds the march's per-node arrays over the block's
+    # five rows, stated as 100 float64 arrays of 5 x 129 nodes (0.52 MB,
+    # the march takes 0.33 MB), and no gradient, price or time row more of
+    # a whole surface.  Five whole surfaces (0.67 MB) exceed the allowance.
+    nodes = 129
+    rows = 5 * nodes * 8
+    allowance = 100 * 5 * nodes * 8
+    assert _traced_peak(["price-bond", "--config", REFERENCE_INI, "--out",
+                         str(tmp_path), "--grid", "128,128"]) \
+        <= rows + allowance
+
+
+def test_price_insurance_holds_only_the_row_it_writes(tmp_path):
+    # price-insurance maps the t = 0 row of the zero claim's surface, and
+    # the march keeps only that row: besides it, 100 float64 arrays of the
+    # 401 nodes (0.32 MB) are allowed, the march's per-node arrays and the
+    # short-horizon curve's.  The whole 400^2 surface (1.28 MB) exceeds
+    # the allowance.
+    nodes = 401
+    allowance = 100 * nodes * 8
+    assert _traced_peak(["price-insurance", "--config", REFERENCE_INI,
+                         "--out", str(tmp_path)]) <= nodes * 8 + allowance
+
+
+@pytest.mark.parametrize("mode", ["full", "local:4", "protected"])
+def test_solve_keeps_two_rows_and_no_record_of_each_coarse_level(
+        monkeypatch, tmp_path, mode):
+    # convergence.csv reads a coarse level only at (0, x0), from its first
+    # two time rows; the finest level is written whole, with its record.
+    # Protected mode's zero-claim ladder is kept whole for its rates.
+    march, marches = cli._march, []
+
+    def kept(segments, *args):
+        surfaces, records = march(segments, *args)
+        marches.append((segments, list(surfaces), records))
+        return surfaces, records
+
+    monkeypatch.setattr(cli, "_march", kept)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--mode", mode, "--config", REFERENCE_INI,
+                     "--out", str(tmp_path), "--grid", "128,128"]) == 0
+    assert len(marches) == (2 if mode == "protected" else 1)
+    segments, surfaces, records = marches[-1]
+    assert [(G.values.shape, None if r is None else r.shape)
+            for G, r in zip(surfaces, records)] == [
+        ((2, 33), None), ((2, 65), None), ((129, 129), (128, 129))]
+    if mode == "protected":
+        assert [(G.values.shape, r) for G, r in zip(*marches[0][1:])] == [
+            ((33, 33), None), ((65, 65), None), ((129, 129), None)]
+    # what is kept has the bits of the whole ladder's
+    whole, whole_records = march([dataclasses.replace(s, rows=None,
+                                                      record=True)
+                                  for s in segments])
+    for G, W in zip(surfaces, whole):
+        assert np.array_equal(G.values.view(np.uint64),
+                              W.values[:len(G.values)].view(np.uint64))
+    # cmd_solve takes the record's absolute values in place
+    assert np.array_equal(records[-1].view(np.uint64),
+                          np.abs(whole_records[-1]).view(np.uint64))
+
+
+def test_verify_without_a_fork_writes_the_same_bytes(monkeypatch, tmp_path,
+                                                     capsys):
+    # a refused fork (EAGAIN, as under a process limit) runs both path
+    # halves in process: exit 0 and the forked run's bytes
+    argv = ["verify", "--config", REFERENCE_INI, "--grid", "64,64",
+            "--paths", "1000"]
+    outs = []
+    for refused in (False, True):
+        if refused:
+            def refuse():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            monkeypatch.setattr(os, "fork", refuse)
+        out = tmp_path / f"refused{refused}"
+        rc = main(argv + ["--out", str(out)])
+        outs.append((rc, capsys.readouterr(),
+                     (out / "verify.csv").read_bytes()))
+    assert outs[0][0] == 0 and outs[1] == outs[0]
 
 
 @pytest.mark.parametrize("mode", ["full", "local:4", "protected"])

@@ -718,6 +718,23 @@ def test_fork_map_on_one_cpu_runs_in_process(monkeypatch):
     _no_child_left()
 
 
+@pytest.mark.parametrize("refused", ["pipe", "fork"])
+def test_fork_map_runs_in_process_where_no_fork_is_had(monkeypatch, refused):
+    # EAGAIN, as under a process limit: the plain loop, in item order,
+    # with no descriptor left open
+    def refuse(*args):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, refused, refuse)
+    assert mc.fork_map(lambda i: (i * i, os.getpid()), range(7)) == \
+        [(i * i, os.getpid()) for i in range(7)]
+    monkeypatch.undo()
+    assert set(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()
+
+
 def test_fork_map_does_not_nest():
     def inner(i):
         return os.getpid()

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -593,7 +594,7 @@ def test_lockstep_ladder_levels_equal_their_own_solves(paper_model, paper_pref,
     grids = [dh.default_grid(m, paper_pref, max(nx // div, 16),
                              max(nt // div, 16)) for div in (4, 2, 1)]
     cfg = cli.RunConfig(kind=kind, mode=mode, local_n=4)
-    levels = cli._solve_levels(cfg, m, claim, paper_pref, grids)
+    levels = cli._solve_levels(cfg, m, claim, paper_pref, grids, [True] * 3)
     loc = dh.build_localization(m, 4)
     for (G, res), g in zip(levels, grids):
         if mode == "local":
@@ -614,6 +615,29 @@ def test_lockstep_ladder_levels_equal_their_own_solves(paper_model, paper_pref,
         assert _same_bits(res, dh.residual(alone, m, paper_pref))
 
 
+def test_a_trimmed_surface_keeps_the_leading_rows_and_looks_up_only_there(
+        paper_model, paper_pref):
+    grid = dh.default_grid(paper_model, paper_pref, 32, 16)
+    claim = dh.bond_claim(3.0)
+    whole = dh.solve_full(paper_model, claim, paper_pref, grid)
+    xs = np.linspace(grid.x_min, grid.x_max, 9)
+    for rows in (1, 2, 5, grid.n_time + 1, grid.n_time + 9):
+        G = dh.solve_full(paper_model, claim, paper_pref, grid, rows=rows)
+        kept = min(rows, grid.n_time + 1)
+        assert _same_bits(G.values, whole.values[:kept])
+        # t = 0 and the middle of each time cell i, which reads rows i and
+        # i + 1: a cell past the kept rows raises, it reads no other row
+        for i, t in enumerate([0.0, *(grid.ts[:-1] + 0.5 * grid.dt)]):
+            cell = max(i - 1, 0)
+            if cell + 1 < kept:
+                assert _same_bits(G.at(t, xs), whole.at(t, xs))
+            else:
+                with pytest.raises(ValueError, match="past the"):
+                    G.at(t, xs)
+    with pytest.raises(ValueError, match="at least one time row"):
+        dh.solve_full(paper_model, claim, paper_pref, grid, rows=0)
+
+
 @pytest.mark.parametrize("scheme", ["crank-nicolson", "backward-euler"])
 def test_the_march_records_each_claims_residual(paper_model, paper_pref,
                                                scheme):
@@ -622,7 +646,8 @@ def test_the_march_records_each_claims_residual(paper_model, paper_pref,
     coef = solver._Coeffs(paper_model, grid.xs, paper_pref.alpha)
     segments = [solver._full_segment(paper_model, c, paper_pref, grid, coef)
                 for c in _claims((0, 1.0, 10.0))]
-    surfaces, residuals = solver._march(segments, opt, record=True)
+    surfaces, residuals = solver._march(
+        [replace(s, record=True) for s in segments], opt)
     for G, res in zip(surfaces, residuals):
         assert _same_bits(res, dh.residual(G, paper_model, paper_pref, opt))
 
