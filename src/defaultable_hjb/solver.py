@@ -235,8 +235,8 @@ class Surface:
     only some of the rows.  A march that keeps the first k rows (see
     _Segment) gives a trimmed surface: its nodewise maps are those of
     rows 0..k-1, and at looks up only the t whose time cell lies within
-    them, so at(0, x) needs two rows.  A surface of rows gives rows
-    start:stop, for the nodewise maps alone.  The gradient is formed on
+    them, so at(0, x) needs two rows.  rows(start, stop) gives a surface
+    for the nodewise maps alone.  The gradient is formed on
     its first read and then kept, so a surface that is only written or
     looked up never holds one; a gradient given to the constructor is
     used as it is.
