@@ -9,18 +9,21 @@ It runs ``verify`` on perfbench/reference.ini at grid 200x200 with 10^4
 paths x 1000 steps and seed 3 (the benchmark's mc-verify call), --repeat
 times in this process.  Each Monte Carlo stage is timed by wrapping the
 montecarlo functions and methods the CLI calls; a stage function called
-from another is booked to the outer one.  Stages: noise (NoiseDraw.wait,
-the caller's wait for the draw that a helper thread started before the
-solve: the part of the draw the solve does not hide), loop
-(simulate_halves, the time loop of factor, default and wealth on both
-path halves, a forked worker's half and the wait for it included) and
-estimators (dual_density_terminal and the three estimates); "other" is
-the rest of the call (the 200x200 solve, the policy and the CSV).  Each
-stage and the total report the best of the runs and, for their spread,
-the quartiles (25th, 50th and 75th percentiles) of the runs; the record
-also carries the peak RSS of this process and of its largest reaped
-child (the worker, whose RSS counts the noise pages it shares with this
-process), and the SHA-256 of the verify.csv written.
+from another is booked to itself, and not to the outer one.  Stages:
+noise (NoiseDraw.wait, the caller's wait for the draw that a helper
+thread started before the solve: the part of the draw the solve does not
+hide), loop (Halves.simulate less that wait: the time loop of factor,
+default and wealth on this process's path half, the pickles to and from
+the worker and the wait for the worker's half) and estimators
+(dual_density_terminal and the three estimates); "other" is the rest of
+the call (the fork of the worker, the 200x200 solve, the policy and the
+CSV).  Each stage and the total report the best of the runs and, for
+their spread, the quartiles (25th, 50th and 75th percentiles) of the
+runs; the record also carries the peak RSS of this process and of its
+largest reaped child (the worker, which forks before the draw and holds
+its own half's noise, as this process holds the other half; its RSS also
+counts the pages it shares with this process), and the SHA-256 of the
+verify.csv written.
 
 With --out the record is merged under --label into that JSON file, so a
 second checkout can be measured on the same machine by the same script:
@@ -54,7 +57,7 @@ ARGS = ["--grid", "200,200", "--seed", "3"]
 
 STAGES = {
     "NoiseDraw.wait": "noise",
-    "simulate_halves": "loop",
+    "Halves.simulate": "loop",
     "dual_density_terminal": "estimators",
     "estimate_certainty_equivalent": "estimators",
     "estimate_martingale_mass": "estimators",
@@ -63,11 +66,12 @@ STAGES = {
 
 
 class StageTimer:
-    """Wraps the montecarlo stage functions; books outermost calls only."""
+    """Wraps the montecarlo stage functions; books each call's time less
+    that of the stage calls made from it."""
 
     def __init__(self):
         self.seconds = {}
-        self._depth = 0
+        self._inner = []  # per open call, the time of the stages it called
 
     def install(self) -> None:
         for name, stage in STAGES.items():
@@ -78,15 +82,16 @@ class StageTimer:
     def _wrap(self, stage, fn):
         @functools.wraps(fn)
         def timed(*args, **kwargs):
-            self._depth += 1
+            self._inner.append(0.0)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self._depth -= 1
-                if self._depth == 0:
-                    self.seconds[stage] = (self.seconds.get(stage, 0.0)
-                                           + time.perf_counter() - start)
+                spent = time.perf_counter() - start
+                self.seconds[stage] = (self.seconds.get(stage, 0.0) + spent
+                                       - self._inner.pop())
+                if self._inner:
+                    self._inner[-1] += spent
         return timed
 
 

@@ -592,10 +592,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not grid.x_min <= x0 <= grid.x_max:
         raise ConfigError(f"model.x0 = {x0:g} lies outside the grid "
                           f"[{grid.x_min:g}, {grid.x_max:g}]")
-    # the helper thread that draws the noise starts before the PDE solve,
-    # so that the kernel maps and zeroes the noise arrays while the PDE is
-    # solved; it is joined before the worker forks
-    with mc.NoiseDraw(sim) as draw:
+    # the draw of the noise starts before the PDE solve, so that the kernel
+    # maps and zeroes the noise arrays while the PDE is solved; above the
+    # work floor a worker that simulates the second path half forks first
+    # and stores that half's noise as it is drawn
+    with mc.simulate_halves(m, sim, pref.horizon_T) as halves:
         G = solve_full(m, claim, pref, grid)
         if cfg.debug:
             # intentionally wrong surface: the martingale-mass check must
@@ -606,10 +607,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         # the perturbed policy rides the same paths as the optimal one
         # (common random numbers)
         pert = Surface(grid=grid, values=pol.values + 0.5)
-        noise = draw.wait()
-    # one simulation, its two path halves on up to two CPUs
-    opt, perturbed = mc.simulate_halves(m, noise, pref.horizon_T,
-                                        [pol, pert])
+        opt, perturbed = halves.simulate([pol, pert])
     ce = mc.estimate_certainty_equivalent(opt, claim, pref, label="ce")
     mc.dual_density_terminal(G, opt, pref)
     mass = mc.estimate_martingale_mass(opt)

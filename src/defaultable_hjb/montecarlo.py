@@ -9,12 +9,16 @@ that a fixed seed reproduces estimates bit for bit.  The noise is read
 on a helper thread (NoiseDraw), which a caller can start before other
 work, such as the PDE solve, and wait for when it needs the noise.  The
 loop is elementwise across paths, so simulate_halves can run the two
-halves of the paths on two CPUs (fork_map) with the same bits.
+halves of the paths on two CPUs with the same bits: its worker forks
+before the draw and stores the second half's noise as the helper draws
+it, so each process holds only its own half.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
 import pickle
 import queue
@@ -133,16 +137,25 @@ class NoiseDraw:
     the next.  numpy's draw, the page faults and the copy release the
     GIL, so they run beside the caller, and the four quarter blocks alive
     at most (stored, handed over, read, and for a moment the next) fit in
-    _DRAW_BLOCK normals.  The helper calls only numpy.  Leaving the with
-    block stops the helper after one more block at most and joins it,
-    whatever ends the block.
+    _DRAW_BLOCK normals.  The helper calls only numpy and, for a worker,
+    os.read and os.write.  Leaving the with block stops the helper after
+    one more block at most and joins it, whatever ends the block.
+
+    Given the worker of simulate_halves, which holds the paths
+    [worker.cut, n), the arrays hold only the paths [0, worker.cut): the
+    helper reads the same stream in the same order, each noise's blocks
+    cut at worker.cut, and draws the worker's blocks straight into the
+    worker's ring (_Worker.feed).  wait() then returns the noise of the
+    caller's paths and keeps the worker's default thresholds in rest.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, worker: Optional[_Worker] = None):
         self.cfg = cfg
-        shape = (cfg.n_steps, cfg.n_paths)
+        self._worker = worker
+        self._cut = cfg.n_paths if worker is None else worker.cut
+        shape = (cfg.n_steps, self._cut)
         self._out = (np.empty(shape), np.empty(shape))  # z, z0
-        self._rows = max(1, _DRAW_BLOCK // (4 * cfg.n_steps))
+        self._rows = _block_rows(cfg)
         self._rng = np.random.Generator(np.random.Philox(cfg.seed))
         self._handoff = queue.Queue(maxsize=1)  # a block, or an error
         self._stop = threading.Event()
@@ -164,11 +177,11 @@ class NoiseDraw:
         self._helper.join()
 
     def wait(self) -> Noise:
-        """Store the blocks the helper hands over and return the noise;
-        an error of the helper is raised here."""
+        """Store the blocks the helper hands over and return the noise of
+        the paths [0, cut); an error of the helper is raised here."""
         cfg = self.cfg
         for out in self._out:
-            for lo in range(0, cfg.n_paths, self._rows):
+            for lo in range(0, self._cut, self._rows):
                 block = self._handoff.get()
                 if isinstance(block, BaseException):
                     raise block
@@ -176,23 +189,38 @@ class NoiseDraw:
         self._helper.join()
         u = self._rng.random(cfg.n_paths)
         u = np.where(u <= 0.0, np.nextafter(0.0, 1.0), u)  # open (0,1)
+        exp_draws = -np.log1p(-u)
+        self.rest = exp_draws[self._cut:]
         z, z0 = self._out
-        return Noise(cfg=cfg, z=z, z0=z0, exp_draws=-np.log1p(-u))
+        return Noise(cfg=replace(cfg, n_paths=self._cut), z=z, z0=z0,
+                     exp_draws=exp_draws[:self._cut])
 
     def _read(self) -> None:
-        """The helper: the page writes, then z and z0 block by block."""
+        """The helper: the page writes, then z and z0 block by block, the
+        caller's paths, then the worker's."""
         cfg = self.cfg
         try:
             for out in self._out:
                 out.reshape(-1)[::512] = 0.0  # one write per 4 KiB page
             for _ in self._out:
-                for lo in range(0, cfg.n_paths, self._rows):
-                    if self._stop.is_set():
-                        return
-                    self._handoff.put(self._rng.standard_normal(
-                        (min(self._rows, cfg.n_paths - lo), cfg.n_steps)))
+                for lo, hi in ((0, self._cut), (self._cut, cfg.n_paths)):
+                    for start in range(lo, hi, self._rows):
+                        if self._stop.is_set():
+                            return
+                        rows = min(self._rows, hi - start)
+                        if lo:
+                            self._worker.feed(self._rng, rows)
+                        else:
+                            self._handoff.put(self._rng.standard_normal(
+                                (rows, cfg.n_steps)))
         except BaseException as exc:
             self._handoff.put(exc)
+
+
+def _block_rows(cfg: SimConfig) -> int:
+    """The paths of one draw block: a quarter of _DRAW_BLOCK normals, or
+    one path where a path is longer."""
+    return max(1, _DRAW_BLOCK // (4 * cfg.n_steps))
 
 
 def _factor_step(m: ModelSpec, x0: float, dt: float, n_paths: int):
@@ -354,41 +382,227 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
             for W in wealth]
 
 
-# path-steps below which simulate_halves runs in process: a forked half
-# costs about 10 ms of fork, page faults and pipe.  On a 2-vCPU host with
-# the reference CIR model and two 200^2 policies (medians of 9), one
-# process takes 56 ms against 66 ms forked at 3e5 path-steps, and 61 ms
-# against 48 ms at 5e5
-_FORK_FLOOR = 400_000
+# path-steps below which simulate_halves runs in process: the split costs
+# a fork of the caller (about 65 MB in verify), the worker's page faults,
+# the ring's handoffs, the pickles of the fields and the results, and on
+# two CPUs the worker's stores compete with the draw.  On a 2-vCPU host
+# with the reference CIR model and two 200^2 policies, draw included
+# (medians of 9), in process against split: 124 against 159 ms at 300
+# paths x 1000 steps, 157 against 169 at 400, 140 against 154 at 500,
+# 227 against 251 at 1500, and 262 against 245 at 2000.  Fewer steps need
+# more path-steps: at 100 steps the split lost at 3e6 (345 against 398 ms)
+# and won at 1e7 (1030 against 835 ms)
+_FORK_FLOOR = 2_000_000
 
 
-def simulate_halves(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
-                    rate_field=None) -> list:
-    """simulate_policies on the paths [0, ceil(n/2)) and [ceil(n/2), n),
-    mapped over up to two CPUs by fork_map, and joined in path order;
-    below _FORK_FLOOR path-steps, one simulate_policies call in process.
+@contextlib.contextmanager
+def simulate_halves(m: ModelSpec, cfg: SimConfig, horizon: float):
+    """simulate_policies of m over horizon on the noise of cfg, its paths
+    [0, ceil(n/2)) in this process and [ceil(n/2), n) in a worker.
 
-    The loop is elementwise across paths, so the bundles are bit for bit
-    those of one simulate_policies call, sharing x_T and delta as they
-    do.  Each half reads a view of the noise, which a forked worker
-    shares copy-on-write.
+    Entering starts the draw of the noise (NoiseDraw), so the caller can
+    do other work, such as verify's solve, while it runs; the Halves it
+    gives runs the simulation once the fields are known.  Where this
+    process may use two or more CPUs and the run has two or more paths
+    and at least _FORK_FLOOR path-steps, the worker (_Worker) forks
+    before the draw starts, so only the calling thread is alive at the
+    fork: the helper draws the worker's half into a shared ring and the
+    worker stores it, so each process holds only its own half's noise.
+    Elsewhere (below the floor, on one CPU, inside a fork_map, for one
+    path, or where a pipe, the ring or the fork is refused) the draw and
+    the loop run in process.  The loop is elementwise across paths, so
+    the bundles are bit for bit those of one simulate_policies call on
+    draw_noise(cfg), sharing x_T and delta as they do.  Leaving the with
+    block stops the helper after one more block at most, then kills and
+    reaps a worker that has not ended, whatever ends the block.
     """
-    cfg = noise.cfg
-    if cfg.n_paths == 1 or cfg.n_paths * cfg.n_steps < _FORK_FLOOR:
-        return simulate_policies(m, noise, horizon, pi_fields, rate_field)
-    cuts = (0, (cfg.n_paths + 1) // 2, cfg.n_paths)
-    halves = [Noise(cfg=replace(cfg, n_paths=hi - lo), z=noise.z[:, lo:hi],
-                    z0=noise.z0[:, lo:hi], exp_draws=noise.exp_draws[lo:hi])
-              for lo, hi in zip(cuts, cuts[1:])]
-    parts = fork_map(lambda half: simulate_policies(m, half, horizon,
-                                                    pi_fields, rate_field),
-                     halves)
-    shared = {name: np.concatenate([getattr(part[0], name) for part in parts])
-              for name in ("x_T", "delta")}
-    return [PathBundle(cfg=cfg, horizon=horizon, **shared,
-                       w_T=np.concatenate([b.w_T for b in per_half]),
-                       protected=rate_field is not None)
-            for per_half in zip(*parts)]
+    worker = None
+    if (cfg.n_paths > 1 and cfg.n_paths * cfg.n_steps >= _FORK_FLOOR
+            and not _mapping and _cpus() >= 2):
+        worker = _Worker.fork(m, cfg, horizon)
+    try:
+        with NoiseDraw(cfg, worker) as draw:
+            yield Halves(m, horizon, draw, worker)
+    finally:
+        if worker is not None:
+            worker.close()
+
+
+class Halves:
+    """The simulation of simulate_halves, once its fields are known."""
+
+    def __init__(self, m: ModelSpec, horizon: float, draw: NoiseDraw,
+                 worker: Optional[_Worker]):
+        self._m, self._horizon = m, horizon
+        self._draw, self._worker = draw, worker
+
+    def simulate(self, pi_fields, rate_field=None) -> list:
+        """simulate_policies(m, noise, horizon, pi_fields, rate_field) on
+        the whole noise of cfg, once, after waiting for the draw; with a
+        worker,
+        its half's results joined after this process's in path order.  A
+        field must then pickle: one that does not raises TypeError."""
+        m, horizon, worker = self._m, self._horizon, self._worker
+        noise = self._draw.wait()
+        if worker is None:
+            return simulate_policies(m, noise, horizon, pi_fields,
+                                     rate_field)
+        worker.send(self._draw.rest, list(pi_fields), rate_field)
+        parts = [simulate_policies(m, noise, horizon, pi_fields, rate_field),
+                 worker.receive()]
+        shared = {name: np.concatenate([getattr(part[0], name)
+                                        for part in parts])
+                  for name in ("x_T", "delta")}
+        return [PathBundle(cfg=self._draw.cfg, horizon=horizon, **shared,
+                           w_T=np.concatenate([b.w_T for b in per_half]),
+                           protected=rate_field is not None)
+                for per_half in zip(*parts)]
+
+
+class _Worker:
+    """The process of simulate_halves that simulates the paths [cut, n).
+
+    fork() makes a ring of four draw blocks (an anonymous shared mmap),
+    two pipes and the process.  During the draw only one-byte slot
+    numbers cross the pipes: feed, on the caller's helper thread, draws a
+    block of the worker's paths into a free slot and sends its number
+    down; the worker stores the slot's block transposed into its own
+    (n_steps, n - cut) arrays and sends the number back up, which frees
+    the slot.  After the draw, send() pickles the worker's default
+    thresholds and the fields down, and receive() reads back what the
+    worker sends up as a fork_map child does: its bundles, or its
+    exception, and its warnings.  A worker that ends before it is done
+    raises RuntimeError in the caller.
+    """
+
+    def __init__(self, cfg: SimConfig):
+        self.cfg = cfg
+        self.cut = (cfg.n_paths + 1) // 2
+        self.rows = _block_rows(cfg)
+        self.pid = None
+        self._free = [0, 1, 2, 3]  # the slots the helper may draw into
+        self._sent = self._freed = 0  # slot numbers sent down and back up
+        self._fds = []  # down read, down write, up read, up write
+        size = self.rows * cfg.n_steps
+        self._ring = mmap.mmap(-1, 4 * size * 8)
+        ring = np.frombuffer(self._ring)
+        self._slots = [ring[i * size:(i + 1) * size] for i in range(4)]
+
+    @classmethod
+    def fork(cls, m: ModelSpec, cfg: SimConfig, horizon: float):
+        """A worker for the paths [cut, n) of cfg, or None, with nothing
+        left open, where the ring, a pipe or the process is refused."""
+        try:
+            worker = cls(cfg)
+        except OSError:
+            return None
+        try:
+            for _ in range(2):
+                worker._fds.extend(os.pipe())
+            sys.stdout.flush()
+            sys.stderr.flush()
+            worker.pid = os.fork()
+        except OSError:
+            worker.close()
+            return None
+        down_r, down_w, up_r, up_w = worker._fds
+        if worker.pid == 0:
+            os.close(down_w)
+            os.close(up_r)
+            worker._serve(m, horizon, down_r, up_w)
+        os.close(down_r)
+        os.close(up_w)
+        worker._fds = [down_w, up_r]
+        return worker
+
+    def feed(self, rng: np.random.Generator, rows: int) -> None:
+        """On the helper: draw the next rows paths' normals into a free
+        slot and send its number to the worker."""
+        down, up = self._fds
+        if not self._free:
+            slot = os.read(up, 1)
+            if not slot:
+                raise RuntimeError(self._ended("during the draw"))
+            self._freed += 1
+            self._free.append(slot[0])
+        slot = self._free.pop()
+        rng.standard_normal(out=self._slots[slot][:rows * self.cfg.n_steps]
+                            .reshape(rows, self.cfg.n_steps))
+        try:
+            os.write(down, bytes([slot]))
+        except BrokenPipeError:
+            raise RuntimeError(self._ended("during the draw")) from None
+        self._sent += 1
+
+    def send(self, exp_draws: np.ndarray, pi_fields: list,
+             rate_field) -> None:
+        """Pickle the worker's default thresholds and the fields down."""
+        for field in [*pi_fields, rate_field]:
+            try:
+                pickle.dumps(field)
+            except Exception as exc:
+                raise TypeError(f"the field {field!r} cannot be pickled for "
+                                f"the simulate_halves worker: {exc}") from exc
+        down = self._fds[0]
+        view = memoryview(pickle.dumps((exp_draws, pi_fields, rate_field)))
+        try:
+            while view:
+                view = view[os.write(down, view):]
+        except BrokenPipeError:
+            pass  # the worker has ended: receive() says so
+        os.close(down)
+        self._fds[0] = None
+
+    def receive(self) -> list:
+        """The worker's bundles, read after the slot numbers it sent back
+        that the helper did not read; it is reaped here."""
+        payload = _read_all(self._fds[1])[self._sent - self._freed:]
+        pid, self.pid = self.pid, None
+        done, failure = _collect(pid, payload, "simulate_halves")
+        if failure is not None:
+            raise failure[1]
+        return done[0]
+
+    def close(self) -> None:
+        """Kill and reap the worker if it has not been reaped, and close
+        what is still open."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        for fd in self._fds:
+            if fd is not None:
+                os.close(fd)
+        self._fds = []
+
+    def _ended(self, when: str) -> str:
+        return f"simulate_halves worker {self.pid} ended {when}"
+
+    def _serve(self, m: ModelSpec, horizon: float, down: int, up: int):
+        """The body of the forked worker: store its half's noise, read its
+        job, simulate, send, and exit without returning into the caller's
+        stack."""
+        try:
+            cfg = replace(self.cfg, n_paths=self.cfg.n_paths - self.cut)
+            shape = (cfg.n_steps, cfg.n_paths)
+            out = (np.empty(shape), np.empty(shape))  # z, z0
+            for arr in out:
+                arr.reshape(-1)[::512] = 0.0  # one write per 4 KiB page
+            for arr in out:
+                for lo in range(0, cfg.n_paths, self.rows):
+                    slot = os.read(down, 1)
+                    if not slot:
+                        return  # the caller is gone
+                    rows = min(self.rows, cfg.n_paths - lo)
+                    arr[:, lo:lo + rows] = self._slots[slot[0]][
+                        :rows * cfg.n_steps].reshape(rows, cfg.n_steps).T
+                    os.write(up, slot)
+            exp_draws, pi_fields, rate_field = pickle.loads(_read_all(down))
+            noise = Noise(cfg=cfg, z=out[0], z0=out[1], exp_draws=exp_draws)
+            _worker(lambda _: simulate_policies(m, noise, horizon, pi_fields,
+                                                rate_field), [None], up)
+        finally:
+            os._exit(1)
 
 
 def _correlation(m: ModelSpec):
@@ -528,10 +742,8 @@ def fork_map(fn, items) -> list:
     """
     global _mapping
     items = list(items)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else 1)
     forked = None
-    if not (_mapping or cpus < 2 or len(items) < 2):
+    if not (_mapping or len(items) < 2 or _cpus() < 2):
         sys.stdout.flush()
         sys.stderr.flush()
         forked = _fork()
@@ -550,18 +762,9 @@ def fork_map(fn, items) -> list:
         # a failure at item 0 comes before all of the child's
         if failure is not None and failure[0] == 0:
             raise failure[1]
-        chunks = []
-        while chunk := os.read(read_fd, 1 << 20):
-            chunks.append(chunk)
-        payload = b"".join(chunks)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        payload = _read_all(read_fd)
         reaped = True
-        if code != 0 or not payload:
-            raise RuntimeError(f"fork_map worker {pid} ended with exit code "
-                               f"{code} before sending its results")
-        theirs, child_failure, warned = pickle.loads(payload)
-        for message, category, filename, lineno in warned:
-            warnings.warn_explicit(message, category, filename, lineno)
+        theirs, child_failure = _collect(pid, payload, "fork_map")
         if child_failure is not None and (
                 failure is None or child_failure[0] < failure[0]):
             failure = child_failure
@@ -576,6 +779,34 @@ def fork_map(fn, items) -> list:
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+
+
+def _read_all(fd: int) -> bytes:
+    """What fd gives up to its end."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _collect(pid: int, payload: bytes, name: str):
+    """Reap the child pid and unpickle what its _worker sent: (its
+    results, its failure or None), with its warnings re-emitted here; a
+    child that ended without sending raises RuntimeError."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not payload:
+        raise RuntimeError(f"{name} worker {pid} ended with exit code "
+                           f"{code} before sending its results")
+    done, failure, warned = pickle.loads(payload)
+    for message, category, filename, lineno in warned:
+        warnings.warn_explicit(message, category, filename, lineno)
+    return done, failure
 
 
 def _run_share(fn, share: list):

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,7 +217,9 @@ def test_solve_keeps_two_rows_and_no_record_of_each_coarse_level(
 def test_verify_without_a_fork_writes_the_same_bytes(monkeypatch, tmp_path,
                                                      capsys):
     # a refused fork (EAGAIN, as under a process limit) runs both path
-    # halves in process: exit 0 and the forked run's bytes
+    # halves in process: exit 0 and the forked run's bytes; with no work
+    # floor, the first run forks
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
     argv = ["verify", "--config", REFERENCE_INI, "--grid", "64,64",
             "--paths", "1000"]
     outs = []
@@ -761,9 +764,10 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
                                                         ini):
     # every call returns 0, 1 or 2 with at most one line on stderr, the
     # library warns of nothing (verify's worker forwards its warnings),
-    # no worker process or thread outlives its call (verify's draw starts
-    # before its solve, which can fail), and verify's verdict lines agree
-    # with its exit code
+    # no worker process or thread outlives its call (verify's worker and
+    # draw start before its solve, which can fail), and verify's verdict
+    # lines agree with its exit code.  With no work floor, verify's 200
+    # paths are split between this process and its worker
     out = tmp_path_factory.mktemp("box")
     p = out / "run.ini"
     p.write_text(_ini_text(ini))
@@ -773,6 +777,7 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
         out_text, err = io.StringIO(), io.StringIO()
         threads = threading.active_count()
         with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(mc, "_FORK_FLOOR", 0), \
                 contextlib.redirect_stdout(out_text), \
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
@@ -790,9 +795,9 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
 
 def test_verify_forks_its_worker_with_one_thread_alive(monkeypatch,
                                                        tmp_path):
-    # 4000 paths x 100 steps reach the fork floor; the noise draw's helper
-    # thread is joined before the worker forks
-    assert 4000 * 100 >= mc._FORK_FLOOR
+    # 4000 paths x 500 steps reach the fork floor; the worker forks before
+    # the noise draw's helper thread starts
+    assert 4000 * 500 >= mc._FORK_FLOOR
     alive_at_fork = []
     fork = os.fork
 
@@ -802,11 +807,45 @@ def test_verify_forks_its_worker_with_one_thread_alive(monkeypatch,
 
     monkeypatch.setattr(os, "fork", recording_fork)
     caller = threading.enumerate()
-    cfg = _write(tmp_path, nx=48, nt=24, paths=4000, steps=100)
+    cfg = _write(tmp_path, nx=48, nt=24, paths=4000, steps=500)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     forked = len(os.sched_getaffinity(0)) >= 2
     assert alive_at_fork == ([caller] if forked else [])
     assert threading.enumerate() == caller
+
+
+@pytest.mark.parametrize("error", [
+    dh.NewtonDivergence(3, float("nan")),
+    dh.ThetaDomainError("theta_of_log requires finite input")],
+    ids=lambda e: type(e).__name__)
+def test_a_solve_that_fails_after_the_fork_exits_2(monkeypatch, tmp_path,
+                                                   capsys, error):
+    # verify's worker forks before the solve: a solver error still exits 2
+    # with one line, and no worker process or draw thread is left
+    def failing_solve(*args, **kwargs):
+        assert forks, "the worker has not forked"
+        raise error
+
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "solve_full", failing_solve)
+    threads = threading.active_count()
+    cfg = _write(tmp_path, nx=48, nt=24, paths=4000, steps=100)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"solver error: {error}\n"
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
 
 
 def test_a_nan_gap_is_a_listed_failure(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pickle
+import signal
 import threading
 import time
 import tracemalloc
@@ -562,63 +563,235 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _tanh_field(t, x):
+    # a callable field that pickles, so it can reach the worker
+    return 0.4 + t * np.tanh(x)
+
+
+def _counting_fork(monkeypatch):
+    """Make os.fork record the pid of each worker it forks, in this list."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _split_run(m, cfg, fields, **kw):
+    with mc.simulate_halves(m, cfg, 1.0) as halves:
+        return halves.simulate(fields, **kw)
+
+
+def _assert_same_bundles(got, want, cfg):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.cfg == cfg and g.protected == w.protected
+        for name in ("x_T", "delta", "w_T"):
+            assert getattr(g, name).tobytes() == \
+                getattr(w, name).tobytes(), name
+    assert all(g.x_T is got[0].x_T and g.delta is got[0].delta
+               for g in got)
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    # with no work floor and two CPUs, even these small runs are split
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 @pytest.mark.parametrize("n_paths", [1, 2, 301])
 @pytest.mark.parametrize("kind", ["cir", "ou-b2", "custom-rho"])
 def test_simulate_halves_equals_one_run_bit_for_bit(monkeypatch, paper_model,
                                                     paper_pref, G_64, kind,
-                                                    n_paths):
-    # with no work floor, even these small runs are split in two
-    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+                                                    n_paths,
+                                                    split_everything):
+    # one path runs in process; 2 and 301 paths split, 301 into halves of
+    # 151 and 150, each smaller than one draw block
     m = _bit_identity_models()[kind]
     cfg = SimConfig(n_paths=n_paths, n_steps=49, seed=5,
                     x0=0.06 if kind == "cir" else 0.3)
     pol = dh.optimal_policy(G_64, paper_model, paper_pref)
     rate = dh.Surface(grid=G_64.grid,
                       values=dh.insurance_rate(G_64, paper_model, paper_pref))
-    fields = [pol, lambda t, x: 0.4 + t * np.tanh(x)]
+    fields = [pol, _tanh_field]
     noise = draw_noise(cfg)
+    pids = _counting_fork(monkeypatch)
     for kw in ({}, {"rate_field": rate}):
         want = simulate_policies(m, noise, 1.0, fields, **kw)
-        got = mc.simulate_halves(m, noise, 1.0, fields, **kw)
+        got = _split_run(m, cfg, fields, **kw)
         _no_child_left()
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.cfg == cfg and g.protected == w.protected
-            for name in ("x_T", "delta", "w_T"):
-                assert getattr(g, name).tobytes() == \
-                    getattr(w, name).tobytes(), name
-        assert got[0].x_T is got[1].x_T and got[0].delta is got[1].delta
+        _assert_same_bundles(got, want, cfg)
+    assert len(pids) == (2 if n_paths > 1 else 0)
+
+
+@pytest.mark.parametrize("block", [
+    4 * 49 * 7,    # 7 paths a block: both halves end in a ragged block
+    4 * 49 * 150,  # 150 paths a block: one block for the worker's half
+    64,            # a path longer than a block: one path per block
+])
+@pytest.mark.parametrize("kind", ["ou-b2", "custom-const"])
+def test_simulate_halves_cuts_the_draw_at_the_half(monkeypatch, paper_model,
+                                                   paper_pref, G_64, kind,
+                                                   block, split_everything):
+    # the blocks are cut at ceil(n/2), whatever the block size, and
+    # each half's noise is the draw's
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", block)
+    m = _bit_identity_models()[kind]
+    cfg = SimConfig(n_paths=301, n_steps=49, seed=8, x0=0.3)
+    fields = [dh.optimal_policy(G_64, paper_model, paper_pref)]
+    want = simulate_policies(m, draw_noise(cfg), 1.0, fields)
+    pids = _counting_fork(monkeypatch)
+    _assert_same_bundles(_split_run(m, cfg, fields), want, cfg)
+    _no_child_left()
+    assert len(pids) == 1
+
+
+@pytest.mark.parametrize("refused", ["pipe", "fork", "mmap"])
+def test_simulate_halves_runs_in_process_where_no_split_is_had(
+        monkeypatch, paper_model, paper_pref, G_64, refused,
+        split_everything):
+    # EAGAIN or ENOMEM: the in-process draw and loop, with the same bits
+    # and no descriptor left open
+    def refuse(*args):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    cfg = SimConfig(n_paths=301, n_steps=49, seed=5, x0=0.06)
+    fields = [dh.optimal_policy(G_64, paper_model, paper_pref)]
+    want = simulate_policies(paper_model, draw_noise(cfg), 1.0, fields)
+    fds = set(os.listdir("/proc/self/fd"))
+    owner = mc.mmap if refused == "mmap" else os
+    monkeypatch.setattr(owner, refused, refuse)
+    got = _split_run(paper_model, cfg, fields)
+    monkeypatch.undo()
+    assert set(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()
+    _assert_same_bundles(got, want, cfg)
+
+
+@pytest.mark.parametrize("when", ["draw", "job"])
+def test_a_worker_that_dies_raises_runtime_error(monkeypatch, paper_model,
+                                                 paper_pref, G_64, when,
+                                                 split_everything):
+    # killed after the third block it was handed (the helper then finds
+    # the ring full and the pipe closed), or as its job is sent after the
+    # draw: the caller raises, and nothing is left behind
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", 4 * 10)
+    threads = threading.active_count()
+    fields = [dh.optimal_policy(G_64, paper_model, paper_pref)]
+    cfg = SimConfig(n_paths=400, n_steps=10, seed=1, x0=0.06)
+    feed, send = mc._Worker.feed, mc._Worker.send
+    fed = []
+
+    def killing_feed(worker, rng, rows):
+        fed.append(rows)
+        if when == "draw" and len(fed) == 4:
+            os.kill(worker.pid, signal.SIGKILL)
+        return feed(worker, rng, rows)
+
+    def killing_send(worker, *args):
+        os.kill(worker.pid, signal.SIGKILL)
+        return send(worker, *args)
+
+    monkeypatch.setattr(mc._Worker, "feed", killing_feed)
+    monkeypatch.setattr(mc._Worker, "send", killing_send)
+    pids = _counting_fork(monkeypatch)
+    with pytest.raises(RuntimeError,
+                       match="ended during the draw" if when == "draw"
+                       else "ended with exit code -9"):
+        _split_run(paper_model, cfg, fields)
+    _no_child_left()
+    assert threading.active_count() == threads
+    # of the worker's 400 blocks, the draw fed at most the 4 slots of the
+    # ring and the 3 the worker freed before it was killed
+    assert len(pids) == 1
+    assert len(fed) <= 8 if when == "draw" else len(fed) == 400
+
+
+def test_a_failed_solve_leaves_no_thread_and_no_child(monkeypatch,
+                                                      paper_model,
+                                                      split_everything):
+    # a KeyError inside the with block, as a failed solve raises while the
+    # helper draws and the worker stores: the helper stops after one more
+    # block at most, and the worker is killed and reaped
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", 4 * 10)
+    monkeypatch.setattr(_CountingGenerator, "drawn", [])
+    monkeypatch.setattr(_CountingGenerator, "bad", -1)
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    pids = _counting_fork(monkeypatch)
+    threads = threading.active_count()
+    fds = set(os.listdir("/proc/self/fd"))
+    cfg = SimConfig(n_paths=400, n_steps=10, seed=1, x0=0.06)
+    with pytest.raises(KeyError):
+        with mc.simulate_halves(paper_model, cfg, 1.0):
+            deadline = time.monotonic() + 10
+            while len(_CountingGenerator.drawn) < 2 \
+                    and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            raise KeyError("the solve failed")
+    _no_child_left()
+    assert threading.active_count() == threads
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert len(pids) == 1 and len(_CountingGenerator.drawn) == 2
+
+
+def test_a_field_that_cannot_be_pickled_is_named(paper_model, paper_pref,
+                                                 G_64, split_everything):
+    # the worker's fields travel by pickle; a lambda does not
+    pol = dh.optimal_policy(G_64, paper_model, paper_pref)
+    cfg = SimConfig(n_paths=30, n_steps=10, seed=1, x0=0.06)
+    with pytest.raises(TypeError, match="the field <function .*<lambda>"):
+        _split_run(paper_model, cfg, [pol, lambda t, x: 0.0 * x])
+    _no_child_left()
+
+
+def test_the_caller_holds_only_its_half_of_the_noise(paper_model, paper_pref,
+                                                     G_64, split_everything):
+    # the traced peak of this process: the noise of its ceil(n/2) paths,
+    # 16 B a path-step, plus the allowance of the draw's four quarter
+    # blocks (_DRAW_BLOCK normals) and 16 float64 per path (the
+    # thresholds, the loop's per-path state and the joined bundles; about
+    # 5 are used).  The whole noise, as one process held it before the
+    # split, peaked at 20.4 MB here
+    cfg = SimConfig(n_paths=3001, n_steps=400, seed=2, x0=0.06)
+    fields = [dh.optimal_policy(G_64, paper_model, paper_pref)]
+    own = (cfg.n_paths + 1) // 2
+    allowance = 8 * mc._DRAW_BLOCK + 16 * 8 * cfg.n_paths
+    tracemalloc.start()
+    try:
+        got = _split_run(paper_model, cfg, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _no_child_left()
+    assert got[0].w_T.shape == (cfg.n_paths,)
+    assert 16 * own * cfg.n_steps < peak \
+        <= 16 * own * cfg.n_steps + allowance
+    # which is less than the whole noise
+    assert 16 * own * cfg.n_steps + allowance \
+        < 16 * cfg.n_paths * cfg.n_steps
 
 
 def test_simulate_halves_forks_only_above_the_work_floor(monkeypatch,
                                                          paper_model,
                                                          paper_pref, G_64):
     pol = dh.optimal_policy(G_64, paper_model, paper_pref)
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return fork()
-
-    def refuse_fork():
-        raise AssertionError("forked below the work floor")
-
     for n_steps, must_fork in ((50, False), (100, True)):
-        # 4000 x 50 path-steps lie below the floor, 4000 x 100 at it
-        n_paths = mc._FORK_FLOOR // 100
-        noise = draw_noise(SimConfig(n_paths=n_paths, n_steps=n_steps,
-                                     seed=3, x0=0.06))
-        monkeypatch.setattr(os, "fork",
-                            counting_fork if must_fork else refuse_fork)
-        forks.clear()
-        got = mc.simulate_halves(paper_model, noise, 1.0, [pol])[0]
+        # n x 50 path-steps lie below the floor, n x 100 at it
+        cfg = SimConfig(n_paths=mc._FORK_FLOOR // 100, n_steps=n_steps,
+                        seed=3, x0=0.06)
+        pids = _counting_fork(monkeypatch)
+        got = _split_run(paper_model, cfg, [pol])[0]
         _no_child_left()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        want = mc.simulate_halves(paper_model, noise, 1.0, [pol])[0]
         monkeypatch.undo()
-        assert len(forks) == (must_fork and
-                              len(os.sched_getaffinity(0)) >= 2)
+        want = simulate_policies(paper_model, draw_noise(cfg), 1.0, [pol])[0]
+        assert len(pids) == (must_fork and len(os.sched_getaffinity(0)) >= 2)
         for name in ("x_T", "delta", "w_T"):
             assert getattr(got, name).tobytes() == \
                 getattr(want, name).tobytes(), name
