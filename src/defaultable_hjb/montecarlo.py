@@ -187,6 +187,8 @@ class NoiseDraw:
                     raise block
                 out[:, lo:lo + len(block)] = block.T
         self._helper.join()
+        if not self._handoff.empty():  # an error at the worker's last blocks
+            raise self._handoff.get()
         u = self._rng.random(cfg.n_paths)
         u = np.where(u <= 0.0, np.nextafter(0.0, 1.0), u)  # open (0,1)
         exp_draws = -np.log1p(-u)

@@ -714,6 +714,28 @@ def test_a_worker_that_dies_raises_runtime_error(monkeypatch, paper_model,
     assert len(fed) <= 8 if when == "draw" else len(fed) == 400
 
 
+@pytest.mark.parametrize("bad", [250, 799])
+def test_a_failed_draw_of_the_workers_half_is_raised(monkeypatch,
+                                                     paper_model, paper_pref,
+                                                     G_64, bad,
+                                                     split_everything):
+    # of the 800 one-path blocks, the helper's error at a block of the
+    # worker's z, or at its last z0 block, after the caller has stored
+    # all of its own, is the error the caller raises
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", 4 * 10)
+    monkeypatch.setattr(_CountingGenerator, "drawn", [])
+    monkeypatch.setattr(_CountingGenerator, "bad", bad)
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    threads = threading.active_count()
+    fields = [dh.optimal_policy(G_64, paper_model, paper_pref)]
+    cfg = SimConfig(n_paths=400, n_steps=10, seed=1, x0=0.06)
+    with pytest.raises(ValueError, match="no normals"):
+        _split_run(paper_model, cfg, fields)
+    _no_child_left()
+    assert threading.active_count() == threads
+    assert len(_CountingGenerator.drawn) == bad + 1
+
+
 def test_a_failed_solve_leaves_no_thread_and_no_child(monkeypatch,
                                                       paper_model,
                                                       split_everything):
