@@ -441,9 +441,9 @@ class Halves:
     def simulate(self, pi_fields, rate_field=None) -> list:
         """simulate_policies(m, noise, horizon, pi_fields, rate_field) on
         the whole noise of cfg, once, after waiting for the draw; with a
-        worker,
-        its half's results joined after this process's in path order.  A
-        field must then pickle: one that does not raises TypeError."""
+        worker, its half's results joined after this process's in path
+        order.  A field must then pickle: one that does not raises
+        TypeError."""
         m, horizon, worker = self._m, self._horizon, self._worker
         noise = self._draw.wait()
         if worker is None:
@@ -484,7 +484,7 @@ class _Worker:
         self.pid = None
         self._free = [0, 1, 2, 3]  # the slots the helper may draw into
         self._sent = self._freed = 0  # slot numbers sent down and back up
-        self._fds = []  # down read, down write, up read, up write
+        self._fds = []  # down write, up read
         size = self.rows * cfg.n_steps
         self._ring = mmap.mmap(-1, 4 * size * 8)
         ring = np.frombuffer(self._ring)
@@ -498,16 +498,10 @@ class _Worker:
             worker = cls(cfg)
         except OSError:
             return None
-        try:
-            for _ in range(2):
-                worker._fds.extend(os.pipe())
-            sys.stdout.flush()
-            sys.stderr.flush()
-            worker.pid = os.fork()
-        except OSError:
-            worker.close()
+        forked = _fork(pipes=2)
+        if forked is None:
             return None
-        down_r, down_w, up_r, up_w = worker._fds
+        worker.pid, (down_r, down_w, up_r, up_w) = forked
         if worker.pid == 0:
             os.close(down_w)
             os.close(up_r)
@@ -709,18 +703,20 @@ def estimate_martingale_mass(bundle: PathBundle,
 _mapping = False
 
 
-def _fork():
-    """(pid, read_fd, write_fd) of a fork with a pipe from child to
-    parent, or None, with nothing left open, where either is refused."""
+def _fork(pipes: int = 1):
+    """(pid, fds) of a fork made after that many pipes, fds holding each
+    pipe's read and write ends in turn, or None, with nothing left open,
+    where a pipe or the process is refused."""
+    fds = []
     try:
-        read_fd, write_fd = os.pipe()
+        for _ in range(pipes):
+            fds.extend(os.pipe())
+        sys.stdout.flush()
+        sys.stderr.flush()
+        return os.fork(), fds
     except OSError:
-        return None
-    try:
-        return os.fork(), read_fd, write_fd
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         return None
 
 
@@ -746,12 +742,10 @@ def fork_map(fn, items) -> list:
     items = list(items)
     forked = None
     if not (_mapping or len(items) < 2 or _cpus() < 2):
-        sys.stdout.flush()
-        sys.stderr.flush()
         forked = _fork()
     if forked is None:
         return [fn(item) for item in items]
-    pid, read_fd, write_fd = forked
+    pid, (read_fd, write_fd) = forked
     if pid == 0:
         os.close(read_fd)
         _worker(fn, items[1::2], write_fd)
