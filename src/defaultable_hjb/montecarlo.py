@@ -449,7 +449,7 @@ class Halves:
         if worker is None:
             return simulate_policies(m, noise, horizon, pi_fields,
                                      rate_field)
-        worker.send(self._draw.rest, list(pi_fields), rate_field)
+        worker.send(self._draw.rest, pi_fields, rate_field)
         parts = [simulate_policies(m, noise, horizon, pi_fields, rate_field),
                  worker.receive()]
         shared = {name: np.concatenate([getattr(part[0], name)
@@ -485,10 +485,9 @@ class _Worker:
         self._free = [0, 1, 2, 3]  # the slots the helper may draw into
         self._sent = self._freed = 0  # slot numbers sent down and back up
         self._fds = []  # down write, up read
-        size = self.rows * cfg.n_steps
-        self._ring = mmap.mmap(-1, 4 * size * 8)
-        ring = np.frombuffer(self._ring)
-        self._slots = [ring[i * size:(i + 1) * size] for i in range(4)]
+        self._ring = mmap.mmap(-1, 4 * self.rows * cfg.n_steps * 8)
+        self._slots = np.frombuffer(self._ring).reshape(4, self.rows,
+                                                        cfg.n_steps)
 
     @classmethod
     def fork(cls, m: ModelSpec, cfg: SimConfig, horizon: float):
@@ -518,20 +517,18 @@ class _Worker:
         if not self._free:
             slot = os.read(up, 1)
             if not slot:
-                raise RuntimeError(self._ended("during the draw"))
+                raise self._died()
             self._freed += 1
             self._free.append(slot[0])
         slot = self._free.pop()
-        rng.standard_normal(out=self._slots[slot][:rows * self.cfg.n_steps]
-                            .reshape(rows, self.cfg.n_steps))
+        rng.standard_normal(out=self._slots[slot, :rows])
         try:
             os.write(down, bytes([slot]))
         except BrokenPipeError:
-            raise RuntimeError(self._ended("during the draw")) from None
+            raise self._died() from None
         self._sent += 1
 
-    def send(self, exp_draws: np.ndarray, pi_fields: list,
-             rate_field) -> None:
+    def send(self, exp_draws: np.ndarray, pi_fields, rate_field) -> None:
         """Pickle the worker's default thresholds and the fields down."""
         for field in [*pi_fields, rate_field]:
             try:
@@ -571,8 +568,9 @@ class _Worker:
                 os.close(fd)
         self._fds = []
 
-    def _ended(self, when: str) -> str:
-        return f"simulate_halves worker {self.pid} ended {when}"
+    def _died(self) -> RuntimeError:
+        return RuntimeError(f"simulate_halves worker {self.pid} ended "
+                            "during the draw")
 
     def _serve(self, m: ModelSpec, horizon: float, down: int, up: int):
         """The body of the forked worker: store its half's noise, read its
@@ -590,8 +588,7 @@ class _Worker:
                     if not slot:
                         return  # the caller is gone
                     rows = min(self.rows, cfg.n_paths - lo)
-                    arr[:, lo:lo + rows] = self._slots[slot[0]][
-                        :rows * cfg.n_steps].reshape(rows, cfg.n_steps).T
+                    arr[:, lo:lo + rows] = self._slots[slot[0], :rows].T
                     os.write(up, slot)
             exp_draws, pi_fields, rate_field = pickle.loads(_read_all(down))
             noise = Noise(cfg=cfg, z=out[0], z0=out[1], exp_draws=exp_draws)
