@@ -23,7 +23,15 @@ grouped by the quantity they serve.
   equivalent and the dual density Z: ``draw_noise`` and
   ``simulate_policies`` (factor, default and wealth in one time loop),
   ``dual_density_terminal`` and the estimators.
+
+The last two groups are resolved on first access: their modules
+(``assumptions``, ``montecarlo``) are loaded, and without a bytecode
+cache compiled, only by the first use of one of their names, so that
+``solve``, ``price-bond`` and ``price-insurance`` never load them.
 """
+
+import importlib as _importlib
+from types import ModuleType as _ModuleType
 
 from .lambertw import ThetaDomainError, theta, theta_of_log
 from .model import (CIRParams, ClaimSpec, Domain1D, LocalizationSpec,
@@ -39,14 +47,40 @@ from .pricing import (RadicandNegative, indifference_price, insurance_bounds,
                       insurance_rate, insurance_rate_h_form, optimal_policy,
                       protected_policy, short_horizon_curve,
                       zero_rate_position)
-from .assumptions import (AssumptionEntry, AssumptionReport, CIRMomentBound,
-                          DriftChangedCIR, WindowViolation,
-                          check_cir_integrability, check_model,
-                          check_ou_integrability, check_static_assumptions,
-                          cir_moment_bound, drift_changed_cir)
-from .montecarlo import (MCEstimate, Noise, PathBundle, SimConfig,
-                         draw_noise, dual_density_terminal,
-                         estimate_certainty_equivalent, estimate_dual_value,
-                         estimate_martingale_mass, simulate_policies)
+
+# module -> its public names, imported on the first access to one of them
+# or to the module itself (PEP 562)
+_LAZY = {
+    "assumptions": ("AssumptionEntry", "AssumptionReport", "CIRMomentBound",
+                    "DriftChangedCIR", "WindowViolation",
+                    "check_cir_integrability", "check_model",
+                    "check_ou_integrability", "check_static_assumptions",
+                    "cir_moment_bound", "drift_changed_cir"),
+    "montecarlo": ("MCEstimate", "Noise", "PathBundle", "SimConfig",
+                   "draw_noise", "dual_density_terminal",
+                   "estimate_certainty_equivalent", "estimate_dual_value",
+                   "estimate_martingale_mass", "simulate_policies"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
+
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_")
+                  and not isinstance(value, _ModuleType)] + list(_HOME))
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{_HOME[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_HOME))

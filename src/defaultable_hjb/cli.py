@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import assumptions as asm
-from . import montecarlo as mc
 from . import pricing
 from .model import (ModelError, OUParams, CIRParams, Preferences,
                     bond_claim, build_localization, default_truncation,
@@ -439,8 +437,9 @@ def _estimate_lines(estimates: list, seed: int) -> list:
         for e in estimates]
 
 
-def _report_lines(report: asm.AssumptionReport) -> list:
-    """id,status,witness rows; a witness's double quotes become single."""
+def _report_lines(report) -> list:
+    """id,status,witness rows of an assumptions.AssumptionReport; a
+    witness's double quotes become single."""
     lines = ["id,status,witness"]
     for e in report.entries:
         witness = e.witness.replace('"', "'")
@@ -490,21 +489,25 @@ def cmd_solve(cfg: RunConfig) -> int:
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
     # self-convergence at (t=0, x0) on nx/4, nx/2 and nx; the finest level
-    # is written to surface.csv
+    # is written to surface.csv.  A level that repeats the previous grid
+    # (each is at least 16 x 16) is the same solve: each grid is marched
+    # once, keyed by its (nx, nt), and the finest whole
     dims = [(max(cfg.nx // div, 16), max(cfg.nt // div, 16))
             for div in (4, 2, 1)]
     grids = [make_grid(cfg, m, pref, nx=nx, nt=nt)
              for nx, nt in dims[:2]] + [grid]
+    fresh = [i for i in range(3) if i == 2 or dims[i] != dims[i + 1]]
     try:
-        levels = _solve_levels(cfg, m, claims[0], pref, grids,
-                               [False, False, True])
+        levels = dict(zip([dims[i] for i in fresh], _solve_levels(
+            cfg, m, claims[0], pref, [grids[i] for i in fresh],
+            [i == 2 for i in fresh])))
     except _LADDER_FAILURES:
         # level by level, nx first, then nx/4 and nx/2, with the files of
         # nx written before the next: the first level that fails alone
         # raises its own error
-        levels = [None, None] + _solve_levels(cfg, m, claims[0], pref,
-                                              [grid], [True])
-    G, res = levels[-1]
+        levels = {dims[2]: _solve_levels(cfg, m, claims[0], pref, [grid],
+                                         [True])[0]}
+    G, res = levels[dims[2]]
     _write(cfg, "surface.csv", header, _surface_lines(G))
     np.abs(res, out=res)  # the record is read only here
     _write(cfg, "residual_summary.txt", header,
@@ -512,18 +515,24 @@ def cmd_solve(cfg: RunConfig) -> int:
             f"mean_abs_residual = {float(np.mean(res)):.17g}"])
 
     x0 = _default_x0(cfg, m)
-    rows, prev = ["nx,nt,value_at_x0,diff_from_previous"], None
-    for (nx, nt), g, level in zip(dims, grids, levels):
-        if level is None:
-            level = _solve_levels(cfg, m, claims[0], pref, [g], [False])[0]
-        v = float(level[0].at(0.0, np.atleast_1d(x0))[0])
-        d = "" if prev is None else f"{v - prev:.17g}"
-        rows.append(f"{nx},{nt},{v:.17g},{d}")
-        prev = v
     lo, hi = G.grid.x_min, G.grid.x_max
     notes = [] if lo <= x0 <= hi else [
         f"probe x0 = {x0:.17g} lies outside the grid [{lo:.17g}, {hi:.17g}]; "
         "value is clamped to the edge"]
+    values = []
+    for dim, g in zip(dims, grids):
+        if dim not in levels:
+            levels[dim] = _solve_levels(cfg, m, claims[0], pref, [g],
+                                        [False])[0]
+        values.append(float(levels[dim][0].at(0.0, np.atleast_1d(x0))[0]))
+    rows = ["nx,nt,value_at_x0,diff_from_previous"]
+    for i, ((nx, nt), v) in enumerate(zip(dims, values)):
+        # a clamped probe reads the grid's edge, not x0: its value and
+        # difference are left empty, as is the difference of a level that
+        # repeats the previous grid (0 by construction)
+        d = "" if notes or i == 0 or dims[i] == dims[i - 1] \
+            else f"{v - values[i - 1]:.17g}"
+        rows.append(f"{nx},{nt},{'' if notes else f'{v:.17g}'},{d}")
     for note in notes:
         print(f"solve: warning: {note}", file=sys.stderr)
     _write(cfg, "convergence.csv", header + notes, rows)
@@ -577,6 +586,10 @@ def cmd_price_insurance(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # imported here, so that no other subcommand loads the Monte Carlo
+    # module
+    from . import montecarlo as mc
+
     m, claims, pref = build_problem(cfg)
     claim = claims[0]
     grid = make_grid(cfg, m, pref)
@@ -636,6 +649,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_check_assumptions(cfg: RunConfig) -> int:
+    # imported here, so that no other subcommand loads the assumption
+    # checks
+    from . import assumptions as asm
+
     m, claims, pref = build_problem(cfg, enforce_feller=False)
     try:
         report = asm.check_model(m, claims[0], pref)

@@ -384,17 +384,30 @@ def simulate_policies(m: ModelSpec, noise: Noise, horizon: float, pi_fields,
             for W in wealth]
 
 
-# path-steps below which simulate_halves runs in process: the split costs
-# a fork of the caller (about 65 MB in verify), the worker's page faults,
-# the ring's handoffs, the pickles of the fields and the results, and on
-# two CPUs the worker's stores compete with the draw.  On a 2-vCPU host
-# with the reference CIR model and two 200^2 policies, draw included
-# (medians of 9), in process against split: 124 against 159 ms at 300
-# paths x 1000 steps, 157 against 169 at 400, 140 against 154 at 500,
-# 227 against 251 at 1500, and 262 against 245 at 2000.  Fewer steps need
-# more path-steps: at 100 steps the split lost at 3e6 (345 against 398 ms)
-# and won at 1e7 (1030 against 835 ms)
-_FORK_FLOOR = 2_000_000
+# where simulate_halves splits (_split_pays).  The split pays a fixed cost,
+# a fork of the caller (about 65 MB in verify) and the pickles of the
+# fields and the results, and saves at each step the loop's work on the
+# worker's paths less a cost of about _HALF_FLOOR paths' worth, which
+# both values fit to the medians below.  So it runs where n_steps x
+# (n_paths // 2 - _HALF_FLOOR) reaches _FORK_FLOOR.  On a 2-vCPU host with
+# the reference CIR model and two 200^2 policies, draw included, in
+# process against split in ms (medians of 13, of 9 where marked *):
+# 100 steps: 20000 paths 208/194, 30000 308/260; 250 steps: 8000 234/218,
+# 12000 322/310; 1000 steps: 2000 307/324, 3000 404/368, 4000 480/414;
+# 2000 steps: 1000* 299/319, 1500 412/425, 2000 557/531; 5000 steps: 400
+# 672/719, 600 895/895, 1000 1070/899; 10000 steps: 200 1009/1112, 400
+# 1063/1266, 1000 1566/1419.  A floor of 2e6 path-steps alone forked at
+# a loss with few paths per half (10000 steps x 400 paths)
+_HALF_FLOOR = 250
+_FORK_FLOOR = 1_000_000
+
+
+def _split_pays(cfg: SimConfig) -> bool:
+    """Whether simulate_halves' split saves more than it costs on cfg's
+    paths and steps (see _FORK_FLOOR); a floor of 0 splits every run of
+    two or more paths."""
+    saved = cfg.n_steps * max(cfg.n_paths // 2 - _HALF_FLOOR, 0)
+    return cfg.n_paths > 1 and saved >= _FORK_FLOOR
 
 
 @contextlib.contextmanager
@@ -405,22 +418,21 @@ def simulate_halves(m: ModelSpec, cfg: SimConfig, horizon: float):
     Entering starts the draw of the noise (NoiseDraw), so the caller can
     do other work, such as verify's solve, while it runs; the Halves it
     gives runs the simulation once the fields are known.  Where this
-    process may use two or more CPUs and the run has two or more paths
-    and at least _FORK_FLOOR path-steps, the worker (_Worker) forks
-    before the draw starts, so only the calling thread is alive at the
-    fork: the helper draws the worker's half into a shared ring and the
-    worker stores it, so each process holds only its own half's noise.
-    Elsewhere (below the floor, on one CPU, inside a fork_map, for one
-    path, or where a pipe, the ring or the fork is refused) the draw and
-    the loop run in process.  The loop is elementwise across paths, so
+    process may use two or more CPUs and the split pays on the run's
+    paths and steps (_split_pays), the worker (_Worker) forks before the
+    draw starts, so only the calling thread is alive at the fork: the
+    helper draws the worker's half into a shared ring and the worker
+    stores it, so each process holds only its own half's noise.
+    Elsewhere (where the split does not pay, on one CPU, inside a
+    fork_map, or where a pipe, the ring or the fork is refused) the draw
+    and the loop run in process.  The loop is elementwise across paths, so
     the bundles are bit for bit those of one simulate_policies call on
     draw_noise(cfg), sharing x_T and delta as they do.  Leaving the with
     block stops the helper after one more block at most, then kills and
     reaps a worker that has not ended, whatever ends the block.
     """
     worker = None
-    if (cfg.n_paths > 1 and cfg.n_paths * cfg.n_steps >= _FORK_FLOOR
-            and not _mapping and _cpus() >= 2):
+    if _split_pays(cfg) and not _mapping and _cpus() >= 2:
         worker = _Worker.fork(m, cfg, horizon)
     try:
         with NoiseDraw(cfg, worker) as draw:

@@ -33,7 +33,7 @@ OUTPUT_SHA256 = {
     "solve-local/residual_summary.txt":
         "a02cd0fd4190d045ed7efd6c2d7d869454c269e69dbff43e01bc85311138a7e1",
     "solve-local/convergence.csv":
-        "e576da0af9ca053692f9c5a49028f7b316fdb435bfeefc77752e62080b30e5b5",
+        "5a14fe41bc875978150a7d02b65bb3f27a2864323489fa429fbe8339e4ab8ed2",
     "price-bond/price_bond.csv":
         "b221acf1d551f1c18c33279f1a4c787b3382b7924cbbf96e0aef838647a2de93",
     "price-insurance/insurance.csv":

@@ -121,10 +121,12 @@ def test_solve_local_and_protected_modes(tmp_path, capsys):
     assert main(["solve", "--config", cfgp, "--out", str(out1),
                  "--mode", "local:4"]) == 0
     # x0 = theta = 0.06 lies outside E_4 = (0.25, 4): the probe is clamped
-    # to the Dirichlet edge, and both the file and stderr say so
-    note = [ln for ln in (out1 / "convergence.csv").read_text().splitlines()
-            if ln.startswith("# probe x0 = ")]
+    # to the Dirichlet edge, where G is held at 0, so every value and
+    # difference is left empty, and both the file and stderr say why
+    conv = (out1 / "convergence.csv").read_text().splitlines()
+    note = [ln for ln in conv if ln.startswith("# probe x0 = ")]
     assert len(note) == 1 and "value is clamped to the edge" in note[0]
+    assert conv[-3:] == ["16,16,,", "24,16,,", "48,32,,"]
     assert "lies outside the grid" in capsys.readouterr().err
     lines = [ln for ln in (out1 / "surface.csv").read_text().splitlines()
              if not ln.startswith("#")]
@@ -136,6 +138,30 @@ def test_solve_local_and_protected_modes(tmp_path, capsys):
                  "--mode", "protected"]) == 0
     assert (out2 / "surface.csv").exists()
 
+
+
+def test_convergence_solves_a_repeated_grid_once(monkeypatch, tmp_path):
+    # at 32 x 16 the nx/4 and nx/2 levels are both the 16 x 16 grid: it is
+    # marched once, and the repeat's difference, 0 by construction, is
+    # left empty
+    march, grids = cli._march, []
+
+    def traced(segments, *args):
+        grids.append([(s.grid.n_space, s.grid.n_time) for s in segments])
+        return march(segments, *args)
+
+    monkeypatch.setattr(cli, "_march", traced)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--config", _write(tmp_path, nx=32, nt=16),
+                     "--out", str(tmp_path)]) == 0
+    assert grids == [[(16, 16), (32, 16)]]
+    rows = [ln.split(",") for ln in
+            (tmp_path / "convergence.csv").read_text().splitlines()[-3:]]
+    assert [r[:2] for r in rows] == [["16", "16"], ["16", "16"],
+                                     ["32", "16"]]
+    assert rows[0][2] == rows[1][2] != rows[2][2]
+    assert [r[3] for r in rows[:2]] == ["", ""]
+    assert float(rows[2][3]) == float(rows[2][2]) - float(rows[1][2])
 
 def _traced_peak(argv) -> int:
     """The tracemalloc peak of a second call of main(argv), the first
@@ -795,9 +821,10 @@ def test_the_exit_code_contract_holds_over_the_ini_box(tmp_path_factory,
 
 def test_verify_forks_its_worker_with_one_thread_alive(monkeypatch,
                                                        tmp_path):
-    # 4000 paths x 500 steps reach the fork floor; the worker forks before
+    # 4000 paths x 1000 steps reach the fork floor; the worker forks before
     # the noise draw's helper thread starts
-    assert 4000 * 500 >= mc._FORK_FLOOR
+    assert mc._split_pays(mc.SimConfig(n_paths=4000, n_steps=1000, seed=0,
+                                       x0=0.06))
     alive_at_fork = []
     fork = os.fork
 
@@ -807,7 +834,7 @@ def test_verify_forks_its_worker_with_one_thread_alive(monkeypatch,
 
     monkeypatch.setattr(os, "fork", recording_fork)
     caller = threading.enumerate()
-    cfg = _write(tmp_path, nx=48, nt=24, paths=4000, steps=500)
+    cfg = _write(tmp_path, nx=48, nt=24, paths=4000, steps=1000)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     forked = len(os.sched_getaffinity(0)) >= 2
     assert alive_at_fork == ([caller] if forked else [])

@@ -2,6 +2,8 @@
 and only the CLI opens files."""
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import defaultable_hjb as dh
+
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "defaultable_hjb"
+_REFERENCE_INI = _PACKAGE.parents[1] / "perfbench" / "reference.ini"
 
 
 def _unused_imports(path: Path) -> list:
@@ -51,16 +56,68 @@ def test_only_the_cli_opens_files(path):
     assert _open_calls(path) == []
 
 
-def test_cli_import_loads_no_stats_or_interpolate():
-    # scipy.stats and scipy.interpolate take most of the import time and
-    # serve no CLI path
-    code = ("import sys, defaultable_hjb.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
-            "if m in sys.modules))")
+def _run(code: str) -> str:
+    """stdout of code in a fresh interpreter that imports the package from
+    this checkout."""
     src = str(_PACKAGE.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_stats_or_interpolate():
+    # scipy.stats and scipy.interpolate take most of the import time and
+    # serve no CLI path
+    out = _run("import sys, defaultable_hjb.cli; "
+               "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+               "if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+_ON_DEMAND = ("defaultable_hjb.assumptions", "defaultable_hjb.montecarlo")
+
+
+def test_cli_import_loads_neither_assumptions_nor_montecarlo():
+    # without a bytecode cache every module loaded is compiled on each call
+    out = _run("import sys, defaultable_hjb.cli; "
+               f"print(sorted(m for m in {_ON_DEMAND!r} if m in sys.modules))")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["solve", "--grid", "32,16"], []),
+    (["price-bond", "--grid", "32,16"], []),
+    (["price-insurance", "--grid", "32,16"], []),
+    (["verify", "--grid", "32,16", "--paths", "200"],
+     ["defaultable_hjb.montecarlo"]),
+    (["check-assumptions"], ["defaultable_hjb.assumptions"]),
+], ids=["solve", "price-bond", "price-insurance", "verify",
+        "check-assumptions"])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv,
+                                                        loaded):
+    ini = tmp_path / "run.ini"
+    ini.write_text(_REFERENCE_INI.read_text().replace(
+        "steps = 1000", "steps = 50"))
+    argv = argv + ["--config", str(ini), "--out", str(tmp_path / "out")]
+    out = _run("import json, sys; from defaultable_hjb import cli; "
+               f"rc = cli.main({argv!r}); "
+               f"print(json.dumps([rc, sorted(m for m in {_ON_DEMAND!r} "
+               "if m in sys.modules)]))")
+    assert json.loads(out.splitlines()[-1]) == [0, loaded]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    modules = [importlib.import_module(f"defaultable_hjb.{name}")
+               for name in ("lambertw", "model", "solver", "pricing",
+                            "assumptions", "montecarlo")]
+    assert set(dir(dh)) >= set(dh.__all__)
+    for name in dh.__all__:
+        # the module that defines the name, not one that imports it
+        home = [vars(m)[name] for m in modules if name in vars(m)
+                and vars(m)[name].__module__ == m.__name__]
+        assert len(home) == 1, name
+        assert getattr(dh, name) is home[0], name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dh.no_such_name

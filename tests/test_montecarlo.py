@@ -804,10 +804,14 @@ def test_simulate_halves_forks_only_above_the_work_floor(monkeypatch,
                                                          paper_model,
                                                          paper_pref, G_64):
     pol = dh.optimal_policy(G_64, paper_model, paper_pref)
-    for n_steps, must_fork in ((50, False), (100, True)):
-        # n x 50 path-steps lie below the floor, n x 100 at it
-        cfg = SimConfig(n_paths=mc._FORK_FLOOR // 100, n_steps=n_steps,
-                        seed=3, x0=0.06)
+    # at 100 steps a worker's half of _HALF_FLOOR + _FORK_FLOOR / 100 paths
+    # reaches the floor, one path fewer does not; a half of _HALF_FLOOR
+    # paths saves nothing, however many its steps
+    paths = 2 * (mc._HALF_FLOOR + mc._FORK_FLOOR // 100)
+    for n_paths, n_steps, must_fork in ((paths, 100, True),
+                                        (paths - 2, 100, False),
+                                        (2 * mc._HALF_FLOOR, 4000, False)):
+        cfg = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=3, x0=0.06)
         pids = _counting_fork(monkeypatch)
         got = _split_run(paper_model, cfg, [pol])[0]
         _no_child_left()
