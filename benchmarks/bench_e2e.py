@@ -43,6 +43,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                           __cpu_features__)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "perfbench" / "reference.ini"
@@ -127,7 +129,10 @@ def main() -> None:
                     "process (verify at --grid 200,200)",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(),
-                 "numpy": np.__version__},
+                 "numpy": np.__version__,
+                 # the last bits of float64 exp and log depend on these
+                 "numpy_simd": [f for f in __cpu_dispatch__
+                                if __cpu_features__[f]]},
         "records": {}}
     old = doc["records"].get(args.label)
     if old and (old["revision"], old["dirty"]) == (record["revision"],

@@ -55,6 +55,8 @@ from collections import deque
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                           __cpu_features__)
 
 import defaultable_hjb as dh
 from defaultable_hjb import backends, cli, solver
@@ -180,7 +182,10 @@ def main() -> None:
             "host": {"machine": platform.machine(),
                      "cpus": os.cpu_count(),
                      "python": platform.python_version(),
-                     "numpy": np.__version__},
+                     "numpy": np.__version__,
+                     # the last bits of float64 exp and log depend on these
+                     "numpy_simd": [f for f in __cpu_dispatch__
+                                    if __cpu_features__[f]]},
             "records": {}}
         doc["records"][args.label] = record
         path.write_text(json.dumps(doc, indent=2) + "\n")

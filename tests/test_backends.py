@@ -1,8 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from defaultable_hjb import backends
+
+_TESTS = Path(__file__).resolve().parent
 
 
 def test_backend_name():
@@ -37,13 +45,32 @@ def _laid_end_to_end(dl, d, du, rhs):
     return bands(dl), np.concatenate(d), bands(du), np.concatenate(rhs)
 
 
-def test_tridiag_block_equals_rows_alone_bit_for_bit():
+def _pivoting_rows():
+    """Rows of systems, by block, whose weak diagonals make gtsv pivot
+    inside each row."""
     rng = np.random.default_rng(9)
     for sizes in ((401,) * 5, (17,) * 3, (2,), (401, 201, 101), (17, 3, 9)):
         rows = [_systems(rng, 1, n) for n in sizes]
         for dl, d, du, rhs in rows:
-            # weak diagonals make gtsv pivot inside the rows
             d[:, ::3] *= 1e-3
+        yield sizes, rows
+
+
+def _pivoting_digest() -> str:
+    """SHA-256 of tridiag_solve's solution of each block of
+    _pivoting_rows and of each of its rows alone."""
+    h = hashlib.sha256()
+    for _, rows in _pivoting_rows():
+        h.update(backends.tridiag_solve(*_laid_end_to_end(
+            *([r[i][0] for r in rows] for i in range(4)))).tobytes())
+        for dl, d, du, rhs in rows:
+            h.update(backends.tridiag_solve(dl[0], d[0], du[0],
+                                            rhs[0]).tobytes())
+    return h.hexdigest()
+
+
+def test_tridiag_block_equals_rows_alone_bit_for_bit():
+    for sizes, rows in _pivoting_rows():
         x = backends.tridiag_solve(*_laid_end_to_end(
             *([r[i][0] for r in rows] for i in range(4))))
         start = 0
@@ -89,3 +116,39 @@ def test_tridiag_block_with_a_singular_row_raises():
         r = rows[0]
         with pytest.raises(backends.SingularBlock):
             backends.tridiag_solve(ll[r], dd[r], uu[r], rhs[r])
+
+
+def _fresh(code: str) -> list:
+    """The stdout lines of code in a fresh interpreter that imports the
+    package from this checkout and this directory's modules."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(_TESTS.parent / "src"), str(_TESTS)]
+        + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "backends"])
+def test_gtsv_is_scipy_linalg_lapacks_whichever_loads_first(first):
+    # backends loads scipy.linalg._flapack alone; a later scipy.linalg
+    # finds that module and takes its routines from it
+    imports = ["import scipy.linalg", "from defaultable_hjb import backends"]
+    if first == "backends":
+        imports.reverse()
+    out = _fresh("import sys; " + "; ".join(imports) + "; "
+                 "import scipy.linalg.lapack as lapack; "
+                 "print(backends.dgtsv is lapack.dgtsv, "
+                 "scipy.linalg.solve_banded is not None)")
+    assert out == ["True", "True"]
+
+
+def test_gtsv_falls_back_to_scipy_linalg_where_the_file_is_not_found():
+    # with no extension suffix to look for, the file lookup finds nothing
+    out = _fresh("import importlib.machinery, sys; "
+                 "importlib.machinery.EXTENSION_SUFFIXES = []; "
+                 "from defaultable_hjb import backends; "
+                 "fell_back = 'scipy.linalg' in sys.modules; "
+                 "import scipy.linalg.lapack as lapack, test_backends; "
+                 "print(fell_back, backends.dgtsv is lapack.dgtsv, "
+                 "test_backends._pivoting_digest())")
+    assert out == ["True", "True", _pivoting_digest()]

@@ -67,16 +67,19 @@ def _run(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-def test_cli_import_loads_no_stats_or_interpolate():
+def test_cli_import_loads_no_stats_interpolate_or_linalg():
     # scipy.stats and scipy.interpolate take most of the import time and
-    # serve no CLI path
+    # serve no CLI path; backends loads gtsv's extension without
+    # scipy.linalg's package __init__
     out = _run("import sys, defaultable_hjb.cli; "
-               "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
-               "if m in sys.modules))")
+               "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate', "
+               "'scipy.linalg') if m in sys.modules))")
     assert out.strip() == "[]"
 
 
 _ON_DEMAND = ("defaultable_hjb.assumptions", "defaultable_hjb.montecarlo")
+# loaded by no subcommand
+_NEVER = ("scipy.linalg",)
 
 
 def test_cli_import_loads_neither_assumptions_nor_montecarlo():
@@ -103,8 +106,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv,
     argv = argv + ["--config", str(ini), "--out", str(tmp_path / "out")]
     out = _run("import json, sys; from defaultable_hjb import cli; "
                f"rc = cli.main({argv!r}); "
-               f"print(json.dumps([rc, sorted(m for m in {_ON_DEMAND!r} "
-               "if m in sys.modules)]))")
+               f"print(json.dumps([rc, sorted(m for m in "
+               f"{_ON_DEMAND + _NEVER!r} if m in sys.modules)]))")
     assert json.loads(out.splitlines()[-1]) == [0, loaded]
 
 
