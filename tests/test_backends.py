@@ -132,14 +132,17 @@ def _fresh(code: str) -> list:
 def test_gtsv_is_scipy_linalg_lapacks_whichever_loads_first(first):
     # backends loads scipy.linalg._flapack alone; a later scipy.linalg
     # finds that module and takes its routines from it
-    imports = ["import scipy.linalg", "from defaultable_hjb import backends"]
+    imports = ["import scipy.linalg",
+               "from defaultable_hjb import backends; "
+               "kept = sys.modules.get('scipy.linalg._flapack')"]
     if first == "backends":
         imports.reverse()
     out = _fresh("import sys; " + "; ".join(imports) + "; "
                  "import scipy.linalg.lapack as lapack; "
                  "print(backends.dgtsv is lapack.dgtsv, "
+                 "lapack._flapack is kept, "
                  "scipy.linalg.solve_banded is not None)")
-    assert out == ["True", "True"]
+    assert out == ["True", "True", "True"]
 
 
 def test_gtsv_falls_back_to_scipy_linalg_where_the_file_is_not_found():

@@ -16,7 +16,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 # SHA-256 of every output file of the subcommands at 400x400 on
-# perfbench/reference.ini, unchanged from BENCH_18.json to BENCH_26.json
+# perfbench/reference.ini, unchanged from BENCH_18.json to BENCH_21.json
 # (numpy 2.4.6, scipy 1.17.1), where numpy evaluates float64 exp and log
 # with its AVX-512 loops: a change of output bytes fails here
 OUTPUT_SHA256_AVX512 = {
