@@ -11,7 +11,8 @@ writing to a temporary directory of its own: solve in its three modes,
 price-bond, price-insurance, check-assumptions, and verify at --grid
 200,200 (10^4 paths x 1000 steps, seed 0).  One more case, startup, only
 imports defaultable_hjb.cli: the interpreter and the imports, which every
-subcommand pays before its work, reported as a line of its own.  The
+subcommand pays before its work, reported as a line of its own, with the
+number of modules then in sys.modules, a count that repeats exactly.  The
 cases run round-robin, --repeat rounds, each round in another order, so
 that every case samples the whole run: the host's speed can swing twofold
 over seconds.  A call's wall time runs from the start of its process to
@@ -21,7 +22,7 @@ that of the children it reaped (verify's forked worker).  A call that
 exits other than 0 stops the run.
 
 Each case reports its runs, their median and their quartiles (25th and
-75th percentiles); the record also carries the git revision of the
+75th percentiles) of each metric; the record also carries the git revision of the
 package measured, found through PYTHONPATH.  With --out the record is
 merged under --label into that JSON file.  A record already there under
 the same label and revision gains the new runs, so that two checkouts
@@ -70,21 +71,29 @@ def revision(src: Path) -> dict:
 
 
 def run_once(args, out_dir: str) -> dict:
-    """Wall time and peak RSS of one fresh process."""
+    """Wall time and peak RSS of one fresh process; for the import alone,
+    also the modules it leaves in sys.modules."""
     if args is None:
-        argv = [sys.executable, "-c", "import defaultable_hjb.cli"]
+        argv = [sys.executable, "-c", "import sys, defaultable_hjb.cli; "
+                "print(len(sys.modules))"]
     else:
         argv = [sys.executable, "-m", "defaultable_hjb.cli", *args,
                 "--config", str(CONFIG), "--out", out_dir]
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, stderr=subprocess.DEVNULL, stdout=(
+        subprocess.PIPE if args is None else subprocess.DEVNULL))
+    if args is None:
+        with proc.stdout:
+            printed = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}")
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    run = {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    if args is None:
+        run["modules"] = int(printed)
+    return run
 
 
 def run_rounds(repeat: int) -> dict:
@@ -103,7 +112,7 @@ def run_rounds(repeat: int) -> dict:
 def summary(runs: list) -> dict:
     """The median and the quartiles of each metric over the runs."""
     out = {}
-    for metric in ("wall_s", "peak_rss_mb"):
+    for metric in runs[0]:
         q1, med, q3 = np.percentile([r[metric] for r in runs], [25, 50, 75])
         out[metric] = {"median": float(med), "quartiles": [float(q1),
                                                            float(q3)]}
@@ -150,7 +159,9 @@ def main() -> None:
         print(f"  {name:<18s} {w['median']:7.3f} s "
               f"({w['quartiles'][0]:.3f}-{w['quartiles'][1]:.3f})  "
               f"{m['median']:7.1f} MB "
-              f"({m['quartiles'][0]:.1f}-{m['quartiles'][1]:.1f})")
+              f"({m['quartiles'][0]:.1f}-{m['quartiles'][1]:.1f})"
+              + (f"  {s['modules']['median']:.0f} modules"
+                 if "modules" in s else ""))
     if path:
         path.write_text(json.dumps(doc, indent=2) + "\n")
 

@@ -40,6 +40,11 @@ class CheckFailure(RuntimeError):
     """A verification or assumption check failed; maps to exit code 1."""
 
 
+class RunError(RuntimeError):
+    """A run that could not finish, such as verify's with a worker that
+    ended before it sent its results; maps to exit code 3."""
+
+
 # config key -> CIRParams field; the defaults are the paper's parameters
 _CIR_FIELDS = {"kappa": "kappa", "theta": "theta_lr", "xi": "xi",
                "mu1": "mu1", "mu2": "mu2", "sigma": "sigma_scale",
@@ -447,21 +452,28 @@ def _report_lines(report) -> list:
     return lines
 
 
+def _localization(cfg: RunConfig, m):
+    """The localization of --mode local:N; a bad N is a ConfigError."""
+    try:
+        return build_localization(m, cfg.local_n)
+    except ModelError as exc:
+        raise ConfigError(f"bad --mode local:{cfg.local_n}: {exc}") from exc
+
+
 def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list,
-                  whole: list) -> list:
+                  whole: list, loc=None) -> list:
     """(surface, step residuals) of cfg.mode on each grid, the grids
     marched as one lockstep block, each bit for bit its own solve.  A
     level whose entry of whole is true keeps every time row and its step
     residuals; any other keeps the two time rows that Surface.at(0, x0)
-    reads, and no residuals (None).  In protected mode the zero claim's
-    full-equation ladder marches first, kept whole for the insurance
-    rates, then the protected ladder on those rates."""
+    reads, and no residuals (None).  Local mode solves on the outer
+    bounds of loc, its localization, built here if not given.  In
+    protected mode the zero claim's full-equation ladder marches first,
+    kept whole for the insurance rates, then the protected ladder on
+    those rates."""
     if cfg.mode == "local":
-        try:
-            loc = build_localization(m, cfg.local_n)
-        except ModelError as exc:
-            raise ConfigError(f"bad --mode local:{cfg.local_n}: {exc}") \
-                from exc
+        if loc is None:
+            loc = _localization(cfg, m)
         segments = [_local_segment(m, claim, pref, loc,
                                    replace(g, x_min=loc.outer[0],
                                            x_max=loc.outer[1]))
@@ -488,25 +500,35 @@ def cmd_solve(cfg: RunConfig) -> int:
     m, claims, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
+    loc = _localization(cfg, m) if cfg.mode == "local" else None
+    x0 = _default_x0(cfg, m)
+    lo, hi = loc.outer if loc else (grid.x_min, grid.x_max)
+    notes = [] if lo <= x0 <= hi else [
+        f"probe x0 = {x0:.17g} lies outside the grid [{lo:.17g}, {hi:.17g}]; "
+        "value is clamped to the edge"]
     # self-convergence at (t=0, x0) on nx/4, nx/2 and nx; the finest level
     # is written to surface.csv.  A level that repeats the previous grid
     # (each is at least 16 x 16) is the same solve: each grid is marched
-    # once, keyed by its (nx, nt), and the finest whole
+    # once, keyed by its (nx, nt), and the finest whole.  A probe outside
+    # the grid reads no level's value, so only the finest is marched
     dims = [(max(cfg.nx // div, 16), max(cfg.nt // div, 16))
             for div in (4, 2, 1)]
     grids = [make_grid(cfg, m, pref, nx=nx, nt=nt)
              for nx, nt in dims[:2]] + [grid]
-    fresh = [i for i in range(3) if i == 2 or dims[i] != dims[i + 1]]
+    fresh = [2] if notes else [i for i in range(3)
+                               if i == 2 or dims[i] != dims[i + 1]]
     try:
         levels = dict(zip([dims[i] for i in fresh], _solve_levels(
             cfg, m, claims[0], pref, [grids[i] for i in fresh],
-            [i == 2 for i in fresh])))
+            [i == 2 for i in fresh], loc)))
     except _LADDER_FAILURES:
+        if len(fresh) == 1:
+            raise
         # level by level, nx first, then nx/4 and nx/2, with the files of
         # nx written before the next: the first level that fails alone
         # raises its own error
         levels = {dims[2]: _solve_levels(cfg, m, claims[0], pref, [grid],
-                                         [True])[0]}
+                                         [True], loc)[0]}
     G, res = levels[dims[2]]
     _write(cfg, "surface.csv", header, _surface_lines(G))
     np.abs(res, out=res)  # the record is read only here
@@ -514,25 +536,20 @@ def cmd_solve(cfg: RunConfig) -> int:
            [f"max_abs_residual = {float(np.max(res)):.17g}",
             f"mean_abs_residual = {float(np.mean(res)):.17g}"])
 
-    x0 = _default_x0(cfg, m)
-    lo, hi = G.grid.x_min, G.grid.x_max
-    notes = [] if lo <= x0 <= hi else [
-        f"probe x0 = {x0:.17g} lies outside the grid [{lo:.17g}, {hi:.17g}]; "
-        "value is clamped to the edge"]
-    values = []
-    for dim, g in zip(dims, grids):
-        if dim not in levels:
-            levels[dim] = _solve_levels(cfg, m, claims[0], pref, [g],
-                                        [False])[0]
-        values.append(float(levels[dim][0].at(0.0, np.atleast_1d(x0))[0]))
+    # a clamped probe would read the grid's edge, not x0: its values and
+    # differences are left empty (None), as is the difference of a level
+    # that repeats the previous grid (0 by construction)
+    values = [None] * 3
+    for i, g in enumerate(grids if not notes else []):
+        if dims[i] not in levels:
+            levels[dims[i]] = _solve_levels(cfg, m, claims[0], pref, [g],
+                                            [False], loc)[0]
+        values[i] = float(levels[dims[i]][0].at(0.0, np.atleast_1d(x0))[0])
     rows = ["nx,nt,value_at_x0,diff_from_previous"]
     for i, ((nx, nt), v) in enumerate(zip(dims, values)):
-        # a clamped probe reads the grid's edge, not x0: its value and
-        # difference are left empty, as is the difference of a level that
-        # repeats the previous grid (0 by construction)
-        d = "" if notes or i == 0 or dims[i] == dims[i - 1] \
+        d = "" if v is None or i == 0 or dims[i] == dims[i - 1] \
             else f"{v - values[i - 1]:.17g}"
-        rows.append(f"{nx},{nt},{'' if notes else f'{v:.17g}'},{d}")
+        rows.append(f"{nx},{nt},{'' if v is None else f'{v:.17g}'},{d}")
     for note in notes:
         print(f"solve: warning: {note}", file=sys.stderr)
     _write(cfg, "convergence.csv", header + notes, rows)
@@ -609,18 +626,22 @@ def cmd_verify(cfg: RunConfig) -> int:
     # maps and zeroes the noise arrays while the PDE is solved; above the
     # work floor a worker that simulates the second path half forks first
     # and stores that half's noise as it is drawn
-    with mc.simulate_halves(m, sim, pref.horizon_T) as halves:
-        G = solve_full(m, claim, pref, grid)
-        if cfg.debug:
-            # intentionally wrong surface: the martingale-mass check must
-            # fail
-            G = Surface(grid=grid, values=G.values + 0.2)
-        pol = pricing.optimal_policy(G, m, pref)
-        g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
-        # the perturbed policy rides the same paths as the optimal one
-        # (common random numbers)
-        pert = Surface(grid=grid, values=pol.values + 0.5)
-        opt, perturbed = halves.simulate([pol, pert])
+    try:
+        with mc.simulate_halves(m, sim, pref.horizon_T) as halves:
+            G = solve_full(m, claim, pref, grid)
+            if cfg.debug:
+                # intentionally wrong surface: the martingale-mass check
+                # must fail
+                G = Surface(grid=grid, values=G.values + 0.2)
+            pol = pricing.optimal_policy(G, m, pref)
+            g0 = float(G.at(0.0, np.atleast_1d(x0))[0])
+            # the perturbed policy rides the same paths as the optimal one
+            # (common random numbers)
+            pert = Surface(grid=grid, values=pol.values + 0.5)
+            opt, perturbed = halves.simulate([pol, pert])
+    except mc.WorkerDied as exc:
+        # killed, say, by the kernel's out-of-memory killer
+        raise RunError(str(exc)) from exc
     ce = mc.estimate_certainty_equivalent(opt, claim, pref, label="ce")
     mc.dual_density_terminal(G, opt, pref)
     mass = mc.estimate_martingale_mass(opt)
@@ -726,6 +747,9 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
+    except RunError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

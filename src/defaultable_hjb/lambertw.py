@@ -13,7 +13,13 @@ and underflow for any finite u.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import lambertw, wrightomega
+
+from .backends import scipy_module
+
+# scipy.special's own objects, loaded without its package __init__ (see
+# backends)
+wrightomega = scipy_module("scipy.special._ufuncs", "scipy.special").wrightomega
+lambertw = scipy_module("scipy.special._lambertw", "scipy.special").lambertw
 
 
 class ThetaDomainError(ValueError):

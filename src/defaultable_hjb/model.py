@@ -13,7 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
+
+from .backends import scipy_module
+
+_ufuncs = scipy_module("scipy.special._ufuncs", "scipy.special")
+gammaincinv, ndtri = _ufuncs.gammaincinv, _ufuncs.ndtri
 
 
 class ModelError(ValueError):

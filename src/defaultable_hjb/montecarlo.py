@@ -486,7 +486,7 @@ class _Worker:
     thresholds and the fields down, and receive() reads back what the
     worker sends up as a fork_map child does: its bundles, or its
     exception, and its warnings.  A worker that ends before it is done
-    raises RuntimeError in the caller.
+    raises WorkerDied in the caller.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -580,9 +580,9 @@ class _Worker:
                 os.close(fd)
         self._fds = []
 
-    def _died(self) -> RuntimeError:
-        return RuntimeError(f"simulate_halves worker {self.pid} ended "
-                            "during the draw")
+    def _died(self) -> WorkerDied:
+        return WorkerDied(f"simulate_halves worker {self.pid} ended "
+                          "during the draw")
 
     def _serve(self, m: ModelSpec, horizon: float, down: int, up: int):
         """The body of the forked worker: store its half's noise, read its
@@ -712,17 +712,31 @@ def estimate_martingale_mass(bundle: PathBundle,
 _mapping = False
 
 
+class WorkerDied(RuntimeError):
+    """A forked worker ended before it sent its results."""
+
+
 def _fork(pipes: int = 1):
     """(pid, fds) of a fork made after that many pipes, fds holding each
     pipe's read and write ends in turn, or None, with nothing left open,
-    where a pipe or the process is refused."""
+    where a pipe or the process is refused.  The child ignores SIGINT,
+    so a Ctrl-C to the process group interrupts only the caller, which
+    then kills the child; SIGINT is blocked across the fork, so the
+    child cannot take one before it ignores them."""
     fds = []
     try:
         for _ in range(pipes):
             fds.extend(os.pipe())
         sys.stdout.flush()
         sys.stderr.flush()
-        return os.fork(), fds
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pid = os.fork()
+            if pid == 0:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return pid, fds
     except OSError:
         for fd in fds:
             os.close(fd)
@@ -741,7 +755,7 @@ def fork_map(fn, items) -> list:
     re-emits those warnings and raises the first failing item's
     exception, in item order.  The child is reaped before the call
     returns, and killed first if the call raises; a child that ends
-    without sending raises RuntimeError.  On one CPU, for one item, for
+    without sending raises WorkerDied.  On one CPU, for one item, for
     a call made from inside a map (in the child, or from fn in the
     caller), and where the system refuses the pipe or the process (an
     OSError such as EAGAIN under a process limit), it is the plain loop,
@@ -803,11 +817,11 @@ def _read_all(fd: int) -> bytes:
 def _collect(pid: int, payload: bytes, name: str):
     """Reap the child pid and unpickle what its _worker sent: (its
     results, its failure or None), with its warnings re-emitted here; a
-    child that ended without sending raises RuntimeError."""
+    child that ended without sending raises WorkerDied."""
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0 or not payload:
-        raise RuntimeError(f"{name} worker {pid} ended with exit code "
-                           f"{code} before sending its results")
+        raise WorkerDied(f"{name} worker {pid} ended with exit code "
+                         f"{code} before sending its results")
     done, failure, warned = pickle.loads(payload)
     for message, category, filename, lineno in warned:
         warnings.warn_explicit(message, category, filename, lineno)

@@ -155,3 +155,86 @@ def test_gtsv_falls_back_to_scipy_linalg_where_the_file_is_not_found():
                  "print(fell_back, backends.dgtsv is lapack.dgtsv, "
                  "test_backends._pivoting_digest())")
     assert out == ["True", "True", _pivoting_digest()]
+
+
+@pytest.mark.parametrize("first", ["scipy.special", "package"])
+def test_ufuncs_are_scipy_specials_whichever_loads_first(first):
+    # lambertw and model load scipy.special's extensions alone; a later
+    # scipy.special runs its __init__ on those modules
+    imports = ["import scipy.special",
+               "from defaultable_hjb import lambertw, model; "
+               "alone = 'scipy.special' not in sys.modules"]
+    if first == "package":
+        imports.reverse()
+    out = _fresh("import sys; " + "; ".join(imports) + "; "
+                 "import scipy.special as sp; "
+                 "print(alone, lambertw.wrightomega is sp.wrightomega, "
+                 "model.ndtri is sp.ndtri, "
+                 "model.gammaincinv is sp.gammaincinv, "
+                 "lambertw.lambertw is sp.lambertw)")
+    assert out == [str(first == "package")] + ["True"] * 4
+
+
+def _theta_digest() -> str:
+    """SHA-256 of theta_of_log on a fixed array."""
+    from defaultable_hjb.lambertw import theta_of_log
+    u = np.linspace(-700.0, 700.0, 10001)
+    return hashlib.sha256(theta_of_log(u).tobytes()).hexdigest()
+
+
+def test_ufuncs_fall_back_to_scipy_special_where_the_file_is_not_found():
+    out = _fresh("import importlib.machinery, sys; "
+                 "importlib.machinery.EXTENSION_SUFFIXES = []; "
+                 "from defaultable_hjb import lambertw; "
+                 "fell_back = 'scipy.special' in sys.modules; "
+                 "import scipy.special as sp, test_backends; "
+                 "print(fell_back, lambertw.wrightomega is sp.wrightomega, "
+                 "test_backends._theta_digest())")
+    assert out == ["True", "True", _theta_digest()]
+
+
+@pytest.mark.parametrize("failure", [
+    "importlib.machinery.EXTENSION_SUFFIXES = []",
+    "importlib.machinery.ExtensionFileLoader.create_module = fail",
+], ids=["no file", "load fails"])
+def test_a_failed_load_leaves_no_stand_in(failure):
+    # an extension of scipy.special that the package does not load, with
+    # the math module as its fallback, so that nothing imports
+    # scipy.special: neither it nor the extension may be left behind
+    out = _fresh("import importlib.machinery, math, sys\n"
+                 "from defaultable_hjb.backends import scipy_module\n"
+                 "def fail(*args):\n"
+                 "    raise OSError('refused')\n"
+                 f"{failure}\n"
+                 "got = scipy_module('scipy.special._comb', 'math')\n"
+                 "print(got is math, [m for m in ('scipy.special',\n"
+                 "      'scipy.special._comb') if m in sys.modules])")
+    assert out == ["True", "[]"]
+
+
+def test_an_import_of_the_package_on_another_thread_waits_for_the_load():
+    # loading an extension that the package does not load: the thread's
+    # import finds the stand-in, waits for the load to end, and reads
+    # scipy.special's own names; scipy.special then keeps the extension
+    out = _fresh("import importlib.machinery, sys, threading, time\n"
+                 "from defaultable_hjb.backends import scipy_module\n"
+                 "load = importlib.machinery.ExtensionFileLoader.exec_module\n"
+                 "got, waited = [], []\n"
+                 "def other():\n"
+                 "    from scipy.special import ndtri\n"
+                 "    got.append(ndtri)\n"
+                 "def exec_module(self, module):\n"
+                 "    if module.__name__ == 'scipy.special._comb':\n"
+                 "        thread.start()\n"
+                 "        time.sleep(0.2)\n"
+                 "        waited.append(thread.is_alive())\n"
+                 "    return load(self, module)\n"
+                 "thread = threading.Thread(target=other)\n"
+                 "importlib.machinery.ExtensionFileLoader.exec_module = "
+                 "exec_module\n"
+                 "comb = scipy_module('scipy.special._comb', 'math')\n"
+                 "thread.join(60)\n"
+                 "import scipy.special as sp\n"
+                 "print(waited == [True], thread.is_alive(), got == [sp.ndtri],\n"
+                 "      comb is sys.modules['scipy.special._comb'])")
+    assert out == ["True", "False", "True", "True"]

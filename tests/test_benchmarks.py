@@ -131,6 +131,11 @@ def test_bench_e2e_runs_every_subcommand_in_its_own_process(tmp_path):
              "price-bond", "price-insurance", "check-assumptions", "verify"}
     assert set(record["runs"]) == set(record["summary"]) == cases
     assert record["rounds"] == 1 and "revision" in record
-    for runs in record["runs"].values():
+    for name, runs in record["runs"].items():
         assert len(runs) == 1
         assert runs[0]["wall_s"] > 0 and runs[0]["peak_rss_mb"] > 0
+        # the import alone also counts the modules it loads
+        assert set(runs[0]) == {"wall_s", "peak_rss_mb"} | (
+            {"modules"} if name == "startup" else set())
+        assert set(record["summary"][name]) == set(runs[0])
+    assert record["runs"]["startup"][0]["modules"] > 0

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -163,6 +164,32 @@ def test_convergence_solves_a_repeated_grid_once(monkeypatch, tmp_path):
     assert [r[3] for r in rows[:2]] == ["", ""]
     assert float(rows[2][3]) == float(rows[2][2]) - float(rows[1][2])
 
+
+@pytest.mark.parametrize("mode, x0", [("local:4", None), ("full", 5.0)])
+def test_a_probe_outside_the_grid_marches_only_the_finest_level(
+        monkeypatch, tmp_path, capsys, mode, x0):
+    # x0 = theta = 0.06 lies outside local mode's E_4 = (0.25, 4), and
+    # x0 = 5 outside the full grid: no level's value is read, so the
+    # coarse levels are not marched, and their cells stay empty
+    march, grids = cli._march, []
+
+    def traced(segments, *args):
+        grids.append([(s.grid.n_space, s.grid.n_time) for s in segments])
+        return march(segments, *args)
+
+    monkeypatch.setattr(cli, "_march", traced)
+    cfgp = _write(tmp_path, nx=64, nt=32)
+    if x0 is not None:
+        Path(cfgp).write_text(Path(cfgp).read_text().replace(
+            "[model]\n", f"[model]\nx0 = {x0}\n"))
+    assert main(["solve", "--config", cfgp, "--out", str(tmp_path),
+                 "--mode", mode]) == 0
+    assert grids == [[(64, 32)]]
+    conv = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert conv[-3:] == ["16,16,,", "32,16,,", "64,32,,"]
+    assert "lies outside the grid" in capsys.readouterr().err
+
+
 def _traced_peak(argv) -> int:
     """The tracemalloc peak of a second call of main(argv), the first
     putting lazy imports and caches in place."""
@@ -208,7 +235,9 @@ def test_solve_keeps_two_rows_and_no_record_of_each_coarse_level(
         monkeypatch, tmp_path, mode):
     # convergence.csv reads a coarse level only at (0, x0), from its first
     # two time rows; the finest level is written whole, with its record.
-    # Protected mode's zero-claim ladder is kept whole for its rates.
+    # Protected mode's zero-claim ladder is kept whole for its rates.  In
+    # local mode the probe is moved inside E_4 = (0.25, 4), as the coarse
+    # levels are marched only for a probe inside the grid.
     march, marches = cli._march, []
 
     def kept(segments, *args):
@@ -217,8 +246,13 @@ def test_solve_keeps_two_rows_and_no_record_of_each_coarse_level(
         return surfaces, records
 
     monkeypatch.setattr(cli, "_march", kept)
+    text = Path(REFERENCE_INI).read_text()
+    if mode == "local:4":
+        text = text.replace("kind = cir\n", "kind = cir\nx0 = 0.5\n")
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["solve", "--mode", mode, "--config", REFERENCE_INI,
+        assert main(["solve", "--mode", mode, "--config", str(ini),
                      "--out", str(tmp_path), "--grid", "128,128"]) == 0
     assert len(marches) == (2 if mode == "protected" else 1)
     segments, surfaces, records = marches[-1]
@@ -873,6 +907,52 @@ def test_a_solve_that_fails_after_the_fork_exits_2(monkeypatch, tmp_path,
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert threading.active_count() == threads
+
+
+
+@pytest.mark.parametrize("when", ["draw", "job"])
+def test_a_worker_that_dies_exits_3(monkeypatch, tmp_path, capsys, when):
+    # the worker killed after the third block it was handed, or as its job
+    # is sent after the draw (test_montecarlo's fault injection): one
+    # stderr line and exit 3, and no process, thread or descriptor left
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(mc, "_DRAW_BLOCK", 4 * 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    feed, send = mc._Worker.feed, mc._Worker.send
+    fed, forks = [], []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    def killing_feed(worker, rng, rows):
+        fed.append(rows)
+        if when == "draw" and len(fed) == 4:
+            os.kill(worker.pid, signal.SIGKILL)
+        return feed(worker, rng, rows)
+
+    def killing_send(worker, *args):
+        os.kill(worker.pid, signal.SIGKILL)
+        return send(worker, *args)
+
+    monkeypatch.setattr(mc._Worker, "feed", killing_feed)
+    monkeypatch.setattr(mc._Worker, "send", killing_send)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    threads = threading.active_count()
+    fds = set(os.listdir("/proc/self/fd"))
+    cfg = _write(tmp_path, nx=48, nt=24, paths=400, steps=10)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"run error: simulate_halves worker \d+ ended "
+        + ("during the draw" if when == "draw"
+           else "with exit code -9 before sending its results") + "\n", err)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
+    assert set(os.listdir("/proc/self/fd")) == fds
 
 
 def test_a_nan_gap_is_a_listed_failure(monkeypatch, tmp_path, capsys):

@@ -67,6 +67,14 @@ def _run(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
+_ON_DEMAND = ("defaultable_hjb.assumptions", "defaultable_hjb.montecarlo")
+# loaded by no subcommand: backends loads gtsv's extension and
+# scipy.special's ufuncs without scipy.linalg's and scipy.special's
+# package __init__, whose array-API shim loads the numpy modules below
+_NEVER = ("scipy.linalg", "scipy.special", "scipy._lib.array_api_compat",
+          "numpy.f2py", "numpy.testing", "numpy.ma")
+
+
 def test_cli_import_loads_no_stats_interpolate_or_linalg():
     # scipy.stats and scipy.interpolate take most of the import time and
     # serve no CLI path; backends loads gtsv's extension without
@@ -77,9 +85,10 @@ def test_cli_import_loads_no_stats_interpolate_or_linalg():
     assert out.strip() == "[]"
 
 
-_ON_DEMAND = ("defaultable_hjb.assumptions", "defaultable_hjb.montecarlo")
-# loaded by no subcommand
-_NEVER = ("scipy.linalg",)
+def test_cli_import_loads_neither_scipy_special_nor_its_shim():
+    out = _run("import sys, defaultable_hjb.cli; "
+               f"print(sorted(m for m in {_NEVER!r} if m in sys.modules))")
+    assert out.strip() == "[]"
 
 
 def test_cli_import_loads_neither_assumptions_nor_montecarlo():

@@ -702,7 +702,7 @@ def test_a_worker_that_dies_raises_runtime_error(monkeypatch, paper_model,
     monkeypatch.setattr(mc._Worker, "feed", killing_feed)
     monkeypatch.setattr(mc._Worker, "send", killing_send)
     pids = _counting_fork(monkeypatch)
-    with pytest.raises(RuntimeError,
+    with pytest.raises(mc.WorkerDied,
                        match="ended during the draw" if when == "draw"
                        else "ended with exit code -9"):
         _split_run(paper_model, cfg, fields)
@@ -713,6 +713,21 @@ def test_a_worker_that_dies_raises_runtime_error(monkeypatch, paper_model,
     assert len(pids) == 1
     assert len(fed) <= 8 if when == "draw" else len(fed) == 400
 
+
+
+def test_the_worker_ignores_sigint(monkeypatch, paper_model,
+                                   split_everything):
+    # a Ctrl-C to the process group interrupts only the caller, which
+    # kills the worker on its way out; the caller's signal mask is restored
+    pids = _counting_fork(monkeypatch)
+    cfg = SimConfig(n_paths=400, n_steps=10, seed=1, x0=0.06)
+    with mc.simulate_halves(paper_model, cfg, 1.0):
+        with open(f"/proc/{pids[0]}/status") as status:
+            ignored = [int(line.split()[1], 16) for line in status
+                       if line.startswith("SigIgn:")][0]
+    assert ignored >> (signal.SIGINT - 1) & 1
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    _no_child_left()
 
 @pytest.mark.parametrize("bad", [250, 799])
 def test_a_failed_draw_of_the_workers_half_is_raised(monkeypatch,
@@ -898,7 +913,7 @@ def test_a_child_that_dies_raises_runtime_error():
 
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs two CPUs to fork a child")
-    with pytest.raises(RuntimeError, match="exit code 3"):
+    with pytest.raises(mc.WorkerDied, match="exit code 3"):
         mc.fork_map(fn, range(4))
     _no_child_left()
 
