@@ -21,8 +21,8 @@ is RUSAGE_CHILDREN for this one child: the larger of its own peak and
 that of the children it reaped (verify's forked worker).  A call that
 exits other than 0 stops the run.
 
-Each case reports its runs, their median and their quartiles (25th and
-75th percentiles) of each metric; the record also carries the git revision of the
+Each case reports its runs, and each metric's median and quartiles (25th
+and 75th percentiles); the record also carries the git revision of the
 package measured, found through PYTHONPATH.  With --out the record is
 merged under --label into that JSON file.  A record already there under
 the same label and revision gains the new runs, so that two checkouts

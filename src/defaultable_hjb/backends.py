@@ -9,7 +9,7 @@ the ufuncs wrightomega, ndtri and gammaincinv and the lambertw wrapper
 from scipy.special.  The __init__ of either subpackage loads far more:
 scipy.special's runs an array-API shim that imports numpy.f2py,
 numpy.testing, numpy.ma and numpy.random, and scipy.linalg's some forty
-modules.  Without a bytecode cache the two cost about 0.23 s and 25 MB
+modules.  Without a bytecode cache the two cost about 0.22 s and 25 MB
 of peak RSS of every CLI call's start-up.  So scipy_module loads only
 the module that holds the names (scipy.special._ufuncs,
 scipy.special._lambertw, scipy.linalg._flapack) from its file beside

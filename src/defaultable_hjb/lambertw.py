@@ -18,7 +18,8 @@ from .backends import scipy_module
 
 # scipy.special's own objects, loaded without its package __init__ (see
 # backends)
-wrightomega = scipy_module("scipy.special._ufuncs", "scipy.special").wrightomega
+wrightomega = scipy_module("scipy.special._ufuncs",
+                           "scipy.special").wrightomega
 lambertw = scipy_module("scipy.special._lambertw", "scipy.special").lambertw
 
 

@@ -235,6 +235,7 @@ def test_an_import_of_the_package_on_another_thread_waits_for_the_load():
                  "comb = scipy_module('scipy.special._comb', 'math')\n"
                  "thread.join(60)\n"
                  "import scipy.special as sp\n"
-                 "print(waited == [True], thread.is_alive(), got == [sp.ndtri],\n"
+                 "print(waited == [True], thread.is_alive(),\n"
+                 "      got == [sp.ndtri],\n"
                  "      comb is sys.modules['scipy.special._comb'])")
     assert out == ["True", "False", "True", "True"]
