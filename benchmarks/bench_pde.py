@@ -18,9 +18,9 @@ times, --repeat times each in this process:
   row of the zero-claim surface;
 * residual of the zero-claim surface;
 * the solves behind one `solve` of each mode on perfbench/reference.ini:
-  cli._solve_levels of the 100^2, 200^2 and 400^2 levels, kept as solve
-  keeps them: two time rows of each coarse level, the finest whole with
-  its step residuals;
+  solve_levels of the 400^2, 100^2 and 200^2 levels, in solve's order and
+  kept as solve keeps them: the finest whole with its step residuals,
+  two time rows of each coarse level;
 * cli._surface_lines of that surface, consumed line by line as the CLI
   writes it; the lines come a block of 8 time rows at a time (a block
   keeps its temporaries below glibc's mmap threshold), so only one
@@ -52,6 +52,7 @@ import subprocess
 import tempfile
 import time
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +117,17 @@ def cases(out_dir: str) -> dict:
     def ladder(mode):
         cfg = cli.parse_config(str(CONFIG), argparse.Namespace(mode=mode))
         m, claims, pref = cli.build_problem(cfg)
-        grids = [cli.make_grid(cfg, m, pref, nx=max(cfg.nx // div, 16),
-                               nt=max(cfg.nt // div, 16))
-                 for div in (4, 2, 1)]
-        return lambda: cli._solve_levels(cfg, m, claims[0], pref, grids,
-                                         [False, False, True])
+        loc = dh.build_localization(m, cfg.local_n) \
+            if cfg.mode == "local" else None
+        levels = []
+        for div in (1, 4, 2):
+            g = cli.make_grid(cfg, m, pref, nx=max(cfg.nx // div, 16),
+                              nt=max(cfg.nt // div, 16))
+            if loc is not None:
+                g = replace(g, x_min=loc.outer[0], x_max=loc.outer[1])
+            levels.append((claims[0], g, None if div == 1 else 2, div == 1))
+        return lambda: list(dh.solve_levels(m, pref, cfg.mode, levels,
+                                            loc=loc))
 
     def command(name):
         argv = COMMANDS[name][0] + ["--config", str(CONFIG),

@@ -9,9 +9,10 @@ grouped by the quantity they serve.
   localization E_n and chi_n): ``make_cir_model``, ``make_ou_model``,
   ``make_custom_model``, ``paper_cir_params``, ``bond_claim``, ...
 * The certainty equivalent G, solved in full, local and protected
-  modes: ``solve_full``, ``solve_local``, ``solve_protected``, and for
-  several claims at once ``solve_claims``, with
-  ``Surface``, ``GridSpec``, ``default_grid`` and the stepping
+  modes: ``solve_full``, ``solve_local``, ``solve_protected``, for
+  several claims at once ``solve_claims``, and for several levels of one
+  mode at once, with the rule for a block that fails, ``solve_levels``;
+  with ``Surface``, ``GridSpec``, ``default_grid`` and the stepping
   ``residual``.
 * Indifference prices of defaultable bonds, the optimal position, and
   the dynamic insurance rate with its upper bound and sign indicator:
@@ -42,7 +43,7 @@ from .model import (CIRParams, ClaimSpec, Domain1D, LocalizationSpec,
                     zero_claim)
 from .solver import (GridSpec, NewtonDivergence, SolverOptions, Surface,
                      default_grid, residual, solve_claims, solve_full,
-                     solve_local, solve_protected)
+                     solve_levels, solve_local, solve_protected)
 from .pricing import (RadicandNegative, indifference_price, insurance_bounds,
                       insurance_rate, insurance_rate_h_form, optimal_policy,
                       protected_policy, short_horizon_curve,

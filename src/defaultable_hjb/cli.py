@@ -7,7 +7,8 @@ schema (_SCHEMA); unknown keys, keys of the other model kind, values
 that are not finite and repeated notionals are hard errors.  Every
 output file is written by _write; the library modules open no files.
 Exit codes: 0 success, 1 verification/check failure, 2 configuration
-error or a solve that does not converge.
+error or a solve that does not converge, 3 a run that could not finish
+(a verify worker that died).
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .model import (ModelError, OUParams, CIRParams, Preferences,
                     invariant_band, make_cir_model, make_ou_model,
                     paper_cir_params, zero_claim)
 from .lambertw import ThetaDomainError
-from .solver import (GridSpec, NewtonDivergence, Surface, _full_segment,
-                     _local_segment, _march, _protected_segment, block_rows,
-                     solve_claims, solve_full)
+from .solver import (GridSpec, NewtonDivergence, Surface, block_rows,
+                     solve_claims, solve_full, solve_levels)
 
 
 class ConfigError(ValueError):
@@ -452,99 +452,54 @@ def _report_lines(report) -> list:
     return lines
 
 
-def _localization(cfg: RunConfig, m):
-    """The localization of --mode local:N; a bad N is a ConfigError."""
-    try:
-        return build_localization(m, cfg.local_n)
-    except ModelError as exc:
-        raise ConfigError(f"bad --mode local:{cfg.local_n}: {exc}") from exc
-
-
-def _solve_levels(cfg: RunConfig, m, claim, pref, grids: list,
-                  whole: list, loc=None) -> list:
-    """(surface, step residuals) of cfg.mode on each grid, the grids
-    marched as one lockstep block, each bit for bit its own solve.  A
-    level whose entry of whole is true keeps every time row and its step
-    residuals; any other keeps the two time rows that Surface.at(0, x0)
-    reads, and no residuals (None).  Local mode solves on the outer
-    bounds of loc, its localization, built here if not given.  In
-    protected mode the zero claim's full-equation ladder marches first,
-    kept whole for the insurance rates, then the protected ladder on
-    those rates."""
-    if cfg.mode == "local":
-        if loc is None:
-            loc = _localization(cfg, m)
-        segments = [_local_segment(m, claim, pref, loc,
-                                   replace(g, x_min=loc.outer[0],
-                                           x_max=loc.outer[1]))
-                    for g in grids]
-    elif cfg.mode == "protected":
-        zero = _march([_full_segment(m, zero_claim(), pref, g)
-                       for g in grids])[0]
-        # each zero-claim surface is dropped once its rate is formed
-        segments = [_protected_segment(
-                        m, pref, pricing.insurance_rate(zero.pop(0), m, pref),
-                        g) for g in grids]
-    else:
-        segments = [_full_segment(m, claim, pref, g) for g in grids]
-    return list(zip(*_march([replace(seg, rows=None if w else 2, record=w)
-                             for seg, w in zip(segments, whole)])))
-
-
-# what fails a lockstep ladder: the levels are then solved one by one
-_LADDER_FAILURES = (NewtonDivergence, ThetaDomainError, ModelError,
-                    pricing.RadicandNegative)
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     m, claims, pref = build_problem(cfg)
     grid = make_grid(cfg, m, pref)
     header = cfg.header_lines()
-    loc = _localization(cfg, m) if cfg.mode == "local" else None
+    loc = None
+    if cfg.mode == "local":
+        try:
+            loc = build_localization(m, cfg.local_n)
+        except ModelError as exc:
+            raise ConfigError(f"bad --mode local:{cfg.local_n}: {exc}") \
+                from exc
     x0 = _default_x0(cfg, m)
     lo, hi = loc.outer if loc else (grid.x_min, grid.x_max)
     notes = [] if lo <= x0 <= hi else [
         f"probe x0 = {x0:.17g} lies outside the grid [{lo:.17g}, {hi:.17g}]; "
         "value is clamped to the edge"]
-    # self-convergence at (t=0, x0) on nx/4, nx/2 and nx; the finest level
-    # is written to surface.csv.  A level that repeats the previous grid
-    # (each is at least 16 x 16) is the same solve: each grid is marched
-    # once, keyed by its (nx, nt), and the finest whole.  A probe outside
-    # the grid reads no level's value, so only the finest is marched
+    # self-convergence at (t=0, x0) on nx/4, nx/2 and nx, each grid (at
+    # least 16 x 16) marched once, keyed by its (nx, nt).  The finest comes
+    # first, whole with its record, and is written before a coarse level
+    # is marched alone (see solve_levels); a coarse level keeps the two
+    # rows that Surface.at(0, x0) reads.  A probe outside the grid reads
+    # no level's value, so only the finest is marched
     dims = [(max(cfg.nx // div, 16), max(cfg.nt // div, 16))
             for div in (4, 2, 1)]
-    grids = [make_grid(cfg, m, pref, nx=nx, nt=nt)
-             for nx, nt in dims[:2]] + [grid]
-    fresh = [2] if notes else [i for i in range(3)
-                               if i == 2 or dims[i] != dims[i + 1]]
-    try:
-        levels = dict(zip([dims[i] for i in fresh], _solve_levels(
-            cfg, m, claims[0], pref, [grids[i] for i in fresh],
-            [i == 2 for i in fresh], loc)))
-    except _LADDER_FAILURES:
-        if len(fresh) == 1:
-            raise
-        # level by level, nx first, then nx/4 and nx/2, with the files of
-        # nx written before the next: the first level that fails alone
-        # raises its own error
-        levels = {dims[2]: _solve_levels(cfg, m, claims[0], pref, [grid],
-                                         [True], loc)[0]}
-    G, res = levels[dims[2]]
+    fresh = [2] if notes else [2] + [i for i in (0, 1)
+                                     if dims[i] != dims[i + 1]]
+    levels = []
+    for i in fresh:
+        g = grid if i == 2 else make_grid(cfg, m, pref, *dims[i])
+        if loc is not None:
+            g = replace(g, x_min=loc.outer[0], x_max=loc.outer[1])
+        levels.append((claims[0], g, None if i == 2 else 2, i == 2))
+    solved = solve_levels(m, pref, cfg.mode, levels, loc=loc)
+    G, res = next(solved)
     _write(cfg, "surface.csv", header, _surface_lines(G))
     np.abs(res, out=res)  # the record is read only here
     _write(cfg, "residual_summary.txt", header,
            [f"max_abs_residual = {float(np.max(res)):.17g}",
             f"mean_abs_residual = {float(np.mean(res)):.17g}"])
+    surfaces = {dims[2]: G}
+    surfaces.update((dims[i], S) for i, (S, _) in zip(fresh[1:], solved))
 
     # a clamped probe would read the grid's edge, not x0: its values and
     # differences are left empty (None), as is the difference of a level
     # that repeats the previous grid (0 by construction)
     values = [None] * 3
-    for i, g in enumerate(grids if not notes else []):
-        if dims[i] not in levels:
-            levels[dims[i]] = _solve_levels(cfg, m, claims[0], pref, [g],
-                                            [False], loc)[0]
-        values[i] = float(levels[dims[i]][0].at(0.0, np.atleast_1d(x0))[0])
+    for i in range(3) if not notes else []:
+        values[i] = float(surfaces[dims[i]].at(0.0, np.atleast_1d(x0))[0])
     rows = ["nx,nt,value_at_x0,diff_from_previous"]
     for i, ((nx, nt), v) in enumerate(zip(dims, values)):
         d = "" if v is None or i == 0 or dims[i] == dims[i - 1] \

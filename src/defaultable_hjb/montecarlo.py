@@ -423,16 +423,16 @@ def simulate_halves(m: ModelSpec, cfg: SimConfig, horizon: float):
     draw starts, so only the calling thread is alive at the fork: the
     helper draws the worker's half into a shared ring and the worker
     stores it, so each process holds only its own half's noise.
-    Elsewhere (where the split does not pay, on one CPU, inside a
-    fork_map, or where a pipe, the ring or the fork is refused) the draw
-    and the loop run in process.  The loop is elementwise across paths, so
-    the bundles are bit for bit those of one simulate_policies call on
-    draw_noise(cfg), sharing x_T and delta as they do.  Leaving the with
+    Elsewhere (where the split does not pay, on one CPU, or where a pipe,
+    the ring or the fork is refused) the draw and the loop run in
+    process.  The loop is elementwise across paths, so the bundles are
+    bit for bit those of one simulate_policies call on draw_noise(cfg),
+    sharing x_T and delta as they do.  Leaving the with
     block stops the helper after one more block at most, then kills and
     reaps a worker that has not ended, whatever ends the block.
     """
     worker = None
-    if _split_pays(cfg) and not _mapping and _cpus() >= 2:
+    if _split_pays(cfg) and _cpus() >= 2:
         worker = _Worker.fork(m, cfg, horizon)
     try:
         with NoiseDraw(cfg, worker) as draw:
@@ -484,9 +484,9 @@ class _Worker:
     (n_steps, n - cut) arrays and sends the number back up, which frees
     the slot.  After the draw, send() pickles the worker's default
     thresholds and the fields down, and receive() reads back what the
-    worker sends up as a fork_map child does: its bundles, or its
-    exception, and its warnings.  A worker that ends before it is done
-    raises WorkerDied in the caller.
+    worker sends up (_worker): its bundles, or its exception, and its
+    warnings.  A worker that ends before it is done raises WorkerDied in
+    the caller.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -707,11 +707,6 @@ def estimate_martingale_mass(bundle: PathBundle,
     return _sample_mean(_terminal_density(bundle), label)
 
 
-# True while this process runs a fork_map, and in the child it forks: a
-# map started from inside one runs in process, so maps never nest
-_mapping = False
-
-
 class WorkerDied(RuntimeError):
     """A forked worker ended before it sent its results."""
 
@@ -741,63 +736,6 @@ def _fork(pipes: int = 1):
         for fd in fds:
             os.close(fd)
         return None
-
-
-def fork_map(fn, items) -> list:
-    """[fn(item) for item in items], on up to two CPUs.
-
-    Where this process may use two or more CPUs and there are two or more
-    items, the odd-numbered items run in one child forked for this call,
-    which inherits fn and the items (numpy arrays copy-on-write), and the
-    even-numbered ones in this process.  The child sends back, as one
-    pickle over a pipe, its results, or its first exception, and the
-    warnings it recorded under the filters it inherited.  The caller
-    re-emits those warnings and raises the first failing item's
-    exception, in item order.  The child is reaped before the call
-    returns, and killed first if the call raises; a child that ends
-    without sending raises WorkerDied.  On one CPU, for one item, for
-    a call made from inside a map (in the child, or from fn in the
-    caller), and where the system refuses the pipe or the process (an
-    OSError such as EAGAIN under a process limit), it is the plain loop,
-    whose fn(item) is the child's to the bit.
-    """
-    global _mapping
-    items = list(items)
-    forked = None
-    if not (_mapping or len(items) < 2 or _cpus() < 2):
-        forked = _fork()
-    if forked is None:
-        return [fn(item) for item in items]
-    pid, (read_fd, write_fd) = forked
-    if pid == 0:
-        os.close(read_fd)
-        _worker(fn, items[1::2], write_fd)
-    os.close(write_fd)
-    _mapping = True
-    reaped = False
-    try:
-        mine, failure = _run_share(fn, items[0::2])
-        # this process's item i is item 2i, the child's item i is 2i + 1:
-        # a failure at item 0 comes before all of the child's
-        if failure is not None and failure[0] == 0:
-            raise failure[1]
-        payload = _read_all(read_fd)
-        reaped = True
-        theirs, child_failure = _collect(pid, payload, "fork_map")
-        if child_failure is not None and (
-                failure is None or child_failure[0] < failure[0]):
-            failure = child_failure
-        if failure is not None:
-            raise failure[1]
-        results = [None] * len(items)
-        results[0::2], results[1::2] = mine, theirs
-        return results
-    finally:
-        _mapping = False
-        os.close(read_fd)
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _cpus() -> int:
@@ -843,8 +781,6 @@ def _run_share(fn, share: list):
 def _worker(fn, share: list, write_fd: int):
     """The body of the forked child: run its share, send it, and exit
     without returning into the caller's stack."""
-    global _mapping
-    _mapping = True
     status = 1
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -16,16 +16,15 @@ y * theta'(y) * (1 + theta(y)) = theta(y).
 The marcher steps a block of surfaces that share a model, a mode and
 preferences, laid end to end as segments of one array (a single solve is
 a block of one).  Each segment has its own grid, time step and terminal
-row: the claims of solve_claims are equal segments, and the CLI's
-convergence ladder marches its three grids as one block.  The segments
+row: the levels of solve_levels, the one public march, such as the
+claims of solve_claims or the CLI's convergence ladder.  The segments
 step in lockstep: each Newton iteration evaluates the operator once and
 solves one block-diagonal tridiagonal system on the span from the first
 to the last segment still iterating, while each segment keeps its own
 convergence test and its own line-search step length, halved until its
 own residual falls, and so takes exactly the Newton path it takes
-alone.  A block fails as a whole, at the first failure of any segment;
-solve_claims then marches the claims one by one to raise the first
-failing claim's own error.
+alone.  A block fails as a whole; solve_levels states the rule that
+then marches its levels one by one.
 
 The marcher carries the operator evaluation (F, Jacobian) of the
 current iterate along, always equal to evaluating it afresh: the last
@@ -47,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -56,7 +55,7 @@ import numpy as np
 from . import backends
 from .lambertw import ThetaDomainError, theta_of_log
 from .model import (ClaimSpec, LocalizationSpec, ModelError, ModelSpec,
-                    Preferences, default_truncation)
+                    Preferences, default_truncation, zero_claim)
 
 
 class NewtonDivergence(RuntimeError):
@@ -774,68 +773,102 @@ def _march(segments: list, opt: SolverOptions = SolverOptions()) -> tuple:
             [residuals[p] for p in back])
 
 
-def _full_segment(m: ModelSpec, c: ClaimSpec, pref: Preferences,
-                  grid: GridSpec, coef: Optional[_Coeffs] = None) -> _Segment:
-    """The full equation from G(T, .) = q * phi on grid."""
-    xs = grid.xs
-    if coef is None:
-        coef = _Coeffs(m, xs, pref.alpha)
-    return _Segment("full", grid, coef,
-                    c.q * np.asarray(c.phi(xs), dtype=float),
-                    chi=np.ones_like(xs))
+def _segments(m: ModelSpec, pref: Preferences, mode: str, levels: list,
+              opt: SolverOptions, loc, rates) -> list:
+    """The _Segment of each level of solve_levels; levels on one grid
+    share its coefficients."""
+    coefs = {}
+
+    def segment(mode, claim, grid, rows=None, record=False, rate=None):
+        xs = grid.xs
+        if mode == "protected":
+            rate = np.asarray(rate, dtype=float)
+            if rate.shape != (grid.n_time + 1, grid.n_space + 1):
+                raise ValueError("rate field not aligned with the grid")
+            chi, terminal = None, np.zeros(xs.size)
+        else:
+            if mode == "local" and not (
+                    np.isclose(grid.x_min, loc.outer[0])
+                    and np.isclose(grid.x_max, loc.outer[1])):
+                raise ValueError(
+                    "grid must coincide with the localization interval E_n")
+            chi = np.ones_like(xs) if mode == "full" else \
+                np.asarray(loc.chi(xs), dtype=float)
+            terminal = chi * claim.q * np.asarray(claim.phi(xs), dtype=float)
+        if grid not in coefs:
+            coefs[grid] = _Coeffs(m, xs, pref.alpha)
+        return _Segment(mode, grid, coefs[grid], terminal, chi, rate, rows,
+                        record)
+
+    if mode == "protected" and rates is None:
+        # pricing imports this module
+        from .pricing import insurance_rate
+        zero = _march([segment("full", zero_claim(), g)
+                       for _, g, _, _ in levels], opt)[0]
+        # each zero-claim surface is dropped once its rate is formed
+        rates = (insurance_rate(zero.pop(0), m, pref) for _ in levels)
+    return [segment(mode, *level, rate) for level, rate in zip(
+        levels, itertools.repeat(None) if rates is None else rates)]
 
 
-def _local_segment(m: ModelSpec, c: ClaimSpec, pref: Preferences,
-                   loc: LocalizationSpec, grid: GridSpec) -> _Segment:
-    """The mollified equation on E_n, grid its interval."""
-    if not (np.isclose(grid.x_min, loc.outer[0]) and
-            np.isclose(grid.x_max, loc.outer[1])):
-        raise ValueError("grid must coincide with the localization interval E_n")
-    xs = grid.xs
-    chi = np.asarray(loc.chi(xs), dtype=float)
-    coef = _Coeffs(m, xs, pref.alpha)
-    return _Segment("local", grid, coef,
-                    chi * c.q * np.asarray(c.phi(xs), dtype=float), chi=chi)
+def solve_levels(m: ModelSpec, pref: Preferences, mode: str, levels: list,
+                 opt: SolverOptions = SolverOptions(),
+                 loc: Optional[LocalizationSpec] = None,
+                 rates: Optional[list] = None):
+    """Surfaces of one mode on several levels, marched as one lockstep
+    block: a generator of each level's (Surface, record), in order.
 
+    mode is "full", "local" (on the localization loc, each grid its
+    interval E_n) or "protected".  A level is a tuple (claim, grid, rows,
+    record): rows the leading time rows its Surface keeps (None keeps
+    all; see Surface), record whether its step residuals at convergence,
+    the array residual returns, are kept (else None).  Every level has
+    the bits of its own solve.  The protected equation starts from zero
+    and reads no claim; a level's insurance rate is its entry of rates,
+    or else that of the zero claim's full-equation surface on its grid,
+    those surfaces marched first as a block, each dropped once its rate
+    is formed (pricing.insurance_rate).
 
-def _protected_segment(m: ModelSpec, pref: Preferences,
-                       f_surface: np.ndarray, grid: GridSpec) -> _Segment:
-    """The protected-market equation from zero, with the rate f_surface."""
-    f_surface = np.asarray(f_surface, dtype=float)
-    if f_surface.shape != (grid.n_time + 1, grid.n_space + 1):
-        raise ValueError("rate field not aligned with the grid")
-    return _Segment("protected", grid, _Coeffs(m, grid.xs, pref.alpha),
-                    np.zeros(grid.n_space + 1), rate_field=f_surface)
+    A block fails as a whole, at the first failure of any level:
+    NewtonDivergence, ThetaDomainError, ModelError, or RadicandNegative
+    as a rate is formed.  Its levels are then marched one by one, in
+    order, each yielded before the next is marched: the error raised is
+    that of the first level that fails alone, and where none fails, the
+    solves made alone are yielded.  A single level raises its own error.
+    """
+    from .pricing import RadicandNegative
+    if mode not in ("full", "local", "protected"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "local" and loc is None:
+        raise ValueError("local mode needs the localization loc")
+    try:
+        block = _march(_segments(m, pref, mode, levels, opt, loc, rates), opt)
+    except (NewtonDivergence, ThetaDomainError, ModelError, RadicandNegative):
+        if len(levels) == 1:
+            raise
+    else:
+        yield from zip(*block)
+        return
+    for k, level in enumerate(levels):
+        yield from solve_levels(m, pref, mode, [level], opt, loc,
+                                None if rates is None else [rates[k]])
 
 
 def solve_claims(m: ModelSpec, claims: list, pref: Preferences,
                  grid: GridSpec, opt: SolverOptions = SolverOptions(),
                  rows: Optional[int] = None) -> list:
-    """Solve the full equation for each claim, all marched as one block.
+    """Solve the full equation for each claim, all marched as one block
+    (see solve_levels, whose failure rule applies).
 
     Each Surface is bit for bit the one the claim's own solve gives.
     With rows it keeps only the first rows time rows, t = 0 first (see
     Surface): rows = 1 serves the nodewise maps at t = 0, and lookups
-    need two.  A block fails as a whole; the claims are then marched one
-    by one, in order, so that the error raised is the first failing
-    claim's own.
+    need two.
     """
     if not claims:
         raise ValueError("need at least one claim")
-    coef = _Coeffs(m, grid.xs, pref.alpha)
-    segments = [replace(_full_segment(m, c, pref, grid, coef), rows=rows)
-                for c in claims]
-    try:
-        return _march(segments, opt)[0]
-    except (NewtonDivergence, ThetaDomainError) as exc:
-        if len(claims) == 1:
-            raise
-        error = exc
-    # the first claim that fails alone raises its own error; the block's
-    # is raised only if none does
-    for segment in segments:
-        _march([segment], opt)
-    raise error
+    return [G for G, _ in solve_levels(
+        m, pref, "full", [(c, grid, rows, False) for c in claims], opt)]
 
 
 def solve_full(m: ModelSpec, c: ClaimSpec, pref: Preferences, grid: GridSpec,
@@ -850,7 +883,8 @@ def solve_local(m: ModelSpec, c: ClaimSpec, pref: Preferences,
                 loc: LocalizationSpec, grid: GridSpec,
                 opt: SolverOptions = SolverOptions()) -> Surface:
     """Solve the mollified equation on E_n with zero Dirichlet lateral data."""
-    return _march([_local_segment(m, c, pref, loc, grid)], opt)[0][0]
+    return next(solve_levels(m, pref, "local", [(c, grid, None, False)], opt,
+                             loc))[0]
 
 
 def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
@@ -860,7 +894,8 @@ def solve_protected(m: ModelSpec, pref: Preferences, f_surface: np.ndarray,
 
     f_surface is the insurance rate on the same (time x space) grid.
     """
-    return _march([_protected_segment(m, pref, f_surface, grid)], opt)[0][0]
+    return next(solve_levels(m, pref, "protected", [(None, grid, None, False)],
+                             opt, rates=[f_surface]))[0]
 
 
 def residual(surface: Surface, m: ModelSpec, pref: Preferences,

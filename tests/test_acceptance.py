@@ -3,9 +3,9 @@
 The Monte Carlo battery (criteria 12-13) runs 10 seeds x 1e5 paths x 1000
 steps in 20k-path chunks, with a Brownian-coupled step-halved (500-step)
 rerun per chunk.  The chunks run two at a time where two CPUs are free
-(montecarlo.fork_map); each process holds one chunk's noise (2 x 160 MB),
-which sets the peak memory.  Run with pytest -s to see the per-criterion
-lines.
+(fork_map, in the test helper module forkmap); each process holds one
+chunk's noise (2 x 160 MB), which sets the peak memory.  Run with pytest
+-s to see the per-criterion lines.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from defaultable_hjb.assumptions import cir_moment_bound
 from defaultable_hjb.lambertw import theta, theta_of_log
 from defaultable_hjb.pricing import (insurance_rate_h_form,
                                      short_horizon_curve, zero_rate_position)
+from forkmap import fork_map
 from oracles import mc_cir_weight_probe, pool_estimates, rk4_constant_oracle
 
 
@@ -262,7 +263,7 @@ def mc_battery(paper_model, paper_pref, G_zero):
 
     # the chunks run two at a time where two CPUs are free, each worker
     # forked after G_zero is solved; the estimates pool in chunk order
-    chunks = mc.fork_map(chunk, [(seed, j) for seed in range(_N_SEEDS)
+    chunks = fork_map(chunk, [(seed, j) for seed in range(_N_SEEDS)
                                  for j in range(_CHUNKS_PER_SEED)])
     ces, ces_half, masses, duals, ces_pert = zip(*chunks)
     ces_pert = [e for per_chunk in ces_pert for e in per_chunk]

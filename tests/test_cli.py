@@ -141,21 +141,28 @@ def test_solve_local_and_protected_modes(tmp_path, capsys):
 
 
 
+def _traced_levels(monkeypatch) -> list:
+    """The (nx, nt) of the levels of each solve_levels call of the CLI,
+    recorded in the list returned."""
+    solve, grids = cli.solve_levels, []
+
+    def traced(m, pref, mode, levels, *args, **kwargs):
+        grids.append([(g.n_space, g.n_time) for _, g, _, _ in levels])
+        return solve(m, pref, mode, levels, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_levels", traced)
+    return grids
+
+
 def test_convergence_solves_a_repeated_grid_once(monkeypatch, tmp_path):
     # at 32 x 16 the nx/4 and nx/2 levels are both the 16 x 16 grid: it is
-    # marched once, and the repeat's difference, 0 by construction, is
-    # left empty
-    march, grids = cli._march, []
-
-    def traced(segments, *args):
-        grids.append([(s.grid.n_space, s.grid.n_time) for s in segments])
-        return march(segments, *args)
-
-    monkeypatch.setattr(cli, "_march", traced)
+    # marched once, after the finest level, and the repeat's difference, 0
+    # by construction, is left empty
+    grids = _traced_levels(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["solve", "--config", _write(tmp_path, nx=32, nt=16),
                      "--out", str(tmp_path)]) == 0
-    assert grids == [[(16, 16), (32, 16)]]
+    assert grids == [[(32, 16), (16, 16)]]
     rows = [ln.split(",") for ln in
             (tmp_path / "convergence.csv").read_text().splitlines()[-3:]]
     assert [r[:2] for r in rows] == [["16", "16"], ["16", "16"],
@@ -171,13 +178,7 @@ def test_a_probe_outside_the_grid_marches_only_the_finest_level(
     # x0 = theta = 0.06 lies outside local mode's E_4 = (0.25, 4), and
     # x0 = 5 outside the full grid: no level's value is read, so the
     # coarse levels are not marched, and their cells stay empty
-    march, grids = cli._march, []
-
-    def traced(segments, *args):
-        grids.append([(s.grid.n_space, s.grid.n_time) for s in segments])
-        return march(segments, *args)
-
-    monkeypatch.setattr(cli, "_march", traced)
+    grids = _traced_levels(monkeypatch)
     cfgp = _write(tmp_path, nx=64, nt=32)
     if x0 is not None:
         Path(cfgp).write_text(Path(cfgp).read_text().replace(
@@ -235,17 +236,17 @@ def test_solve_keeps_two_rows_and_no_record_of_each_coarse_level(
         monkeypatch, tmp_path, mode):
     # convergence.csv reads a coarse level only at (0, x0), from its first
     # two time rows; the finest level is written whole, with its record.
-    # Protected mode's zero-claim ladder is kept whole for its rates.  In
-    # local mode the probe is moved inside E_4 = (0.25, 4), as the coarse
+    # The finest level comes first.  Protected mode's zero-claim ladder is
+    # kept whole for its rates.  In local mode the probe is moved inside E_4 = (0.25, 4), as the coarse
     # levels are marched only for a probe inside the grid.
-    march, marches = cli._march, []
+    march, marches = solver._march, []
 
     def kept(segments, *args):
         surfaces, records = march(segments, *args)
         marches.append((segments, list(surfaces), records))
         return surfaces, records
 
-    monkeypatch.setattr(cli, "_march", kept)
+    monkeypatch.setattr(solver, "_march", kept)
     text = Path(REFERENCE_INI).read_text()
     if mode == "local:4":
         text = text.replace("kind = cir\n", "kind = cir\nx0 = 0.5\n")
@@ -258,10 +259,10 @@ def test_solve_keeps_two_rows_and_no_record_of_each_coarse_level(
     segments, surfaces, records = marches[-1]
     assert [(G.values.shape, None if r is None else r.shape)
             for G, r in zip(surfaces, records)] == [
-        ((2, 33), None), ((2, 65), None), ((129, 129), (128, 129))]
+        ((129, 129), (128, 129)), ((2, 33), None), ((2, 65), None)]
     if mode == "protected":
         assert [(G.values.shape, r) for G, r in zip(*marches[0][1:])] == [
-            ((33, 33), None), ((65, 65), None), ((129, 129), None)]
+            ((129, 129), None), ((33, 33), None), ((65, 65), None)]
     # what is kept has the bits of the whole ladder's
     whole, whole_records = march([dataclasses.replace(s, rows=None,
                                                       record=True)
@@ -270,8 +271,8 @@ def test_solve_keeps_two_rows_and_no_record_of_each_coarse_level(
         assert np.array_equal(G.values.view(np.uint64),
                               W.values[:len(G.values)].view(np.uint64))
     # cmd_solve takes the record's absolute values in place
-    assert np.array_equal(records[-1].view(np.uint64),
-                          np.abs(whole_records[-1]).view(np.uint64))
+    assert np.array_equal(records[0].view(np.uint64),
+                          np.abs(whole_records[0]).view(np.uint64))
 
 
 def test_verify_without_a_fork_writes_the_same_bytes(monkeypatch, tmp_path,
@@ -300,7 +301,8 @@ def test_solve_takes_gradients_only_of_rate_blocks(monkeypatch, tmp_path,
                                                    mode):
     # the surfaces solve writes are never differentiated; protected mode's
     # insurance rates differentiate the zero claim's surfaces one rate
-    # block of rows at a time, and full and local mode not at all
+    # block of rows at a time, the finest level's first, and full and
+    # local mode not at all
     calls = []
 
     def counted(values, dx):
@@ -313,7 +315,7 @@ def test_solve_takes_gradients_only_of_rate_blocks(monkeypatch, tmp_path,
                      "--out", str(tmp_path), "--grid", "128,128"]) == 0
     blocks = []
     if mode == "protected":
-        for n in (32, 64, 128):
+        for n in (128, 32, 64):
             step = solver.block_rows(n + 1, 8)
             blocks += [(min(step, n + 1 - a), n + 1)
                        for a in range(0, n + 1, step)]

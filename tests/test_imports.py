@@ -40,6 +40,16 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def test_the_cli_imports_no_private_solver_name():
+    # the CLI marches through solver's public entries only
+    tree = ast.parse((_PACKAGE / "cli.py").read_text())
+    private = sorted(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and node.module == "solver" and node.level == 1
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == []
+
+
 def _open_calls(path: Path) -> list:
     tree = ast.parse(path.read_text())
     return sorted(node.lineno for node in ast.walk(tree)

@@ -19,6 +19,7 @@ from defaultable_hjb.montecarlo import (MCEstimate, Noise, SimConfig,
                                         estimate_dual_value,
                                         estimate_martingale_mass,
                                         simulate_policies)
+from forkmap import fork_map
 from oracles import (cir_paths, crossing_times, mc_exponential_functional,
                      ou_paths, pool_estimates, replay_policies,
                      simulate_default, simulate_dual_density,
@@ -839,7 +840,7 @@ def test_simulate_halves_forks_only_above_the_work_floor(monkeypatch,
 
 
 def test_fork_map_returns_the_results_in_item_order():
-    got = mc.fork_map(lambda i: (i * i, os.getpid()), range(7))
+    got = fork_map(lambda i: (i * i, os.getpid()), range(7))
     _no_child_left()
     assert [v for v, _ in got] == [i * i for i in range(7)]
     pids = [pid for _, pid in got]
@@ -858,7 +859,7 @@ def test_fork_map_raises_the_first_failing_items_exception(failing, first):
         return i
 
     with pytest.raises(dh.NewtonDivergence) as exc:
-        mc.fork_map(fn, range(7))
+        fork_map(fn, range(7))
     _no_child_left()
     assert exc.value.step_index == first
     assert str(exc.value) == str(dh.NewtonDivergence(first, 0.5))
@@ -872,7 +873,7 @@ def test_fork_map_does_not_wait_for_a_child_when_item_0_fails():
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match="item 0"):
-        mc.fork_map(fn, range(2))
+        fork_map(fn, range(2))
     _no_child_left()
     assert time.perf_counter() - start < 30.0
 
@@ -884,7 +885,7 @@ def test_fork_map_forwards_the_warnings_of_every_item():
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert mc.fork_map(fn, range(4)) == list(range(4))
+        assert fork_map(fn, range(4)) == list(range(4))
     _no_child_left()
     assert sorted(str(w.message) for w in caught) == \
         [f"item {i}" for i in range(4)]
@@ -901,7 +902,7 @@ def test_fork_map_raises_a_warning_that_the_filters_make_an_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow in the child"):
-            mc.fork_map(fn, range(2))
+            fork_map(fn, range(2))
     _no_child_left()
 
 
@@ -914,7 +915,7 @@ def test_a_child_that_dies_raises_runtime_error():
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs two CPUs to fork a child")
     with pytest.raises(mc.WorkerDied, match="exit code 3"):
-        mc.fork_map(fn, range(4))
+        fork_map(fn, range(4))
     _no_child_left()
 
 
@@ -925,10 +926,10 @@ def test_fork_map_on_one_cpu_runs_in_process(monkeypatch):
         return i
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert mc.fork_map(lambda i: (i, os.getpid()), range(3)) == \
+    assert fork_map(lambda i: (i, os.getpid()), range(3)) == \
         [(i, os.getpid()) for i in range(3)]
     with pytest.raises(ValueError, match="item 1"):
-        mc.fork_map(fn, range(3))
+        fork_map(fn, range(3))
     _no_child_left()
 
 
@@ -942,7 +943,7 @@ def test_fork_map_runs_in_process_where_no_fork_is_had(monkeypatch, refused):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fds = set(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, refused, refuse)
-    assert mc.fork_map(lambda i: (i * i, os.getpid()), range(7)) == \
+    assert fork_map(lambda i: (i * i, os.getpid()), range(7)) == \
         [(i * i, os.getpid()) for i in range(7)]
     monkeypatch.undo()
     assert set(os.listdir("/proc/self/fd")) == fds
@@ -954,9 +955,9 @@ def test_fork_map_does_not_nest():
         return os.getpid()
 
     def outer(i):
-        return mc.fork_map(inner, range(3))
+        return fork_map(inner, range(3))
 
-    for pids in mc.fork_map(outer, range(2)):
+    for pids in fork_map(outer, range(2)):
         assert len(set(pids)) == 1
     _no_child_left()
 
@@ -966,7 +967,7 @@ def test_fork_map_does_not_nest():
     dh.WindowViolation("2 kappa - xi^2", -0.25)],
     ids=lambda e: type(e).__name__)
 def test_the_typed_errors_survive_pickling(exc):
-    # fork_map carries a child's exception across a pipe
+    # a forked worker carries its exception across a pipe
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)

@@ -390,6 +390,66 @@ def test_a_failing_block_is_re_marched_up_to_the_first_failing_claim(
     assert marched == [3, 1, 1]
 
 
+def test_a_failing_ladder_yields_each_level_alone_up_to_the_first_failure(
+        paper_model):
+    # alpha q = 66 at T = 2.5 (test_cli's diverging ladder): the block
+    # fails, and the levels are marched one by one, in order.  64 x 32
+    # converges alone and is yielded; 16 x 16 then raises its own error
+    pref = dh.Preferences(alpha=3.0, horizon_T=2.5)
+    claim = dh.bond_claim(22.0)
+    grids = [dh.default_grid(paper_model, pref, nx, nt)
+             for nx, nt in ((64, 32), (16, 16), (32, 16))]
+    solved = dh.solve_levels(paper_model, pref, "full",
+                             [(claim, g, None, False) for g in grids])
+    G, record = next(solved)
+    assert record is None
+    assert _same_bits(G.values,
+                      dh.solve_full(paper_model, claim, pref, grids[0]).values)
+    with pytest.raises(NewtonDivergence) as err:
+        next(solved)
+    assert str(err.value) == \
+        "Newton diverged at time step 3: residual 2.329e+01"
+
+
+@pytest.mark.parametrize("mode", ["full", "protected"])
+def test_a_failing_block_whose_levels_converge_alone_yields_their_solves(
+        monkeypatch, paper_model, paper_pref, mode):
+    # a block of several segments made to fail: each level is marched
+    # alone, and as every one converges, their solves alone are yielded
+    march = solver._march
+
+    def failing_blocks(segments, *args):
+        if len(segments) > 1:
+            raise NewtonDivergence(0, float("inf"))
+        return march(segments, *args)
+
+    grids = [dh.default_grid(paper_model, paper_pref, n, 16)
+             for n in (32, 16)]
+    claim = dh.bond_claim(3.0)
+    monkeypatch.setattr(solver, "_march", failing_blocks)
+    got = list(dh.solve_levels(paper_model, paper_pref, mode,
+                               [(claim, g, None, False) for g in grids]))
+    monkeypatch.undo()
+    for (G, _), g in zip(got, grids):
+        if mode == "protected":
+            rate = dh.insurance_rate(
+                dh.solve_full(paper_model, dh.zero_claim(), paper_pref, g),
+                paper_model, paper_pref)
+            alone = dh.solve_protected(paper_model, paper_pref, rate, g)
+        else:
+            alone = dh.solve_full(paper_model, claim, paper_pref, g)
+        assert _same_bits(G.values, alone.values)
+
+
+def test_solve_levels_checks_its_mode(paper_model, paper_pref):
+    level = (dh.zero_claim(), dh.default_grid(paper_model, paper_pref, 16, 16),
+             None, False)
+    with pytest.raises(ValueError, match="unknown mode"):
+        next(dh.solve_levels(paper_model, paper_pref, "fulll", [level]))
+    with pytest.raises(ValueError, match="needs the localization"):
+        next(dh.solve_levels(paper_model, paper_pref, "local", [level]))
+
+
 def _tagged_step(tags, n, w, diag_of, calls=None):
     """One Newton step on segments of n nodes each, laid end to end, of
     the linear operator F = -G whose Jacobian diagonal on a segment is
@@ -593,13 +653,14 @@ def test_lockstep_ladder_levels_equal_their_own_solves(paper_model, paper_pref,
     claim = dh.bond_claim(2.0)
     grids = [dh.default_grid(m, paper_pref, max(nx // div, 16),
                              max(nt // div, 16)) for div in (4, 2, 1)]
-    cfg = cli.RunConfig(kind=kind, mode=mode, local_n=4)
-    levels = cli._solve_levels(cfg, m, claim, paper_pref, grids, [True] * 3)
     loc = dh.build_localization(m, 4)
+    if mode == "local":
+        grids = [replace(g, x_min=loc.outer[0], x_max=loc.outer[1])
+                 for g in grids]
+    levels = dh.solve_levels(m, paper_pref, mode,
+                             [(claim, g, None, True) for g in grids], loc=loc)
     for (G, res), g in zip(levels, grids):
         if mode == "local":
-            g = dh.GridSpec(loc.outer[0], loc.outer[1], g.n_space, g.n_time,
-                            g.t_end)
             alone = dh.solve_local(m, claim, paper_pref, loc, g)
         elif mode == "protected":
             rate = dh.insurance_rate(
@@ -643,12 +704,9 @@ def test_the_march_records_each_claims_residual(paper_model, paper_pref,
                                                scheme):
     grid = dh.default_grid(paper_model, paper_pref, 64, 48)
     opt = SolverOptions(scheme=scheme)
-    coef = solver._Coeffs(paper_model, grid.xs, paper_pref.alpha)
-    segments = [solver._full_segment(paper_model, c, paper_pref, grid, coef)
-                for c in _claims((0, 1.0, 10.0))]
-    surfaces, residuals = solver._march(
-        [replace(s, record=True) for s in segments], opt)
-    for G, res in zip(surfaces, residuals):
+    levels = [(c, grid, None, True) for c in _claims((0, 1.0, 10.0))]
+    for G, res in dh.solve_levels(paper_model, paper_pref, "full", levels,
+                                  opt):
         assert _same_bits(res, dh.residual(G, paper_model, paper_pref, opt))
 
 
@@ -687,10 +745,8 @@ def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
         chi=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     claims = _claims((0, 1.0, 3.0, 5.0, 10.0))
     coarse = dh.default_grid(paper_model, paper_pref, 32, 16)
-    ladder = [solver._full_segment(paper_model, dh.zero_claim(), paper_pref,
-                                   dh.default_grid(paper_model, paper_pref,
-                                                   n, n))
-              for n in (50, 100, 200)]
+    ladder = [(dh.zero_claim(), dh.default_grid(paper_model, paper_pref, n, n),
+               None, False) for n in (50, 100, 200)]
     counts = {}
 
     def counting(module, name):
@@ -720,7 +776,9 @@ def test_the_newton_path_is_pinned(monkeypatch, paper_model, paper_pref):
                               (411, 409, 1018 - 409)),
         # the zero claim's 50^2, 100^2 and 200^2 levels in lockstep: alone
         # they take 100 + 192 + 200 = 492 tridiag_solve calls
-        "ladder": (lambda: solver._march(ladder), (293, 292, 492)),
+        "ladder": (lambda: list(dh.solve_levels(paper_model, paper_pref,
+                                                "full", ladder)),
+                   (293, 292, 492)),
         # a coarse block whose large notionals damp: after a partial
         # acceptance the last trial's residual is reused too (157 formed
         # it afresh)
